@@ -50,6 +50,7 @@ from .errors import (
     InvalidLedger,
     InvalidModel,
     InvalidState,
+    NonFiniteCommand,
     ParseError,
     SingularGradient,
     SolverStall,

@@ -10,8 +10,9 @@ plus the actuation box, then solves
 exactly with a primal active-set iteration (Hessian = identity, so every
 equality-constrained subproblem is a projection). Safe commands pass through
 bitwise unchanged; unsafe commands are minimally modified. If the rows and
-box admit no feasible point the filter falls back to the box point that
-minimizes the maximum row violation and says so loudly in the result status.
+box admit no feasible point the filter falls back to the box point nearest
+u_des among those that minimize the maximum row violation, and says so
+loudly in the result status.
 
 A row with no control authority (a = 0) that demands b > 0 cannot be met by
 any command. Without a sampled row for its constraint, that is structural
@@ -126,7 +127,7 @@ def solve_qp(qp: QpProblem) -> tuple[np.ndarray, tuple[int, ...], str]:
     set, adding the most-violated constraint (lowest index on ties) and
     dropping negative-multiplier members, each subproblem solved by
     projection. An empty feasible set yields the least-max-violation box
-    point with status infeasible_fallback.
+    point nearest u_des with status infeasible_fallback.
     """
     d = qp.control_dim
     m = qp.rows_a.shape[0]
@@ -258,8 +259,7 @@ def _solve_interval(
             if upper_idx >= 0:
                 active.append(upper_idx)
         return np.array([u_star]), tuple(active), MODIFIED
-    u_fb = _least_max_violation(qp, qp.rows_a, qp.rows_b, np.array([lo]), np.array([hi]))
-    worst = qp.rows_b - qp.rows_a @ u_fb
+    u_fb, worst = _least_max_violation(qp)
     top = float(np.max(worst))
     active = tuple(int(i) for i in np.nonzero(worst >= top - _FEAS_TOL * (1.0 + abs(top)))[0])
     return u_fb, active, INFEASIBLE_FALLBACK
@@ -325,68 +325,148 @@ def _dual_drop2(cons, working, lam, j):
 
 
 def _fallback(qp, feas_tol):
-    u_fb = _least_max_violation(qp, qp.rows_a, qp.rows_b, qp.box[:, 0], qp.box[:, 1])
-    worst = qp.rows_b - qp.rows_a @ u_fb
+    u_fb, worst = _least_max_violation(qp)
     top = float(np.max(worst))
     active = tuple(int(i) for i in np.nonzero(worst >= top - feas_tol)[0])
     return u_fb, active, INFEASIBLE_FALLBACK
 
 
-def _least_max_violation(qp, rows_a, rows_b, lo, hi) -> np.ndarray:
-    """Exact minimizer of max_i (b_i - a_i . u) over the box; ties broken by
-    distance to u_des, then lexicographically. The max of affine functions is
-    piecewise linear and convex, so the minimum over the box is attained at a
-    box corner, at a pairwise equal-value point, or where equal-value loci
-    cross box faces; all candidates are enumerated.
+def _violations(rows_a, rows_b, coords, d):
+    """b - A u for each point of the flat coordinate list (one point per row
+    of the result). The stacked matrix-vector product rounds as rows_a @ u
+    does for each point alone."""
+    return rows_b - np.matmul(rows_a, np.array(coords).reshape(-1, d, 1))[..., 0]
+
+
+def _least_max_violation(qp) -> tuple[np.ndarray, np.ndarray]:
+    """Exact minimizer of max_i (b_i - a_i . u) over the box, with its row
+    violations b - A u.
+
+    The max of affine functions is piecewise linear and convex, so its
+    minimum over the box is attained at a box corner, where a pairwise
+    equal-value locus crosses a box face, or (2-D) where two such loci
+    cross. Those candidates are built with scalar arithmetic, the crossings
+    of two loci are solved in one stacked LAPACK call, and every candidate
+    is priced in one batched evaluation. When distinct candidates tie at the
+    least maximum violation, they span the set of least-max-violation
+    points, and the point of their convex hull nearest u_des is returned
+    (see _nearest_tied).
     """
-    d = lo.shape[0]
-    m = rows_a.shape[0]
-    candidates = []
+    rows_a = qp.rows_a
+    rows_b = qp.rows_b
+    box = qp.box.tolist()
+    a = rows_a.tolist()
+    b = rows_b.tolist()
+    m = len(b)
+    d = len(box)
     if d == 1:
-        candidates.extend([np.array([lo[0]]), np.array([hi[0]])])
+        ((lo0, hi0),) = box
+        coords = [lo0, hi0]
         for i, j in combinations(range(m), 2):
-            da = rows_a[i, 0] - rows_a[j, 0]
+            da = a[i][0] - a[j][0]
             if da != 0.0:
-                u = (rows_b[i] - rows_b[j]) / da
-                if lo[0] <= u <= hi[0]:
-                    candidates.append(np.array([u]))
+                u = (b[i] - b[j]) / da
+                if lo0 <= u <= hi0:
+                    coords.append(u)
     else:
-        for cx in (lo[0], hi[0]):
-            for cy in (lo[1], hi[1]):
-                candidates.append(np.array([cx, cy]))
-        # pair equal-value line crossed with each box face
+        (lo0, hi0), (lo1, hi1) = box
+        coords = [lo0, lo1, lo0, hi1, hi0, lo1, hi0, hi1]
+        # each pair's equal-value line crossed with the box faces
         for i, j in combinations(range(m), 2):
-            da = rows_a[i] - rows_a[j]
-            db = rows_b[i] - rows_b[j]
-            for axis in (0, 1):
-                other = 1 - axis
-                if da[other] == 0.0:
-                    continue
-                for fixed in (lo[axis], hi[axis]):
-                    val = (db - da[axis] * fixed) / da[other]
-                    if lo[other] <= val <= hi[other]:
-                        u = np.empty(2)
-                        u[axis] = fixed
-                        u[other] = val
-                        candidates.append(u)
-        # triples: two pair equal-value lines
+            da0 = a[i][0] - a[j][0]
+            da1 = a[i][1] - a[j][1]
+            db = b[i] - b[j]
+            if da1 != 0.0:
+                for fixed in (lo0, hi0):
+                    val = (db - da0 * fixed) / da1
+                    if lo1 <= val <= hi1:
+                        coords += (fixed, val)
+            if da0 != 0.0:
+                for fixed in (lo1, hi1):
+                    val = (db - da1 * fixed) / da0
+                    if lo0 <= val <= hi0:
+                        coords += (val, fixed)
+        # two pairs' equal-value lines crossed, accepted within 1e-12 of the
+        # box and clamped into it
+        systems = []
+        rhs = []
         for i, j, k in combinations(range(m), 3):
-            A2 = np.array([rows_a[i] - rows_a[j], rows_a[i] - rows_a[k]])
-            b2 = np.array([rows_b[i] - rows_b[j], rows_b[i] - rows_b[k]])
-            det = A2[0, 0] * A2[1, 1] - A2[0, 1] * A2[1, 0]
-            if abs(det) < 1e-14:
-                continue
-            u = np.linalg.solve(A2, b2)
-            if np.all(u >= lo - 1e-12) and np.all(u <= hi + 1e-12):
-                candidates.append(np.clip(u, lo, hi))
-    best = None
-    for u in candidates:
-        phi = float(np.max(rows_b - rows_a @ u))
-        dev = float(np.linalg.norm(u - qp.u_des))
-        key = (phi, dev, tuple(u))
-        if best is None or key < best[0]:
-            best = (key, u)
-    return best[1]
+            p0 = a[i][0] - a[j][0]
+            p1 = a[i][1] - a[j][1]
+            q0 = a[i][0] - a[k][0]
+            q1 = a[i][1] - a[k][1]
+            if abs(p0 * q1 - p1 * q0) >= 1e-14:
+                systems += (p0, p1, q0, q1)
+                rhs += (b[i] - b[j], b[i] - b[k])
+        if systems:
+            n = len(rhs) // 2
+            crossings = np.linalg.solve(np.array(systems).reshape(n, 2, 2), np.array(rhs).reshape(n, 2, 1))
+            flat = crossings.ravel().tolist()
+            for u0, u1 in zip(flat[::2], flat[1::2]):
+                if lo0 - 1e-12 <= u0 <= hi0 + 1e-12 and lo1 - 1e-12 <= u1 <= hi1 + 1e-12:
+                    # bound first, so signed zeros clamp as np.clip does
+                    coords += (min(hi0, max(lo0, u0)), min(hi1, max(lo1, u1)))
+
+    violations = _violations(rows_a, rows_b, coords, d)
+    phi = violations.max(axis=1).tolist()
+    least = min(phi)
+    tied = [coords[d * k : d * k + d] for k, v in enumerate(phi) if v == least]
+    if all(u == tied[0] for u in tied):
+        first = phi.index(least)
+        return np.array(tied[0]), violations[first]
+    return _nearest_tied(qp.u_des.tolist(), tied, rows_a, rows_b, box)
+
+
+def _nearest_tied(u_des, tied, rows_a, rows_b, box) -> tuple[np.ndarray, np.ndarray]:
+    """The point nearest u_des in the convex hull of the tied candidates.
+
+    The tied candidates are the vertices of the optimal face of the linear
+    program min t s.t. t >= b_i - a_i . u over the box, so their hull is the
+    set of least-max-violation points. In 1-D that is u_des clamped into the
+    tied interval. In 2-D the nearest point is u_des itself, a projection
+    onto a segment between two vertices, or a vertex. A point counts only
+    if it lies in the box and rounding leaves its maximum violation equal
+    to the vertices'; the vertices always do, and among the points that
+    count the one nearest u_des wins, coordinates breaking exact ties.
+    """
+    d = len(box)
+    if d == 1:
+        ends = [u for (u,) in tied]
+        options = [[min(max(ends), max(min(ends), u_des[0]))]]
+    else:
+        options = [u_des]
+        ud0, ud1 = u_des
+        for (p0, p1), (q0, q1) in combinations(tied, 2):
+            e0 = q0 - p0
+            e1 = q1 - p1
+            r0 = ud0 - p0
+            r1 = ud1 - p1
+            length2 = e0 * e0 + e1 * e1
+            if 0.0 < r0 * e0 + r1 * e1 < length2:
+                # step along the segment's normal only, so an axis-aligned
+                # segment keeps u_des's coordinate along it exactly
+                s = (r1 * e0 - r0 * e1) / length2
+                options.append([ud0 + s * e1, ud1 - s * e0])
+    points = tied + options
+    violations = _violations(rows_a, rows_b, [v for u in points for v in u], d)
+    phi = violations.max(axis=1).tolist()
+    counted = [
+        k
+        for k, u in enumerate(points)
+        if k < len(tied) or (phi[k] == phi[0] and all(lo <= v <= hi for v, (lo, hi) in zip(u, box)))
+    ]
+    k = min(counted, key=lambda k: (command_deviation(points[k], u_des), points[k]))
+    return np.array(points[k]), violations[k]
+
+
+def command_deviation(u, u_des) -> float:
+    """Euclidean distance between two commands given as float sequences,
+    summed in axis order: the one formula for a step's deviation, used by
+    the filter and by read_trace."""
+    square = 0.0
+    for ui, di in zip(u, u_des):
+        square += (ui - di) * (ui - di)
+    return math.sqrt(square)
 
 
 def filter_control(
@@ -413,9 +493,6 @@ def filter_control(
     elif status == PASSTHROUGH:
         return FilterResult(u_des, False, 0.0, (), PASSTHROUGH, elapsed)
     u = u_star.tolist()
-    square = 0.0  # of the solver's point, before clipping
-    for ui, di in zip(u, qp.u_des.tolist()):
-        square += (ui - di) * (ui - di)
     active_row_ids = qp.unmet_ids + tuple([qp.row_ids[i] for i in active_idx])
     if len(active_row_ids) > 1:
         # a constraint with two rows in the problem is named once
@@ -423,7 +500,8 @@ def filter_control(
     # the solution can leave the box by rounding: clip it back in
     clipped = [lo if v < lo else (hi if v > hi else v) for v, (lo, hi) in zip(u, model._box)]
     u_out = ControlInput._trusted(np.array(clipped), model.control_bounds)
-    return FilterResult(u_out, True, math.sqrt(square), active_row_ids, status, elapsed)
+    deviation = command_deviation(clipped, qp.u_des.tolist())
+    return FilterResult(u_out, True, deviation, active_row_ids, status, elapsed)
 
 
 def check_kkt(qp: QpProblem, u_star: np.ndarray, tol: float = 1e-8) -> dict:

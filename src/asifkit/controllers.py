@@ -10,19 +10,21 @@ Three kinds:
                  filter under worst-case commands, not to fly well.
 
 Every controller's output is saturated into the plant's box, so downstream
-code always sees an in-bounds desired command.
+code always sees an in-bounds desired command. An output with a NaN or
+infinite entry has no meaningful saturation and raises NonFiniteCommand.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .barrier import BarrierConstraint, eval_grad_h_list
 from .dynamics import ControlInput, PlantModel, PlantState, actuation_row, drift_actuation_row
-from .errors import InvalidConfig, InvalidModel, ParseError
+from .errors import InvalidConfig, InvalidModel, InvalidState, NonFiniteCommand, ParseError
 
 ACTIVATIONS = ("tanh", "relu", "linear")
 
@@ -133,7 +135,9 @@ def mlp_forward(spec: MlpSpec, x: np.ndarray) -> np.ndarray:
 
 
 def desired_control(controller: ControllerKind, state: PlantState, model: PlantModel) -> ControlInput:
-    """Raw controller output saturated componentwise into the plant's box."""
+    """Raw controller output saturated componentwise into the plant's box.
+    Raises NonFiniteCommand, naming the output, if any entry is NaN or
+    infinite."""
     if isinstance(controller, AdversarialController):
         command = _adversarial_command(controller, state, model)
         return ControlInput._trusted(np.array(command), model.control_bounds)
@@ -147,7 +151,14 @@ def desired_control(controller: ControllerKind, state: PlantState, model: PlantM
         raw = -kp * pos - kd * vel
     else:
         raise InvalidConfig(f"unknown controller {controller!r}")
-    return ControlInput(model.saturate(raw), model.control_bounds)
+    command = raw.tolist()
+    if not all(map(math.isfinite, command)):
+        raise NonFiniteCommand(f"controller output {command} is not finite")
+    if len(command) != model.control_dim:
+        raise InvalidState(f"controller output {command} does not match control dim {model.control_dim}")
+    # bound first, so signed zeros clamp as np.clip does
+    saturated = [min(hi, max(lo, v)) for v, (lo, hi) in zip(command, model._box)]
+    return ControlInput._trusted(np.array(saturated), model.control_bounds)
 
 
 def _adversarial_command(

@@ -114,10 +114,6 @@ class PlantModel:
         # the box as float pairs, for per-step scalar code
         object.__setattr__(self, "_box", tuple(map(tuple, bounds.tolist())))
 
-    def saturate(self, u_raw: np.ndarray) -> np.ndarray:
-        """Clip a raw command componentwise into the box."""
-        return np.clip(np.asarray(u_raw, dtype=float), self.control_bounds[:, 0], self.control_bounds[:, 1])
-
 
 def _drift(kind: str, x: np.ndarray) -> np.ndarray:
     if kind == DOUBLE_INTEGRATOR_1D:

@@ -13,6 +13,10 @@ class InvalidState(AsifKitError):
     """State vector has the wrong dimension or non-finite entries."""
 
 
+class NonFiniteCommand(InvalidState):
+    """The primary controller emitted a command with a NaN or infinite entry."""
+
+
 class InvalidConfig(AsifKitError):
     """Scenario or solver configuration violates an invariant."""
 

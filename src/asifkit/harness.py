@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .asif import INFEASIBLE_FALLBACK, MODIFIED, PASSTHROUGH, filter_control
+from .asif import INFEASIBLE_FALLBACK, MODIFIED, PASSTHROUGH, command_deviation, filter_control
 from .barrier import (
     BarrierConstraint,
     check_bounds_consistency,
@@ -35,6 +35,7 @@ from .dynamics import PlantModel, PlantState, sample_disturbance, step_rk4
 from .errors import (
     EmptyTrace,
     InvalidConfig,
+    NonFiniteCommand,
     ParseError,
     SingularGradient,
     StructurallyInfeasible,
@@ -226,9 +227,10 @@ def run_episode(config: ScenarioConfig, record: bool = True) -> EpisodeTrace:
 
     Deterministic given the config (including seed). The filter is given the
     control period, so it enforces the sampled-data rows as well. A
-    SingularGradient or StructurallyInfeasible raised by the filter aborts
-    the episode; the partial trace is returned flagged aborted rather than
-    discarded.
+    NonFiniteCommand from the controller, or a SingularGradient or
+    StructurallyInfeasible raised by the filter, aborts the episode; the
+    partial trace (the steps before it) is returned flagged aborted rather
+    than discarded, with the error in abort_reason.
     """
     model = config.model
     controller = config.controller
@@ -251,8 +253,8 @@ def run_episode(config: ScenarioConfig, record: bool = True) -> EpisodeTrace:
 
     for k in range(n):
         t_k = k * dt
-        u_des = desired_control(controller, state, model)
         try:
+            u_des = desired_control(controller, state, model)
             if _mode_at(schedule, t_k):
                 result = filter_control(constraints, model, state, u_des, dt)
                 u_out = result.u_out
@@ -266,7 +268,7 @@ def run_episode(config: ScenarioConfig, record: bool = True) -> EpisodeTrace:
                 step_intervened = False
                 step_solve = 0.0
                 step_dev = 0.0
-        except (SingularGradient, StructurallyInfeasible) as exc:
+        except (NonFiniteCommand, SingularGradient, StructurallyInfeasible) as exc:
             aborted = True
             abort_reason = f"{type(exc).__name__}: {exc}"
             break
@@ -441,7 +443,7 @@ def read_trace(path) -> EpisodeTrace:
             solve_time[k] = float(cells[pos])
         except (ValueError, KeyError) as exc:
             raise ParseError(f"bad cell value: {exc}", line=lineno) from exc
-        deviation[k] = float(np.linalg.norm(u_out[k] - u_des[k]))
+        deviation[k] = command_deviation(u_out[k].tolist(), u_des[k].tolist())
 
     final_state = states[-1] if n else config.initial_state
     final_t = float(t_arr[-1]) if n else 0.0

@@ -2,8 +2,12 @@
 
 These deliberately avoid the library's solution paths: the QP oracle is a
 brute-force grid scan, the integration oracle is the closed-form transition
-of the double integrator.
+of the double integrator, and the least-max-violation reference is the
+filter's earlier one-candidate-at-a-time enumerator, kept to test the
+batched one against.
 """
+
+from itertools import combinations
 
 import numpy as np
 
@@ -81,3 +85,64 @@ def closed_form_step(x, u, w, dt):
     p1 = p + (v + wp) * dt + 0.5 * a * dt * dt
     v1 = v + a * dt
     return np.concatenate([p1, v1])
+
+
+def least_max_violation_candidates(rows_a, rows_b, lo, hi):
+    """The earlier enumerator's candidate points, in its order: box corners,
+    pairwise equal-value lines crossed with box faces, and (2-D) crossings of
+    two such lines."""
+    d = lo.shape[0]
+    m = rows_a.shape[0]
+    candidates = []
+    if d == 1:
+        candidates.extend([np.array([lo[0]]), np.array([hi[0]])])
+        for i, j in combinations(range(m), 2):
+            da = rows_a[i, 0] - rows_a[j, 0]
+            if da != 0.0:
+                u = (rows_b[i] - rows_b[j]) / da
+                if lo[0] <= u <= hi[0]:
+                    candidates.append(np.array([u]))
+    else:
+        for cx in (lo[0], hi[0]):
+            for cy in (lo[1], hi[1]):
+                candidates.append(np.array([cx, cy]))
+        # pair equal-value line crossed with each box face
+        for i, j in combinations(range(m), 2):
+            da = rows_a[i] - rows_a[j]
+            db = rows_b[i] - rows_b[j]
+            for axis in (0, 1):
+                other = 1 - axis
+                if da[other] == 0.0:
+                    continue
+                for fixed in (lo[axis], hi[axis]):
+                    val = (db - da[axis] * fixed) / da[other]
+                    if lo[other] <= val <= hi[other]:
+                        u = np.empty(2)
+                        u[axis] = fixed
+                        u[other] = val
+                        candidates.append(u)
+        # triples: two pair equal-value lines
+        for i, j, k in combinations(range(m), 3):
+            A2 = np.array([rows_a[i] - rows_a[j], rows_a[i] - rows_a[k]])
+            b2 = np.array([rows_b[i] - rows_b[j], rows_b[i] - rows_b[k]])
+            det = A2[0, 0] * A2[1, 1] - A2[0, 1] * A2[1, 0]
+            if abs(det) < 1e-14:
+                continue
+            u = np.linalg.solve(A2, b2)
+            if np.all(u >= lo - 1e-12) and np.all(u <= hi + 1e-12):
+                candidates.append(np.clip(u, lo, hi))
+    return candidates
+
+
+def least_max_violation(qp, rows_a, rows_b, lo, hi):
+    """The earlier least-max-violation point: each candidate priced on its
+    own, the least key (max violation, distance to u_des, coordinates) kept.
+    Ties are broken among the candidates only."""
+    best = None
+    for u in least_max_violation_candidates(rows_a, rows_b, lo, hi):
+        phi = float(np.max(rows_b - rows_a @ u))
+        dev = float(np.linalg.norm(u - qp.u_des))
+        key = (phi, dev, tuple(u))
+        if best is None or key < best[0]:
+            best = (key, u)
+    return best[1]

@@ -146,6 +146,22 @@ def test_solve_rows_without_authority():
         assert status == INFEASIBLE_FALLBACK and np.all(np.abs(u_star) <= 1.0)
 
 
+def test_fallback_ties_take_the_nearest_least_max_violation_point():
+    """When a whole face of the box attains the least maximum violation, the
+    fallback is the point of that face nearest u_des, not the nearest of the
+    enumerated corners and crossings."""
+    box2 = [[-1.0, 1.0]] * 2
+    # max violation max(0.3, u0) is least on u0 <= 0.3
+    u_star, active, status = solve_qp(make_qp([0.5, 0.2], [[0.0, 0.0], [-1.0, 0.0]], [0.3, 0.0], box2))
+    assert status == INFEASIBLE_FALLBACK and u_star.tolist() == [0.3, 0.2] and active == (0, 1)
+    # max violation 2 - u0 is least on the face u0 = 1
+    u_star, active, status = solve_qp(make_qp([0.5, 0.2], [[1.0, 0.0]], [2.0], box2))
+    assert status == INFEASIBLE_FALLBACK and u_star.tolist() == [1.0, 0.2] and active == (0,)
+    # one axis: u_des clamped into the tied interval [-1, 0.3]
+    u_star, active, status = solve_qp(make_qp([0.0], [[0.0], [-1.0]], [0.3, 0.0], [[-1.0, 1.0]]))
+    assert status == INFEASIBLE_FALLBACK and u_star.tolist() == [0.0] and active == (0,)
+
+
 def test_clamped_slack_ties_decided_by_matrix_product():
     """A row that numpy's product puts exactly on the boundary at the clamped
     command is met and active, although the scalar slack may round to either

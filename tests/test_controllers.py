@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from asifkit import (
     AdversarialController,
     InvalidModel,
+    InvalidState,
     MlpSpec,
     NnController,
     ParseError,
@@ -114,6 +115,12 @@ def test_desired_control_always_in_bounds(p, v, kp, kd):
     pd = PdController(kp=(kp,), kd=(kd,))
     out = desired_control(pd, PlantState([p, v]), model)
     assert -1.0 <= out.u[0] <= 1.0
+
+
+def test_desired_control_rejects_wrong_output_dim(model_1d):
+    pd = PdController(kp=(1.0, 1.0), kd=(1.0, 1.0))  # two axes on a one-axis plant
+    with pytest.raises(InvalidState, match="control dim"):
+        desired_control(pd, PlantState([0.1, 0.2]), model_1d)
 
 
 def test_load_nn_round_trip(tmp_path):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asifkit import (
     INFEASIBLE_FALLBACK,
@@ -15,6 +17,7 @@ from asifkit import (
     run_episode,
     write_trace,
 )
+from asifkit.cli import dispatch
 from asifkit.harness import _STATUS_CODES, trace_header
 from tests.conftest import sample_safe_state_2d, scenario_1d, scenario_2d
 
@@ -144,6 +147,22 @@ def test_trace_round_trip(tmp_path):
     assert back.aborted == trace.aborted
 
 
+def test_trace_deviation_matches_the_filter_on_two_axes(tmp_path):
+    """read_trace recomputes each step's deviation from the stored commands
+    with the filter's own formula, so `asifkit metrics` on a written 2-D
+    trace equals compute_metrics of the episode exactly."""
+    for seed, gamma in ((3, 2.0), (4, 1.0)):
+        cfg = scenario_2d(duration=3.0, gamma=gamma, seed=seed, disturbance_bound=0.05, initial_state=(0.6, 0.1, 0.3, 0.2))
+        trace = run_episode(ScenarioConfig.from_dict(cfg))
+        assert np.count_nonzero(trace.intervened) > 100
+        path = tmp_path / f"trace_{seed}.csv"
+        write_trace(trace, path)
+        assert read_trace(path).deviation.tobytes() == trace.deviation.tobytes()
+        out = tmp_path / f"metrics_{seed}.json"
+        assert dispatch(["metrics", "--trace", str(path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == compute_metrics(trace).to_dict()
+
+
 def test_trace_missing_column_named(tmp_path):
     config = ScenarioConfig.from_dict(scenario_1d(duration=0.05))
     trace = run_episode(config)
@@ -232,6 +251,57 @@ def test_aborted_episode_keeps_partial_trace(tmp_path):
     back = read_trace(path)
     assert back.aborted and back.abort_reason == trace.abort_reason
     assert back.n_steps == trace.n_steps
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@settings(max_examples=150, deadline=None)
+@given(
+    kp=st.floats(allow_nan=False, allow_infinity=False),
+    kd=st.floats(allow_nan=False, allow_infinity=False),
+    p=st.floats(-10.0, 10.0),
+    v=st.floats(-10.0, 10.0),
+)
+@example(kp=1e308, kd=-1e308, p=5.0, v=5.0)  # inf - inf: NaN
+@example(kp=-1e308, kd=0.0, p=5.0, v=0.0)  # +inf
+@example(kp=1e308, kd=0.0, p=5.0, v=0.0)  # -inf
+def test_non_finite_command_aborts_the_episode(kp, kd, p, v):
+    """A controller output with a NaN or infinite entry (here from an
+    overflowing PD law) ends the episode as a flagged abort that names the
+    command; it never raises out of run_episode."""
+    cfg = scenario_1d(duration=0.03, initial_state=(p, v))
+    cfg["controller"] = {"kind": "pd", "kp": [kp], "kd": [kd]}
+    trace = run_episode(ScenarioConfig.from_dict(cfg))
+    raw = -kp * p - kd * v
+    if np.isfinite(raw):
+        assert trace.n_steps > 0 and np.all(np.abs(trace.u_des) <= 1.0)
+    else:
+        assert trace.aborted and trace.n_steps == 0
+        assert trace.abort_reason == f"NonFiniteCommand: controller output [{raw}] is not finite"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_batch_counts_non_finite_network_output_as_aborts(tmp_path):
+    """A network whose hidden layer overflows to +inf and -inf once the
+    position passes 1.79 emits 0 before and NaN after: each episode becomes
+    an abort with the steps before it kept, and the batch runs on."""
+    net = {
+        "layer_sizes": [2, 2, 1],
+        "weights": [[[1e308, 0.0], [-1e308, 0.0]], [[1.0, 1.0]]],
+        "biases": [[0.0, 0.0], [0.0]],
+        "activations": ["linear", "linear"],
+    }
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(net))
+    cfg = scenario_1d(
+        rta_enabled=False, duration=0.5, initial_state=(1.7, 1.0), controller={"kind": "nn", "path": str(path)}
+    )
+    trace = run_episode(ScenarioConfig.from_dict(cfg))
+    assert trace.aborted and 0 < trace.n_steps < 50
+    assert trace.abort_reason == "NonFiniteCommand: controller output [nan] is not finite"
+    assert np.all(trace.u_des == 0.0)
+    result = run_batch(ScenarioConfig.from_dict(cfg), episodes=3, seed_base=0)
+    assert result["aborted_episodes"] == 3
+    assert all(e["metrics"]["min_h"] < 0.0 for e in result["per_episode"])
 
 
 @pytest.mark.parametrize("gamma", [1.0, 2.0])
