@@ -53,7 +53,6 @@ from .errors import (
     NonFiniteCommand,
     ParseError,
     SingularGradient,
-    SolverStall,
     StructurallyInfeasible,
 )
 from .harness import (

@@ -7,12 +7,13 @@ plus the actuation box, then solves
     minimize   0.5 * ||u - u_des||^2
     subject to A u >= b,  u_min <= u <= u_max
 
-exactly with a primal active-set iteration (Hessian = identity, so every
-equality-constrained subproblem is a projection). Safe commands pass through
-bitwise unchanged; unsafe commands are minimally modified. If the rows and
-box admit no feasible point the filter falls back to the box point nearest
-u_des among those that minimize the maximum row violation, and says so
-loudly in the result status.
+exactly in closed form: the Hessian is the identity and there are at most
+two control axes, so the minimizer is the projection of u_des onto one
+constraint or the vertex of two, found by a finite enumeration (see
+solve_qp). Safe commands pass through bitwise unchanged; unsafe commands
+are minimally modified. If the rows and box admit no feasible point the
+filter falls back to the box point nearest u_des among those that minimize
+the maximum row violation, and says so loudly in the result status.
 
 A row with no control authority (a = 0) that demands b > 0 cannot be met by
 any command. Without a sampled row for its constraint, that is structural
@@ -36,14 +37,14 @@ import numpy as np
 
 from .barrier import BarrierConstraint, cbf_row, sampled_row
 from .dynamics import ControlInput, PlantModel, PlantState
-from .errors import SolverStall, StructurallyInfeasible
+from .errors import StructurallyInfeasible
 
 PASSTHROUGH = "passthrough"
 MODIFIED = "modified"
 INFEASIBLE_FALLBACK = "infeasible_fallback"
 
-_DEP_TOL = 1e-12  # rank test for adding a row to the working set
-_FEAS_TOL = 1e-11  # violation considered zero inside the iteration
+_DEP_TOL = 1e-12  # rank test for a constraint's normal and for a pair of normals
+_FEAS_TOL = 1e-11  # violation counted as zero, before scaling by the problem size
 
 
 class QpProblem(NamedTuple):
@@ -123,16 +124,16 @@ def solve_qp(qp: QpProblem) -> tuple[np.ndarray, tuple[int, ...], str]:
 
     Returns (u_star, active row indices into qp.rows_a, status). Starts from
     the box-clamped u_des; if that already satisfies every row it is optimal
-    (passthrough when it equals u_des bitwise). Otherwise iterates an active
-    set, adding the most-violated constraint (lowest index on ties) and
-    dropping negative-multiplier members, each subproblem solved by
-    projection. An empty feasible set yields the least-max-violation box
-    point nearest u_des with status infeasible_fallback.
+    (passthrough when it equals u_des bitwise). Otherwise the minimizer is
+    the projection of u_des onto at most d of the constraints (the rows and
+    the box faces). One axis projects onto the interval the constraints
+    leave (_solve_interval). Two axes try the projection onto the violated
+    constraint farthest from u_des, then the vertices of two constraints
+    that can be optimal, nearest first. An empty feasible set yields the
+    least-max-violation box point nearest u_des with status
+    infeasible_fallback.
     """
-    d = qp.control_dim
-    m = qp.rows_a.shape[0]
-
-    if d == 1:
+    if qp.control_dim == 1:
         ((lo0, hi0),) = qp.box.tolist()
         (ud,) = qp.u_des.tolist()
         u0 = lo0 if ud < lo0 else (hi0 if ud > hi0 else ud)
@@ -153,7 +154,8 @@ def solve_qp(qp: QpProblem) -> tuple[np.ndarray, tuple[int, ...], str]:
         return _solve_interval(qp, rows, ud, lo0, hi0)
 
     ud0, ud1 = qp.u_des.tolist()
-    (lo0, hi0), (lo1, hi1) = qp.box.tolist()
+    box = qp.box.tolist()
+    (lo0, hi0), (lo1, hi1) = box
     c0 = lo0 if ud0 < lo0 else (hi0 if ud0 > hi0 else ud0)
     c1 = lo1 if ud1 < lo1 else (hi1 if ud1 > hi1 else ud1)
     slack0 = (qp.rows_b - qp.rows_a @ np.array([c0, c1])).tolist()
@@ -162,7 +164,16 @@ def solve_qp(qp: QpProblem) -> tuple[np.ndarray, tuple[int, ...], str]:
             return qp.u_des, (), PASSTHROUGH
         active = tuple(i for i, s in enumerate(slack0) if s == 0.0)
         return np.array([c0, c1]), active, MODIFIED
+    return _solve_plane(qp, ud0, ud1, box)
 
+
+def _solve_plane(qp: QpProblem, ud0, ud1, box) -> tuple[np.ndarray, tuple[int, ...], str]:
+    """Two control axes: the minimizer is the projection of u_des onto one
+    constraint or the vertex of two, found in two closed-form stages. Reached
+    only when the clamped u_des violates some row. A point feasible within
+    feas_tol may leave the box by as much, so it is returned clipped."""
+    m = qp.rows_a.shape[0]
+    (lo0, hi0), (lo1, hi1) = box
     # Rows as scalar triples (a0, a1, b) meaning a0*u0 + a1*u1 >= b.
     col0, col1 = qp.rows_a.T.tolist()
     rows_b = qp.rows_b.tolist()
@@ -172,68 +183,89 @@ def solve_qp(qp: QpProblem) -> tuple[np.ndarray, tuple[int, ...], str]:
     # indices stay stable for reporting
     cons = rows + [(1.0, 0.0, lo0), (-1.0, -0.0, -hi0), (0.0, 1.0, lo1), (-0.0, -1.0, -hi1)]
     feas_tol = _FEAS_TOL * (1.0 + max_b + abs(ud0) + abs(ud1))
-    cap = (d + m + 8) ** 2
-    working: list[int] = []
-    if c0 == ud0 and c1 == ud1:
-        # The first iteration projects onto no constraint and scans u_des
-        # itself, where every box face holds: take its entering row from the
-        # rows' violations there.
-        violation = [b - a0 * ud0 - a1 * ud1 for a0, a1, b in rows]
-        top = max(violation)
-        j = violation.index(top)
-        if top > feas_tol and _independent2(cons, working, j, d):
-            working.append(j)
-            cap -= 1
+    r_des = [b - a0 * ud0 - a1 * ud1 for a0, a1, b in cons]
 
-    for _ in range(cap):
-        u0c, u1c, lam = _project2(ud0, ud1, cons, working)
-        if lam and min(lam) < -feas_tol:
-            worst = min(range(len(lam)), key=lambda k: lam[k])
-            working.pop(worst)
+    # Stage 1. Every feasible point lies across the hyperplane of the violated
+    # constraint farthest from u_des (the first on ties), so the projection
+    # onto it is optimal if it is feasible, and no other single projection
+    # can be.
+    violated = [i for i, r in enumerate(r_des) if r > feas_tol]
+    if not violated:
+        return _clipped((ud0, ud1), box), (), MODIFIED
+    k = -1
+    far = 0.0
+    for i in violated:
+        a0, a1, _ = cons[i]
+        norm2 = a0 * a0 + a1 * a1
+        if norm2 <= _DEP_TOL * _DEP_TOL:
+            return _fallback(qp, feas_tol)  # a row without authority, violated everywhere
+        dist2 = r_des[i] * r_des[i] / norm2
+        if dist2 > far:
+            k = i
+            far = dist2
+    a0, a1, _ = cons[k]
+    lam = r_des[k] / (a0 * a0 + a1 * a1)
+    s0 = ud0 + lam * a0
+    s1 = ud1 + lam * a1
+    r_s = [b - a0 * s0 - a1 * s1 for a0, a1, b in cons]
+    r_s[k] = 0.0
+    if max(r_s) <= feas_tol:
+        return _clipped((s0, s1), box), (k,) if k < m else (), MODIFIED
+
+    # Stage 2. The optimum is the vertex of two independent constraints with
+    # both multipliers nonnegative. One of them is violated at s, or s would
+    # be a point of their polyhedron at least as near u_des; one is violated
+    # at u_des, or u_des would be in it. Every feasible point is at least as
+    # far from u_des as the optimum, so the nearest feasible such vertex is
+    # the optimum, and with none feasible the problem has no feasible point.
+    # (For nearly parallel normals the multiplier test below passes almost
+    # any pair; the order by distance still finds the optimum.)
+    violated_at_des = [i for i, r in enumerate(r_des) if r > 0.0]
+    vertices = []
+    for p, r in enumerate(r_s):
+        if r <= 0.0:
             continue
-        # the most violated constraint outside the working set, lowest
-        # index on ties (working members count as satisfied); a box face's
-        # violation b - a . u reduces to a difference
-        violation = [b - a0 * u0c - a1 * u1c for a0, a1, b in rows]
-        violation += (lo0 - u0c, u0c - hi0, lo1 - u1c, u1c - hi1)
-        for i in working:
-            violation[i] = 0.0
-        worst_violation = max(violation)
-        if worst_violation <= feas_tol:
-            active = tuple(sorted(filter(m.__gt__, working)))
-            return np.array([u0c, u1c]), active, MODIFIED
-        j = violation.index(worst_violation)
-        # Make room for the entering row j: while its normal lies in the span
-        # of the working set, a member must leave (dual step) or the problem
-        # is infeasible in this direction. j stays the entering candidate
-        # through the drops, otherwise the add/drop pair can cycle.
-        infeasible = False
-        while not _independent2(cons, working, j, d):
-            drop = _dual_drop2(cons, working, lam, j)
-            if drop is None:
-                infeasible = True
-                break
-            working.pop(drop)
-            _u0, _u1, lam = _project2(ud0, ud1, cons, working)
-        if infeasible:
-            return _fallback(qp, feas_tol)
-        working.append(j)
-
-    # Cap exhausted: certify feasibility exactly before declaring a bug.
-    u_fb, active, status = _fallback(qp, feas_tol)
-    worst = qp.rows_b - qp.rows_a @ u_fb
-    if float(np.max(worst)) > feas_tol:
-        return u_fb, active, status
-    raise SolverStall(f"active-set iteration cap {cap} exceeded on a feasible problem")
+        p0, p1, pb = cons[p]
+        g_pp = p0 * p0 + p1 * p1
+        r_p = r_des[p]
+        for q in range(len(cons)) if r_p > 0.0 else violated_at_des:
+            if q == p or (q < p and r_s[q] > 0.0):
+                continue  # not a pair, or a pair already taken
+            q0, q1, qb = cons[q]
+            g_qq = q0 * q0 + q1 * q1
+            cross = q0 * p1 - q1 * p0
+            if cross * cross <= _DEP_TOL * _DEP_TOL * max(1.0, g_pp) * g_qq:
+                continue  # dependent normals
+            # the multipliers times cross^2 must be nonnegative; tol bounds
+            # the rounding of the violations at u_des they are built from
+            g_pq = p0 * q0 + p1 * q1
+            r_q = r_des[q]
+            tol = feas_tol * (g_pp + g_qq + abs(g_pq)) * max(1.0, g_pp, g_qq)
+            if g_qq * r_p - g_pq * r_q < -tol or g_pp * r_q - g_pq * r_p < -tol:
+                continue
+            v0 = (qb * p1 - pb * q1) / cross
+            v1 = (q0 * pb - p0 * qb) / cross
+            if lo0 - v0 <= feas_tol and v0 - hi0 <= feas_tol and lo1 - v1 <= feas_tol and v1 - hi1 <= feas_tol:
+                vertices.append(((v0 - ud0) * (v0 - ud0) + (v1 - ud1) * (v1 - ud1), v0, v1, q, p))
+    # Vertices outside the box were dropped above. A vertex is checked
+    # against its own rows too: the closer to parallel they are, the less
+    # exactly it lies on them.
+    for _, v0, v1, q, p in sorted(vertices):
+        if all(b - a0 * v0 - a1 * v1 <= feas_tol for a0, a1, b in rows):
+            return _clipped((v0, v1), box), tuple(sorted(i for i in (p, q) if i < m)), MODIFIED
+    return _fallback(qp, feas_tol)
 
 
 def _solve_interval(
     qp: QpProblem, rows, u_des: float, lo: float, hi: float
 ) -> tuple[np.ndarray, tuple[int, ...], str]:
     """One control axis: the feasible set of halflines and box is an interval,
-    so the minimizer is the direct projection of u_des onto it. Reached only
-    when the clamped u_des violates some row, so the result is a genuine
-    modification or a fallback. rows holds (a, b) pairs."""
+    so the minimizer is the direct projection of u_des onto it. This is the
+    one-axis case of the two-axis solver's first stage: the bound farthest
+    from u_des on the side it violates is optimal exactly when it is
+    feasible, that is when lower <= upper. Reached only when the clamped
+    u_des violates some row, so the result is a genuine modification or a
+    fallback. rows holds (a, b) pairs."""
     lower, lower_idx = lo, -1
     upper, upper_idx = hi, -1
     met = True  # False once a row without authority (a = 0) demands b > 0
@@ -259,69 +291,13 @@ def _solve_interval(
             if upper_idx >= 0:
                 active.append(upper_idx)
         return np.array([u_star]), tuple(active), MODIFIED
-    u_fb, worst = _least_max_violation(qp)
-    top = float(np.max(worst))
-    active = tuple(int(i) for i in np.nonzero(worst >= top - _FEAS_TOL * (1.0 + abs(top)))[0])
-    return u_fb, active, INFEASIBLE_FALLBACK
+    rows_b = [b for _, b in rows]
+    max_b = max(abs(lo), abs(hi), max(rows_b), -min(rows_b))
+    return _fallback(qp, _FEAS_TOL * (1.0 + max_b + abs(u_des)))
 
 
-def _project2(ud0, ud1, cons, working):
-    """Two-axis projection of u_des onto the working-set equalities."""
-    k = len(working)
-    if k == 0:
-        return ud0, ud1, []
-    if k == 1:
-        a0, a1, b = cons[working[0]]
-        lam = (b - a0 * ud0 - a1 * ud1) / (a0 * a0 + a1 * a1)
-        return ud0 + lam * a0, ud1 + lam * a1, [lam]
-    p0, p1, pb = cons[working[0]]
-    q0, q1, qb = cons[working[1]]
-    g11 = p0 * p0 + p1 * p1
-    g12 = p0 * q0 + p1 * q1
-    g22 = q0 * q0 + q1 * q1
-    det = g11 * g22 - g12 * g12
-    r0 = pb - p0 * ud0 - p1 * ud1
-    r1 = qb - q0 * ud0 - q1 * ud1
-    l0 = (g22 * r0 - g12 * r1) / det
-    l1 = (g11 * r1 - g12 * r0) / det
-    return ud0 + l0 * p0 + l1 * q0, ud1 + l0 * p1 + l1 * q1, [l0, l1]
-
-
-def _independent2(cons, working, j, control_dim) -> bool:
-    a0, a1, _ = cons[j]
-    norm = math.hypot(a0, a1)
-    if not working:
-        return norm > _DEP_TOL
-    if len(working) >= control_dim:
-        return False
-    w0, w1, _ = cons[working[0]]
-    cross = w0 * a1 - w1 * a0
-    return abs(cross) > _DEP_TOL * max(1.0, norm) * math.hypot(w0, w1)
-
-
-def _dual_drop2(cons, working, lam, j):
-    """Pick the working-set member to drop so the violated (dependent) row can
-    enter; None when no member helps, which certifies infeasibility."""
-    if not working:
-        return None  # j has no authority (a = 0) and is violated
-    a0, a1, _ = cons[j]
-    if len(working) == 1:
-        w0, w1, _ = cons[working[0]]
-        r = [(w0 * a0 + w1 * a1) / (w0 * w0 + w1 * w1)]
-    else:
-        p0, p1, _ = cons[working[0]]
-        q0, q1, _ = cons[working[1]]
-        g11 = p0 * p0 + p1 * p1
-        g12 = p0 * q0 + p1 * q1
-        g22 = q0 * q0 + q1 * q1
-        det = g11 * g22 - g12 * g12
-        c0 = p0 * a0 + p1 * a1
-        c1 = q0 * a0 + q1 * a1
-        r = [(g22 * c0 - g12 * c1) / det, (g11 * c1 - g12 * c0) / det]
-    candidates = [(lam[k] / r[k], k) for k in range(len(working)) if r[k] > _DEP_TOL]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda t: (t[0], working[t[1]]))[1]
+def _clipped(u, box) -> np.ndarray:
+    return np.array([lo if v < lo else (hi if v > hi else v) for v, (lo, hi) in zip(u, box)])
 
 
 def _fallback(qp, feas_tol):
@@ -400,7 +376,15 @@ def _least_max_violation(qp) -> tuple[np.ndarray, np.ndarray]:
                 rhs += (b[i] - b[j], b[i] - b[k])
         if systems:
             n = len(rhs) // 2
-            crossings = np.linalg.solve(np.array(systems).reshape(n, 2, 2), np.array(rhs).reshape(n, 2, 1))
+            systems = np.array(systems).reshape(n, 2, 2)
+            rhs = np.array(rhs).reshape(n, 2, 1)
+            try:
+                crossings = np.linalg.solve(systems, rhs)
+            except np.linalg.LinAlgError:
+                # a system passed the determinant test by rounding yet is
+                # exactly singular (parallel lines): solve the others
+                regular = np.linalg.det(systems) != 0.0
+                crossings = np.linalg.solve(systems[regular], rhs[regular])
             flat = crossings.ravel().tolist()
             for u0, u1 in zip(flat[::2], flat[1::2]):
                 if lo0 - 1e-12 <= u0 <= hi0 + 1e-12 and lo1 - 1e-12 <= u1 <= hi1 + 1e-12:
@@ -492,22 +476,26 @@ def filter_control(
         status = INFEASIBLE_FALLBACK
     elif status == PASSTHROUGH:
         return FilterResult(u_des, False, 0.0, (), PASSTHROUGH, elapsed)
-    u = u_star.tolist()
     active_row_ids = qp.unmet_ids + tuple([qp.row_ids[i] for i in active_idx])
     if len(active_row_ids) > 1:
         # a constraint with two rows in the problem is named once
         active_row_ids = tuple(dict.fromkeys(active_row_ids))
-    # the solution can leave the box by rounding: clip it back in
-    clipped = [lo if v < lo else (hi if v > hi else v) for v, (lo, hi) in zip(u, model._box)]
-    u_out = ControlInput._trusted(np.array(clipped), model.control_bounds)
-    deviation = command_deviation(clipped, qp.u_des.tolist())
+    u_out = ControlInput._trusted(u_star, model.control_bounds)
+    deviation = command_deviation(u_star.tolist(), qp.u_des.tolist())
     return FilterResult(u_out, True, deviation, active_row_ids, status, elapsed)
 
 
 def check_kkt(qp: QpProblem, u_star: np.ndarray, tol: float = 1e-8) -> dict:
     """Residuals of the KKT system at u_star for the full problem (rows plus
     box). Multipliers are recovered by nonnegative least squares on the
-    active rows; used by tests and the solver's own validation evidence.
+    active constraints; used by tests and the solver's own validation
+    evidence. The point of the active normals' cone nearest the gradient
+    lies on a face spanned by at most d of them, so the least squares runs
+    over every set of at most d active constraints; of the fits with
+    nonnegative multipliers, the one with the smallest larger residual
+    (stationarity or complementarity) is reported. The fits use normals
+    scaled to a largest entry of 1, so a multiplier stays in range for a
+    row of any scale; the residuals do not depend on the scaling.
     """
     lo = qp.box[:, 0]
     hi = qp.box[:, 1]
@@ -527,13 +515,18 @@ def check_kkt(qp: QpProblem, u_star: np.ndarray, tol: float = 1e-8) -> dict:
     primal = float(max(0.0, -np.min(slack))) if slack.size else 0.0
     active = np.nonzero(slack <= tol * 10)[0]
     grad = u_star - qp.u_des
-    if active.size:
-        A = cons_a[active]
-        lam, *_ = np.linalg.lstsq(A.T, grad, rcond=None)
-        lam = np.maximum(lam, 0.0)
-        stationarity = float(np.linalg.norm(grad - A.T @ lam))
-        comp = float(np.max(np.abs(lam * slack[active]))) if lam.size else 0.0
-    else:
-        stationarity = float(np.linalg.norm(grad))
-        comp = 0.0
+    scales = np.max(np.abs(cons_a), axis=1)
+    scales[scales == 0.0] = 1.0
+    normals = cons_a / scales[:, None]
+    stationarity = float(np.linalg.norm(grad))
+    comp = 0.0
+    for k in range(1, d + 1):
+        for face in combinations(active.tolist(), k):
+            face = list(face)
+            A = normals[face]
+            lam, *_ = np.linalg.lstsq(A.T, grad, rcond=None)
+            if np.all(lam >= 0.0):
+                fit = float(np.linalg.norm(grad - A.T @ lam)), float(np.max(np.abs(lam * slack[face] / scales[face])))
+                if max(fit) < max(stationarity, comp):
+                    stationarity, comp = fit
     return {"stationarity": stationarity, "primal": primal, "complementarity": comp}

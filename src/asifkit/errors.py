@@ -55,10 +55,6 @@ class StructurallyInfeasible(AsifKitError):
         super().__init__(message or f"constraint '{constraint_id}' is structurally infeasible at this state")
 
 
-class SolverStall(AsifKitError):
-    """Active-set iteration cap exceeded; indicates a solver bug."""
-
-
 class EmptyTrace(AsifKitError):
     """Metrics requested for a trace with no recorded steps."""
 

@@ -28,6 +28,7 @@ from .controllers import (
     AdversarialController,
     ControllerKind,
     NnController,
+    PdController,
     controller_from_config,
     desired_control,
 )
@@ -117,6 +118,11 @@ class ScenarioConfig:
                     f"network maps {sizes[0]} -> {sizes[-1]} but model needs "
                     f"{model.state_dim} -> {model.control_dim}"
                 )
+        if isinstance(controller, PdController) and len(controller.kp) != model.control_dim:
+            raise InvalidConfig(
+                f"pd controller has {len(controller.kp)} kp and {len(controller.kd)} kd gains "
+                f"but model control dim is {model.control_dim}"
+            )
         initial_state.setflags(write=False)
         raw = _canonical_raw(cfg)
         return ScenarioConfig(

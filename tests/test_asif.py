@@ -1,5 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asifkit import (
     INFEASIBLE_FALLBACK,
@@ -9,6 +13,7 @@ from asifkit import (
     PlantState,
     QpProblem,
     StructurallyInfeasible,
+    asif,
     assemble_qp,
     cbf_row,
     check_kkt,
@@ -120,6 +125,28 @@ def test_solve_single_row_kkt_closed_form():
     u_star, active, status = solve_qp(qp)
     assert abs(u_star[0] - (-0.5)) <= 1e-9
     assert status == MODIFIED and active == (0,)
+
+
+@pytest.mark.parametrize(
+    "u_des, rows_a, rows_b, u_expected, active_expected",
+    [
+        # the row is met at u_des but bounds the optimum with the box face u0 <= 1
+        ([2.0, 0.0], [[1.0, 1.0]], [1.5], [1.0, 0.5], (0,)),
+        # row 1 is met at u_des but bounds the optimum with row 0
+        ([0.0, 0.0], [[0.0, 1.0], [1.0, -2.0]], [1.0, -1.5], [0.5, 1.0], (0, 1)),
+        # both rows lie exactly 0.5 from u_des; the first one's projection
+        # violates the second
+        ([0.0, 0.0], [[1.0, 0.0], [0.0, 2.0]], [0.5, 1.0], [0.5, 0.5], (0, 1)),
+    ],
+)
+def test_solve_vertex_closed_form(u_des, rows_a, rows_b, u_expected, active_expected):
+    """Optima at the vertex of two constraints that the farthest violated
+    constraint's projection misses."""
+    qp = make_qp(u_des, rows_a, rows_b, [[-2.0, 1.0], [-2.0, 2.0]])
+    u_star, active, status = solve_qp(qp)
+    assert status == MODIFIED and active == active_expected
+    assert np.allclose(u_star, u_expected, rtol=0.0, atol=1e-15)
+    assert max(check_kkt(qp, u_star).values()) <= 1e-12
 
 
 def test_solve_infeasible_box_corner():
@@ -276,3 +303,96 @@ def test_passthrough_bitwise_on_safe_pairs(fence, model_1d):
         assert res.u_out.u.tobytes() == u_val.tobytes()
         assert not res.intervened
         checked += 1
+
+
+# ---- properties over hand-built problems ----
+
+
+def _grid(low, high):
+    """Multiples of 1/8 in [low, high]: values that can be parallel or tie
+    exactly. Magnitudes like 1e-9, whose KKT multipliers of 1e9 leave a
+    double-precision residual near 1e-7 at the exact optimum, stay out;
+    the turned copies bring in the rank test's scale."""
+    return st.integers(int(8 * low), int(8 * high)).map(lambda k: k / 8.0)
+
+
+@st.composite
+def hand_built_qp(draw):
+    """One or two axes, a box, u_des inside or outside it, and up to six
+    rows: free, zero, or a duplicate, a parallel copy or a copy turned by
+    about the rank test's threshold of an earlier row."""
+    d = draw(st.sampled_from([1, 2]))
+    box = []
+    for _ in range(d):
+        lo = draw(_grid(-2.0, 1.0))
+        box.append([lo, lo + draw(_grid(0.125, 3.0))])
+    rows_a, rows_b = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["free", "zero", "duplicate", "parallel", "near_parallel"]))
+        if kind == "zero":
+            a, b = [0.0] * d, draw(_grid(-3.0, 3.0))
+        elif kind == "free" or not rows_a:
+            a, b = [draw(_grid(-3.0, 3.0)) for _ in range(d)], draw(_grid(-3.0, 3.0))
+        else:
+            j = draw(st.integers(0, len(rows_a) - 1))
+            a, b = rows_a[j], rows_b[j]
+            if kind != "duplicate":
+                scale = draw(st.sampled_from([-2.0, -1.0, 0.5, 3.0]))
+                a, b = [scale * v for v in a], draw(st.sampled_from([scale * b, draw(_grid(-3.0, 3.0))]))
+            if kind == "near_parallel" and d == 2:
+                t = draw(st.sampled_from([0.5, 1.0, 2.0, 10.0])) * asif._DEP_TOL
+                a = [a[0] - t * a[1], a[1] + t * a[0]]
+        rows_a.append(a)
+        rows_b.append(b)
+    u_des = [draw(_grid(-4.0, 4.0)) for _ in range(d)]
+    return make_qp(u_des, rows_a if rows_a else np.empty((0, d)), rows_b, box)
+
+
+def _least_max_violation(qp, grid_points=None):
+    """The least over the box of the largest row violation: from the
+    fallback's enumeration, which does not involve the solve, or the least
+    over a per-axis grid of the box."""
+    if grid_points is None:
+        return float(np.max(asif._least_max_violation(qp)[1]))
+    axes = [np.linspace(lo, hi, grid_points) for lo, hi in qp.box]
+    grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    return float(np.min(np.max(qp.rows_b[:, None] - qp.rows_a @ grid, axis=0)))
+
+
+def _opposed_pair_active(qp, u):
+    """Whether two constraints active at u (rows or box faces) have normals
+    that are nearly, but not exactly, opposed. Their wedge's apex needs KKT
+    multipliers near 1 / angle, up to 1e12, and no double-precision check
+    resolves stationarity and complementarity below about 1e-16 times them."""
+    normals, offsets = list(qp.rows_a), list(qp.rows_b)
+    for axis, (lo, hi) in zip(np.eye(qp.control_dim), qp.box):
+        normals += [axis, -axis]
+        offsets += [lo, -hi]
+    active = [a for a, b in zip(normals, offsets) if a @ u - b <= 1e-7]
+    for a, b in combinations(active, 2):
+        cross = abs(a[0] * b[1] - a[1] * b[0]) if qp.control_dim == 2 else 0.0
+        if a @ b < 0.0 and 0.0 < cross <= 1e-6 * np.linalg.norm(a) * np.linalg.norm(b):
+            return True
+    return False
+
+
+@settings(max_examples=500, deadline=None)
+@given(qp=hand_built_qp())
+def test_solve_properties_on_hand_built_problems(qp):
+    """solve_qp never raises and stays in the box. A modified result is
+    feasible, and a KKT point wherever the problem has an exactly feasible
+    point and the point is not the apex of a nearly opposed pair: a problem
+    infeasible by less than the solver's feasibility tolerance has no KKT
+    point, and a point within that tolerance is all the solver can give. A
+    fallback is only reported for a problem with no feasible point on a grid
+    of the box."""
+    u_star, active, status = solve_qp(qp)
+    assert np.all(u_star >= qp.box[:, 0] - 1e-12) and np.all(u_star <= qp.box[:, 1] + 1e-12)
+    if status == MODIFIED:
+        kkt = check_kkt(qp, u_star)
+        assert kkt["primal"] <= 1e-8
+        exactly_feasible = qp.rows_a.shape[0] == 0 or _least_max_violation(qp) <= 0.0
+        if exactly_feasible and not _opposed_pair_active(qp, u_star):
+            assert max(kkt.values()) <= 1e-8, kkt
+    elif status == INFEASIBLE_FALLBACK:
+        assert _least_max_violation(qp, 2001 if qp.control_dim == 1 else 201) > 0.0

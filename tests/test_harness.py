@@ -57,6 +57,10 @@ def test_config_validation_errors():
     with pytest.raises(InvalidConfig):
         ScenarioConfig.from_dict(bad)
 
+    bad = scenario_1d(controller={"kind": "pd", "kp": [1.0, 1.0], "kd": [1.0, 1.0]})
+    with pytest.raises(InvalidConfig, match="2 kp and 2 kd"):
+        ScenarioConfig.from_dict(bad)
+
 
 def test_single_step_episode():
     config = ScenarioConfig.from_dict(scenario_1d(duration=0.01, dt=0.01))
