@@ -24,6 +24,14 @@ as infeasible_fallback, with the constraint named first among the active
 rows. Such a step's command is the minimal-deviation point over those rows
 (u_des itself, with deviation 0, when it meets them all), not the
 least-max-violation point the same status names otherwise.
+
+Rounding: the rows, the clamp test and the two-axis solve are evaluated on
+Python floats, each sum in one fixed order with every operation rounded
+once, so their results have the same bits on every machine. numpy
+arithmetic is left only in the infeasible fallback, which solves its
+crossings with one stacked LAPACK call and prices its candidates with one
+batched matrix product (_violations): only there can the machine's BLAS
+kernel move a result's last bit.
 """
 
 from __future__ import annotations
@@ -158,26 +166,26 @@ def solve_qp(qp: QpProblem) -> tuple[np.ndarray, tuple[int, ...], str]:
     (lo0, hi0), (lo1, hi1) = box
     c0 = lo0 if ud0 < lo0 else (hi0 if ud0 > hi0 else ud0)
     c1 = lo1 if ud1 < lo1 else (hi1 if ud1 > hi1 else ud1)
-    slack0 = (qp.rows_b - qp.rows_a @ np.array([c0, c1])).tolist()
+    # Rows as scalar triples (a0, a1, b) meaning a0*u0 + a1*u1 >= b.
+    rows = [(a0, a1, b) for (a0, a1), b in zip(qp.rows_a.tolist(), qp.rows_b.tolist())]
+    slack0 = [b - (a0 * c0 + a1 * c1) for a0, a1, b in rows]
     if max(slack0, default=0.0) <= 0.0:
         if c0 == ud0 and c1 == ud1:
             return qp.u_des, (), PASSTHROUGH
         active = tuple(i for i, s in enumerate(slack0) if s == 0.0)
         return np.array([c0, c1]), active, MODIFIED
-    return _solve_plane(qp, ud0, ud1, box)
+    return _solve_plane(qp, rows, ud0, ud1, box)
 
 
-def _solve_plane(qp: QpProblem, ud0, ud1, box) -> tuple[np.ndarray, tuple[int, ...], str]:
+def _solve_plane(qp: QpProblem, rows, ud0, ud1, box) -> tuple[np.ndarray, tuple[int, ...], str]:
     """Two control axes: the minimizer is the projection of u_des onto one
     constraint or the vertex of two, found in two closed-form stages. Reached
-    only when the clamped u_des violates some row. A point feasible within
-    feas_tol may leave the box by as much, so it is returned clipped."""
-    m = qp.rows_a.shape[0]
+    only when the clamped u_des violates some row. rows holds (a0, a1, b)
+    triples. A point feasible within feas_tol may leave the box by as much,
+    so it is returned clipped."""
+    m = len(rows)
     (lo0, hi0), (lo1, hi1) = box
-    # Rows as scalar triples (a0, a1, b) meaning a0*u0 + a1*u1 >= b.
-    col0, col1 = qp.rows_a.T.tolist()
-    rows_b = qp.rows_b.tolist()
-    rows = list(zip(col0, col1, rows_b))
+    rows_b = [b for _, _, b in rows]
     max_b = max(abs(lo0), abs(hi0), abs(lo1), abs(hi1), max(rows_b), -min(rows_b))
     # the general constraint list: rows first, then box faces, so row
     # indices stay stable for reporting
@@ -302,15 +310,19 @@ def _clipped(u, box) -> np.ndarray:
 
 def _fallback(qp, feas_tol):
     u_fb, worst = _least_max_violation(qp)
-    top = float(np.max(worst))
-    active = tuple(int(i) for i in np.nonzero(worst >= top - feas_tol)[0])
+    worst = worst.tolist()
+    top = max(worst)
+    active = tuple(i for i, w in enumerate(worst) if w >= top - feas_tol)
     return u_fb, active, INFEASIBLE_FALLBACK
 
 
 def _violations(rows_a, rows_b, coords, d):
     """b - A u for each point of the flat coordinate list (one point per row
     of the result). The stacked matrix-vector product rounds as rows_a @ u
-    does for each point alone."""
+    does for each point alone. This pricing and the stacked crossing solve
+    are the filter's only numpy arithmetic: their last bits follow the
+    machine's BLAS and LAPACK kernels (which may fuse multiply and add),
+    unlike the scalar slacks of the clamp test and the two-axis solve."""
     return rows_b - np.matmul(rows_a, np.array(coords).reshape(-1, d, 1))[..., 0]
 
 

@@ -4,6 +4,11 @@ Plants have dynamics xdot = f(x) + g(x) u + w with a per-axis box on u and a
 norm bound on the additive disturbance w. Two double-integrator models are
 provided; both are linear, so the fixed-step RK4 integrator reproduces the
 closed-form state transition exactly (up to float rounding).
+
+Per-step arithmetic (the drift term, RK4, the disturbance norm) runs on
+Python floats in a fixed order, so its bits do not depend on the machine's
+BLAS. In a closed-loop step only an MLP controller's matrix products and the
+filter's fallback pricing (see asif) still round through BLAS.
 """
 
 from __future__ import annotations
@@ -165,14 +170,13 @@ def drift_term(model: PlantModel, grad: list[float], state: PlantState) -> float
     """grad . f(x) at the state, without building f.
 
     f = (velocities, 0), so this pairs the position block of grad with the
-    velocities, rounded as numpy's grad @ f rounds it: its BLAS dot may fuse
-    multiply and add, so a 2-axis sum goes through numpy.
+    velocities: the rounded products summed in axis order, each operation
+    rounded once, so the result is the same on every machine. The leading
+    0.0 + makes a zero sum a positive zero.
     """
     if model.control_dim == 1:
         return 0.0 + grad[0] * state.x.item(1)
-    if grad[0] == 0.0 and grad[1] == 0.0:
-        return 0.0  # numpy's sum of zero products
-    return float(np.array(grad[:2]) @ state.x[2:])
+    return 0.0 + grad[0] * state.x.item(2) + grad[1] * state.x.item(3)
 
 
 def drift_actuation_row(model: PlantModel, grad: list[float]) -> list[float]:
@@ -255,7 +259,10 @@ def sample_disturbance(model: PlantModel, rng) -> np.ndarray:
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     direction = gen.standard_normal(model.state_dim)
     magnitude = model.disturbance_bound * gen.random()  # the draw gen.uniform(0, bound) makes
-    norm = math.sqrt(float(direction @ direction))
+    square = 0.0
+    for c in direction.tolist():
+        square += c * c  # in axis order, not through a BLAS dot
+    norm = math.sqrt(square)
     if norm == 0.0:
         return np.zeros(model.state_dim)
     return direction * (magnitude / norm)

@@ -128,7 +128,10 @@ def least_max_violation_candidates(rows_a, rows_b, lo, hi):
             det = A2[0, 0] * A2[1, 1] - A2[0, 1] * A2[1, 0]
             if abs(det) < 1e-14:
                 continue
-            u = np.linalg.solve(A2, b2)
+            try:
+                u = np.linalg.solve(A2, b2)
+            except np.linalg.LinAlgError:
+                continue  # exactly singular though its determinant rounded past the test
             if np.all(u >= lo - 1e-12) and np.all(u <= hi + 1e-12):
                 candidates.append(np.clip(u, lo, hi))
     return candidates

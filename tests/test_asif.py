@@ -189,16 +189,18 @@ def test_fallback_ties_take_the_nearest_least_max_violation_point():
     assert status == INFEASIBLE_FALLBACK and u_star.tolist() == [0.0] and active == (0,)
 
 
-def test_clamped_slack_ties_decided_by_matrix_product():
-    """A row that numpy's product puts exactly on the boundary at the clamped
-    command is met and active, although the scalar slack may round to either
-    side of zero."""
+def test_clamped_slack_ties_decided_by_the_scalar_slack():
+    """A row whose b is a0*c0 + a1*c1, summed in Python floats at the clamped
+    command c, lies exactly on the boundary there: it is met and active, on
+    every machine, although numpy's product may round it to either side."""
     rng = np.random.default_rng(23)
     for _ in range(500):
         rows_a = rng.normal(size=(2, 2))
         u_des = rng.uniform(-1.3, 1.3, 2)
         c = np.clip(u_des, -1.0, 1.0)
-        rows_b = rows_a @ c - np.array([0.0, 1.0])  # row 0 on the boundary, row 1 slack
+        c0, c1 = c.tolist()
+        (a00, a01), (a10, a11) = rows_a.tolist()
+        rows_b = [a00 * c0 + a01 * c1, a10 * c0 + a11 * c1 - 1.0]  # row 0 on the boundary, row 1 slack
         u_star, active, status = solve_qp(make_qp(u_des, rows_a, rows_b, [[-1.0, 1.0]] * 2))
         if np.array_equal(c, u_des):
             assert status == PASSTHROUGH

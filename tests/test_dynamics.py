@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -43,8 +45,11 @@ def test_eval_dynamics_dimension_mismatch(model_1d):
 
 @pytest.mark.parametrize("kind", [DOUBLE_INTEGRATOR_1D, DOUBLE_INTEGRATOR_2D])
 def test_structure_helpers_match_eval_dynamics(kind):
-    """actuation_row, drift_term and drift_actuation_row give numpy's
-    grad @ g, grad @ f and grad @ (df/dx) @ g bit for bit, zeros included."""
+    """actuation_row and drift_actuation_row give numpy's grad @ g and
+    grad @ (df/dx) @ g bit for bit, zeros included. drift_term gives grad . f
+    as the correctly rounded sum of the rounded products (a positive zero
+    when it is zero), an exact oracle that no BLAS kernel's fused
+    multiply-add can meet by accident."""
     d = 1 if kind == DOUBLE_INTEGRATOR_1D else 2
     model = PlantModel(kind, [[-1.0, 1.0]] * d)
     rng = np.random.default_rng(31)
@@ -64,7 +69,8 @@ def test_structure_helpers_match_eval_dynamics(kind):
         row = actuation_row(model, grad.tolist())
         assert np.array(row).tobytes() == (grad @ g).tobytes()
         term = drift_term(model, grad.tolist(), state)
-        assert np.array(term).tobytes() == np.array(float(grad @ f)).tobytes()
+        exact = float(sum(Fraction(g * v) for g, v in zip(grad.tolist()[:d], x.tolist()[d:])))
+        assert np.array(term).tobytes() == np.array(exact).tobytes()
         assert np.array_equal(drift_actuation_row(model, grad.tolist()), grad @ jac_f @ g)
 
 

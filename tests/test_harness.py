@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from asifkit import (
     ParseError,
     ScenarioConfig,
     compute_metrics,
+    load_scenario,
     read_trace,
     run_batch,
     run_episode,
@@ -20,6 +23,8 @@ from asifkit import (
 from asifkit.cli import dispatch
 from asifkit.harness import _STATUS_CODES, trace_header
 from tests.conftest import sample_safe_state_2d, scenario_1d, scenario_2d
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_config_validation_errors():
@@ -194,23 +199,43 @@ def test_trace_bad_cell_reports_row(tmp_path):
     assert err.value.line == first_data + 1
 
 
+def strip_solve_time(path):
+    """A written trace's text without its solve_time column, the one field
+    that is not deterministic."""
+    out = []
+    for line in path.read_text().splitlines():
+        if line.startswith("#"):
+            out.append(line)
+        else:
+            out.append(",".join(line.split(",")[:-1]))
+    return "\n".join(out)
+
+
 def test_episode_determinism_bytes(tmp_path):
     cfg = scenario_1d(duration=2.0, disturbance_bound=0.05, seed=17)
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     write_trace(run_episode(ScenarioConfig.from_dict(cfg)), a)
     write_trace(run_episode(ScenarioConfig.from_dict(cfg)), b)
-
-    def strip_solve_time(path):
-        out = []
-        for line in path.read_text().splitlines():
-            if line.startswith("#"):
-                out.append(line)
-            else:
-                out.append(",".join(line.split(",")[:-1]))
-        return "\n".join(out)
-
     assert strip_solve_time(a) == strip_solve_time(b)
+
+
+# sha256 of each shipped scenario's trace without its solve_time column. No
+# step of these traces rounds through BLAS, so the bits are the same on every
+# machine; a change that moves any of them must re-pin it on purpose.
+SHIPPED_TRACE_SHA256 = {
+    "circle_2d_adversarial": "e9cf17868221ac1e9cd3a39810937bce2c264d4d3a1e2c856ae1a9d020dd3379",
+    "geofence_1d_adversarial": "0d8fe5df1d08ddbad49cced627983114a18436f202cddddb0c1f9fe33639f1ff",
+    "geofence_1d_rta_off": "3dee840107fe21dcc23ab7de862a8339807381cab3ee592dd04cc0016fbbbd15",
+    "pd_1d": "5dcb41bf7be62a7aedb3ba37db38f3726b07de607624e12677189f4163b80176",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_TRACE_SHA256))
+def test_shipped_scenario_traces_are_pinned(name, tmp_path):
+    path = tmp_path / f"{name}.csv"
+    write_trace(run_episode(load_scenario(SCENARIOS / f"{name}.json")), path)
+    assert hashlib.sha256(strip_solve_time(path).encode()).hexdigest() == SHIPPED_TRACE_SHA256[name]
 
 
 def test_mode_schedule_toggle():

@@ -146,6 +146,17 @@ def test_matches_reference_on_filter_fallbacks(monkeypatch):
     assert fallbacks == 200 and moved == 0
 
 
+def test_matches_reference_on_an_exactly_singular_crossing(monkeypatch):
+    """Rows r, 3r, 9r and -r: a crossing system of two of their equal-value
+    lines passes the determinant test by rounding yet is exactly singular.
+    The reference skips it, as the filter does."""
+    r0, r1 = -2.3653039062769743, 1.228683719203421
+    rows_a = np.array([[r0, r1], [3.0 * r0, 3.0 * r1], [9.0 * r0, 9.0 * r1], [-r0, -r1]])
+    rows_b = np.array([0.33962000824864264, 0.42377135285334727, 0.37122741773625884, 0.3827571602707609])
+    qp = QpProblem(np.zeros(2), rows_a, rows_b, ("r0", "r1", "r2", "r3"), np.array([[-1.0, 1.0]] * 2))
+    assert compare([qp], monkeypatch) == (1, 0)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_matches_reference_on_random_problems(d, monkeypatch):
     rng = np.random.default_rng(40 + d)
