@@ -25,13 +25,14 @@ rows. Such a step's command is the minimal-deviation point over those rows
 (u_des itself, with deviation 0, when it meets them all), not the
 least-max-violation point the same status names otherwise.
 
-Rounding: the rows, the clamp test and the two-axis solve are evaluated on
-Python floats, each sum in one fixed order with every operation rounded
-once, so their results have the same bits on every machine. numpy
-arithmetic is left only in the infeasible fallback, which solves its
-crossings with one stacked LAPACK call and prices its candidates with one
-batched matrix product (_violations): only there can the machine's BLAS
-kernel move a result's last bit.
+Tolerance contract, on one axis and on two: a row has control authority iff
+the norm of its a exceeds _DEP_TOL. A row without it is met iff b <= feas_tol
+(_feas_tol); any other row is met at a point iff b - a.u <= feas_tol there.
+A solved point meets every row so; it is passthrough iff it equals u_des,
+else modified. A problem with no such point is an infeasible_fallback.
+
+Rounding: no numpy arithmetic is left in the solve, fallback included. It
+runs on Python floats in one fixed order, so its bits match on every machine.
 """
 
 from __future__ import annotations
@@ -137,7 +138,8 @@ def solve_qp(qp: QpProblem) -> tuple[np.ndarray, tuple[int, ...], str]:
     the box faces). One axis projects onto the interval the constraints
     leave (_solve_interval). Two axes try the projection onto the violated
     constraint farthest from u_des, then the vertices of two constraints
-    that can be optimal, nearest first. An empty feasible set yields the
+    that can be optimal, nearest first. Both decide under the tolerance
+    contract of the module docstring. An empty feasible set yields the
     least-max-violation box point nearest u_des with status
     infeasible_fallback.
     """
@@ -146,20 +148,16 @@ def solve_qp(qp: QpProblem) -> tuple[np.ndarray, tuple[int, ...], str]:
         (ud,) = qp.u_des.tolist()
         u0 = lo0 if ud < lo0 else (hi0 if ud > hi0 else ud)
         rows = [(a, b) for (a,), b in zip(qp.rows_a.tolist(), qp.rows_b.tolist())]
-        violated = False
         active = []
         for i, (a, b) in enumerate(rows):
             slack = b - a * u0
             if slack > 0.0:
-                violated = True
-                break
+                return _solve_interval(qp, rows, ud, lo0, hi0)
             if slack == 0.0:
                 active.append(i)
-        if not violated:
-            if u0 == ud:
-                return qp.u_des, (), PASSTHROUGH
-            return np.array([u0]), tuple(active), MODIFIED
-        return _solve_interval(qp, rows, ud, lo0, hi0)
+        if u0 == ud:
+            return qp.u_des, (), PASSTHROUGH
+        return np.array([u0]), tuple(active), MODIFIED
 
     ud0, ud1 = qp.u_des.tolist()
     box = qp.box.tolist()
@@ -177,6 +175,15 @@ def solve_qp(qp: QpProblem) -> tuple[np.ndarray, tuple[int, ...], str]:
     return _solve_plane(qp, rows, ud0, ud1, box)
 
 
+def _feas_tol(rows_b, bounds, u_des) -> float:
+    """The scaled feasibility tolerance: _FEAS_TOL * (1 + the largest |b| or
+    |box bound| + the sum of |u_des|); rows_b and bounds are lists."""
+    scale = 1.0 + max(map(abs, rows_b + bounds))
+    for v in u_des:
+        scale += abs(v)
+    return _FEAS_TOL * scale
+
+
 def _solve_plane(qp: QpProblem, rows, ud0, ud1, box) -> tuple[np.ndarray, tuple[int, ...], str]:
     """Two control axes: the minimizer is the projection of u_des onto one
     constraint or the vertex of two, found in two closed-form stages. Reached
@@ -185,12 +192,18 @@ def _solve_plane(qp: QpProblem, rows, ud0, ud1, box) -> tuple[np.ndarray, tuple[
     so it is returned clipped."""
     m = len(rows)
     (lo0, hi0), (lo1, hi1) = box
-    rows_b = [b for _, _, b in rows]
-    max_b = max(abs(lo0), abs(hi0), abs(lo1), abs(hi1), max(rows_b), -min(rows_b))
+    feas_tol = _feas_tol(qp.rows_b.tolist(), [lo0, hi0, lo1, hi1], (ud0, ud1))
+    # A row without authority is met everywhere or nowhere: it sends the step
+    # to the fallback, or it takes no further part as the empty row 0 >= 0.
+    dep2 = _DEP_TOL * _DEP_TOL
+    for i, (a0, a1, b) in enumerate(rows):
+        if a0 * a0 + a1 * a1 <= dep2:
+            if b > feas_tol:
+                return _fallback(qp, feas_tol)
+            rows[i] = (0.0, 0.0, 0.0)
     # the general constraint list: rows first, then box faces, so row
     # indices stay stable for reporting
     cons = rows + [(1.0, 0.0, lo0), (-1.0, -0.0, -hi0), (0.0, 1.0, lo1), (-0.0, -1.0, -hi1)]
-    feas_tol = _FEAS_TOL * (1.0 + max_b + abs(ud0) + abs(ud1))
     r_des = [b - a0 * ud0 - a1 * ud1 for a0, a1, b in cons]
 
     # Stage 1. Every feasible point lies across the hyperplane of the violated
@@ -199,15 +212,12 @@ def _solve_plane(qp: QpProblem, rows, ud0, ud1, box) -> tuple[np.ndarray, tuple[
     # can be.
     violated = [i for i, r in enumerate(r_des) if r > feas_tol]
     if not violated:
-        return _clipped((ud0, ud1), box), (), MODIFIED
+        return _solved(qp, (ud0, ud1), box, ())
     k = -1
     far = 0.0
     for i in violated:
         a0, a1, _ = cons[i]
-        norm2 = a0 * a0 + a1 * a1
-        if norm2 <= _DEP_TOL * _DEP_TOL:
-            return _fallback(qp, feas_tol)  # a row without authority, violated everywhere
-        dist2 = r_des[i] * r_des[i] / norm2
+        dist2 = r_des[i] * r_des[i] / (a0 * a0 + a1 * a1)
         if dist2 > far:
             k = i
             far = dist2
@@ -218,7 +228,7 @@ def _solve_plane(qp: QpProblem, rows, ud0, ud1, box) -> tuple[np.ndarray, tuple[
     r_s = [b - a0 * s0 - a1 * s1 for a0, a1, b in cons]
     r_s[k] = 0.0
     if max(r_s) <= feas_tol:
-        return _clipped((s0, s1), box), (k,) if k < m else (), MODIFIED
+        return _solved(qp, (s0, s1), box, (k,) if k < m else ())
 
     # Stage 2. The optimum is the vertex of two independent constraints with
     # both multipliers nonnegative. One of them is violated at s, or s would
@@ -242,7 +252,7 @@ def _solve_plane(qp: QpProblem, rows, ud0, ud1, box) -> tuple[np.ndarray, tuple[
             q0, q1, qb = cons[q]
             g_qq = q0 * q0 + q1 * q1
             cross = q0 * p1 - q1 * p0
-            if cross * cross <= _DEP_TOL * _DEP_TOL * max(1.0, g_pp) * g_qq:
+            if cross * cross <= dep2 * max(1.0, g_pp) * g_qq:
                 continue  # dependent normals
             # the multipliers times cross^2 must be nonnegative; tol bounds
             # the rounding of the violations at u_des they are built from
@@ -260,105 +270,109 @@ def _solve_plane(qp: QpProblem, rows, ud0, ud1, box) -> tuple[np.ndarray, tuple[
     # exactly it lies on them.
     for _, v0, v1, q, p in sorted(vertices):
         if all(b - a0 * v0 - a1 * v1 <= feas_tol for a0, a1, b in rows):
-            return _clipped((v0, v1), box), tuple(sorted(i for i in (p, q) if i < m)), MODIFIED
+            return _solved(qp, (v0, v1), box, tuple(sorted(i for i in (p, q) if i < m)))
     return _fallback(qp, feas_tol)
 
 
 def _solve_interval(
     qp: QpProblem, rows, u_des: float, lo: float, hi: float
 ) -> tuple[np.ndarray, tuple[int, ...], str]:
-    """One control axis: the feasible set of halflines and box is an interval,
-    so the minimizer is the direct projection of u_des onto it. This is the
-    one-axis case of the two-axis solver's first stage: the bound farthest
-    from u_des on the side it violates is optimal exactly when it is
-    feasible, that is when lower <= upper. Reached only when the clamped
-    u_des violates some row, so the result is a genuine modification or a
-    fallback. rows holds (a, b) pairs."""
+    """One control axis, rows as (a, b) pairs: the minimizer is u_des clamped
+    into the interval [lower, upper] the rows and box leave. This is the
+    one-axis case of the two-axis first stage (u_des if it meets every
+    constraint, else the farthest bound it violates), kept apart because
+    b / a rounds once, where that stage's u_des + (b - a u_des) / a^2 * a
+    would move the last bit of about half of all one-axis results."""
+    feas_tol = _feas_tol(qp.rows_b.tolist(), [lo, hi], (u_des,))
     lower, lower_idx = lo, -1
     upper, upper_idx = hi, -1
-    met = True  # False once a row without authority (a = 0) demands b > 0
+    near = lo - u_des <= feas_tol and u_des - hi <= feas_tol  # u_des meets every constraint
+    dep2 = _DEP_TOL * _DEP_TOL
     for i, (a, b) in enumerate(rows):
+        if a * a <= dep2:  # no authority, as on two axes
+            if b > feas_tol:
+                return _fallback(qp, feas_tol)
+            rows[i] = (0.0, 0.0)
+            continue
+        near = near and b - a * u_des <= feas_tol
+        bound = b / a
         if a > 0.0:
-            bound = b / a
             if bound > lower:
                 lower, lower_idx = bound, i
-        elif a < 0.0:
-            bound = b / a
-            if bound < upper:
-                upper, upper_idx = bound, i
-        elif b > 0.0:
-            met = False
-    if met and lower <= upper:
-        active = []
-        if u_des <= lower:
-            u_star = lower
-            if lower_idx >= 0:
-                active.append(lower_idx)
-        else:
-            u_star = upper
-            if upper_idx >= 0:
-                active.append(upper_idx)
-        return np.array([u_star]), tuple(active), MODIFIED
-    rows_b = [b for _, b in rows]
-    max_b = max(abs(lo), abs(hi), max(rows_b), -min(rows_b))
-    return _fallback(qp, _FEAS_TOL * (1.0 + max_b + abs(u_des)))
+        elif bound < upper:
+            upper, upper_idx = bound, i
+    if near:
+        return _solved(qp, (u_des,), ((lo, hi),), ())
+    if lower > upper:
+        return _fallback(qp, feas_tol)
+    # u_des lies outside [lower, upper]: inside, it would meet every row
+    u_star, k = (lower, lower_idx) if u_des < lower else (upper, upper_idx)
+    for a, b in rows:
+        if b - a * u_star > feas_tol:
+            return _fallback(qp, feas_tol)
+    return np.array([u_star]), (k,) if k >= 0 else (), MODIFIED
 
 
-def _clipped(u, box) -> np.ndarray:
-    return np.array([lo if v < lo else (hi if v > hi else v) for v, (lo, hi) in zip(u, box)])
+def _solved(qp: QpProblem, u, box, active) -> tuple[np.ndarray, tuple[int, ...], str]:
+    """The result for a solved point, which meets every row under the
+    tolerance contract: clipped into the box, passthrough when that equals
+    u_des (the command is then u_des itself), else modified."""
+    u = [lo if v < lo else (hi if v > hi else v) for v, (lo, hi) in zip(u, box)]
+    if u == qp.u_des.tolist():
+        return qp.u_des, (), PASSTHROUGH
+    return np.array(u), active, MODIFIED
 
 
 def _fallback(qp, feas_tol):
     u_fb, worst = _least_max_violation(qp)
-    worst = worst.tolist()
     top = max(worst)
     active = tuple(i for i, w in enumerate(worst) if w >= top - feas_tol)
-    return u_fb, active, INFEASIBLE_FALLBACK
+    return np.array(u_fb), active, INFEASIBLE_FALLBACK
 
 
-def _violations(rows_a, rows_b, coords, d):
-    """b - A u for each point of the flat coordinate list (one point per row
-    of the result). The stacked matrix-vector product rounds as rows_a @ u
-    does for each point alone. This pricing and the stacked crossing solve
-    are the filter's only numpy arithmetic: their last bits follow the
-    machine's BLAS and LAPACK kernels (which may fuse multiply and add),
-    unlike the scalar slacks of the clamp test and the two-axis solve."""
-    return rows_b - np.matmul(rows_a, np.array(coords).reshape(-1, d, 1))[..., 0]
+def _row_violations(rows, u) -> list[float]:
+    """b - a*u0 for (a, b) pairs, b - (a0*u0 + a1*u1) for (a0, a1, b)
+    triples, at the point u: the fallback's one pricing."""
+    if len(u) == 1:
+        (u0,) = u
+        return [b - a * u0 for a, b in rows]
+    u0, u1 = u
+    return [b - (a0 * u0 + a1 * u1) for a0, a1, b in rows]
 
 
-def _least_max_violation(qp) -> tuple[np.ndarray, np.ndarray]:
+def _least_max_violation(qp) -> tuple[list[float], list[float]]:
     """Exact minimizer of max_i (b_i - a_i . u) over the box, with its row
     violations b - A u.
 
     The max of affine functions is piecewise linear and convex, so its
     minimum over the box is attained at a box corner, where a pairwise
     equal-value locus crosses a box face, or (2-D) where two such loci
-    cross. Those candidates are built with scalar arithmetic, the crossings
-    of two loci are solved in one stacked LAPACK call, and every candidate
-    is priced in one batched evaluation. When distinct candidates tie at the
-    least maximum violation, they span the set of least-max-violation
+    cross: the vertices of the linear program min t s.t. t >= b_i - a_i . u
+    over the box (Seidel, 1991). Crossings of two loci come from Cramer's
+    rule, accepted within 1e-12 of the box and clamped into it, and every
+    candidate is priced by _row_violations. When distinct candidates tie at
+    the least maximum violation, they span the set of least-max-violation
     points, and the point of their convex hull nearest u_des is returned
     (see _nearest_tied).
     """
-    rows_a = qp.rows_a
-    rows_b = qp.rows_b
     box = qp.box.tolist()
-    a = rows_a.tolist()
-    b = rows_b.tolist()
+    a = qp.rows_a.tolist()
+    b = qp.rows_b.tolist()
     m = len(b)
-    d = len(box)
-    if d == 1:
+    if len(box) == 1:
         ((lo0, hi0),) = box
-        coords = [lo0, hi0]
+        rows = [(ai, bi) for (ai,), bi in zip(a, b)]
+        points = [[lo0], [hi0]]
         for i, j in combinations(range(m), 2):
             da = a[i][0] - a[j][0]
             if da != 0.0:
                 u = (b[i] - b[j]) / da
                 if lo0 <= u <= hi0:
-                    coords.append(u)
+                    points.append([u])
     else:
         (lo0, hi0), (lo1, hi1) = box
-        coords = [lo0, lo1, lo0, hi1, hi0, lo1, hi0, hi1]
+        rows = [(a0, a1, bi) for (a0, a1), bi in zip(a, b)]
+        points = [[lo0, lo1], [lo0, hi1], [hi0, lo1], [hi0, hi1]]
         # each pair's equal-value line crossed with the box faces
         for i, j in combinations(range(m), 2):
             da0 = a[i][0] - a[j][0]
@@ -368,52 +382,38 @@ def _least_max_violation(qp) -> tuple[np.ndarray, np.ndarray]:
                 for fixed in (lo0, hi0):
                     val = (db - da0 * fixed) / da1
                     if lo1 <= val <= hi1:
-                        coords += (fixed, val)
+                        points.append([fixed, val])
             if da0 != 0.0:
                 for fixed in (lo1, hi1):
                     val = (db - da1 * fixed) / da0
                     if lo0 <= val <= hi0:
-                        coords += (val, fixed)
-        # two pairs' equal-value lines crossed, accepted within 1e-12 of the
-        # box and clamped into it
-        systems = []
-        rhs = []
+                        points.append([val, fixed])
+        # two pairs' equal-value lines crossed; the determinant test keeps
+        # Cramer's rule off a zero divisor
         for i, j, k in combinations(range(m), 3):
             p0 = a[i][0] - a[j][0]
             p1 = a[i][1] - a[j][1]
             q0 = a[i][0] - a[k][0]
             q1 = a[i][1] - a[k][1]
-            if abs(p0 * q1 - p1 * q0) >= 1e-14:
-                systems += (p0, p1, q0, q1)
-                rhs += (b[i] - b[j], b[i] - b[k])
-        if systems:
-            n = len(rhs) // 2
-            systems = np.array(systems).reshape(n, 2, 2)
-            rhs = np.array(rhs).reshape(n, 2, 1)
-            try:
-                crossings = np.linalg.solve(systems, rhs)
-            except np.linalg.LinAlgError:
-                # a system passed the determinant test by rounding yet is
-                # exactly singular (parallel lines): solve the others
-                regular = np.linalg.det(systems) != 0.0
-                crossings = np.linalg.solve(systems[regular], rhs[regular])
-            flat = crossings.ravel().tolist()
-            for u0, u1 in zip(flat[::2], flat[1::2]):
+            det = p0 * q1 - p1 * q0
+            if abs(det) >= 1e-14:
+                r0 = b[i] - b[j]
+                r1 = b[i] - b[k]
+                u0 = (r0 * q1 - p1 * r1) / det
+                u1 = (p0 * r1 - r0 * q0) / det
                 if lo0 - 1e-12 <= u0 <= hi0 + 1e-12 and lo1 - 1e-12 <= u1 <= hi1 + 1e-12:
                     # bound first, so signed zeros clamp as np.clip does
-                    coords += (min(hi0, max(lo0, u0)), min(hi1, max(lo1, u1)))
+                    points.append([min(hi0, max(lo0, u0)), min(hi1, max(lo1, u1))])
 
-    violations = _violations(rows_a, rows_b, coords, d)
-    phi = violations.max(axis=1).tolist()
+    phi = [max(_row_violations(rows, u)) for u in points]
     least = min(phi)
-    tied = [coords[d * k : d * k + d] for k, v in enumerate(phi) if v == least]
+    tied = [u for u, v in zip(points, phi) if v == least]
     if all(u == tied[0] for u in tied):
-        first = phi.index(least)
-        return np.array(tied[0]), violations[first]
-    return _nearest_tied(qp.u_des.tolist(), tied, rows_a, rows_b, box)
+        return tied[0], _row_violations(rows, tied[0])
+    return _nearest_tied(qp.u_des.tolist(), tied, rows, box)
 
 
-def _nearest_tied(u_des, tied, rows_a, rows_b, box) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_tied(u_des, tied, rows, box) -> tuple[list[float], list[float]]:
     """The point nearest u_des in the convex hull of the tied candidates.
 
     The tied candidates are the vertices of the optimal face of the linear
@@ -425,8 +425,7 @@ def _nearest_tied(u_des, tied, rows_a, rows_b, box) -> tuple[np.ndarray, np.ndar
     to the vertices'; the vertices always do, and among the points that
     count the one nearest u_des wins, coordinates breaking exact ties.
     """
-    d = len(box)
-    if d == 1:
+    if len(box) == 1:
         ends = [u for (u,) in tied]
         options = [[min(max(ends), max(min(ends), u_des[0]))]]
     else:
@@ -444,15 +443,14 @@ def _nearest_tied(u_des, tied, rows_a, rows_b, box) -> tuple[np.ndarray, np.ndar
                 s = (r1 * e0 - r0 * e1) / length2
                 options.append([ud0 + s * e1, ud1 - s * e0])
     points = tied + options
-    violations = _violations(rows_a, rows_b, [v for u in points for v in u], d)
-    phi = violations.max(axis=1).tolist()
+    phi = [max(_row_violations(rows, u)) for u in points]
     counted = [
         k
         for k, u in enumerate(points)
         if k < len(tied) or (phi[k] == phi[0] and all(lo <= v <= hi for v, (lo, hi) in zip(u, box)))
     ]
     k = min(counted, key=lambda k: (command_deviation(points[k], u_des), points[k]))
-    return np.array(points[k]), violations[k]
+    return points[k], _row_violations(rows, points[k])
 
 
 def command_deviation(u, u_des) -> float:

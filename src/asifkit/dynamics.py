@@ -7,8 +7,8 @@ closed-form state transition exactly (up to float rounding).
 
 Per-step arithmetic (the drift term, RK4, the disturbance norm) runs on
 Python floats in a fixed order, so its bits do not depend on the machine's
-BLAS. In a closed-loop step only an MLP controller's matrix products and the
-filter's fallback pricing (see asif) still round through BLAS.
+BLAS. In a closed-loop step only an MLP controller's matrix products still
+round through BLAS.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ These deliberately avoid the library's solution paths: the QP oracle is a
 brute-force grid scan, the integration oracle is the closed-form transition
 of the double integrator, and the least-max-violation reference is the
 filter's earlier one-candidate-at-a-time enumerator, kept to test the
-batched one against.
+filter's own enumeration against. Both solve crossings by Cramer's rule and
+price points with the filter's scalar sum (row_violations), so they agree
+bit for bit.
 """
 
 from itertools import combinations
@@ -128,13 +130,20 @@ def least_max_violation_candidates(rows_a, rows_b, lo, hi):
             det = A2[0, 0] * A2[1, 1] - A2[0, 1] * A2[1, 0]
             if abs(det) < 1e-14:
                 continue
-            try:
-                u = np.linalg.solve(A2, b2)
-            except np.linalg.LinAlgError:
-                continue  # exactly singular though its determinant rounded past the test
+            # Cramer's rule; the determinant test keeps it off a zero divisor
+            u = np.array([b2[0] * A2[1, 1] - A2[0, 1] * b2[1], A2[0, 0] * b2[1] - b2[0] * A2[1, 0]]) / det
             if np.all(u >= lo - 1e-12) and np.all(u <= hi + 1e-12):
                 candidates.append(np.clip(u, lo, hi))
     return candidates
+
+
+def row_violations(rows_a, rows_b, u):
+    """b - a . u for each row at the point u, on Python floats: b - a*u0 on
+    one axis, b - (a0*u0 + a1*u1) on two, each operation rounded once."""
+    u = [float(v) for v in u]
+    if len(u) == 1:
+        return [b - a * u[0] for (a,), b in zip(rows_a.tolist(), rows_b.tolist())]
+    return [b - (a0 * u[0] + a1 * u[1]) for (a0, a1), b in zip(rows_a.tolist(), rows_b.tolist())]
 
 
 def least_max_violation(qp, rows_a, rows_b, lo, hi):
@@ -143,7 +152,7 @@ def least_max_violation(qp, rows_a, rows_b, lo, hi):
     Ties are broken among the candidates only."""
     best = None
     for u in least_max_violation_candidates(rows_a, rows_b, lo, hi):
-        phi = float(np.max(rows_b - rows_a @ u))
+        phi = max(row_violations(rows_a, rows_b, u))
         dev = float(np.linalg.norm(u - qp.u_des))
         key = (phi, dev, tuple(u))
         if best is None or key < best[0]:

@@ -173,6 +173,19 @@ def test_solve_rows_without_authority():
         assert status == INFEASIBLE_FALLBACK and np.all(np.abs(u_star) <= 1.0)
 
 
+@pytest.mark.parametrize("a, b", [(1e-13, 5e-14), (5e-324, 5e-324), (1.0, 1e-13)])
+def test_one_and_two_axes_decide_alike(a, b):
+    """A row a * u0 >= b on box [-1, 1], u_des = 0, gets the same status, u0
+    bits and active rows on one axis as on two with a zero second column.
+    u_des meets each row under the tolerance contract (the first two rows
+    have no authority and demand less than feas_tol), so each passes
+    through."""
+    one = solve_qp(make_qp([0.0], [[a]], [b], [[-1.0, 1.0]]))
+    two = solve_qp(make_qp([0.0, 0.0], [[a, 0.0]], [b], [[-1.0, 1.0]] * 2))
+    assert (one[0][:1].tobytes(), one[1], one[2]) == (two[0][:1].tobytes(), two[1], two[2])
+    assert one[2] == PASSTHROUGH
+
+
 def test_fallback_ties_take_the_nearest_least_max_violation_point():
     """When a whole face of the box attains the least maximum violation, the
     fallback is the point of that face nearest u_des, not the nearest of the
@@ -381,19 +394,27 @@ def _opposed_pair_active(qp, u):
 @settings(max_examples=500, deadline=None)
 @given(qp=hand_built_qp())
 def test_solve_properties_on_hand_built_problems(qp):
-    """solve_qp never raises and stays in the box. A modified result is
-    feasible, and a KKT point wherever the problem has an exactly feasible
-    point and the point is not the apex of a nearly opposed pair: a problem
-    infeasible by less than the solver's feasibility tolerance has no KKT
-    point, and a point within that tolerance is all the solver can give. A
-    fallback is only reported for a problem with no feasible point on a grid
-    of the box."""
+    """solve_qp never raises and stays in the box. A modified result meets
+    every row under the tolerance contract, with the solver's own feas_tol;
+    where no point meets the rows exactly, the least maximum violation over
+    the box is at most that feas_tol, the contract's ground for modified.
+    It is a KKT point wherever the problem has an exactly feasible point and
+    the point is not the apex of a nearly opposed pair: a problem infeasible
+    by less than the feasibility tolerance has no KKT point, and a point
+    within that tolerance is all the solver can give. A fallback is only
+    reported for a problem with no feasible point on a grid of the box."""
     u_star, active, status = solve_qp(qp)
     assert np.all(u_star >= qp.box[:, 0] - 1e-12) and np.all(u_star <= qp.box[:, 1] + 1e-12)
     if status == MODIFIED:
         kkt = check_kkt(qp, u_star)
         assert kkt["primal"] <= 1e-8
         exactly_feasible = qp.rows_a.shape[0] == 0 or _least_max_violation(qp) <= 0.0
+        if qp.rows_a.shape[0]:
+            feas_tol = asif._feas_tol(qp.rows_b.tolist(), qp.box.ravel().tolist(), qp.u_des.tolist())
+            for a, b in zip(qp.rows_a.tolist(), qp.rows_b.tolist()):
+                authority = sum(v * v for v in a) > asif._DEP_TOL * asif._DEP_TOL
+                assert (b - sum(v * w for v, w in zip(a, u_star.tolist())) if authority else b) <= feas_tol
+            assert exactly_feasible or _least_max_violation(qp) <= feas_tol
         if exactly_feasible and not _opposed_pair_active(qp, u_star):
             assert max(kkt.values()) <= 1e-8, kkt
     elif status == INFEASIBLE_FALLBACK:

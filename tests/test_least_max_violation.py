@@ -1,4 +1,4 @@
-"""The batched least-max-violation fallback against the earlier enumerator.
+"""The least-max-violation fallback against the earlier enumerator.
 
 On problems where one candidate alone attains the least maximum violation,
 solve_qp must return the reference's point bit for bit, with the same status
@@ -10,6 +10,7 @@ one found on a grid over the box.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from asifkit import (
     DOUBLE_INTEGRATOR_2D,
     GEOFENCE_2D_CIRCLE,
     INFEASIBLE_FALLBACK,
+    MODIFIED,
+    PASSTHROUGH,
     SPEED_LIMIT,
     BarrierConstraint,
     ControlInput,
@@ -34,9 +37,9 @@ from tests import oracles
 
 def _reference_least_max_violation(qp):
     """The earlier enumerator behind the new one's interface: the point and
-    its row violations, computed as the earlier call sites did."""
+    its row violations, priced by the scalar sum."""
     u = oracles.least_max_violation(qp, qp.rows_a, qp.rows_b, qp.box[:, 0], qp.box[:, 1])
-    return u, qp.rows_b - qp.rows_a @ u
+    return u, oracles.row_violations(qp.rows_a, qp.rows_b, u)
 
 
 def random_problem(rng, d):
@@ -106,7 +109,7 @@ def box_grid(box, points):
 def _tied(qp):
     """Whether distinct reference candidates share the least maximum violation."""
     candidates = oracles.least_max_violation_candidates(qp.rows_a, qp.rows_b, qp.box[:, 0], qp.box[:, 1])
-    phi = [float(np.max(qp.rows_b - qp.rows_a @ u)) for u in candidates]
+    phi = [max(oracles.row_violations(qp.rows_a, qp.rows_b, u)) for u in candidates]
     return len({tuple(u.tolist()) for u, p in zip(candidates, phi) if p == min(phi)}) > 1
 
 
@@ -125,12 +128,13 @@ def compare(problems, monkeypatch):
     for qp, ((ref_u, ref_active, ref_status), ref_point) in zip(problems, reference):
         u, active, status = solve_qp(qp)
         point, worst = asif._least_max_violation(qp)
-        assert worst.tobytes() == (qp.rows_b - qp.rows_a @ point).tobytes()
+        point = np.array(point)
+        assert np.array(worst).tobytes() == np.array(oracles.row_violations(qp.rows_a, qp.rows_b, point)).tobytes()
         fallbacks += status == INFEASIBLE_FALLBACK
         if point.tobytes() != ref_point.tobytes():
             moved += 1
             assert _tied(qp), (qp, point, ref_point)
-            assert float(np.max(worst)) == float(np.max(qp.rows_b - qp.rows_a @ ref_point))
+            assert max(worst) == max(oracles.row_violations(qp.rows_a, qp.rows_b, ref_point))
             assert _distance(point, qp) <= _distance(ref_point, qp)
         if status != INFEASIBLE_FALLBACK or point.tobytes() == ref_point.tobytes():
             assert (u.tobytes(), active, status) == (ref_u.tobytes(), ref_active, ref_status)
@@ -163,3 +167,30 @@ def test_matches_reference_on_random_problems(d, monkeypatch):
     fallbacks, moved = compare([random_problem(rng, d) for _ in range(5000)], monkeypatch)
     # the draws reach the fallback often, and the tie rule often moves the point
     assert fallbacks > 1000 and moved > 100
+
+
+class _NoArithmetic(np.ndarray):
+    """An array on which every numpy ufunc and array function raises."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        raise AssertionError(f"numpy ufunc {ufunc.__name__} in the solve")
+
+    def __array_function__(self, func, types, args, kwargs):
+        raise AssertionError(f"numpy function {func.__name__} in the solve")
+
+
+def test_solve_computes_on_python_floats_only():
+    """solve_qp reads its problem's arrays and builds its result, but does no
+    numpy arithmetic on any status: the same problem with arrays that raise
+    on any numpy operation gives the same result."""
+    rng = np.random.default_rng(50)
+    problems = multirow_fallback_problems(np.random.default_rng(31), 50)
+    problems += [random_problem(rng, d) for d in (1, 2) for _ in range(500)]
+    statuses = Counter()
+    for qp in problems:
+        u, active, status = solve_qp(qp)
+        guarded = qp._replace(**{f: getattr(qp, f).view(_NoArithmetic) for f in ("u_des", "rows_a", "rows_b", "box")})
+        u_guarded, active_guarded, status_guarded = solve_qp(guarded)
+        assert (u_guarded.tobytes(), active_guarded, status_guarded) == (u.tobytes(), active, status)
+        statuses[status] += 1
+    assert set(statuses) == {PASSTHROUGH, MODIFIED, INFEASIBLE_FALLBACK}, statuses
