@@ -31,8 +31,10 @@ the norm of its a exceeds _DEP_TOL. A row without it is met iff b <= feas_tol
 A solved point meets every row so; it is passthrough iff it equals u_des,
 else modified. A problem with no such point is an infeasible_fallback.
 
-Rounding: no numpy arithmetic is left in the solve, fallback included. It
-runs on Python floats in one fixed order, so its bits match on every machine.
+Rounding: the problem is held in Python floats, from assemble_qp to the
+command, and the solve, fallback included, computes on them in one fixed
+order with no numpy call, so its bits match on every machine. filter_control
+builds the one array, the command's.
 """
 
 from __future__ import annotations
@@ -57,20 +59,21 @@ _FEAS_TOL = 1e-11  # violation counted as zero, before scaling by the problem si
 
 
 class QpProblem(NamedTuple):
-    """Assembled filter problem: rows mean a . u >= b."""
+    """Assembled filter problem in Python floats. Each row is an (a_0, b)
+    pair on one axis and an (a_0, a_1, b) triple on two, and means
+    a . u >= b; box holds the (lo, hi) pair of each axis."""
 
-    u_des: np.ndarray
-    rows_a: np.ndarray  # shape (m, control_dim)
-    rows_b: np.ndarray  # shape (m,)
+    u_des: tuple[float, ...]
+    rows: tuple[tuple[float, ...], ...]
     row_ids: tuple[str, ...]
-    box: np.ndarray  # shape (control_dim, 2)
+    box: tuple[tuple[float, float], ...]
     # constraints with a row no command can meet (a = 0, b > 0) whose other
     # rows are in the problem; a step that has any is a flagged fallback
     unmet_ids: tuple[str, ...] = ()
 
     @property
     def control_dim(self) -> int:
-        return self.u_des.shape[0]
+        return len(self.u_des)
 
 
 class FilterResult(NamedTuple):
@@ -98,8 +101,7 @@ def assemble_qp(
     structurally infeasible (raised) unless it has a sampled row, which
     always has authority; it is then listed in unmet_ids.
     """
-    rows_a = []
-    rows_b = []
+    rows = []
     row_ids = []
     unmet = []
     for constraint in constraints:
@@ -107,92 +109,69 @@ def assemble_qp(
         a = a.tolist()
         sampled = None if dt is None else sampled_row(constraint, model, state, dt)
         if any(a):
-            rows_a.append(a)
-            rows_b.append(b)
+            rows.append((*a, b))
             row_ids.append(constraint.id)
         elif b > 0.0:
             if sampled is None:
                 raise StructurallyInfeasible(constraint.id)
             unmet.append(constraint.id)
         if sampled is not None:
-            rows_a.append(sampled[0].tolist())
-            rows_b.append(sampled[1])
+            rows.append((*sampled[0].tolist(), sampled[1]))
             row_ids.append(constraint.id)
-    return QpProblem(
-        np.asarray(u_des.u, dtype=float),
-        np.array(rows_a, dtype=float) if rows_a else np.empty((0, model.control_dim)),
-        np.array(rows_b, dtype=float),
-        tuple(row_ids),
-        model.control_bounds,
-        tuple(unmet),
-    )
+    return QpProblem(tuple(u_des.u.tolist()), tuple(rows), tuple(row_ids), model._box, tuple(unmet))
 
 
-def solve_qp(qp: QpProblem) -> tuple[np.ndarray, tuple[int, ...], str]:
+def solve_qp(qp: QpProblem) -> tuple[tuple[float, ...], tuple[int, ...], str]:
     """Exact minimizer of 0.5||u - u_des||^2 under rows and box.
 
-    Returns (u_star, active row indices into qp.rows_a, status). Starts from
-    the box-clamped u_des; if that already satisfies every row it is optimal
-    (passthrough when it equals u_des bitwise). Otherwise the minimizer is
-    the projection of u_des onto at most d of the constraints (the rows and
-    the box faces). One axis projects onto the interval the constraints
-    leave (_solve_interval). Two axes try the projection onto the violated
+    Returns (u_star, active row indices into qp.rows, status), u_star a
+    tuple of floats. Starts from the box-clamped u_des; if that already
+    satisfies every row it is optimal (passthrough when it equals u_des
+    bitwise, and u_star is then qp.u_des). Otherwise the minimizer is the
+    projection of u_des onto at most d of the constraints (the rows and the
+    box faces). One axis projects onto the interval the constraints leave
+    (_solve_interval). Two axes try the projection onto the violated
     constraint farthest from u_des, then the vertices of two constraints
     that can be optimal, nearest first. Both decide under the tolerance
     contract of the module docstring. An empty feasible set yields the
     least-max-violation box point nearest u_des with status
     infeasible_fallback.
     """
-    if qp.control_dim == 1:
-        ((lo0, hi0),) = qp.box.tolist()
-        (ud,) = qp.u_des.tolist()
-        u0 = lo0 if ud < lo0 else (hi0 if ud > hi0 else ud)
-        rows = [(a, b) for (a,), b in zip(qp.rows_a.tolist(), qp.rows_b.tolist())]
-        active = []
-        for i, (a, b) in enumerate(rows):
-            slack = b - a * u0
-            if slack > 0.0:
-                return _solve_interval(qp, rows, ud, lo0, hi0)
-            if slack == 0.0:
-                active.append(i)
-        if u0 == ud:
-            return qp.u_des, (), PASSTHROUGH
-        return np.array([u0]), tuple(active), MODIFIED
-
-    ud0, ud1 = qp.u_des.tolist()
-    box = qp.box.tolist()
-    (lo0, hi0), (lo1, hi1) = box
-    c0 = lo0 if ud0 < lo0 else (hi0 if ud0 > hi0 else ud0)
-    c1 = lo1 if ud1 < lo1 else (hi1 if ud1 > hi1 else ud1)
-    # Rows as scalar triples (a0, a1, b) meaning a0*u0 + a1*u1 >= b.
-    rows = [(a0, a1, b) for (a0, a1), b in zip(qp.rows_a.tolist(), qp.rows_b.tolist())]
-    slack0 = [b - (a0 * c0 + a1 * c1) for a0, a1, b in rows]
-    if max(slack0, default=0.0) <= 0.0:
-        if c0 == ud0 and c1 == ud1:
-            return qp.u_des, (), PASSTHROUGH
-        active = tuple(i for i, s in enumerate(slack0) if s == 0.0)
-        return np.array([c0, c1]), active, MODIFIED
-    return _solve_plane(qp, rows, ud0, ud1, box)
+    clamped = _clamped(qp.u_des, qp.box)
+    slack = _row_violations(qp.rows, clamped)
+    if max(slack, default=0.0) > 0.0:
+        return _solve_interval(qp) if qp.control_dim == 1 else _solve_plane(qp)
+    if clamped == qp.u_des:
+        return qp.u_des, (), PASSTHROUGH
+    return clamped, tuple(i for i, s in enumerate(slack) if s == 0.0), MODIFIED
 
 
-def _feas_tol(rows_b, bounds, u_des) -> float:
+def _clamped(u, box) -> tuple[float, ...]:
+    return tuple([lo if v < lo else (hi if v > hi else v) for v, (lo, hi) in zip(u, box)])
+
+
+def _feas_tol(qp: QpProblem) -> float:
     """The scaled feasibility tolerance: _FEAS_TOL * (1 + the largest |b| or
-    |box bound| + the sum of |u_des|); rows_b and bounds are lists."""
-    scale = 1.0 + max(map(abs, rows_b + bounds))
-    for v in u_des:
+    |box bound| + the sum of |u_des|)."""
+    values = [row[-1] for row in qp.rows]
+    for pair in qp.box:
+        values += pair
+    scale = 1.0 + max(map(abs, values))
+    for v in qp.u_des:
         scale += abs(v)
     return _FEAS_TOL * scale
 
 
-def _solve_plane(qp: QpProblem, rows, ud0, ud1, box) -> tuple[np.ndarray, tuple[int, ...], str]:
+def _solve_plane(qp: QpProblem) -> tuple[tuple[float, ...], tuple[int, ...], str]:
     """Two control axes: the minimizer is the projection of u_des onto one
     constraint or the vertex of two, found in two closed-form stages. Reached
-    only when the clamped u_des violates some row. rows holds (a0, a1, b)
-    triples. A point feasible within feas_tol may leave the box by as much,
-    so it is returned clipped."""
+    only when the clamped u_des violates some row. A point feasible within
+    feas_tol may leave the box by as much, so it is returned clipped."""
+    rows = list(qp.rows)
     m = len(rows)
-    (lo0, hi0), (lo1, hi1) = box
-    feas_tol = _feas_tol(qp.rows_b.tolist(), [lo0, hi0, lo1, hi1], (ud0, ud1))
+    ud0, ud1 = qp.u_des
+    (lo0, hi0), (lo1, hi1) = qp.box
+    feas_tol = _feas_tol(qp)
     # A row without authority is met everywhere or nowhere: it sends the step
     # to the fallback, or it takes no further part as the empty row 0 >= 0.
     dep2 = _DEP_TOL * _DEP_TOL
@@ -212,7 +191,7 @@ def _solve_plane(qp: QpProblem, rows, ud0, ud1, box) -> tuple[np.ndarray, tuple[
     # can be.
     violated = [i for i, r in enumerate(r_des) if r > feas_tol]
     if not violated:
-        return _solved(qp, (ud0, ud1), box, ())
+        return _solved(qp, (ud0, ud1), ())
     k = -1
     far = 0.0
     for i in violated:
@@ -228,7 +207,7 @@ def _solve_plane(qp: QpProblem, rows, ud0, ud1, box) -> tuple[np.ndarray, tuple[
     r_s = [b - a0 * s0 - a1 * s1 for a0, a1, b in cons]
     r_s[k] = 0.0
     if max(r_s) <= feas_tol:
-        return _solved(qp, (s0, s1), box, (k,) if k < m else ())
+        return _solved(qp, (s0, s1), (k,) if k < m else ())
 
     # Stage 2. The optimum is the vertex of two independent constraints with
     # both multipliers nonnegative. One of them is violated at s, or s would
@@ -270,29 +249,28 @@ def _solve_plane(qp: QpProblem, rows, ud0, ud1, box) -> tuple[np.ndarray, tuple[
     # exactly it lies on them.
     for _, v0, v1, q, p in sorted(vertices):
         if all(b - a0 * v0 - a1 * v1 <= feas_tol for a0, a1, b in rows):
-            return _solved(qp, (v0, v1), box, tuple(sorted(i for i in (p, q) if i < m)))
+            return _solved(qp, (v0, v1), tuple(sorted(i for i in (p, q) if i < m)))
     return _fallback(qp, feas_tol)
 
 
-def _solve_interval(
-    qp: QpProblem, rows, u_des: float, lo: float, hi: float
-) -> tuple[np.ndarray, tuple[int, ...], str]:
-    """One control axis, rows as (a, b) pairs: the minimizer is u_des clamped
-    into the interval [lower, upper] the rows and box leave. This is the
-    one-axis case of the two-axis first stage (u_des if it meets every
-    constraint, else the farthest bound it violates), kept apart because
-    b / a rounds once, where that stage's u_des + (b - a u_des) / a^2 * a
-    would move the last bit of about half of all one-axis results."""
-    feas_tol = _feas_tol(qp.rows_b.tolist(), [lo, hi], (u_des,))
+def _solve_interval(qp: QpProblem) -> tuple[tuple[float, ...], tuple[int, ...], str]:
+    """One control axis: the minimizer is u_des clamped into the interval
+    [lower, upper] the rows and box leave. This is the one-axis case of the
+    two-axis first stage (u_des if it meets every constraint, else the
+    farthest bound it violates), kept apart because b / a rounds once, where
+    that stage's u_des + (b - a u_des) / a^2 * a would move the last bit of
+    about half of all one-axis results."""
+    (u_des,) = qp.u_des
+    ((lo, hi),) = qp.box
+    feas_tol = _feas_tol(qp)
     lower, lower_idx = lo, -1
     upper, upper_idx = hi, -1
     near = lo - u_des <= feas_tol and u_des - hi <= feas_tol  # u_des meets every constraint
     dep2 = _DEP_TOL * _DEP_TOL
-    for i, (a, b) in enumerate(rows):
+    for i, (a, b) in enumerate(qp.rows):
         if a * a <= dep2:  # no authority, as on two axes
             if b > feas_tol:
                 return _fallback(qp, feas_tol)
-            rows[i] = (0.0, 0.0)
             continue
         near = near and b - a * u_des <= feas_tol
         bound = b / a
@@ -302,37 +280,37 @@ def _solve_interval(
         elif bound < upper:
             upper, upper_idx = bound, i
     if near:
-        return _solved(qp, (u_des,), ((lo, hi),), ())
+        return _solved(qp, (u_des,), ())
     if lower > upper:
         return _fallback(qp, feas_tol)
-    # u_des lies outside [lower, upper]: inside, it would meet every row
+    # u_des lies outside [lower, upper]: inside, it would meet every row. The
+    # bound taken meets its own row and every looser one to a few ulps of b,
+    # far inside feas_tol.
     u_star, k = (lower, lower_idx) if u_des < lower else (upper, upper_idx)
-    for a, b in rows:
-        if b - a * u_star > feas_tol:
-            return _fallback(qp, feas_tol)
-    return np.array([u_star]), (k,) if k >= 0 else (), MODIFIED
+    return (u_star,), (k,) if k >= 0 else (), MODIFIED
 
 
-def _solved(qp: QpProblem, u, box, active) -> tuple[np.ndarray, tuple[int, ...], str]:
+def _solved(qp: QpProblem, u, active) -> tuple[tuple[float, ...], tuple[int, ...], str]:
     """The result for a solved point, which meets every row under the
     tolerance contract: clipped into the box, passthrough when that equals
     u_des (the command is then u_des itself), else modified."""
-    u = [lo if v < lo else (hi if v > hi else v) for v, (lo, hi) in zip(u, box)]
-    if u == qp.u_des.tolist():
+    u = _clamped(u, qp.box)
+    if u == qp.u_des:
         return qp.u_des, (), PASSTHROUGH
-    return np.array(u), active, MODIFIED
+    return u, active, MODIFIED
 
 
 def _fallback(qp, feas_tol):
     u_fb, worst = _least_max_violation(qp)
     top = max(worst)
     active = tuple(i for i, w in enumerate(worst) if w >= top - feas_tol)
-    return np.array(u_fb), active, INFEASIBLE_FALLBACK
+    return u_fb, active, INFEASIBLE_FALLBACK
 
 
 def _row_violations(rows, u) -> list[float]:
     """b - a*u0 for (a, b) pairs, b - (a0*u0 + a1*u1) for (a0, a1, b)
-    triples, at the point u: the fallback's one pricing."""
+    triples, at the point u: the one pricing of the clamp test and the
+    fallback."""
     if len(u) == 1:
         (u0,) = u
         return [b - a * u0 for a, b in rows]
@@ -340,7 +318,7 @@ def _row_violations(rows, u) -> list[float]:
     return [b - (a0 * u0 + a1 * u1) for a0, a1, b in rows]
 
 
-def _least_max_violation(qp) -> tuple[list[float], list[float]]:
+def _least_max_violation(qp) -> tuple[tuple[float, ...], list[float]]:
     """Exact minimizer of max_i (b_i - a_i . u) over the box, with its row
     violations b - A u.
 
@@ -355,65 +333,61 @@ def _least_max_violation(qp) -> tuple[list[float], list[float]]:
     points, and the point of their convex hull nearest u_des is returned
     (see _nearest_tied).
     """
-    box = qp.box.tolist()
-    a = qp.rows_a.tolist()
-    b = qp.rows_b.tolist()
-    m = len(b)
+    rows = qp.rows
+    box = qp.box
     if len(box) == 1:
         ((lo0, hi0),) = box
-        rows = [(ai, bi) for (ai,), bi in zip(a, b)]
-        points = [[lo0], [hi0]]
-        for i, j in combinations(range(m), 2):
-            da = a[i][0] - a[j][0]
+        points = [(lo0,), (hi0,)]
+        for (ai, bi), (aj, bj) in combinations(rows, 2):
+            da = ai - aj
             if da != 0.0:
-                u = (b[i] - b[j]) / da
+                u = (bi - bj) / da
                 if lo0 <= u <= hi0:
-                    points.append([u])
+                    points.append((u,))
     else:
         (lo0, hi0), (lo1, hi1) = box
-        rows = [(a0, a1, bi) for (a0, a1), bi in zip(a, b)]
-        points = [[lo0, lo1], [lo0, hi1], [hi0, lo1], [hi0, hi1]]
+        points = [(lo0, lo1), (lo0, hi1), (hi0, lo1), (hi0, hi1)]
         # each pair's equal-value line crossed with the box faces
-        for i, j in combinations(range(m), 2):
-            da0 = a[i][0] - a[j][0]
-            da1 = a[i][1] - a[j][1]
-            db = b[i] - b[j]
+        for (ai0, ai1, bi), (aj0, aj1, bj) in combinations(rows, 2):
+            da0 = ai0 - aj0
+            da1 = ai1 - aj1
+            db = bi - bj
             if da1 != 0.0:
                 for fixed in (lo0, hi0):
                     val = (db - da0 * fixed) / da1
                     if lo1 <= val <= hi1:
-                        points.append([fixed, val])
+                        points.append((fixed, val))
             if da0 != 0.0:
                 for fixed in (lo1, hi1):
                     val = (db - da1 * fixed) / da0
                     if lo0 <= val <= hi0:
-                        points.append([val, fixed])
+                        points.append((val, fixed))
         # two pairs' equal-value lines crossed; the determinant test keeps
         # Cramer's rule off a zero divisor
-        for i, j, k in combinations(range(m), 3):
-            p0 = a[i][0] - a[j][0]
-            p1 = a[i][1] - a[j][1]
-            q0 = a[i][0] - a[k][0]
-            q1 = a[i][1] - a[k][1]
+        for (ai0, ai1, bi), (aj0, aj1, bj), (ak0, ak1, bk) in combinations(rows, 3):
+            p0 = ai0 - aj0
+            p1 = ai1 - aj1
+            q0 = ai0 - ak0
+            q1 = ai1 - ak1
             det = p0 * q1 - p1 * q0
             if abs(det) >= 1e-14:
-                r0 = b[i] - b[j]
-                r1 = b[i] - b[k]
+                r0 = bi - bj
+                r1 = bi - bk
                 u0 = (r0 * q1 - p1 * r1) / det
                 u1 = (p0 * r1 - r0 * q0) / det
                 if lo0 - 1e-12 <= u0 <= hi0 + 1e-12 and lo1 - 1e-12 <= u1 <= hi1 + 1e-12:
                     # bound first, so signed zeros clamp as np.clip does
-                    points.append([min(hi0, max(lo0, u0)), min(hi1, max(lo1, u1))])
+                    points.append((min(hi0, max(lo0, u0)), min(hi1, max(lo1, u1))))
 
     phi = [max(_row_violations(rows, u)) for u in points]
     least = min(phi)
     tied = [u for u, v in zip(points, phi) if v == least]
     if all(u == tied[0] for u in tied):
         return tied[0], _row_violations(rows, tied[0])
-    return _nearest_tied(qp.u_des.tolist(), tied, rows, box)
+    return _nearest_tied(qp.u_des, tied, rows, box)
 
 
-def _nearest_tied(u_des, tied, rows, box) -> tuple[list[float], list[float]]:
+def _nearest_tied(u_des, tied, rows, box) -> tuple[tuple[float, ...], list[float]]:
     """The point nearest u_des in the convex hull of the tied candidates.
 
     The tied candidates are the vertices of the optimal face of the linear
@@ -427,7 +401,7 @@ def _nearest_tied(u_des, tied, rows, box) -> tuple[list[float], list[float]]:
     """
     if len(box) == 1:
         ends = [u for (u,) in tied]
-        options = [[min(max(ends), max(min(ends), u_des[0]))]]
+        options = [(min(max(ends), max(min(ends), u_des[0])),)]
     else:
         options = [u_des]
         ud0, ud1 = u_des
@@ -441,7 +415,7 @@ def _nearest_tied(u_des, tied, rows, box) -> tuple[list[float], list[float]]:
                 # step along the segment's normal only, so an axis-aligned
                 # segment keeps u_des's coordinate along it exactly
                 s = (r1 * e0 - r0 * e1) / length2
-                options.append([ud0 + s * e1, ud1 - s * e0])
+                options.append((ud0 + s * e1, ud1 - s * e0))
     points = tied + options
     phi = [max(_row_violations(rows, u)) for u in points]
     counted = [
@@ -490,41 +464,40 @@ def filter_control(
     if len(active_row_ids) > 1:
         # a constraint with two rows in the problem is named once
         active_row_ids = tuple(dict.fromkeys(active_row_ids))
-    u_out = ControlInput._trusted(u_star, model.control_bounds)
-    deviation = command_deviation(u_star.tolist(), qp.u_des.tolist())
+    u_out = ControlInput._trusted(np.array(u_star), model.control_bounds)
+    deviation = command_deviation(u_star, qp.u_des)
     return FilterResult(u_out, True, deviation, active_row_ids, status, elapsed)
 
 
-def check_kkt(qp: QpProblem, u_star: np.ndarray, tol: float = 1e-8) -> dict:
-    """Residuals of the KKT system at u_star for the full problem (rows plus
-    box). Multipliers are recovered by nonnegative least squares on the
-    active constraints; used by tests and the solver's own validation
-    evidence. The point of the active normals' cone nearest the gradient
-    lies on a face spanned by at most d of them, so the least squares runs
-    over every set of at most d active constraints; of the fits with
-    nonnegative multipliers, the one with the smallest larger residual
+def check_kkt(qp: QpProblem, u_star, tol: float = 1e-8) -> dict:
+    """Residuals of the KKT system at u_star, any float sequence, for the
+    full problem (rows plus box). Multipliers are recovered by nonnegative
+    least squares on the active constraints; used by tests and the solver's
+    own validation evidence. The point of the active normals' cone nearest
+    the gradient lies on a face spanned by at most d of them, so the least
+    squares runs over every set of at most d active constraints; of the fits
+    with nonnegative multipliers, the one with the smallest larger residual
     (stationarity or complementarity) is reported. The fits use normals
     scaled to a largest entry of 1, so a multiplier stays in range for a
     row of any scale; the residuals do not depend on the scaling.
     """
-    lo = qp.box[:, 0]
-    hi = qp.box[:, 1]
-    m = qp.rows_a.shape[0]
+    u_star = np.asarray(u_star, dtype=float)
+    m = len(qp.rows)
     d = qp.control_dim
     cons_a = np.zeros((m + 2 * d, d))
     cons_b = np.zeros(m + 2 * d)
-    if m:
-        cons_a[:m] = qp.rows_a
-        cons_b[:m] = qp.rows_b
-    for j in range(d):
+    for i, row in enumerate(qp.rows):
+        cons_a[i] = row[:d]
+        cons_b[i] = row[d]
+    for j, (lo, hi) in enumerate(qp.box):
         cons_a[m + 2 * j, j] = 1.0
-        cons_b[m + 2 * j] = lo[j]
+        cons_b[m + 2 * j] = lo
         cons_a[m + 2 * j + 1, j] = -1.0
-        cons_b[m + 2 * j + 1] = -hi[j]
+        cons_b[m + 2 * j + 1] = -hi
     slack = cons_a @ u_star - cons_b
     primal = float(max(0.0, -np.min(slack))) if slack.size else 0.0
     active = np.nonzero(slack <= tol * 10)[0]
-    grad = u_star - qp.u_des
+    grad = u_star - np.array(qp.u_des)
     scales = np.max(np.abs(cons_a), axis=1)
     scales[scales == 0.0] = 1.0
     normals = cons_a / scales[:, None]

@@ -4,8 +4,8 @@ and a non-interfering recorder.
 An episode advances at a fixed control period dt. Each step reads the RTA
 mode from the schedule, asks the primary controller for a command, filters it
 (or passes it through saturated when RTA is off), draws the disturbance, and
-integrates the plant. Every step is recorded; traces serialize to CSV and
-round-trip losslessly.
+integrates the plant. Every step is recorded; traces serialize to CSV, and
+their per-step fields round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -169,6 +169,9 @@ class EpisodeTrace:
     Arrays hold the pre-step sample at each control instant: time, state, the
     desired and applied commands, each constraint's barrier value, whether the
     filter intervened, the step status, and the filter wall-clock time.
+    final_state and final_t are the state and time after the last step as
+    run_episode ends; a trace read back by read_trace holds the last
+    recorded sample there instead.
     """
 
     config: ScenarioConfig
@@ -341,7 +344,8 @@ def trace_header(config: ScenarioConfig, constraint_ids) -> str:
 def write_trace(trace: EpisodeTrace, path) -> None:
     """CSV with a comment preamble carrying the config and its hash. Floats
     are written as shortest round-trip decimals, so read_trace(write_trace(t))
-    reproduces every numeric field exactly."""
+    reproduces every per-step field exactly. The state after the last step
+    has no row, so final_state and final_t do not round-trip."""
     lines = []
     lines.append(f"# config_hash: {trace.config_hash}")
     lines.append(
@@ -366,7 +370,13 @@ def write_trace(trace: EpisodeTrace, path) -> None:
 
 
 def read_trace(path) -> EpisodeTrace:
-    """Parse a trace CSV written by write_trace."""
+    """Parse a trace CSV written by write_trace.
+
+    Every per-step field reads back exactly, and each step's deviation is
+    recomputed with the filter's formula. The file has no row for the state
+    after the last step, so final_state and final_t are the last recorded
+    pre-step sample (the config's initial state and 0.0 for a trace with no
+    steps), not the state the episode ended in."""
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = fh.read().splitlines()
 

@@ -16,6 +16,15 @@ import numpy as np
 _GRID_CACHE = {}
 
 
+def qp_arrays(qp):
+    """A filter problem's rows and box as the arrays the numpy oracles read:
+    (rows_a of shape (m, d), rows_b, lo, hi)."""
+    d = qp.control_dim
+    rows = np.array(qp.rows, dtype=float).reshape(-1, d + 1)
+    box = np.array(qp.box, dtype=float)
+    return rows[:, :d], rows[:, d], box[:, 0], box[:, 1]
+
+
 def _grid(box_key, points, dtype):
     key = (box_key, points, dtype)
     if key in _GRID_CACHE:
@@ -38,21 +47,22 @@ def grid_oracle(qp, points=2001, precise=False):
     `precise` re-runs in double precision for boundary disagreements.
     """
     d = qp.control_dim
+    rows_a, rows_b, lo, hi = qp_arrays(qp)
     if d == 1:
-        axis = np.linspace(qp.box[0, 0], qp.box[0, 1], points)
+        axis = np.linspace(lo[0], hi[0], points)
         mask = np.ones(points, dtype=bool)
-        for i in range(qp.rows_a.shape[0]):
-            mask &= axis * qp.rows_a[i, 0] >= qp.rows_b[i]
+        for i in range(rows_a.shape[0]):
+            mask &= axis * rows_a[i, 0] >= rows_b[i]
         if not mask.any():
             return None, False
         dev = np.abs(axis[mask] - qp.u_des[0])
         return float(dev.min()), True
 
     dtype = np.float64 if precise else np.float32
-    box_key = ((qp.box[0, 0], qp.box[0, 1]), (qp.box[1, 0], qp.box[1, 1]))
+    box_key = ((lo[0], hi[0]), (lo[1], hi[1]))
     g0, g1 = _grid(box_key, points, dtype)
-    rows_a = qp.rows_a.astype(dtype)
-    rows_b = qp.rows_b.astype(dtype)
+    rows_a = rows_a.astype(dtype)
+    rows_b = rows_b.astype(dtype)
     ud0 = dtype(qp.u_des[0])
     ud1 = dtype(qp.u_des[1])
     n = g0.shape[0]

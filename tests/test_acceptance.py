@@ -45,7 +45,7 @@ from tests.conftest import (
     scenario_1d,
     scenario_2d,
 )
-from tests.oracles import grid_oracle
+from tests.oracles import grid_oracle, qp_arrays
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -190,11 +190,10 @@ def _random_qp(rng, d, max_rows=5):
         rows_a.append(a)
         rows_b.append(float(rng.uniform(-1.5, 1.5)))
     return QpProblem(
-        u_des=rng.uniform(-2.0, 2.0, size=d),
-        rows_a=np.asarray(rows_a, float).reshape(m, d),
-        rows_b=np.asarray(rows_b, float),
+        u_des=tuple(rng.uniform(-2.0, 2.0, size=d).tolist()),
+        rows=tuple((*a.tolist(), b) for a, b in zip(rows_a, rows_b)),
         row_ids=tuple(f"r{i}" for i in range(m)),
-        box=np.asarray([[-1.0, 1.0]] * d, float),
+        box=((-1.0, 1.0),) * d,
     )
 
 
@@ -207,6 +206,8 @@ def test_criterion_3_minimal_deviation_oracle():
         d = 1 if i < 350 else 2
         qp = _random_qp(rng, d)
         u_star, _, status = solve_qp(qp)
+        u_star = np.asarray(u_star)
+        rows_a, rows_b, _, _ = qp_arrays(qp)
         oracle_dev, feasible = grid_oracle(qp)
         if feasible != (status != INFEASIBLE_FALLBACK):
             # boundary sliver: settle the disagreement in double precision
@@ -217,8 +218,8 @@ def test_criterion_3_minimal_deviation_oracle():
         assert feasible
         dev = float(np.linalg.norm(u_star - qp.u_des))
         assert dev <= oracle_dev + pitch * np.sqrt(d), f"instance {i}: {dev} vs {oracle_dev}"
-        if qp.rows_a.shape[0]:
-            assert float(np.min(qp.rows_a @ u_star - qp.rows_b)) >= -1e-9
+        if rows_a.shape[0]:
+            assert float(np.min(rows_a @ u_star - rows_b)) >= -1e-9
         kkt = check_kkt(qp, u_star)
         worst_kkt = max(worst_kkt, kkt["stationarity"], kkt["primal"], kkt["complementarity"])
         assert worst_kkt <= 1e-8

@@ -22,18 +22,18 @@ from asifkit import (
 )
 
 
-from tests.oracles import grid_oracle
+from tests.oracles import grid_oracle, qp_arrays
 
 
 def make_qp(u_des, rows_a, rows_b, box):
     m = len(rows_b)
     d = len(u_des)
+    rows_a = np.asarray(rows_a, float).reshape(m, d).tolist()
     return QpProblem(
-        u_des=np.asarray(u_des, float),
-        rows_a=np.asarray(rows_a, float).reshape(m, d),
-        rows_b=np.asarray(rows_b, float),
+        u_des=tuple(np.asarray(u_des, float).tolist()),
+        rows=tuple((*a, b) for a, b in zip(rows_a, np.asarray(rows_b, float).tolist())),
         row_ids=tuple(f"r{i}" for i in range(m)),
-        box=np.asarray(box, float).reshape(d, 2),
+        box=tuple(map(tuple, np.asarray(box, float).reshape(d, 2).tolist())),
     )
 
 
@@ -43,7 +43,8 @@ def make_qp(u_des, rows_a, rows_b, box):
 def test_assemble_empty_constraints(model_1d):
     u = ControlInput([0.4], model_1d.control_bounds)
     qp = assemble_qp([], model_1d, PlantState([0.0, 0.0]), u)
-    assert qp.rows_a.shape == (0, 1)
+    rows_a, _, _, _ = qp_arrays(qp)
+    assert rows_a.shape == (0, 1)
     u_star, active, status = solve_qp(qp)
     assert status == PASSTHROUGH and np.array_equal(u_star, [0.4]) and active == ()
 
@@ -51,8 +52,9 @@ def test_assemble_empty_constraints(model_1d):
 def test_assemble_composes_hand_row(fence, model_1d):
     u = ControlInput([1.0], model_1d.control_bounds)
     qp = assemble_qp([fence], model_1d, PlantState([0.0, 1.0]), u)
-    assert np.allclose(qp.rows_a, [[-1.0]])
-    assert qp.rows_b[0] == pytest.approx(0.5, abs=1e-15)
+    rows_a, rows_b, _, _ = qp_arrays(qp)
+    assert np.allclose(rows_a, [[-1.0]])
+    assert rows_b[0] == pytest.approx(0.5, abs=1e-15)
     assert qp.row_ids == ("fence",)
     assert np.array_equal(qp.box, [[-1.0, 1.0]])
 
@@ -60,7 +62,8 @@ def test_assemble_composes_hand_row(fence, model_1d):
 def test_assemble_drops_vacuous_row(fence, model_1d):
     u = ControlInput([1.0], model_1d.control_bounds)
     qp = assemble_qp([fence], model_1d, PlantState([0.0, 0.0]), u)  # a=0, b=-1
-    assert qp.rows_a.shape[0] == 0
+    rows_a, _, _, _ = qp_arrays(qp)
+    assert rows_a.shape[0] == 0
 
 
 def test_assemble_raises_structural(fence, model_1d):
@@ -87,10 +90,12 @@ def test_rows_unchanged_without_period(fence, circle, speed, model_1d, model_2d)
             u = ControlInput(rng.uniform(-1, 1, size=dim // 2), model.control_bounds)
             plain = assemble_qp(constraints, model, state, u)
             continuous = _stacked_cbf_rows(constraints, model, state)
-            assert [(a.tobytes(), b) for a, b in zip(plain.rows_a, plain.rows_b.tolist())] == continuous
+            rows_a, rows_b, _, _ = qp_arrays(plain)
+            assert [(a.tobytes(), b) for a, b in zip(rows_a, rows_b.tolist())] == continuous
             assert plain.unmet_ids == ()
             sampled = assemble_qp(constraints, model, state, u, dt=0.01)
-            sampled_rows = [(a.tobytes(), b) for a, b in zip(sampled.rows_a, sampled.rows_b.tolist())]
+            rows_a, rows_b, _, _ = qp_arrays(sampled)
+            sampled_rows = [(a.tobytes(), b) for a, b in zip(rows_a, rows_b.tolist())]
             assert all(row in sampled_rows for row in continuous)
             assert len(sampled_rows) > len(continuous)
 
@@ -166,7 +171,7 @@ def test_solve_rows_without_authority():
     assert status == INFEASIBLE_FALLBACK and 0 in active
     box2 = [[-1.0, 1.0]] * 2
     u_star, active, status = solve_qp(make_qp([0.5, 0.2], [[0.0, 0.0], [-1.0, 0.0]], [-0.3, 0.0], box2))
-    assert status == MODIFIED and u_star.tolist() == [0.0, 0.2] and active == (1,)
+    assert status == MODIFIED and np.asarray(u_star).tolist() == [0.0, 0.2] and active == (1,)
     for rows_a in ([[0.0, 0.0], [-1.0, 0.0]], [[-1.0, 0.0], [0.0, 0.0]]):
         rows_b = [0.3, 0.0] if rows_a[0] == [0.0, 0.0] else [0.0, 0.3]
         u_star, active, status = solve_qp(make_qp([0.5, 0.2], rows_a, rows_b, box2))
@@ -182,7 +187,7 @@ def test_one_and_two_axes_decide_alike(a, b):
     through."""
     one = solve_qp(make_qp([0.0], [[a]], [b], [[-1.0, 1.0]]))
     two = solve_qp(make_qp([0.0, 0.0], [[a, 0.0]], [b], [[-1.0, 1.0]] * 2))
-    assert (one[0][:1].tobytes(), one[1], one[2]) == (two[0][:1].tobytes(), two[1], two[2])
+    assert (np.asarray(one[0])[:1].tobytes(), one[1], one[2]) == (np.asarray(two[0])[:1].tobytes(), two[1], two[2])
     assert one[2] == PASSTHROUGH
 
 
@@ -193,13 +198,13 @@ def test_fallback_ties_take_the_nearest_least_max_violation_point():
     box2 = [[-1.0, 1.0]] * 2
     # max violation max(0.3, u0) is least on u0 <= 0.3
     u_star, active, status = solve_qp(make_qp([0.5, 0.2], [[0.0, 0.0], [-1.0, 0.0]], [0.3, 0.0], box2))
-    assert status == INFEASIBLE_FALLBACK and u_star.tolist() == [0.3, 0.2] and active == (0, 1)
+    assert status == INFEASIBLE_FALLBACK and np.asarray(u_star).tolist() == [0.3, 0.2] and active == (0, 1)
     # max violation 2 - u0 is least on the face u0 = 1
     u_star, active, status = solve_qp(make_qp([0.5, 0.2], [[1.0, 0.0]], [2.0], box2))
-    assert status == INFEASIBLE_FALLBACK and u_star.tolist() == [1.0, 0.2] and active == (0,)
+    assert status == INFEASIBLE_FALLBACK and np.asarray(u_star).tolist() == [1.0, 0.2] and active == (0,)
     # one axis: u_des clamped into the tied interval [-1, 0.3]
     u_star, active, status = solve_qp(make_qp([0.0], [[0.0], [-1.0]], [0.3, 0.0], [[-1.0, 1.0]]))
-    assert status == INFEASIBLE_FALLBACK and u_star.tolist() == [0.0] and active == (0,)
+    assert status == INFEASIBLE_FALLBACK and np.asarray(u_star).tolist() == [0.0] and active == (0,)
 
 
 def test_clamped_slack_ties_decided_by_the_scalar_slack():
@@ -281,18 +286,20 @@ def test_minimal_deviation_matches_grid_oracle(d, count, seed):
     for _ in range(count):
         qp = _random_qp(rng, d)
         u_star, _active, status = solve_qp(qp)
+        u_star = np.asarray(u_star)
+        rows_a, rows_b, lo, hi = qp_arrays(qp)
         oracle_dev, oracle_feasible = grid_oracle(qp)
         if oracle_feasible != (status != INFEASIBLE_FALLBACK):
             oracle_dev, oracle_feasible = grid_oracle(qp, precise=True)
         if status == INFEASIBLE_FALLBACK:
             assert not oracle_feasible
-            assert np.all(u_star >= qp.box[:, 0]) and np.all(u_star <= qp.box[:, 1])
+            assert np.all(u_star >= lo) and np.all(u_star <= hi)
             continue
         assert oracle_feasible
         dev = float(np.linalg.norm(u_star - qp.u_des))
         assert dev <= oracle_dev + pitch * np.sqrt(d)
-        if qp.rows_a.shape[0]:
-            assert float(np.min(qp.rows_a @ u_star - qp.rows_b)) >= -1e-9
+        if rows_a.shape[0]:
+            assert float(np.min(rows_a @ u_star - rows_b)) >= -1e-9
         kkt = check_kkt(qp, u_star)
         assert kkt["stationarity"] <= 1e-8
         assert kkt["primal"] <= 1e-8
@@ -369,9 +376,10 @@ def _least_max_violation(qp, grid_points=None):
     over a per-axis grid of the box."""
     if grid_points is None:
         return float(np.max(asif._least_max_violation(qp)[1]))
+    rows_a, rows_b, _, _ = qp_arrays(qp)
     axes = [np.linspace(lo, hi, grid_points) for lo, hi in qp.box]
     grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-    return float(np.min(np.max(qp.rows_b[:, None] - qp.rows_a @ grid, axis=0)))
+    return float(np.min(np.max(rows_b[:, None] - rows_a @ grid, axis=0)))
 
 
 def _opposed_pair_active(qp, u):
@@ -379,7 +387,8 @@ def _opposed_pair_active(qp, u):
     that are nearly, but not exactly, opposed. Their wedge's apex needs KKT
     multipliers near 1 / angle, up to 1e12, and no double-precision check
     resolves stationarity and complementarity below about 1e-16 times them."""
-    normals, offsets = list(qp.rows_a), list(qp.rows_b)
+    rows_a, rows_b, _, _ = qp_arrays(qp)
+    normals, offsets = list(rows_a), list(rows_b)
     for axis, (lo, hi) in zip(np.eye(qp.control_dim), qp.box):
         normals += [axis, -axis]
         offsets += [lo, -hi]
@@ -404,14 +413,16 @@ def test_solve_properties_on_hand_built_problems(qp):
     within that tolerance is all the solver can give. A fallback is only
     reported for a problem with no feasible point on a grid of the box."""
     u_star, active, status = solve_qp(qp)
-    assert np.all(u_star >= qp.box[:, 0] - 1e-12) and np.all(u_star <= qp.box[:, 1] + 1e-12)
+    u_star = np.asarray(u_star)
+    rows_a, rows_b, lo, hi = qp_arrays(qp)
+    assert np.all(u_star >= lo - 1e-12) and np.all(u_star <= hi + 1e-12)
     if status == MODIFIED:
         kkt = check_kkt(qp, u_star)
         assert kkt["primal"] <= 1e-8
-        exactly_feasible = qp.rows_a.shape[0] == 0 or _least_max_violation(qp) <= 0.0
-        if qp.rows_a.shape[0]:
-            feas_tol = asif._feas_tol(qp.rows_b.tolist(), qp.box.ravel().tolist(), qp.u_des.tolist())
-            for a, b in zip(qp.rows_a.tolist(), qp.rows_b.tolist()):
+        exactly_feasible = rows_a.shape[0] == 0 or _least_max_violation(qp) <= 0.0
+        if rows_a.shape[0]:
+            feas_tol = asif._feas_tol(qp)
+            for a, b in zip(rows_a.tolist(), rows_b.tolist()):
                 authority = sum(v * v for v in a) > asif._DEP_TOL * asif._DEP_TOL
                 assert (b - sum(v * w for v, w in zip(a, u_star.tolist())) if authority else b) <= feas_tol
             assert exactly_feasible or _least_max_violation(qp) <= feas_tol

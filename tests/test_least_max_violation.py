@@ -38,8 +38,9 @@ from tests import oracles
 def _reference_least_max_violation(qp):
     """The earlier enumerator behind the new one's interface: the point and
     its row violations, priced by the scalar sum."""
-    u = oracles.least_max_violation(qp, qp.rows_a, qp.rows_b, qp.box[:, 0], qp.box[:, 1])
-    return u, oracles.row_violations(qp.rows_a, qp.rows_b, u)
+    rows_a, rows_b, lo, hi = oracles.qp_arrays(qp)
+    u = oracles.least_max_violation(qp, rows_a, rows_b, lo, hi)
+    return u, oracles.row_violations(rows_a, rows_b, u)
 
 
 def random_problem(rng, d):
@@ -60,7 +61,10 @@ def random_problem(rng, d):
         rows_a = np.round(rows_a, 1)
         rows_b = np.round(rows_b, 1)
     return QpProblem(
-        rng.uniform(-1.5, 1.5, size=d), rows_a, rows_b, tuple(f"r{i}" for i in range(m)), np.array([[-1.0, 1.0]] * d)
+        tuple(rng.uniform(-1.5, 1.5, size=d).tolist()),
+        tuple((*a, b) for a, b in zip(rows_a.tolist(), rows_b.tolist())),
+        tuple(f"r{i}" for i in range(m)),
+        ((-1.0, 1.0),) * d,
     )
 
 
@@ -108,13 +112,14 @@ def box_grid(box, points):
 
 def _tied(qp):
     """Whether distinct reference candidates share the least maximum violation."""
-    candidates = oracles.least_max_violation_candidates(qp.rows_a, qp.rows_b, qp.box[:, 0], qp.box[:, 1])
-    phi = [max(oracles.row_violations(qp.rows_a, qp.rows_b, u)) for u in candidates]
+    rows_a, rows_b, lo, hi = oracles.qp_arrays(qp)
+    candidates = oracles.least_max_violation_candidates(rows_a, rows_b, lo, hi)
+    phi = [max(oracles.row_violations(rows_a, rows_b, u)) for u in candidates]
     return len({tuple(u.tolist()) for u, p in zip(candidates, phi) if p == min(phi)}) > 1
 
 
 def _distance(u, qp):
-    return asif.command_deviation(u.tolist(), qp.u_des.tolist())
+    return asif.command_deviation(u.tolist(), qp.u_des)
 
 
 def compare(problems, monkeypatch):
@@ -126,20 +131,21 @@ def compare(problems, monkeypatch):
     grids = {1: box_grid([[-1.0, 1.0]], 2001), 2: box_grid([[-1.0, 1.0]] * 2, 101)}
     fallbacks = moved = 0
     for qp, ((ref_u, ref_active, ref_status), ref_point) in zip(problems, reference):
+        rows_a, rows_b, _, _ = oracles.qp_arrays(qp)
         u, active, status = solve_qp(qp)
         point, worst = asif._least_max_violation(qp)
         point = np.array(point)
-        assert np.array(worst).tobytes() == np.array(oracles.row_violations(qp.rows_a, qp.rows_b, point)).tobytes()
+        assert np.array(worst).tobytes() == np.array(oracles.row_violations(rows_a, rows_b, point)).tobytes()
         fallbacks += status == INFEASIBLE_FALLBACK
         if point.tobytes() != ref_point.tobytes():
             moved += 1
             assert _tied(qp), (qp, point, ref_point)
-            assert max(worst) == max(oracles.row_violations(qp.rows_a, qp.rows_b, ref_point))
+            assert max(worst) == max(oracles.row_violations(rows_a, rows_b, ref_point))
             assert _distance(point, qp) <= _distance(ref_point, qp)
         if status != INFEASIBLE_FALLBACK or point.tobytes() == ref_point.tobytes():
-            assert (u.tobytes(), active, status) == (ref_u.tobytes(), ref_active, ref_status)
-        assert qp.box.tolist() == [[-1.0, 1.0]] * qp.control_dim
-        grid_least = np.min(np.max(qp.rows_b[:, None] - qp.rows_a @ grids[qp.control_dim], axis=0))
+            assert (np.asarray(u).tobytes(), active, status) == (np.asarray(ref_u).tobytes(), ref_active, ref_status)
+        assert np.asarray(qp.box).tolist() == [[-1.0, 1.0]] * qp.control_dim
+        grid_least = np.min(np.max(rows_b[:, None] - rows_a @ grids[qp.control_dim], axis=0))
         assert float(np.max(worst)) <= float(grid_least) + 1e-9
     return fallbacks, moved
 
@@ -155,9 +161,10 @@ def test_matches_reference_on_an_exactly_singular_crossing(monkeypatch):
     lines passes the determinant test by rounding yet is exactly singular.
     The reference skips it, as the filter does."""
     r0, r1 = -2.3653039062769743, 1.228683719203421
-    rows_a = np.array([[r0, r1], [3.0 * r0, 3.0 * r1], [9.0 * r0, 9.0 * r1], [-r0, -r1]])
-    rows_b = np.array([0.33962000824864264, 0.42377135285334727, 0.37122741773625884, 0.3827571602707609])
-    qp = QpProblem(np.zeros(2), rows_a, rows_b, ("r0", "r1", "r2", "r3"), np.array([[-1.0, 1.0]] * 2))
+    rows_a = [(r0, r1), (3.0 * r0, 3.0 * r1), (9.0 * r0, 9.0 * r1), (-r0, -r1)]
+    rows_b = [0.33962000824864264, 0.42377135285334727, 0.37122741773625884, 0.3827571602707609]
+    rows = tuple((*a, b) for a, b in zip(rows_a, rows_b))
+    qp = QpProblem((0.0, 0.0), rows, ("r0", "r1", "r2", "r3"), ((-1.0, 1.0),) * 2)
     assert compare([qp], monkeypatch) == (1, 0)
 
 
@@ -169,28 +176,33 @@ def test_matches_reference_on_random_problems(d, monkeypatch):
     assert fallbacks > 1000 and moved > 100
 
 
-class _NoArithmetic(np.ndarray):
-    """An array on which every numpy ufunc and array function raises."""
+class _Unreachable:
+    """Stands in for numpy: any attribute access raises."""
 
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        raise AssertionError(f"numpy ufunc {ufunc.__name__} in the solve")
-
-    def __array_function__(self, func, types, args, kwargs):
-        raise AssertionError(f"numpy function {func.__name__} in the solve")
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} reached in the solve")
 
 
-def test_solve_computes_on_python_floats_only():
-    """solve_qp reads its problem's arrays and builds its result, but does no
-    numpy arithmetic on any status: the same problem with arrays that raise
-    on any numpy operation gives the same result."""
+def _leaves(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def test_solve_computes_without_numpy(monkeypatch):
+    """A problem from assemble_qp holds only tuples, strings and Python
+    floats, and solve_qp computes on them with numpy out of reach, on every
+    status."""
     rng = np.random.default_rng(50)
-    problems = multirow_fallback_problems(np.random.default_rng(31), 50)
-    problems += [random_problem(rng, d) for d in (1, 2) for _ in range(500)]
+    filter_problems = multirow_fallback_problems(np.random.default_rng(31), 50)
+    for qp in filter_problems:
+        assert {type(leaf) for leaf in _leaves(qp)} <= {str, float}, qp
+    problems = filter_problems + [random_problem(rng, d) for d in (1, 2) for _ in range(500)]
     statuses = Counter()
-    for qp in problems:
-        u, active, status = solve_qp(qp)
-        guarded = qp._replace(**{f: getattr(qp, f).view(_NoArithmetic) for f in ("u_des", "rows_a", "rows_b", "box")})
-        u_guarded, active_guarded, status_guarded = solve_qp(guarded)
-        assert (u_guarded.tobytes(), active_guarded, status_guarded) == (u.tobytes(), active, status)
-        statuses[status] += 1
+    with monkeypatch.context() as patch:
+        patch.setattr(asif, "np", _Unreachable())
+        for qp in problems:
+            statuses[solve_qp(qp)[2]] += 1
     assert set(statuses) == {PASSTHROUGH, MODIFIED, INFEASIBLE_FALLBACK}, statuses
