@@ -31,8 +31,8 @@ the norm of its a exceeds _DEP_TOL. A row without it is met iff b <= feas_tol
 A solved point meets every row so; it is passthrough iff it equals u_des,
 else modified. A problem with no such point is an infeasible_fallback.
 
-Rounding: the problem is held in Python floats, from assemble_qp to the
-command, and the solve, fallback included, computes on them in one fixed
+Rounding: the filter computes in Python floats from the barrier rows
+(cbf_row, sampled_row) to the command, the solve and fallback in one fixed
 order with no numpy call, so its bits match on every machine. filter_control
 builds the one array, the command's.
 """
@@ -106,7 +106,6 @@ def assemble_qp(
     unmet = []
     for constraint in constraints:
         a, b = cbf_row(constraint, model, state)
-        a = a.tolist()
         sampled = None if dt is None else sampled_row(constraint, model, state, dt)
         if any(a):
             rows.append((*a, b))
@@ -116,7 +115,7 @@ def assemble_qp(
                 raise StructurallyInfeasible(constraint.id)
             unmet.append(constraint.id)
         if sampled is not None:
-            rows.append((*sampled[0].tolist(), sampled[1]))
+            rows.append((*sampled[0], sampled[1]))
             row_ids.append(constraint.id)
     return QpProblem(tuple(u_des.u.tolist()), tuple(rows), tuple(row_ids), model._box, tuple(unmet))
 

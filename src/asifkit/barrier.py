@@ -7,6 +7,9 @@ strengthened barrier condition hdot + gamma * h >= 0 (cbf_row):
     a = grad_h(x) . g(x)          (length control_dim)
     b = -grad_h(x) . f(x) - gamma * h(x)
 
+Rows and gradients are returned as tuples of Python floats: a row's a is
+the solver's row without its b.
+
 A command held over a control period dt (zero-order hold) obeys a different
 condition, h(x_{k+1}) >= (1 - gamma dt) h(x_k). sampled_row gives that row
 for the geofences: exact for geofence_1d, and on a stopping-point barrier,
@@ -127,10 +130,10 @@ def _h(constraint: BarrierConstraint, x: list[float]) -> float:
     return p["v_max"] ** 2 - v0 * v0 - v1 * v1
 
 
-def _grad(constraint: BarrierConstraint, x: list[float]) -> list[float]:
+def _grad(constraint: BarrierConstraint, x: list[float]) -> tuple[float, ...]:
     p = constraint.params
     if constraint.kind == GEOFENCE_1D:
-        return [-1.0, -abs(x[1]) / p["u_max"]]
+        return (-1.0, -abs(x[1]) / p["u_max"])
     if constraint.kind == GEOFENCE_2D_CIRCLE:
         cx, cy = p["center"]
         r0 = x[0] - cx
@@ -143,17 +146,17 @@ def _grad(constraint: BarrierConstraint, x: list[float]) -> list[float]:
         v_r = rh0 * v0 + rh1 * v1
         if v_r > 0.0:
             c = v_r / p["u_max"]
-            return [
+            return (
                 -rh0 - c * (v0 - v_r * rh0) / d,
                 -rh1 - c * (v1 - v_r * rh1) / d,
                 -c * rh0,
                 -c * rh1,
-            ]
-        return [-rh0, -rh1, 0.0, 0.0]
+            )
+        return (-rh0, -rh1, 0.0, 0.0)
     # speed_limit
     if len(x) == 2:
-        return [0.0, -2.0 * x[1]]
-    return [0.0, 0.0, -2.0 * x[2], -2.0 * x[3]]
+        return (0.0, -2.0 * x[1])
+    return (0.0, 0.0, -2.0 * x[2], -2.0 * x[3])
 
 
 def eval_h(constraint: BarrierConstraint, state: PlantState) -> float:
@@ -161,33 +164,27 @@ def eval_h(constraint: BarrierConstraint, state: PlantState) -> float:
     return _h(constraint, _coords(constraint, state))
 
 
-def eval_grad_h(constraint: BarrierConstraint, state: PlantState) -> np.ndarray:
-    """Gradient of h with respect to the state vector."""
-    return np.array(_grad(constraint, _coords(constraint, state)))
+def eval_grad_h(constraint: BarrierConstraint, state: PlantState) -> tuple[float, ...]:
+    """Gradient of h with respect to the state vector, a tuple of floats."""
+    return _grad(constraint, _coords(constraint, state))
 
 
-def eval_grad_h_list(constraint: BarrierConstraint, state: PlantState, model: PlantModel) -> list[float]:
-    """eval_grad_h as a list of floats, for per-step scalar code, with the
-    state's dimension also checked against the model."""
-    return _grad(constraint, _coords(constraint, state, model))
-
-
-def cbf_row(constraint: BarrierConstraint, model: PlantModel, state: PlantState) -> tuple[np.ndarray, float]:
+def cbf_row(constraint: BarrierConstraint, model: PlantModel, state: PlantState) -> tuple[tuple[float, ...], float]:
     """Reduce the constraint to the linear row a . u >= b at this state.
 
     The admissible set {u : a.u >= b} is the strengthened barrier condition
-    hdot + gamma*h >= 0 under the model's control-affine dynamics. a and b
-    depend only on the state, never on u.
+    hdot + gamma*h >= 0 under the model's control-affine dynamics. a, a tuple
+    of floats, and b depend only on the state, never on u.
     """
     x = _coords(constraint, state, model)
     gamma_h = constraint.gamma * _h(constraint, x)
     grad = _grad(constraint, x)
-    return np.array(actuation_row(model, grad)), -drift_term(model, grad, state) - gamma_h
+    return actuation_row(model, grad), -drift_term(model, grad, x) - gamma_h
 
 
 def sampled_row(
     constraint: BarrierConstraint, model: PlantModel, state: PlantState, dt: float
-) -> tuple[np.ndarray, float] | None:
+) -> tuple[tuple[float, ...], float] | None:
     """The sampled-data row a . u >= b for a command held over one period dt.
 
     It enforces h(x_{k+1}(u)) >= (1 - gamma*dt) * h(x_k), where x_{k+1}(u) is
@@ -212,7 +209,7 @@ def sampled_row(
         its maximum, so there is no row (None).
     speed_limit: None; the continuous row stands alone.
 
-    A row returned always has authority (a != 0).
+    A row returned is a float row as cbf_row's, with authority (a != 0).
     """
     if not dt > 0:
         raise InvalidConfig(f"dt must be > 0, got {dt}")
@@ -232,7 +229,7 @@ def sampled_row(
         rho = k_p / k_v
         k = p["p_limit"] - p_free + rho * v_free - decay * h_k
         s = 2.0 * k / (rho + math.sqrt(rho * rho + 2.0 * abs(k) / u_max))
-        return np.array([-1.0]), -(s - v_free) / k_v
+        return (-1.0,), -(s - v_free) / k_v
     p0, p1, v0, v1 = x
     cx, cy = p["center"]
     speed = math.hypot(v0, v1)
@@ -265,7 +262,7 @@ def sampled_row(
         k = beta * (bv0 * n0 + bv1 * n1) / (b_speed * b_speed)
         a0 -= k * bv0
         a1 -= k * bv1
-    return np.array([a0, a1]), demand + a0 * ub0 + a1 * ub1
+    return (a0, a1), demand + a0 * ub0 + a1 * ub1
 
 
 def constraint_from_config(cfg: dict) -> BarrierConstraint:

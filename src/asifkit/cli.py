@@ -137,7 +137,7 @@ def _cmd_check_gradients(args) -> int:
     for constraint in constraints:
         for _ in range(args.states):
             state = _gradient_check_states(rng, constraint.kind)
-            grad = eval_grad_h(constraint, state)
+            grad = np.array(eval_grad_h(constraint, state))
             fd = np.empty_like(grad)
             for i in range(grad.shape[0]):
                 hi = state.x.copy(); hi[i] += step

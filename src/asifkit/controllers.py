@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import BarrierConstraint, eval_grad_h_list
+from .barrier import BarrierConstraint, eval_grad_h
 from .dynamics import ControlInput, PlantModel, PlantState, actuation_row, drift_actuation_row
 from .errors import InvalidConfig, InvalidModel, InvalidState, NonFiniteCommand, ParseError
 
@@ -142,16 +142,14 @@ def desired_control(controller: ControllerKind, state: PlantState, model: PlantM
         command = _adversarial_command(controller, state, model)
         return ControlInput._trusted(np.array(command), model.control_bounds)
     if isinstance(controller, NnController):
-        raw = mlp_forward(controller.spec, state.x)
+        command = mlp_forward(controller.spec, state.x).tolist()
     elif isinstance(controller, PdController):
-        half = state.x.shape[0] // 2
-        pos, vel = state.x[:half], state.x[half:]
-        kp = np.asarray(controller.kp)
-        kd = np.asarray(controller.kd)
-        raw = -kp * pos - kd * vel
+        x = state.x.tolist()
+        if len(controller.kp) != model.control_dim or len(x) != model.state_dim:
+            raise InvalidState(f"{len(controller.kp)} pd gains, {len(x)}-dim state: control dim {model.control_dim}")
+        command = [-kp * p - kd * v for kp, kd, p, v in zip(controller.kp, controller.kd, x, x[model.control_dim:])]
     else:
         raise InvalidConfig(f"unknown controller {controller!r}")
-    command = raw.tolist()
     if not all(map(math.isfinite, command)):
         raise NonFiniteCommand(f"controller output {command} is not finite")
     if len(command) != model.control_dim:
@@ -172,7 +170,9 @@ def _adversarial_command(
     """
     if controller.constraint is None or controller.model is None:
         raise InvalidConfig("adversarial controller used before binding to a constraint")
-    grad = eval_grad_h_list(controller.constraint, state, model)
+    if state.x.shape != (model.state_dim,):
+        raise InvalidState(f"state dim {state.x.shape} does not match model {model.kind}")
+    grad = eval_grad_h(controller.constraint, state)
     a = actuation_row(model, grad)
     if not any(a):
         a = drift_actuation_row(model, grad)  # push along the position gradient instead

@@ -154,7 +154,7 @@ def eval_dynamics(model: PlantModel, state: PlantState) -> tuple[np.ndarray, np.
     return _f_g(model.kind, x)
 
 
-def actuation_row(model: PlantModel, grad: list[float]) -> list[float]:
+def actuation_row(model: PlantModel, grad: tuple[float, ...]) -> tuple[float, ...]:
     """grad . g(x) for a row vector grad over the state, without building g.
 
     Both model kinds are double integrators, state (positions, velocities)
@@ -162,12 +162,12 @@ def actuation_row(model: PlantModel, grad: list[float]) -> list[float]:
     block of grad (+ 0.0 gives the positive zeros numpy's grad @ g gives).
     """
     if model.control_dim == 1:
-        return [grad[1] + 0.0]
-    return [grad[2] + 0.0, grad[3] + 0.0]
+        return (grad[1] + 0.0,)
+    return (grad[2] + 0.0, grad[3] + 0.0)
 
 
-def drift_term(model: PlantModel, grad: list[float], state: PlantState) -> float:
-    """grad . f(x) at the state, without building f.
+def drift_term(model: PlantModel, grad: tuple[float, ...], x: list[float]) -> float:
+    """grad . f(x) at the state coordinates x, without building f.
 
     f = (velocities, 0), so this pairs the position block of grad with the
     velocities: the rounded products summed in axis order, each operation
@@ -175,11 +175,11 @@ def drift_term(model: PlantModel, grad: list[float], state: PlantState) -> float
     0.0 + makes a zero sum a positive zero.
     """
     if model.control_dim == 1:
-        return 0.0 + grad[0] * state.x.item(1)
-    return 0.0 + grad[0] * state.x.item(2) + grad[1] * state.x.item(3)
+        return 0.0 + grad[0] * x[1]
+    return 0.0 + grad[0] * x[2] + grad[1] * x[3]
 
 
-def drift_actuation_row(model: PlantModel, grad: list[float]) -> list[float]:
+def drift_actuation_row(model: PlantModel, grad: tuple[float, ...]) -> tuple[float, ...]:
     """grad . (df/dx) g: how each control moves grad . f one integration
     later. f is linear with df/dx = (0 I; 0 0), so this is the position
     block of grad, each position paired with the control on its velocity."""

@@ -240,7 +240,7 @@ def test_criterion_4_passthrough_bitwise(model_1d, fence):
         from asifkit import cbf_row
 
         a, b = cbf_row(fence, model_1d, state)
-        if not a.any():
+        if not any(a):
             if b > 0.0:
                 continue  # structurally infeasible state, no QP to check
         elif float(a @ u_val) < b:

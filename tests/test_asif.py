@@ -76,7 +76,7 @@ def test_assemble_raises_structural(fence, model_1d):
 
 def _stacked_cbf_rows(constraints, model, state):
     rows = [cbf_row(c, model, state) for c in constraints]
-    return [(a.tobytes(), b) for a, b in rows if a.any()]
+    return [(np.asarray(a).tobytes(), b) for a, b in rows if any(a)]
 
 
 def test_rows_unchanged_without_period(fence, circle, speed, model_1d, model_2d):
@@ -316,7 +316,7 @@ def test_passthrough_bitwise_on_safe_pairs(fence, model_1d):
         state = PlantState(rng.uniform(-2, 2, size=2))
         u_val = rng.uniform(-1, 1, size=1)
         a, b = cbf_row(fence, model_1d, state)
-        if not a.any():
+        if not any(a):
             if b > 0.0:
                 continue  # structurally infeasible state, no QP to check
         elif float(a @ u_val) < b:

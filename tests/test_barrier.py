@@ -181,6 +181,11 @@ def test_constraint_validation():
         BarrierConstraint("x", GEOFENCE_1D, {"p_limit": 1.0, "u_max": 1.0}, gamma=0.0)
     with pytest.raises(InvalidConfig):
         BarrierConstraint("x", GEOFENCE_1D, {"p_limit": -1.0, "u_max": 1.0})
+    # a centre is a finite 2-vector: not a scalar, a string (never split
+    # into digits), a nested list or a 3-vector
+    for center in (1.0, "12", [[0.0, 0.0]], [0.0, 0.0, 0.0], [float("nan"), 0.0]):
+        with pytest.raises(InvalidConfig):
+            BarrierConstraint("x", GEOFENCE_2D_CIRCLE, {"center": center, "radius": 1.0, "u_max": 1.0})
 
 
 # ---- sampled-data rows ----
@@ -217,7 +222,7 @@ def test_sampled_fence_row_admits_full_braking(gamma, model_1d):
     rng = np.random.default_rng(13)
     for state in _safe_fence_states(rng, 300) + [PlantState([1.0, 0.0]), PlantState([0.995, 0.1])]:
         a, b = sampled_row(fence, model_1d, state, DT)
-        assert float(a @ [-1.0]) >= b - 1e-12
+        assert float(np.asarray(a) @ [-1.0]) >= b - 1e-12
         braked = step_rk4(model_1d, state, ControlInput([-1.0], model_1d.control_bounds), np.zeros(2), DT)
         assert eval_h(fence, braked) >= (1.0 - gamma * DT) * eval_h(fence, state) - 1e-12
 
@@ -243,7 +248,7 @@ def test_sampled_circle_row_admits_braking(gamma, model_2d):
     states += [PlantState([0.9, 0.3, 0.004, -0.003]), PlantState([0.5, 0.5, 0.0, 0.0])]
     for state in states:
         a, b = sampled_row(circle, model_2d, state, DT)
-        assert a.any()
+        assert any(a)
         u_b = _braking(state)
         assert np.all(np.abs(u_b) <= 1.0)
         assert float(a @ u_b) >= b - 1e-12

@@ -117,10 +117,13 @@ def test_desired_control_always_in_bounds(p, v, kp, kd):
     assert -1.0 <= out.u[0] <= 1.0
 
 
-def test_desired_control_rejects_wrong_output_dim(model_1d):
+def test_desired_control_rejects_wrong_output_dim(model_1d, model_2d):
     pd = PdController(kp=(1.0, 1.0), kd=(1.0, 1.0))  # two axes on a one-axis plant
     with pytest.raises(InvalidState, match="control dim"):
         desired_control(pd, PlantState([0.1, 0.2]), model_1d)
+    pd = PdController(kp=(1.0,), kd=(1.0,))  # one axis on a two-axis plant, never broadcast
+    with pytest.raises(InvalidState, match="control dim"):
+        desired_control(pd, PlantState([0.1, 0.2, 0.3, 0.4]), model_2d)
 
 
 def test_load_nn_round_trip(tmp_path):

@@ -68,7 +68,7 @@ def test_structure_helpers_match_eval_dynamics(kind):
         f, g = eval_dynamics(model, state)
         row = actuation_row(model, grad.tolist())
         assert np.array(row).tobytes() == (grad @ g).tobytes()
-        term = drift_term(model, grad.tolist(), state)
+        term = drift_term(model, grad.tolist(), x.tolist())
         exact = float(sum(Fraction(g * v) for g, v in zip(grad.tolist()[:d], x.tolist()[d:])))
         assert np.array(term).tobytes() == np.array(exact).tobytes()
         assert np.array_equal(drift_actuation_row(model, grad.tolist()), grad @ jac_f @ g)

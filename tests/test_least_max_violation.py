@@ -11,12 +11,15 @@ one found on a grid over the box.
 
 import math
 from collections import Counter
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from asifkit import (
+    DOUBLE_INTEGRATOR_1D,
     DOUBLE_INTEGRATOR_2D,
+    GEOFENCE_1D,
     GEOFENCE_2D_CIRCLE,
     INFEASIBLE_FALLBACK,
     MODIFIED,
@@ -29,7 +32,12 @@ from asifkit import (
     QpProblem,
     asif,
     assemble_qp,
+    barrier,
+    cbf_row,
+    dynamics,
+    eval_grad_h,
     eval_h,
+    sampled_row,
     solve_qp,
 )
 from tests import oracles
@@ -68,13 +76,12 @@ def random_problem(rng, d):
     )
 
 
-def multirow_fallback_problems(rng, count):
-    """Fallback problems of the filter on three overlapping circle geofences
-    and a speed limit: safe states near a circle's boundary, full-magnitude
-    commands in random directions."""
+def multirow_cases(rng):
+    """Filter inputs (constraints, model, state, u_des) without end, on three
+    overlapping circle geofences and a speed limit: safe states near a
+    circle's boundary, full-magnitude commands in random directions."""
     model = PlantModel(DOUBLE_INTEGRATOR_2D, [[-1.0, 1.0], [-1.0, 1.0]])
-    problems = []
-    while len(problems) < count:
+    while True:
         circles = [
             BarrierConstraint(
                 f"circle{i}",
@@ -98,10 +105,13 @@ def multirow_fallback_problems(rng, count):
                 continue
             angle = rng.uniform(0.0, 2.0 * math.pi)
             u_des = ControlInput(np.clip(1.5 * np.array([math.cos(angle), math.sin(angle)]), -1.0, 1.0), model.control_bounds)
-            qp = assemble_qp(constraints, model, state, u_des)
-            if solve_qp(qp)[2] == INFEASIBLE_FALLBACK:
-                problems.append(qp)
-    return problems[:count]
+            yield constraints, model, state, u_des
+
+
+def multirow_fallback_problems(rng, count):
+    """The first count fallback problems of the filter on multirow_cases."""
+    problems = (assemble_qp(*case) for case in multirow_cases(rng))
+    return list(islice((qp for qp in problems if solve_qp(qp)[2] == INFEASIBLE_FALLBACK), count))
 
 
 def box_grid(box, points):
@@ -180,7 +190,7 @@ class _Unreachable:
     """Stands in for numpy: any attribute access raises."""
 
     def __getattr__(self, name):
-        raise AssertionError(f"np.{name} reached in the solve")
+        raise AssertionError(f"np.{name} reached on the filter path")
 
 
 def _leaves(value):
@@ -206,3 +216,34 @@ def test_solve_computes_without_numpy(monkeypatch):
         for qp in problems:
             statuses[solve_qp(qp)[2]] += 1
     assert set(statuses) == {PASSTHROUGH, MODIFIED, INFEASIBLE_FALLBACK}, statuses
+
+
+def test_rows_assemble_without_numpy(monkeypatch):
+    """cbf_row, sampled_row and eval_grad_h return tuples of Python floats,
+    and assemble_qp builds the problem with the period from them with numpy
+    out of reach in asif, barrier and dynamics: on 1-D fence states, the
+    vacuous and the unmeetable zero row among them, and on the multirow 2-D
+    states."""
+    model_1d = PlantModel(DOUBLE_INTEGRATOR_1D, [[-1.0, 1.0]])
+    fence = BarrierConstraint("fence", GEOFENCE_1D, {"p_limit": 1.0, "u_max": 1.0})
+    rng = np.random.default_rng(60)
+    fence_states = [rng.uniform(-2.0, 2.0, 2) for _ in range(300)] + [[0.0, 0.0], [2.0, 0.0]]
+    cases = [
+        ([fence], model_1d, PlantState(x), ControlInput(rng.uniform(-1.0, 1.0, 1), model_1d.control_bounds))
+        for x in fence_states
+    ]
+    cases += list(islice(multirow_cases(np.random.default_rng(31)), 300))
+    unmet = 0
+    with monkeypatch.context() as patch:
+        for module in (asif, barrier, dynamics):
+            patch.setattr(module, "np", _Unreachable())
+        for constraints, model, state, u_des in cases:
+            qp = assemble_qp(constraints, model, state, u_des, dt=0.01)
+            assert {type(leaf) for leaf in _leaves(qp)} <= {str, float}, qp
+            unmet += len(qp.unmet_ids)
+            for constraint in constraints:
+                sampled = sampled_row(constraint, model, state, 0.01)
+                outputs = [cbf_row(constraint, model, state), eval_grad_h(constraint, state)]
+                for out in outputs + ([] if sampled is None else [sampled]):
+                    assert type(out) is tuple and {type(leaf) for leaf in _leaves(out)} == {float}, out
+    assert unmet == 1
