@@ -33,8 +33,9 @@ else modified. A problem with no such point is an infeasible_fallback.
 
 Rounding: the filter computes in Python floats from the barrier rows
 (cbf_row, sampled_row) to the command, the solve and fallback in one fixed
-order with no numpy call, so its bits match on every machine. filter_control
-builds the one array, the command's.
+order with no numpy call, so its bits match on every machine. It reads u_des
+as the command's float tuple (ControlInput.us), and filter_control wraps the
+solved tuple as the filtered command without building an array.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def assemble_qp(
         if sampled is not None:
             rows.append((*sampled[0], sampled[1]))
             row_ids.append(constraint.id)
-    return QpProblem(tuple(u_des.u.tolist()), tuple(rows), tuple(row_ids), model._box, tuple(unmet))
+    return QpProblem(u_des.us, tuple(rows), tuple(row_ids), model._box, tuple(unmet))
 
 
 def solve_qp(qp: QpProblem) -> tuple[tuple[float, ...], tuple[int, ...], str]:
@@ -463,7 +464,7 @@ def filter_control(
     if len(active_row_ids) > 1:
         # a constraint with two rows in the problem is named once
         active_row_ids = tuple(dict.fromkeys(active_row_ids))
-    u_out = ControlInput._trusted(np.array(u_star), model.control_bounds)
+    u_out = ControlInput._trusted(u_star, model.control_bounds)
     deviation = command_deviation(u_star, qp.u_des)
     return FilterResult(u_out, True, deviation, active_row_ids, status, elapsed)
 

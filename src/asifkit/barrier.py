@@ -7,8 +7,9 @@ strengthened barrier condition hdot + gamma * h >= 0 (cbf_row):
     a = grad_h(x) . g(x)          (length control_dim)
     b = -grad_h(x) . f(x) - gamma * h(x)
 
-Rows and gradients are returned as tuples of Python floats: a row's a is
-the solver's row without its b.
+Every function reads the state's float tuple (PlantState.xs), and rows and
+gradients are returned as tuples of Python floats: a row's a is the
+solver's row without its b.
 
 A command held over a control period dt (zero-order hold) obeys a different
 condition, h(x_{k+1}) >= (1 - gamma dt) h(x_k). sampled_row gives that row
@@ -77,14 +78,20 @@ class BarrierConstraint:
             raise InvalidConfig(f"constraint '{self.id}': gamma must be finite and > 0")
         params = dict(self.params)
         if self.kind == GEOFENCE_2D_CIRCLE:
-            center = np.asarray(params["center"], dtype=float)
-            if center.shape != (2,) or not np.all(np.isfinite(center)):
+            try:
+                center = np.asarray(params["center"], dtype=float)
+            except (TypeError, ValueError):
+                center = None  # a mapping, or a string that is no number
+            if center is None or center.shape != (2,) or not np.all(np.isfinite(center)):
                 raise InvalidConfig(f"constraint '{self.id}': center must be a finite 2-vector")
             params["center"] = (float(center[0]), float(center[1]))
         for name in _REQUIRED_PARAMS[self.kind]:
             if name == "center":
                 continue
-            value = float(params[name])
+            try:
+                value = float(params[name])
+            except (TypeError, ValueError):
+                value = math.nan
             if not (np.isfinite(value) and value > 0):
                 raise InvalidConfig(f"constraint '{self.id}': {name} must be finite and > 0")
             params[name] = value
@@ -95,21 +102,21 @@ _STATE_DIMS = {GEOFENCE_1D: (2,), GEOFENCE_2D_CIRCLE: (4,), SPEED_LIMIT: (2, 4)}
 _DIM_TEXT = {GEOFENCE_1D: "2", GEOFENCE_2D_CIRCLE: "4", SPEED_LIMIT: "2- or 4"}
 
 
-def _coords(constraint: BarrierConstraint, state: PlantState, model: PlantModel | None = None) -> list[float]:
-    """The state as floats, after checking its dimension against the kind
-    (and against the model, when one is given)."""
-    xs = state.x.tolist()
+def _coords(constraint: BarrierConstraint, state: PlantState, model: PlantModel | None = None) -> tuple[float, ...]:
+    """The state's float tuple, after checking its dimension against the
+    kind (and against the model, when one is given)."""
+    xs = state.xs
     dim = len(xs)
     if dim not in _STATE_DIMS[constraint.kind]:
         raise InvalidState(
             f"constraint '{constraint.id}' expects a {_DIM_TEXT[constraint.kind]}-dim state, got {dim}"
         )
     if model is not None and dim != model.state_dim:
-        raise InvalidState(f"state dim {state.x.shape} does not match model {model.kind}")
+        raise InvalidState(f"state dim {dim} does not match model {model.kind}")
     return xs
 
 
-def _h(constraint: BarrierConstraint, x: list[float]) -> float:
+def _h(constraint: BarrierConstraint, x: tuple[float, ...]) -> float:
     p = constraint.params
     if constraint.kind == GEOFENCE_1D:
         pos, vel = x
@@ -130,7 +137,7 @@ def _h(constraint: BarrierConstraint, x: list[float]) -> float:
     return p["v_max"] ** 2 - v0 * v0 - v1 * v1
 
 
-def _grad(constraint: BarrierConstraint, x: list[float]) -> tuple[float, ...]:
+def _grad(constraint: BarrierConstraint, x: tuple[float, ...]) -> tuple[float, ...]:
     p = constraint.params
     if constraint.kind == GEOFENCE_1D:
         return (-1.0, -abs(x[1]) / p["u_max"])

@@ -139,12 +139,11 @@ def desired_control(controller: ControllerKind, state: PlantState, model: PlantM
     Raises NonFiniteCommand, naming the output, if any entry is NaN or
     infinite."""
     if isinstance(controller, AdversarialController):
-        command = _adversarial_command(controller, state, model)
-        return ControlInput._trusted(np.array(command), model.control_bounds)
+        return ControlInput._trusted(_adversarial_command(controller, state, model), model.control_bounds)
     if isinstance(controller, NnController):
-        command = mlp_forward(controller.spec, state.x).tolist()
+        command = mlp_forward(controller.spec, state.xs).tolist()
     elif isinstance(controller, PdController):
-        x = state.x.tolist()
+        x = state.xs
         if len(controller.kp) != model.control_dim or len(x) != model.state_dim:
             raise InvalidState(f"{len(controller.kp)} pd gains, {len(x)}-dim state: control dim {model.control_dim}")
         command = [-kp * p - kd * v for kp, kd, p, v in zip(controller.kp, controller.kd, x, x[model.control_dim:])]
@@ -155,13 +154,13 @@ def desired_control(controller: ControllerKind, state: PlantState, model: PlantM
     if len(command) != model.control_dim:
         raise InvalidState(f"controller output {command} does not match control dim {model.control_dim}")
     # bound first, so signed zeros clamp as np.clip does
-    saturated = [min(hi, max(lo, v)) for v, (lo, hi) in zip(command, model._box)]
-    return ControlInput._trusted(np.array(saturated), model.control_bounds)
+    saturated = tuple([min(hi, max(lo, v)) for v, (lo, hi) in zip(command, model._box)])
+    return ControlInput._trusted(saturated, model.control_bounds)
 
 
 def _adversarial_command(
     controller: AdversarialController, state: PlantState, model: PlantModel
-) -> list[float]:
+) -> tuple[float, ...]:
     """Full-magnitude command minimizing the target constraint's hdot
     contribution a . u (a = grad_h . g), saturated into the box. Where that
     row has no control sensitivity, fall back to a = grad_h . (df/dx) g, the
@@ -170,16 +169,16 @@ def _adversarial_command(
     """
     if controller.constraint is None or controller.model is None:
         raise InvalidConfig("adversarial controller used before binding to a constraint")
-    if state.x.shape != (model.state_dim,):
-        raise InvalidState(f"state dim {state.x.shape} does not match model {model.kind}")
+    if len(state.xs) != model.state_dim:
+        raise InvalidState(f"state dim {len(state.xs)} does not match model {model.kind}")
     grad = eval_grad_h(controller.constraint, state)
     a = actuation_row(model, grad)
     if not any(a):
         a = drift_actuation_row(model, grad)  # push along the position gradient instead
-    return [
+    return tuple([
         hi if aj < 0.0 else (lo if aj > 0.0 else min(max(0.0, lo), hi))
         for aj, (lo, hi) in zip(a, model._box)
-    ]
+    ])
 
 
 def controller_from_config(cfg: dict) -> ControllerKind:

@@ -5,10 +5,14 @@ norm bound on the additive disturbance w. Two double-integrator models are
 provided; both are linear, so the fixed-step RK4 integrator reproduces the
 closed-form state transition exactly (up to float rounding).
 
-Per-step arithmetic (the drift term, RK4, the disturbance norm) runs on
-Python floats in a fixed order, so its bits do not depend on the machine's
-BLAS. In a closed-loop step only an MLP controller's matrix products still
-round through BLAS.
+A step's values are Python floats: PlantState holds its coordinates as the
+tuple xs and ControlInput its command as us, and their x and u arrays are
+built only when read. sample_disturbance returns a tuple, and step_rk4 reads
+and returns tuples, so a closed-loop step builds no array except the
+disturbance draw (and an MLP controller's). The per-step arithmetic (the
+drift term, RK4, the disturbance norm and scaling) runs in a fixed order, so
+its bits do not depend on the machine's BLAS. In a closed-loop step only an
+MLP controller's matrix products still round through BLAS.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import Generator, default_rng
 
 from .errors import InvalidConfig, InvalidDisturbance, InvalidState
 
@@ -29,63 +34,95 @@ _MODEL_DIMS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PlantState:
-    """Plant state vector x at time t (seconds). Immutable value."""
+    """Plant state at time t (seconds). Immutable value: the coordinates are
+    held as xs, a tuple of Python floats, and x gives them as a read-only
+    float64 array built when read."""
 
-    x: np.ndarray
-    t: float = 0.0
+    xs: tuple[float, ...]
+    t: float
+
+    def __init__(self, x, t: float = 0.0):
+        # store the arguments as given, as a generated __init__ would;
+        # __post_init__ validates and converts them
+        object.__setattr__(self, "xs", x)
+        object.__setattr__(self, "t", t)
+        self.__post_init__()
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        # sum is finite iff every entry is (inf-inf and nan both propagate)
-        if not math.isfinite(float(x.sum())):
-            raise InvalidState(f"non-finite state entries: {x}")
+        try:
+            x = np.array(self.xs, dtype=float)  # a copy: the caller's array stays writable
+        except (TypeError, ValueError) as exc:
+            raise InvalidState(f"state is not a vector of floats: {exc}") from None
+        if x.ndim != 1:
+            raise InvalidState(f"state must be a 1-D vector, got shape {x.shape}")
+        xs = tuple(x.tolist())
+        if not all(map(math.isfinite, xs)):
+            raise InvalidState(f"non-finite state entries: {xs}")
+        object.__setattr__(self, "xs", xs)
 
     @classmethod
-    def _trusted(cls, x: np.ndarray, t: float) -> "PlantState":
-        """Wrap a finite float64 vector the caller has just built and hands
-        over, without the public constructor's copy and checks."""
-        x.setflags(write=False)
+    def _trusted(cls, xs: tuple[float, ...], t: float) -> "PlantState":
+        """Wrap a tuple of finite Python floats the caller has just built,
+        without the public constructor's copy and checks."""
         state = object.__new__(cls)
-        state.__dict__.update(x=x, t=t)
+        state.__dict__.update(xs=xs, t=t)
         return state
 
+    @property
+    def x(self) -> np.ndarray:
+        x = np.array(self.xs)
+        x.setflags(write=False)
+        return x
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class ControlInput:
-    """Bounded actuation command: u_min <= u <= u_max componentwise."""
+    """Bounded actuation command: u_min <= u <= u_max componentwise. The
+    command is held as us, a tuple of Python floats, and u gives it as a
+    read-only float64 array built when read."""
 
-    u: np.ndarray
+    us: tuple[float, ...]
     bounds: np.ndarray  # shape (control_dim, 2), columns [u_min, u_max]
 
+    def __init__(self, u, bounds):
+        object.__setattr__(self, "us", u)
+        object.__setattr__(self, "bounds", bounds)
+        self.__post_init__()
+
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
+        try:
+            u = np.array(self.us, dtype=float)  # a copy: the caller's array stays writable
+        except (TypeError, ValueError) as exc:
+            raise InvalidState(f"control is not a vector of floats: {exc}") from None
         bounds = np.asarray(self.bounds, dtype=float).reshape(-1, 2)
-        u.setflags(write=False)
         bounds.setflags(write=False)
-        object.__setattr__(self, "u", u)
         object.__setattr__(self, "bounds", bounds)
         if u.shape != (bounds.shape[0],):
             raise InvalidState(f"control dim {u.shape} does not match bounds {bounds.shape}")
-        for j in range(bounds.shape[0]):
-            lo = bounds[j, 0]
-            hi = bounds[j, 1]
+        us = tuple(u.tolist())
+        for c, (lo, hi) in zip(us, bounds.tolist()):
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise InvalidConfig("control bounds must be finite with u_min < u_max per axis")
-            if not lo <= u[j] <= hi:
-                raise InvalidState(f"control {u} outside bounds {bounds.tolist()}")
+            if not lo <= c <= hi:
+                raise InvalidState(f"control {us} outside bounds {bounds.tolist()}")
+        object.__setattr__(self, "us", us)
 
     @classmethod
-    def _trusted(cls, u: np.ndarray, bounds: np.ndarray) -> "ControlInput":
-        """Wrap a command the caller has just built inside validated bounds
-        (a model's read-only control_bounds), without the public checks."""
-        u.setflags(write=False)
+    def _trusted(cls, us: tuple[float, ...], bounds: np.ndarray) -> "ControlInput":
+        """Wrap a tuple of Python floats the caller has just built inside
+        validated bounds (a model's read-only control_bounds), without the
+        public checks."""
         command = object.__new__(cls)
-        command.__dict__.update(u=u, bounds=bounds)
+        command.__dict__.update(us=us, bounds=bounds)
         return command
+
+    @property
+    def u(self) -> np.ndarray:
+        u = np.array(self.us)
+        u.setflags(write=False)
+        return u
 
 
 @dataclass(frozen=True)
@@ -166,7 +203,7 @@ def actuation_row(model: PlantModel, grad: tuple[float, ...]) -> tuple[float, ..
     return (grad[2] + 0.0, grad[3] + 0.0)
 
 
-def drift_term(model: PlantModel, grad: tuple[float, ...], x: list[float]) -> float:
+def drift_term(model: PlantModel, grad: tuple[float, ...], x: tuple[float, ...]) -> float:
     """grad . f(x) at the state coordinates x, without building f.
 
     f = (velocities, 0), so this pairs the position block of grad with the
@@ -186,7 +223,7 @@ def drift_actuation_row(model: PlantModel, grad: tuple[float, ...]) -> tuple[flo
     return grad[: model.control_dim]
 
 
-def hold_map(model: PlantModel, x: list[float], dt: float) -> tuple[list[float], float, float]:
+def hold_map(model: PlantModel, x: tuple[float, ...], dt: float) -> tuple[list[float], float, float]:
     """The undisturbed step under a control u held over dt (zero-order hold),
     exact for these linear models: per axis j the next state is
     free[j] + k_p u_j for the position and free[d + j] + k_v u_j for the
@@ -198,32 +235,38 @@ def hold_map(model: PlantModel, x: list[float], dt: float) -> tuple[list[float],
     return [p0 + v0 * dt, p1 + v1 * dt, v0, v1], 0.5 * dt * dt, dt
 
 
-def step_rk4(model: PlantModel, state: PlantState, u: ControlInput, w: np.ndarray, dt: float) -> PlantState:
+def step_rk4(model: PlantModel, state: PlantState, u: ControlInput, w, dt: float) -> PlantState:
     """Advance the plant one step of classical 4th-order Runge-Kutta.
 
-    u and w are held constant over the step (zero-order hold). For the linear
-    models here the result matches the closed-form transition.
+    u and w are held constant over the step (zero-order hold). w is any
+    sequence of state_dim floats (sample_disturbance's tuple, or an array)
+    with norm at most the model's disturbance bound. For the linear models
+    here the result matches the closed-form transition. The step reads the
+    state's and command's float tuples and returns a state built from its
+    own, so it makes no array.
     """
     if dt <= 0:
         raise InvalidConfig(f"dt must be > 0, got {dt}")
-    w = np.asarray(w, dtype=float)
-    if w.shape != (model.state_dim,):
-        raise InvalidState(f"disturbance dim {w.shape} does not match state dim {model.state_dim}")
-    ws = w.tolist()
+    try:
+        ws = tuple(map(float, w))
+    except (TypeError, ValueError) as exc:
+        raise InvalidState(f"disturbance is not a vector of floats: {exc}") from None
+    if len(ws) != model.state_dim:
+        raise InvalidState(f"disturbance dim {len(ws)} does not match state dim {model.state_dim}")
     wn = math.hypot(*ws)
-    if wn > model.disturbance_bound * (1.0 + 1e-9) + 1e-300:
+    if not wn <= model.disturbance_bound * (1.0 + 1e-9) + 1e-300:  # NaN fails too
         raise InvalidDisturbance(
             f"disturbance norm {wn} exceeds bound {model.disturbance_bound}"
         )
-    uv = u.u.tolist()
+    uv = u.us
     if len(uv) != model.control_dim:
         raise InvalidState("control outside model bounds")
     for c, (lo, hi) in zip(uv, model._box):
         if not lo <= c <= hi:
             raise InvalidState("control outside model bounds")
-    x0 = state.x.tolist()
+    x0 = state.xs
     if len(x0) != model.state_dim:
-        raise InvalidState(f"state dim {state.x.shape} does not match model {model.kind}")
+        raise InvalidState(f"state dim {len(x0)} does not match model {model.kind}")
 
     # Classical RK4 stages, unrolled per axis. Each axis of this model family
     # is an independent double integrator with constant stage acceleration
@@ -232,7 +275,7 @@ def step_rk4(model: PlantModel, state: PlantState, u: ControlInput, w: np.ndarra
     half = model.state_dim // 2
     half_dt = 0.5 * dt
     sixth_dt = dt / 6.0
-    x1 = x0[:]
+    x1 = list(x0)
     for j in range(half):
         p = x0[j]
         v = x0[half + j]
@@ -246,23 +289,27 @@ def step_rk4(model: PlantModel, state: PlantState, u: ControlInput, w: np.ndarra
         x1[half + j] = v + dt * acc
     if not math.isfinite(sum(x1)):
         raise InvalidState(f"non-finite state entries: {x1}")
-    return PlantState._trusted(np.array(x1), state.t + dt)
+    return PlantState._trusted(tuple(x1), state.t + dt)
 
 
-def sample_disturbance(model: PlantModel, rng) -> np.ndarray:
+def sample_disturbance(model: PlantModel, rng) -> tuple[float, ...]:
     """Draw a disturbance with uniform direction and magnitude uniform in
-    [0, disturbance_bound]. Deterministic given an integer seed; also accepts
-    a numpy Generator so a caller can own the stream.
+    [0, disturbance_bound], as a tuple of state_dim Python floats.
+    Deterministic given an integer seed; also accepts a numpy Generator so a
+    caller can own the stream. The direction is one standard_normal draw,
+    scaled per coordinate by magnitude / norm, which rounds as numpy's
+    elementwise product does.
     """
     if model.disturbance_bound == 0.0:
-        return np.zeros(model.state_dim)
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    direction = gen.standard_normal(model.state_dim)
+        return (0.0,) * model.state_dim
+    gen = rng if isinstance(rng, Generator) else default_rng(rng)
+    direction = gen.standard_normal(model.state_dim).tolist()
     magnitude = model.disturbance_bound * gen.random()  # the draw gen.uniform(0, bound) makes
     square = 0.0
-    for c in direction.tolist():
+    for c in direction:
         square += c * c  # in axis order, not through a BLAS dot
     norm = math.sqrt(square)
     if norm == 0.0:
-        return np.zeros(model.state_dim)
-    return direction * (magnitude / norm)
+        return (0.0,) * model.state_dim
+    scale = magnitude / norm
+    return tuple([c * scale for c in direction])

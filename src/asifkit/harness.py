@@ -6,6 +6,12 @@ mode from the schedule, asks the primary controller for a command, filters it
 (or passes it through saturated when RTA is off), draws the disturbance, and
 integrates the plant. Every step is recorded; traces serialize to CSV, and
 their per-step fields round-trip losslessly.
+
+The loop carries the state, the commands and the disturbance as tuples of
+Python floats (PlantState.xs, ControlInput.us, sample_disturbance's tuple),
+so a step builds no array beyond the disturbance draw and an MLP
+controller's. The recorder keeps the tuples, and the trace's arrays are
+built from them once the episode ends.
 """
 
 from __future__ import annotations
@@ -284,9 +290,9 @@ def run_episode(config: ScenarioConfig, record: bool = True) -> EpisodeTrace:
 
         if record:
             t_rec.append(t_k)
-            x_rec.append(state.x)
-            u_des_rec.append(u_des.u)
-            u_out_rec.append(u_out.u)
+            x_rec.append(state.xs)
+            u_des_rec.append(u_des.us)
+            u_out_rec.append(u_out.us)
             h_rec.append([eval_h(constraint, state) for constraint in constraints])
             intervened_rec.append(step_intervened)
             status_rec.append(step_status)

@@ -12,6 +12,14 @@ from asifkit import (
 )
 
 
+class Unreachable:
+    """Stands in for numpy in a module under test: any attribute access
+    raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} reached on a path that must not use numpy")
+
+
 @pytest.fixture
 def model_1d():
     return PlantModel(DOUBLE_INTEGRATOR_1D, [[-1.0, 1.0]])

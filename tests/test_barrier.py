@@ -182,10 +182,17 @@ def test_constraint_validation():
     with pytest.raises(InvalidConfig):
         BarrierConstraint("x", GEOFENCE_1D, {"p_limit": -1.0, "u_max": 1.0})
     # a centre is a finite 2-vector: not a scalar, a string (never split
-    # into digits), a nested list or a 3-vector
-    for center in (1.0, "12", [[0.0, 0.0]], [0.0, 0.0, 0.0], [float("nan"), 0.0]):
+    # into digits, nor read as a number), a nested list, a 3-vector or a
+    # mapping
+    for center in (1.0, "12", [[0.0, 0.0]], [0.0, 0.0, 0.0], [float("nan"), 0.0], {"x": 0.0, "y": 0.0}, "ab"):
         with pytest.raises(InvalidConfig):
             BarrierConstraint("x", GEOFENCE_2D_CIRCLE, {"center": center, "radius": 1.0, "u_max": 1.0})
+    # a scalar param that is no number
+    for bad in ("ab", None, [1.0]):
+        with pytest.raises(InvalidConfig):
+            BarrierConstraint("x", GEOFENCE_1D, {"p_limit": bad, "u_max": 1.0})
+        with pytest.raises(InvalidConfig):
+            BarrierConstraint("x", SPEED_LIMIT, {"v_max": bad})
 
 
 # ---- sampled-data rows ----

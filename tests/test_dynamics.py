@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -171,6 +172,12 @@ def test_step_rk4_errors(model_1d):
         step_rk4(model_1d, PlantState([0.0, 0.0]), u, np.zeros(3), 0.1)
     with pytest.raises(InvalidDisturbance):
         step_rk4(model_1d, PlantState([0.0, 0.0]), u, np.array([0.5, 0.5]), 0.1)
+    with pytest.raises(InvalidState):
+        step_rk4(model_1d, PlantState([0.0, 0.0]), u, np.zeros((2, 1)), 0.1)
+    # a NaN in w is a disturbance outside its bound, not a state fault
+    for w in ((math.nan, 0.0), np.array([0.0, math.nan])):
+        with pytest.raises(InvalidDisturbance):
+            step_rk4(model_1d, PlantState([0.0, 0.0]), u, w, 0.1)
 
 
 def test_disturbance_zero_bound(model_1d):
@@ -182,6 +189,21 @@ def test_disturbance_same_seed_identical():
     a = sample_disturbance(model, 123)
     b = sample_disturbance(model, 123)
     assert np.array_equal(a, b)
+
+
+def test_disturbance_is_numpys_scaled_draw():
+    """sample_disturbance returns Python floats equal bit for bit to the
+    draw scaled by numpy's elementwise product, from the same stream."""
+    for kind, bounds in ((DOUBLE_INTEGRATOR_1D, [[-1, 1]]), (DOUBLE_INTEGRATOR_2D, [[-1, 1], [-1, 1]])):
+        model = PlantModel(kind, bounds, disturbance_bound=0.05)
+        ours, ref = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(2000):
+            w = sample_disturbance(model, ours)
+            direction = ref.standard_normal(model.state_dim)
+            magnitude = 0.05 * ref.random()
+            want = direction * (magnitude / math.sqrt(sum(c * c for c in direction.tolist())))
+            assert type(w) is tuple and {type(c) for c in w} == {float}
+            assert np.array(w).tobytes() == want.tobytes()
 
 
 def test_disturbance_norm_bounded_exhaustive():
@@ -200,11 +222,38 @@ def test_plant_state_rejects_nonfinite():
         PlantState([np.inf, 0.0])
 
 
+def test_plant_state_rejects_non_vectors():
+    for x in (np.zeros((2, 2)), 5.0, [[0.0], [0.0]], "ab", [0.0, "a"], {"p": 0.0}):
+        with pytest.raises(InvalidState):
+            PlantState(x)
+
+
+def test_values_leave_the_callers_arrays_writable(model_1d):
+    """The constructors copy their input into a tuple of floats: the
+    caller's array stays writable, and writing it later changes nothing."""
+    x = np.array([0.25, -0.5])
+    u = np.array([0.5])
+    bounds = np.array([[-1.0, 1.0]])
+    state = PlantState(x)
+    command = ControlInput(u, bounds)
+    assert x.flags.writeable and u.flags.writeable and bounds.flags.writeable
+    x[0] = 9.0
+    u[0] = -9.0
+    assert state.xs == (0.25, -0.5) and command.us == (0.5,)
+    for values, array in ((state.xs, state.x), (command.us, command.u)):
+        assert {type(c) for c in values} == {float}
+        assert array.dtype == np.float64 and not array.flags.writeable
+        assert array.tolist() == list(values)
+
+
 def test_control_input_bounds_enforced(model_1d):
     with pytest.raises(InvalidState):
         ControlInput([2.0], model_1d.control_bounds)
     with pytest.raises(InvalidConfig):
         ControlInput([0.0], [[1.0, -1.0]])
+    for u in ([[0.0]], 0.0, ["a"], {"u": 0.0}):
+        with pytest.raises(InvalidState):
+            ControlInput(u, model_1d.control_bounds)
 
 
 def test_model_validation():

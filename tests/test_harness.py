@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,20 +10,31 @@ from hypothesis import strategies as st
 
 from asifkit import (
     INFEASIBLE_FALLBACK,
+    MODIFIED,
+    PASSTHROUGH,
     EmptyTrace,
     InvalidConfig,
     ParseError,
+    PlantState,
     ScenarioConfig,
+    asif,
+    barrier,
     compute_metrics,
+    controllers,
+    desired_control,
+    dynamics,
+    filter_control,
     load_scenario,
     read_trace,
     run_batch,
     run_episode,
+    sample_disturbance,
+    step_rk4,
     write_trace,
 )
 from asifkit.cli import dispatch
 from asifkit.harness import _STATUS_CODES, trace_header
-from tests.conftest import sample_safe_state_2d, scenario_1d, scenario_2d
+from tests.conftest import Unreachable, sample_safe_state_2d, scenario_1d, scenario_2d
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -379,3 +391,40 @@ def test_config_hash_stable_under_key_order():
     a = ScenarioConfig.from_dict(cfg).config_hash
     b = ScenarioConfig.from_dict(reordered).config_hash
     assert a == b
+
+
+def test_step_runs_on_floats_without_numpy(monkeypatch):
+    """desired_control, filter_control with the period, sample_disturbance
+    given a Generator and step_rk4 run disturbed closed loops with numpy out
+    of reach in dynamics, barrier, controllers and asif: a 1-D fence and a
+    2-D circle under the adversary, and pd_1d's PD law. Every state, command
+    and disturbance is a tuple of Python floats, and each loop ends in
+    run_episode's final state bit for bit."""
+    configs = [
+        ScenarioConfig.from_dict(scenario_1d(duration=2.0, disturbance_bound=0.05)),
+        ScenarioConfig.from_dict(scenario_2d(duration=2.0, disturbance_bound=0.05)),
+        load_scenario(SCENARIOS / "pd_1d.json"),
+    ]
+    starts = [PlantState(config.initial_state) for config in configs]
+    ends = []
+    statuses = Counter()
+    with monkeypatch.context() as patch:
+        for module in (asif, barrier, controllers, dynamics):
+            patch.setattr(module, "np", Unreachable())
+        for config, state in zip(configs, starts):
+            model, constraints = config.model, list(config.constraints)
+            rng = np.random.default_rng(config.seed)
+            for _ in range(config.n_steps):
+                u_des = desired_control(config.controller, state, model)
+                result = filter_control(constraints, model, state, u_des, config.dt)
+                statuses[result.status] += 1
+                w = sample_disturbance(model, rng)
+                for values in (state.xs, u_des.us, result.u_out.us, w):
+                    assert type(values) is tuple and {type(c) for c in values} == {float}, values
+                state = step_rk4(model, state, result.u_out, w, config.dt)
+            ends.append(state)
+    assert {PASSTHROUGH, MODIFIED} <= set(statuses), statuses
+    for config, state in zip(configs, ends):
+        trace = run_episode(config)
+        assert not trace.aborted
+        assert state.x.tobytes() == trace.final_state.tobytes() and state.t == trace.final_t

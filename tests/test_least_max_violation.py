@@ -41,6 +41,7 @@ from asifkit import (
     solve_qp,
 )
 from tests import oracles
+from tests.conftest import Unreachable
 
 
 def _reference_least_max_violation(qp):
@@ -186,13 +187,6 @@ def test_matches_reference_on_random_problems(d, monkeypatch):
     assert fallbacks > 1000 and moved > 100
 
 
-class _Unreachable:
-    """Stands in for numpy: any attribute access raises."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"np.{name} reached on the filter path")
-
-
 def _leaves(value):
     if isinstance(value, tuple):
         for item in value:
@@ -212,7 +206,7 @@ def test_solve_computes_without_numpy(monkeypatch):
     problems = filter_problems + [random_problem(rng, d) for d in (1, 2) for _ in range(500)]
     statuses = Counter()
     with monkeypatch.context() as patch:
-        patch.setattr(asif, "np", _Unreachable())
+        patch.setattr(asif, "np", Unreachable())
         for qp in problems:
             statuses[solve_qp(qp)[2]] += 1
     assert set(statuses) == {PASSTHROUGH, MODIFIED, INFEASIBLE_FALLBACK}, statuses
@@ -236,7 +230,7 @@ def test_rows_assemble_without_numpy(monkeypatch):
     unmet = 0
     with monkeypatch.context() as patch:
         for module in (asif, barrier, dynamics):
-            patch.setattr(module, "np", _Unreachable())
+            patch.setattr(module, "np", Unreachable())
         for constraints, model, state, u_des in cases:
             qp = assemble_qp(constraints, model, state, u_des, dt=0.01)
             assert {type(leaf) for leaf in _leaves(qp)} <= {str, float}, qp
