@@ -58,6 +58,15 @@ _REQUIRED_PARAMS = {
 }
 
 
+def _number(value) -> float:
+    """value as a float, or NaN when it is no number (a string such as "a",
+    None, a list, a mapping)."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
+
+
 @dataclass(frozen=True)
 class BarrierConstraint:
     """One safety constraint h(x) >= 0 with class-kappa gain alpha(h) = gamma*h."""
@@ -74,8 +83,10 @@ class BarrierConstraint:
         missing = [k for k in _REQUIRED_PARAMS[self.kind] if k not in self.params]
         if missing:
             raise InvalidConfig(f"constraint '{self.id}' missing params {missing}")
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
+        gamma = _number(self.gamma)
+        if not (math.isfinite(gamma) and gamma > 0):
             raise InvalidConfig(f"constraint '{self.id}': gamma must be finite and > 0")
+        object.__setattr__(self, "gamma", gamma)
         params = dict(self.params)
         if self.kind == GEOFENCE_2D_CIRCLE:
             try:
@@ -88,11 +99,8 @@ class BarrierConstraint:
         for name in _REQUIRED_PARAMS[self.kind]:
             if name == "center":
                 continue
-            try:
-                value = float(params[name])
-            except (TypeError, ValueError):
-                value = math.nan
-            if not (np.isfinite(value) and value > 0):
+            value = _number(params[name])
+            if not (math.isfinite(value) and value > 0):
                 raise InvalidConfig(f"constraint '{self.id}': {name} must be finite and > 0")
             params[name] = value
         object.__setattr__(self, "params", MappingProxyType(params))
@@ -280,7 +288,7 @@ def constraint_from_config(cfg: dict) -> BarrierConstraint:
             id=str(cfg["id"]),
             kind=str(cfg["kind"]),
             params=dict(cfg.get("params", {})),
-            gamma=float(cfg.get("gamma", 1.0)),
+            gamma=cfg.get("gamma", 1.0),
             hazard_id=str(cfg.get("hazard_id", "")),
         )
     except KeyError as exc:

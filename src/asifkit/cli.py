@@ -7,6 +7,7 @@ check), 2 usage error, 3 IO or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -212,10 +213,15 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use rather than at import."""
+    return build_parser()
+
+
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

@@ -287,7 +287,9 @@ def step_rk4(model: PlantModel, state: PlantState, u: ControlInput, w, dt: float
         k4p = v + dt * acc + wp
         x1[j] = p + sixth_dt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         x1[half + j] = v + dt * acc
-    if not math.isfinite(sum(x1)):
+    # a finite sum means finite entries; only when it is not (overflow, or a
+    # NaN or inf entry) are the entries tested one by one
+    if not math.isfinite(sum(x1)) and not all(map(math.isfinite, x1)):
         raise InvalidState(f"non-finite state entries: {x1}")
     return PlantState._trusted(tuple(x1), state.t + dt)
 

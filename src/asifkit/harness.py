@@ -52,6 +52,7 @@ UNFILTERED = "unfiltered"
 
 _STATUS_CODES = {PASSTHROUGH: 0, MODIFIED: 1, INFEASIBLE_FALLBACK: 2, UNFILTERED: 3}
 _STATUS_NAMES = {v: k for k, v in _STATUS_CODES.items()}
+_FLAGS = {"0": False, "1": True}  # the intervened column
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,7 @@ class EpisodeTrace:
         return int(self.t.shape[0])
 
     def status_names(self) -> list[str]:
-        return [_STATUS_NAMES[int(code)] for code in self.status]
+        return [_STATUS_NAMES[code] for code in self.status.tolist()]
 
 
 @dataclass(frozen=True)
@@ -360,17 +361,12 @@ def write_trace(trace: EpisodeTrace, path) -> None:
     if trace.aborted:
         lines.append(f"# aborted: {trace.abort_reason}")
     lines.append(trace_header(trace.config, trace.constraint_ids))
-    names = trace.status_names()
-    for k in range(trace.n_steps):
-        cells = [repr(float(trace.t[k]))]
-        cells += [repr(float(v)) for v in trace.states[k]]
-        cells += [repr(float(v)) for v in trace.u_des[k]]
-        cells += [repr(float(v)) for v in trace.u_out[k]]
-        cells += [repr(float(v)) for v in trace.h[k]]
-        cells.append("1" if trace.intervened[k] else "0")
-        cells.append(names[k])
-        cells.append(repr(float(trace.solve_time[k])))
-        lines.append(",".join(cells))
+    numeric = np.concatenate(
+        [trace.t[:, None], trace.states, trace.u_des, trace.u_out, trace.h], axis=1
+    ).tolist()
+    flags = ["1" if v else "0" for v in trace.intervened.tolist()]
+    for row, flag, name, solve in zip(numeric, flags, trace.status_names(), trace.solve_time.tolist()):
+        lines.append(",".join([*map(repr, row), flag, name, repr(solve)]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -382,7 +378,9 @@ def read_trace(path) -> EpisodeTrace:
     recomputed with the filter's formula. The file has no row for the state
     after the last step, so final_state and final_t are the last recorded
     pre-step sample (the config's initial state and 0.0 for a trace with no
-    steps), not the state the episode ended in."""
+    steps), not the state the episode ended in. A row of the wrong width, or
+    a cell that is no float, an intervened cell other than 0 or 1, or an
+    unknown status, raises ParseError with the row's line."""
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = fh.read().splitlines()
 
@@ -429,44 +427,34 @@ def read_trace(path) -> EpisodeTrace:
             f"header mismatch: expected '{expected}', got '{header}'", line=header_line
         )
 
-    n = len(rows)
     sd = config.model.state_dim
     cd = config.model.control_dim
-    nc = len(constraint_ids)
-    t_arr = np.empty(n)
-    states = np.empty((n, sd))
-    u_des = np.empty((n, cd))
-    u_out = np.empty((n, cd))
-    h = np.empty((n, nc))
-    intervened = np.zeros(n, dtype=bool)
-    status = np.zeros(n, dtype=np.int8)
-    solve_time = np.zeros(n)
-    deviation = np.zeros(n)
-
-    for k, (lineno, line) in enumerate(rows):
+    n_num = 1 + sd + 2 * cd + len(constraint_ids)  # t, states, u_des, u_out, h
+    ud, uo = 1 + sd, 1 + sd + cd
+    # numeric holds the rows' t, states, u_des, u_out and h cells flat, row after row
+    numeric, intervened, status, solve_time, deviation = [], [], [], [], []
+    width = len(expected_cols)
+    for lineno, line in rows:
         cells = line.split(",")
-        if len(cells) != len(expected_cols):
-            raise ParseError(
-                f"expected {len(expected_cols)} cells, got {len(cells)}", line=lineno
-            )
+        if len(cells) != width:
+            raise ParseError(f"expected {width} cells, got {len(cells)}", line=lineno)
         try:
-            pos = 0
-            t_arr[k] = float(cells[pos]); pos += 1
-            for i in range(sd):
-                states[k, i] = float(cells[pos]); pos += 1
-            for i in range(cd):
-                u_des[k, i] = float(cells[pos]); pos += 1
-            for i in range(cd):
-                u_out[k, i] = float(cells[pos]); pos += 1
-            for i in range(nc):
-                h[k, i] = float(cells[pos]); pos += 1
-            intervened[k] = cells[pos] == "1"; pos += 1
-            status[k] = _STATUS_CODES[cells[pos]]; pos += 1
-            solve_time[k] = float(cells[pos])
+            row = list(map(float, cells[:n_num]))
+            intervened.append(_FLAGS[cells[n_num]])
+            status.append(_STATUS_CODES[cells[n_num + 1]])
+            solve_time.append(float(cells[n_num + 2]))
         except (ValueError, KeyError) as exc:
             raise ParseError(f"bad cell value: {exc}", line=lineno) from exc
-        deviation[k] = command_deviation(u_out[k].tolist(), u_des[k].tolist())
+        numeric += row
+        deviation.append(command_deviation(row[uo:uo + cd], row[ud:uo]))
 
+    n = len(rows)
+    table = np.array(numeric, dtype=float).reshape(n, n_num)
+    edges = (0, 1, ud, uo, uo + cd, n_num)
+    t_arr, states, u_des, u_out, h = (
+        np.ascontiguousarray(table[:, lo:hi]) for lo, hi in zip(edges, edges[1:])
+    )
+    t_arr = t_arr.reshape(n)
     final_state = states[-1] if n else config.initial_state
     final_t = float(t_arr[-1]) if n else 0.0
     return EpisodeTrace(
@@ -478,10 +466,10 @@ def read_trace(path) -> EpisodeTrace:
         u_des=u_des,
         u_out=u_out,
         h=h,
-        intervened=intervened,
-        status=status,
-        solve_time=solve_time,
-        deviation=deviation,
+        intervened=np.array(intervened, dtype=bool),
+        status=np.array(status, dtype=np.int8),
+        solve_time=np.array(solve_time, dtype=float),
+        deviation=np.array(deviation, dtype=float),
         final_state=final_state,
         final_t=final_t,
         aborted=aborted,

@@ -6,12 +6,16 @@ of the double integrator, and the least-max-violation reference is the
 filter's earlier one-candidate-at-a-time enumerator, kept to test the
 filter's own enumeration against. Both solve crossings by Cramer's rule and
 price points with the filter's scalar sum (row_violations), so they agree
-bit for bit.
+bit for bit. The trace writer reference formats one cell at a time, as
+write_trace did before it worked on whole rows.
 """
 
+import json
 from itertools import combinations
 
 import numpy as np
+
+from asifkit.harness import _STATUS_NAMES, trace_header
 
 _GRID_CACHE = {}
 
@@ -168,3 +172,25 @@ def least_max_violation(qp, rows_a, rows_b, lo, hi):
         if best is None or key < best[0]:
             best = (key, u)
     return best[1]
+
+
+def write_trace_per_cell(trace, path):
+    """A trace's CSV written one numpy scalar at a time: the reference that
+    write_trace's bytes are compared against."""
+    lines = [f"# config_hash: {trace.config_hash}"]
+    lines.append("# config: " + json.dumps(trace.config.raw, sort_keys=True, separators=(",", ":")))
+    if trace.aborted:
+        lines.append(f"# aborted: {trace.abort_reason}")
+    lines.append(trace_header(trace.config, trace.constraint_ids))
+    for k in range(trace.n_steps):
+        cells = [repr(float(trace.t[k]))]
+        cells += [repr(float(v)) for v in trace.states[k]]
+        cells += [repr(float(v)) for v in trace.u_des[k]]
+        cells += [repr(float(v)) for v in trace.u_out[k]]
+        cells += [repr(float(v)) for v in trace.h[k]]
+        cells.append("1" if trace.intervened[k] else "0")
+        cells.append(_STATUS_NAMES[int(trace.status[k])])
+        cells.append(repr(float(trace.solve_time[k])))
+        lines.append(",".join(cells))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

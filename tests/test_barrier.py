@@ -19,7 +19,7 @@ from asifkit import (
     sampled_row,
     step_rk4,
 )
-from asifkit.barrier import check_bounds_consistency
+from asifkit.barrier import check_bounds_consistency, constraint_from_config
 
 
 def test_eval_h_fence_examples(fence):
@@ -187,12 +187,20 @@ def test_constraint_validation():
     for center in (1.0, "12", [[0.0, 0.0]], [0.0, 0.0, 0.0], [float("nan"), 0.0], {"x": 0.0, "y": 0.0}, "ab"):
         with pytest.raises(InvalidConfig):
             BarrierConstraint("x", GEOFENCE_2D_CIRCLE, {"center": center, "radius": 1.0, "u_max": 1.0})
-    # a scalar param that is no number
+    # a scalar param or a gamma that is no number, built directly or from a
+    # config mapping
     for bad in ("ab", None, [1.0]):
         with pytest.raises(InvalidConfig):
             BarrierConstraint("x", GEOFENCE_1D, {"p_limit": bad, "u_max": 1.0})
         with pytest.raises(InvalidConfig):
             BarrierConstraint("x", SPEED_LIMIT, {"v_max": bad})
+        with pytest.raises(InvalidConfig):
+            BarrierConstraint("x", GEOFENCE_1D, {"p_limit": 1.0, "u_max": 1.0}, gamma=bad)
+        with pytest.raises(InvalidConfig):
+            constraint_from_config({"id": "x", "kind": SPEED_LIMIT, "params": {"v_max": 1.0}, "gamma": bad})
+    # a numeric gamma is stored as a float
+    assert type(BarrierConstraint("x", SPEED_LIMIT, {"v_max": 1.0}, gamma=np.float64(2)).gamma) is float
+    assert constraint_from_config({"id": "x", "kind": SPEED_LIMIT, "params": {"v_max": 1.0}, "gamma": 2}).gamma == 2.0
 
 
 # ---- sampled-data rows ----

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from asifkit import ScenarioConfig, compute_metrics, run_episode, write_trace
 from asifkit.assurance import template_text
 from asifkit.cli import dispatch
 
@@ -80,6 +81,24 @@ def test_simulate_metrics_round_trip(tmp_path, capsys):
     m2 = json.loads((tmp_path / "m2.json").read_text())
     assert m2["min_h"] == m["min_h"]
     assert m2["intervention_rate"] == m["intervention_rate"]
+
+
+def test_parser_reused_after_usage_errors(tmp_path, capsys):
+    """One parser serves every call in a process: usage errors leave no state
+    behind, and no option of one call carries into the next."""
+    config = ScenarioConfig.from_dict(json.loads((SCENARIOS / "pd_1d.json").read_text()))
+    trace = run_episode(config)
+    path = tmp_path / "trace.csv"
+    write_trace(trace, path)
+    expected = compute_metrics(trace).to_dict()
+    out = tmp_path / "m.json"
+    assert dispatch(["metrics", "--trace", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == expected
+    for argv in (["frobnicate"], ["metrics", "--bogus", "x"], ["metrics"], ["metrics", "--out", str(out)]):
+        assert dispatch(argv) == 2
+    capsys.readouterr()
+    assert dispatch(["metrics", "--trace", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == expected
 
 
 def test_simulate_rta_off_flags_violation(tmp_path):

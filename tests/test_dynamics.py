@@ -164,7 +164,7 @@ def test_step_rk4_deterministic(model_2d):
     assert a.x.tobytes() == b.x.tobytes()
 
 
-def test_step_rk4_errors(model_1d):
+def test_step_rk4_errors(model_1d, model_2d):
     u = ControlInput([0.0], model_1d.control_bounds)
     with pytest.raises(InvalidConfig):
         step_rk4(model_1d, PlantState([0.0, 0.0]), u, np.zeros(2), 0.0)
@@ -178,6 +178,14 @@ def test_step_rk4_errors(model_1d):
     for w in ((math.nan, 0.0), np.array([0.0, math.nan])):
         with pytest.raises(InvalidDisturbance):
             step_rk4(model_1d, PlantState([0.0, 0.0]), u, w, 0.1)
+    # a step that overflows is a state fault, but finite entries whose sum
+    # overflows are not: the new state is tested entry by entry, as
+    # PlantState is, so a resting state at 1e308 on both axes steps to itself
+    with pytest.raises(InvalidState):
+        step_rk4(model_1d, PlantState([1e308, 1e308]), u, np.zeros(2), 0.1)
+    state = PlantState([1e308, 1e308, 0.0, 0.0])
+    nxt = step_rk4(model_2d, state, ControlInput([0.0, 0.0], model_2d.control_bounds), (0.0,) * 4, 0.1)
+    assert nxt.xs == state.xs and nxt.t == 0.1
 
 
 def test_disturbance_zero_bound(model_1d):

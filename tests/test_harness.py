@@ -35,6 +35,7 @@ from asifkit import (
 from asifkit.cli import dispatch
 from asifkit.harness import _STATUS_CODES, trace_header
 from tests.conftest import Unreachable, sample_safe_state_2d, scenario_1d, scenario_2d
+from tests.oracles import write_trace_per_cell
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -184,6 +185,81 @@ def test_trace_deviation_matches_the_filter_on_two_axes(tmp_path):
         assert json.loads(out.read_text()) == compute_metrics(trace).to_dict()
 
 
+def _aborted_config():
+    """A zero-gain PD controller holds the plant at the circle's center, where
+    the circle's gradient is singular; the filter comes on at t = 0.5 s, so
+    the episode aborts there with a partial trace of the unfiltered steps."""
+    cfg = scenario_2d(duration=10.0, seed=3, initial_state=(0.0, 0.0, 0.0, 0.0))
+    cfg["controller"] = {"kind": "pd", "kp": [0.0, 0.0], "kd": [0.0, 0.0]}
+    cfg["mode_schedule"] = [
+        {"time": 0.0, "rta_enabled": False},
+        {"time": 0.5, "rta_enabled": True},
+    ]
+    return cfg
+
+
+TRACE_FIELDS = ("t", "states", "u_des", "u_out", "h", "intervened", "status", "solve_time", "deviation")
+
+
+def test_write_trace_bytes_match_the_per_cell_reference(tmp_path):
+    """write_trace formats whole rows, and its bytes equal the per-cell
+    reference's; read_trace gives back C-contiguous arrays equal by bytes,
+    with shapes (0, state_dim) and so on for a trace with no steps."""
+    traces = {
+        "1d": run_episode(ScenarioConfig.from_dict(scenario_1d(duration=1.0, seed=2))),
+        "2d_disturbed": run_episode(
+            ScenarioConfig.from_dict(scenario_2d(duration=1.0, seed=4, disturbance_bound=0.05))
+        ),
+        "aborted": run_episode(ScenarioConfig.from_dict(_aborted_config())),
+        "empty": run_episode(ScenarioConfig.from_dict(scenario_2d(duration=0.5)), record=False),
+    }
+    assert traces["aborted"].aborted and traces["empty"].n_steps == 0
+    for name, trace in traces.items():
+        path, reference = tmp_path / f"{name}.csv", tmp_path / f"{name}.ref.csv"
+        write_trace(trace, path)
+        write_trace_per_cell(trace, reference)
+        assert path.read_bytes() == reference.read_bytes(), name
+        back = read_trace(path)
+        for field in TRACE_FIELDS:
+            got, want = getattr(back, field), getattr(trace, field)
+            assert got.dtype == want.dtype and got.shape == want.shape, (name, field)
+            assert got.tobytes() == want.tobytes(), (name, field)
+            assert got.flags.c_contiguous, (name, field)
+    empty = read_trace(tmp_path / "empty.csv")
+    assert empty.t.shape == (0,) and empty.states.shape == (0, 4)
+    assert empty.u_des.shape == empty.u_out.shape == empty.h.shape == (0, 2)
+    assert np.array_equal(empty.final_state, empty.config.initial_state) and empty.final_t == 0.0
+
+
+def _edit_data_row(path, index, edit):
+    """Rewrite the index-th data row of a trace file with edit(cells); return
+    the row's 1-based line number."""
+    lines = path.read_text().splitlines()
+    lineno = next(i for i, l in enumerate(lines) if not l.startswith("#")) + 1 + index
+    lines[lineno] = ",".join(edit(lines[lineno].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    return lineno + 1
+
+
+def test_trace_short_row_reports_its_line(tmp_path):
+    path = tmp_path / "t.csv"
+    write_trace(run_episode(ScenarioConfig.from_dict(scenario_1d(duration=0.5))), path)
+    lineno = _edit_data_row(path, 20, lambda cells: cells[:-1])
+    with pytest.raises(ParseError, match="expected 9 cells, got 8") as err:
+        read_trace(path)
+    assert err.value.line == lineno
+
+
+@pytest.mark.parametrize("cell", ["yes", "true", "", "2", "1.0"])
+def test_trace_intervened_cell_is_0_or_1(cell, tmp_path):
+    path = tmp_path / "t.csv"
+    write_trace(run_episode(ScenarioConfig.from_dict(scenario_1d(duration=0.5))), path)
+    lineno = _edit_data_row(path, 10, lambda cells: [*cells[:-3], cell, *cells[-2:]])
+    with pytest.raises(ParseError, match="bad cell value") as err:
+        read_trace(path)
+    assert err.value.line == lineno
+
+
 def test_trace_missing_column_named(tmp_path):
     config = ScenarioConfig.from_dict(scenario_1d(duration=0.05))
     trace = run_episode(config)
@@ -274,15 +350,7 @@ def test_recorder_noninterference():
 
 
 def test_aborted_episode_keeps_partial_trace(tmp_path):
-    # a zero-gain PD controller holds the plant at the circle's center, where
-    # the circle's gradient is singular; the filter comes on at t = 0.5 s, so
-    # the episode aborts there with a partial trace of the unfiltered steps
-    cfg = scenario_2d(duration=10.0, seed=3, initial_state=(0.0, 0.0, 0.0, 0.0))
-    cfg["controller"] = {"kind": "pd", "kp": [0.0, 0.0], "kd": [0.0, 0.0]}
-    cfg["mode_schedule"] = [
-        {"time": 0.0, "rta_enabled": False},
-        {"time": 0.5, "rta_enabled": True},
-    ]
+    cfg = _aborted_config()
     trace = run_episode(ScenarioConfig.from_dict(cfg))
     assert trace.aborted
     assert "circle" in trace.abort_reason
