@@ -38,7 +38,6 @@ from .dynamics import (
     ControlInput,
     PlantModel,
     PlantState,
-    eval_dynamics,
     sample_disturbance,
     step_rk4,
 )
@@ -51,6 +50,7 @@ from .errors import (
     InvalidModel,
     InvalidState,
     NonFiniteCommand,
+    NonFiniteState,
     ParseError,
     SingularGradient,
     StructurallyInfeasible,

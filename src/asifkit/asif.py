@@ -29,7 +29,12 @@ Tolerance contract, on one axis and on two: a row has control authority iff
 the norm of its a exceeds _DEP_TOL. A row without it is met iff b <= feas_tol
 (_feas_tol); any other row is met at a point iff b - a.u <= feas_tol there.
 A solved point meets every row so; it is passthrough iff it equals u_des,
-else modified. A problem with no such point is an infeasible_fallback.
+else modified. A problem with no such point is an infeasible_fallback. Its
+command comes from the same contract: phase I finds the least maximum
+violation t over the box; where candidates within feas_tol of t lie more
+than feas_tol apart, phase II solves the rows shifted to b - t, which gives
+the point nearest u_des whose maximum violation is within feas_tol of t
+(Boyd & Vandenberghe, Convex Optimization, 2004, section 11.4).
 
 Rounding: the filter computes in Python floats from the barrier rows
 (cbf_row, sampled_row) to the command, the solve and fallback in one fixed
@@ -133,14 +138,16 @@ def solve_qp(qp: QpProblem) -> tuple[tuple[float, ...], tuple[int, ...], str]:
     (_solve_interval). Two axes try the projection onto the violated
     constraint farthest from u_des, then the vertices of two constraints
     that can be optimal, nearest first. Both decide under the tolerance
-    contract of the module docstring. An empty feasible set yields the
-    least-max-violation box point nearest u_des with status
-    infeasible_fallback.
+    contract of the module docstring. When no point meets the rows, the
+    fallback's least-max-violation point (_least_max_violation) is returned
+    with status infeasible_fallback; the fallback is decided here alone, so
+    it never recurses.
     """
     clamped = _clamped(qp.u_des, qp.box)
     slack = _row_violations(qp.rows, clamped)
     if max(slack, default=0.0) > 0.0:
-        return _solve_interval(qp) if qp.control_dim == 1 else _solve_plane(qp)
+        feas_tol = _feas_tol(qp)
+        return _solve(qp, feas_tol) or _fallback(qp, feas_tol)
     if clamped == qp.u_des:
         return qp.u_des, (), PASSTHROUGH
     return clamped, tuple(i for i, s in enumerate(slack) if s == 0.0), MODIFIED
@@ -162,23 +169,29 @@ def _feas_tol(qp: QpProblem) -> float:
     return _FEAS_TOL * scale
 
 
-def _solve_plane(qp: QpProblem) -> tuple[tuple[float, ...], tuple[int, ...], str]:
+def _solve(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tuple[int, ...], str] | None:
+    """The minimizer under the tolerance contract, as solve_qp's result, or
+    None when no point meets every row."""
+    return _solve_interval(qp, feas_tol) if qp.control_dim == 1 else _solve_plane(qp, feas_tol)
+
+
+def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tuple[int, ...], str] | None:
     """Two control axes: the minimizer is the projection of u_des onto one
-    constraint or the vertex of two, found in two closed-form stages. Reached
-    only when the clamped u_des violates some row. A point feasible within
-    feas_tol may leave the box by as much, so it is returned clipped."""
+    constraint or the vertex of two, found in two closed-form stages, or
+    None. Reached when the clamped u_des violates some row, and for the
+    fallback's phase II. A point feasible within feas_tol may leave the box
+    by as much, so it is returned clipped."""
     rows = list(qp.rows)
     m = len(rows)
     ud0, ud1 = qp.u_des
     (lo0, hi0), (lo1, hi1) = qp.box
-    feas_tol = _feas_tol(qp)
-    # A row without authority is met everywhere or nowhere: it sends the step
-    # to the fallback, or it takes no further part as the empty row 0 >= 0.
+    # A row without authority is met everywhere or nowhere: it leaves no
+    # feasible point, or it takes no further part as the empty row 0 >= 0.
     dep2 = _DEP_TOL * _DEP_TOL
     for i, (a0, a1, b) in enumerate(rows):
         if a0 * a0 + a1 * a1 <= dep2:
             if b > feas_tol:
-                return _fallback(qp, feas_tol)
+                return None
             rows[i] = (0.0, 0.0, 0.0)
     # the general constraint list: rows first, then box faces, so row
     # indices stay stable for reporting
@@ -250,19 +263,18 @@ def _solve_plane(qp: QpProblem) -> tuple[tuple[float, ...], tuple[int, ...], str
     for _, v0, v1, q, p in sorted(vertices):
         if all(b - a0 * v0 - a1 * v1 <= feas_tol for a0, a1, b in rows):
             return _solved(qp, (v0, v1), tuple(sorted(i for i in (p, q) if i < m)))
-    return _fallback(qp, feas_tol)
+    return None
 
 
-def _solve_interval(qp: QpProblem) -> tuple[tuple[float, ...], tuple[int, ...], str]:
+def _solve_interval(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tuple[int, ...], str] | None:
     """One control axis: the minimizer is u_des clamped into the interval
-    [lower, upper] the rows and box leave. This is the one-axis case of the
+    [lower, upper] the rows and box leave, or None when that is empty. This is the one-axis case of the
     two-axis first stage (u_des if it meets every constraint, else the
     farthest bound it violates), kept apart because b / a rounds once, where
     that stage's u_des + (b - a u_des) / a^2 * a would move the last bit of
     about half of all one-axis results."""
     (u_des,) = qp.u_des
     ((lo, hi),) = qp.box
-    feas_tol = _feas_tol(qp)
     lower, lower_idx = lo, -1
     upper, upper_idx = hi, -1
     near = lo - u_des <= feas_tol and u_des - hi <= feas_tol  # u_des meets every constraint
@@ -270,7 +282,7 @@ def _solve_interval(qp: QpProblem) -> tuple[tuple[float, ...], tuple[int, ...], 
     for i, (a, b) in enumerate(qp.rows):
         if a * a <= dep2:  # no authority, as on two axes
             if b > feas_tol:
-                return _fallback(qp, feas_tol)
+                return None
             continue
         near = near and b - a * u_des <= feas_tol
         bound = b / a
@@ -282,7 +294,7 @@ def _solve_interval(qp: QpProblem) -> tuple[tuple[float, ...], tuple[int, ...], 
     if near:
         return _solved(qp, (u_des,), ())
     if lower > upper:
-        return _fallback(qp, feas_tol)
+        return None
     # u_des lies outside [lower, upper]: inside, it would meet every row. The
     # bound taken meets its own row and every looser one to a few ulps of b,
     # far inside feas_tol.
@@ -301,7 +313,7 @@ def _solved(qp: QpProblem, u, active) -> tuple[tuple[float, ...], tuple[int, ...
 
 
 def _fallback(qp, feas_tol):
-    u_fb, worst = _least_max_violation(qp)
+    u_fb, worst = _least_max_violation(qp, feas_tol)
     top = max(worst)
     active = tuple(i for i, w in enumerate(worst) if w >= top - feas_tol)
     return u_fb, active, INFEASIBLE_FALLBACK
@@ -318,7 +330,7 @@ def _row_violations(rows, u) -> list[float]:
     return [b - (a0 * u0 + a1 * u1) for a0, a1, b in rows]
 
 
-def _least_max_violation(qp) -> tuple[tuple[float, ...], list[float]]:
+def _least_max_violation(qp, feas_tol) -> tuple[tuple[float, ...], list[float]]:
     """Exact minimizer of max_i (b_i - a_i . u) over the box, with its row
     violations b - A u.
 
@@ -328,10 +340,13 @@ def _least_max_violation(qp) -> tuple[tuple[float, ...], list[float]]:
     cross: the vertices of the linear program min t s.t. t >= b_i - a_i . u
     over the box (Seidel, 1991). Crossings of two loci come from Cramer's
     rule, accepted within 1e-12 of the box and clamped into it, and every
-    candidate is priced by _row_violations. When distinct candidates tie at
-    the least maximum violation, they span the set of least-max-violation
-    points, and the point of their convex hull nearest u_des is returned
-    (see _nearest_tied).
+    candidate is priced by _row_violations. Candidates whose maximum
+    violation is within feas_tol of the least one are tied. When they all
+    lie within feas_tol of the first least one, that candidate is returned.
+    Otherwise they span a face of least-max-violation points, and the point
+    of it nearest u_des is the solve of the rows shifted by the least
+    violation (phase II); should that solve find no point, the candidate is
+    kept.
     """
     rows = qp.rows
     box = qp.box
@@ -381,50 +396,15 @@ def _least_max_violation(qp) -> tuple[tuple[float, ...], list[float]]:
 
     phi = [max(_row_violations(rows, u)) for u in points]
     least = min(phi)
-    tied = [u for u, v in zip(points, phi) if v == least]
-    if all(u == tied[0] for u in tied):
-        return tied[0], _row_violations(rows, tied[0])
-    return _nearest_tied(qp.u_des, tied, rows, box)
-
-
-def _nearest_tied(u_des, tied, rows, box) -> tuple[tuple[float, ...], list[float]]:
-    """The point nearest u_des in the convex hull of the tied candidates.
-
-    The tied candidates are the vertices of the optimal face of the linear
-    program min t s.t. t >= b_i - a_i . u over the box, so their hull is the
-    set of least-max-violation points. In 1-D that is u_des clamped into the
-    tied interval. In 2-D the nearest point is u_des itself, a projection
-    onto a segment between two vertices, or a vertex. A point counts only
-    if it lies in the box and rounding leaves its maximum violation equal
-    to the vertices'; the vertices always do, and among the points that
-    count the one nearest u_des wins, coordinates breaking exact ties.
-    """
-    if len(box) == 1:
-        ends = [u for (u,) in tied]
-        options = [(min(max(ends), max(min(ends), u_des[0])),)]
-    else:
-        options = [u_des]
-        ud0, ud1 = u_des
-        for (p0, p1), (q0, q1) in combinations(tied, 2):
-            e0 = q0 - p0
-            e1 = q1 - p1
-            r0 = ud0 - p0
-            r1 = ud1 - p1
-            length2 = e0 * e0 + e1 * e1
-            if 0.0 < r0 * e0 + r1 * e1 < length2:
-                # step along the segment's normal only, so an axis-aligned
-                # segment keeps u_des's coordinate along it exactly
-                s = (r1 * e0 - r0 * e1) / length2
-                options.append((ud0 + s * e1, ud1 - s * e0))
-    points = tied + options
-    phi = [max(_row_violations(rows, u)) for u in points]
-    counted = [
-        k
-        for k, u in enumerate(points)
-        if k < len(tied) or (phi[k] == phi[0] and all(lo <= v <= hi for v, (lo, hi) in zip(u, box)))
-    ]
-    k = min(counted, key=lambda k: (command_deviation(points[k], u_des), points[k]))
-    return points[k], _row_violations(rows, points[k])
+    best = points[phi.index(least)]
+    if all(command_deviation(u, best) <= feas_tol for u, v in zip(points, phi) if v <= least + feas_tol):
+        return best, _row_violations(rows, best)
+    # phase II: the face the tied candidates span is the feasible set of the
+    # rows shifted by the least violation
+    shifted = qp._replace(rows=tuple([(*row[:-1], row[-1] - least) for row in rows]))
+    solved = _solve(shifted, feas_tol)
+    u = best if solved is None else solved[0]
+    return u, _row_violations(rows, u)
 
 
 def command_deviation(u, u_des) -> float:

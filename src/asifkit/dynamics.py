@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, default_rng
 
-from .errors import InvalidConfig, InvalidDisturbance, InvalidState
+from .errors import InvalidConfig, InvalidDisturbance, InvalidState, NonFiniteState
 
 DOUBLE_INTEGRATOR_1D = "double_integrator_1d"
 DOUBLE_INTEGRATOR_2D = "double_integrator_2d"
@@ -157,40 +157,6 @@ class PlantModel:
         object.__setattr__(self, "_box", tuple(map(tuple, bounds.tolist())))
 
 
-def _drift(kind: str, x: np.ndarray) -> np.ndarray:
-    if kind == DOUBLE_INTEGRATOR_1D:
-        return np.array([x[1], 0.0])
-    return np.array([x[2], x[3], 0.0, 0.0])
-
-
-def _actuation_matrix(kind: str) -> np.ndarray:
-    g = np.array([[0.0], [1.0]]) if kind == DOUBLE_INTEGRATOR_1D else np.array(
-        [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-    )
-    g.setflags(write=False)
-    return g
-
-
-# both model kinds have state-independent actuation
-_G_CONST = {kind: _actuation_matrix(kind) for kind in _MODEL_DIMS}
-
-
-def _f_g(kind: str, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return _drift(kind, x), _G_CONST[kind]
-
-
-def eval_dynamics(model: PlantModel, state: PlantState) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate drift f(x) and actuation matrix g(x) at the given state.
-
-    Returns (f, g) with f of length state_dim and g of shape
-    (state_dim, control_dim).
-    """
-    x = state.x
-    if x.shape != (model.state_dim,):
-        raise InvalidState(f"state dim {x.shape} does not match model {model.kind}")
-    return _f_g(model.kind, x)
-
-
 def actuation_row(model: PlantModel, grad: tuple[float, ...]) -> tuple[float, ...]:
     """grad . g(x) for a row vector grad over the state, without building g.
 
@@ -290,7 +256,7 @@ def step_rk4(model: PlantModel, state: PlantState, u: ControlInput, w, dt: float
     # a finite sum means finite entries; only when it is not (overflow, or a
     # NaN or inf entry) are the entries tested one by one
     if not math.isfinite(sum(x1)) and not all(map(math.isfinite, x1)):
-        raise InvalidState(f"non-finite state entries: {x1}")
+        raise NonFiniteState(f"non-finite state entries: {x1}")
     return PlantState._trusted(tuple(x1), state.t + dt)
 
 

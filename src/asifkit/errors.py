@@ -17,6 +17,10 @@ class NonFiniteCommand(InvalidState):
     """The primary controller emitted a command with a NaN or infinite entry."""
 
 
+class NonFiniteState(InvalidState):
+    """Integration overflowed: the next state has a NaN or infinite entry."""
+
+
 class InvalidConfig(AsifKitError):
     """Scenario or solver configuration violates an invariant."""
 

@@ -43,6 +43,7 @@ from .errors import (
     EmptyTrace,
     InvalidConfig,
     NonFiniteCommand,
+    NonFiniteState,
     ParseError,
     SingularGradient,
     StructurallyInfeasible,
@@ -53,6 +54,8 @@ UNFILTERED = "unfiltered"
 _STATUS_CODES = {PASSTHROUGH: 0, MODIFIED: 1, INFEASIBLE_FALLBACK: 2, UNFILTERED: 3}
 _STATUS_NAMES = {v: k for k, v in _STATUS_CODES.items()}
 _FLAGS = {"0": False, "1": True}  # the intervened column
+# the filter intervenes exactly on these statuses
+_INTERVENES = {code: name in (MODIFIED, INFEASIBLE_FALLBACK) for name, code in _STATUS_CODES.items()}
 
 
 @dataclass(frozen=True)
@@ -95,8 +98,10 @@ class ScenarioConfig:
         ids = [c.id for c in constraints]
         if len(set(ids)) != len(ids):
             raise InvalidConfig(f"duplicate constraint ids in {ids}")
-        if dt <= 0 or duration <= 0 or dt > duration:
-            raise InvalidConfig(f"need 0 < dt <= duration, got dt={dt} duration={duration}")
+        if not (0.0 < dt <= duration < math.inf):
+            raise InvalidConfig(f"need 0 < dt <= duration < inf, got dt={dt} duration={duration}")
+        if 0.5 * dt * dt == 0.0:
+            raise InvalidConfig(f"dt={dt} is too small: the sampled rows' 0.5*dt*dt underflows to 0")
         if not schedule or schedule[0][0] != 0.0:
             raise InvalidConfig("mode_schedule must start with an entry at time 0")
         times = [t for t, _ in schedule]
@@ -107,6 +112,8 @@ class ScenarioConfig:
                 f"initial_state dim {initial_state.shape} does not match model "
                 f"state dim {model.state_dim}"
             )
+        if not np.all(np.isfinite(initial_state)):
+            raise InvalidConfig(f"initial_state must be finite, got {initial_state.tolist()}")
         for constraint in constraints:
             check_bounds_consistency(constraint, model)
             eval_h(constraint, PlantState(initial_state))  # dimension check
@@ -243,10 +250,11 @@ def run_episode(config: ScenarioConfig, record: bool = True) -> EpisodeTrace:
 
     Deterministic given the config (including seed). The filter is given the
     control period, so it enforces the sampled-data rows as well. A
-    NonFiniteCommand from the controller, or a SingularGradient or
-    StructurallyInfeasible raised by the filter, aborts the episode; the
-    partial trace (the steps before it) is returned flagged aborted rather
-    than discarded, with the error in abort_reason.
+    NonFiniteCommand from the controller, a SingularGradient or
+    StructurallyInfeasible raised by the filter, or a NonFiniteState from an
+    integration that overflows aborts the episode; the partial trace (the
+    steps before it) is returned flagged aborted rather than discarded, with
+    the error in abort_reason.
     """
     model = config.model
     controller = config.controller
@@ -264,8 +272,7 @@ def run_episode(config: ScenarioConfig, record: bool = True) -> EpisodeTrace:
 
     rng = np.random.default_rng(config.seed)
     state = PlantState(config.initial_state, 0.0)
-    aborted = False
-    abort_reason = ""
+    abort = None
 
     for k in range(n):
         t_k = k * dt
@@ -285,8 +292,7 @@ def run_episode(config: ScenarioConfig, record: bool = True) -> EpisodeTrace:
                 step_solve = 0.0
                 step_dev = 0.0
         except (NonFiniteCommand, SingularGradient, StructurallyInfeasible) as exc:
-            aborted = True
-            abort_reason = f"{type(exc).__name__}: {exc}"
+            abort = exc
             break
 
         if record:
@@ -301,7 +307,11 @@ def run_episode(config: ScenarioConfig, record: bool = True) -> EpisodeTrace:
             deviation_rec.append(step_dev)
 
         w = sample_disturbance(model, rng)
-        state = step_rk4(model, state, u_out, w, dt)
+        try:
+            state = step_rk4(model, state, u_out, w, dt)
+        except NonFiniteState as exc:
+            abort = exc
+            break
 
     steps = len(t_rec)
     return EpisodeTrace(
@@ -319,8 +329,8 @@ def run_episode(config: ScenarioConfig, record: bool = True) -> EpisodeTrace:
         deviation=np.array(deviation_rec, dtype=float),
         final_state=state.x,
         final_t=state.t,
-        aborted=aborted,
-        abort_reason=abort_reason,
+        aborted=abort is not None,
+        abort_reason="" if abort is None else f"{type(abort).__name__}: {abort}",
     )
 
 
@@ -379,8 +389,10 @@ def read_trace(path) -> EpisodeTrace:
     after the last step, so final_state and final_t are the last recorded
     pre-step sample (the config's initial state and 0.0 for a trace with no
     steps), not the state the episode ended in. A row of the wrong width, or
-    a cell that is no float, an intervened cell other than 0 or 1, or an
-    unknown status, raises ParseError with the row's line."""
+    a cell that is no float, an intervened cell other than 0 or 1, an
+    unknown status, or an intervened cell that disagrees with the status
+    (1 exactly on modified and infeasible_fallback), raises ParseError with
+    the row's line."""
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = fh.read().splitlines()
 
@@ -440,11 +452,17 @@ def read_trace(path) -> EpisodeTrace:
             raise ParseError(f"expected {width} cells, got {len(cells)}", line=lineno)
         try:
             row = list(map(float, cells[:n_num]))
-            intervened.append(_FLAGS[cells[n_num]])
-            status.append(_STATUS_CODES[cells[n_num + 1]])
+            flag = _FLAGS[cells[n_num]]
+            code = _STATUS_CODES[cells[n_num + 1]]
             solve_time.append(float(cells[n_num + 2]))
         except (ValueError, KeyError) as exc:
             raise ParseError(f"bad cell value: {exc}", line=lineno) from exc
+        if flag != _INTERVENES[code]:
+            raise ParseError(
+                f"intervened {cells[n_num]} disagrees with status {cells[n_num + 1]}", line=lineno
+            )
+        intervened.append(flag)
+        status.append(code)
         numeric += row
         deviation.append(command_deviation(row[uo:uo + cd], row[ud:uo]))
 

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's solution paths: the QP oracle is a
 brute-force grid scan, the integration oracle is the closed-form transition
-of the double integrator, and the least-max-violation reference is the
+of the double integrator, the plant reference is its drift and actuation
+matrix as numpy arrays, and the least-max-violation reference is the
 filter's earlier one-candidate-at-a-time enumerator, kept to test the
 filter's own enumeration against. Both solve crossings by Cramer's rule and
 price points with the filter's scalar sum (row_violations), so they agree
@@ -89,6 +90,15 @@ def grid_oracle(qp, points=2001, precise=False):
     if not feasible:
         return None, False
     return float(np.sqrt(best)), True
+
+
+def eval_dynamics(model, state):
+    """Drift f(x) and actuation matrix g of a double-integrator model as
+    numpy arrays, f of length state_dim and g of shape (state_dim,
+    control_dim): f = (velocities, 0) and g = (0; I)."""
+    x = state.x
+    d = model.control_dim
+    return np.concatenate([x[d:], np.zeros(d)]), np.vstack([np.zeros((d, d)), np.eye(d)])
 
 
 def closed_form_step(x, u, w, dt):

@@ -22,7 +22,7 @@ from asifkit import (
 )
 
 
-from tests.oracles import grid_oracle, qp_arrays
+from tests.oracles import grid_oracle, least_max_violation, qp_arrays, row_violations
 
 
 def make_qp(u_des, rows_a, rows_b, box):
@@ -372,11 +372,12 @@ def hand_built_qp(draw):
 
 def _least_max_violation(qp, grid_points=None):
     """The least over the box of the largest row violation: from the
-    fallback's enumeration, which does not involve the solve, or the least
-    over a per-axis grid of the box."""
+    reference enumeration, which does not involve the solve (the fallback's
+    own point may come from a phase-II solve), or the least over a per-axis
+    grid of the box."""
+    rows_a, rows_b, lo, hi = qp_arrays(qp)
     if grid_points is None:
-        return float(np.max(asif._least_max_violation(qp)[1]))
-    rows_a, rows_b, _, _ = qp_arrays(qp)
+        return max(row_violations(rows_a, rows_b, least_max_violation(qp, rows_a, rows_b, lo, hi)), default=0.0)
     axes = [np.linspace(lo, hi, grid_points) for lo, hi in qp.box]
     grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
     return float(np.min(np.max(rows_b[:, None] - rows_a @ grid, axis=0)))

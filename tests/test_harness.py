@@ -79,6 +79,20 @@ def test_config_validation_errors():
     with pytest.raises(InvalidConfig, match="2 kp and 2 kd"):
         ScenarioConfig.from_dict(bad)
 
+    # values no episode can run with: 0.5*dt*dt underflows to 0, a NaN dt,
+    # an endless episode, a non-finite initial state
+    for key, value in [
+        ("dt", 1e-320),
+        ("dt", float("nan")),
+        ("duration", float("inf")),
+        ("initial_state", [float("nan"), 0.0]),
+        ("initial_state", [0.0, float("inf")]),
+    ]:
+        bad = scenario_1d()
+        bad[key] = value
+        with pytest.raises(InvalidConfig):
+            ScenarioConfig.from_dict(bad)
+
 
 def test_single_step_episode():
     config = ScenarioConfig.from_dict(scenario_1d(duration=0.01, dt=0.01))
@@ -260,6 +274,18 @@ def test_trace_intervened_cell_is_0_or_1(cell, tmp_path):
     assert err.value.line == lineno
 
 
+@pytest.mark.parametrize("edit", [("1", "passthrough"), ("1", "unfiltered"), ("0", "modified"), ("0", "infeasible_fallback")])
+def test_trace_intervened_must_agree_with_status(edit, tmp_path):
+    """The filter sets intervened exactly when the status is modified or
+    infeasible_fallback, so a row that says otherwise is rejected."""
+    path = tmp_path / "t.csv"
+    write_trace(run_episode(ScenarioConfig.from_dict(scenario_1d(duration=0.5))), path)
+    lineno = _edit_data_row(path, 0, lambda cells: [*cells[:-3], *edit, cells[-1]])
+    with pytest.raises(ParseError, match=f"intervened {edit[0]} disagrees with status {edit[1]}") as err:
+        read_trace(path)
+    assert err.value.line == lineno
+
+
 def test_trace_missing_column_named(tmp_path):
     config = ScenarioConfig.from_dict(scenario_1d(duration=0.05))
     trace = run_episode(config)
@@ -386,6 +412,29 @@ def test_non_finite_command_aborts_the_episode(kp, kd, p, v):
     else:
         assert trace.aborted and trace.n_steps == 0
         assert trace.abort_reason == f"NonFiniteCommand: controller output [{raw}] is not finite"
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        scenario_1d(duration=0.5, initial_state=(-1e308, -1e308)),
+        scenario_1d(duration=0.5, initial_state=(-1e308, -1e308), controller={"kind": "pd", "kp": [0.0], "kd": [0.0]}),
+        scenario_1d(duration=0.5, disturbance_bound=1e308),
+        scenario_2d(duration=0.5, initial_state=(1e308, 1e308, 1e308, 1e308)),
+    ],
+    ids=["state", "state_pd", "disturbance", "state_2d"],
+)
+def test_overflowing_integration_is_a_counted_abort(cfg):
+    """A config that loads but whose integration overflows (a state near the
+    float range, a disturbance bound of 1e308) ends each episode as a
+    flagged NonFiniteState abort, with the steps before it kept; nothing
+    raises out of run_episode, and run_batch counts every abort."""
+    config = ScenarioConfig.from_dict(cfg)
+    trace = run_episode(config)
+    assert trace.aborted and trace.abort_reason.startswith("NonFiniteState: non-finite state entries")
+    assert 0 < trace.n_steps < config.n_steps
+    assert np.all(np.isfinite(trace.states)) and np.all(np.isfinite(trace.final_state))
+    assert run_batch(config, episodes=3, seed_base=0)["aborted_episodes"] == 3
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
