@@ -244,8 +244,8 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
             q0, q1, qb = cons[q]
             g_qq = q0 * q0 + q1 * q1
             cross = q0 * p1 - q1 * p0
-            if cross * cross <= dep2 * max(1.0, g_pp) * g_qq:
-                continue  # dependent normals
+            if not cross * cross > dep2 * max(1.0, g_pp) * g_qq:
+                continue  # dependent normals, or a test an overflow left NaN
             # the multipliers times cross^2 must be nonnegative; tol bounds
             # the rounding of the violations at u_des they are built from
             g_pq = p0 * q0 + p1 * q1
@@ -444,7 +444,7 @@ def filter_control(
     if len(active_row_ids) > 1:
         # a constraint with two rows in the problem is named once
         active_row_ids = tuple(dict.fromkeys(active_row_ids))
-    u_out = ControlInput._trusted(u_star, model.control_bounds)
+    u_out = ControlInput._trusted(u_star)
     deviation = command_deviation(u_star, qp.u_des)
     return FilterResult(u_out, True, deviation, active_row_ids, status, elapsed)
 

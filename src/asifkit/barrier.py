@@ -103,6 +103,9 @@ class BarrierConstraint:
             if not (math.isfinite(value) and value > 0):
                 raise InvalidConfig(f"constraint '{self.id}': {name} must be finite and > 0")
             params[name] = value
+        if self.kind == SPEED_LIMIT and not math.isfinite(params["v_max"] * params["v_max"]):
+            # h squares v_max, and a float power that overflows raises
+            raise InvalidConfig(f"constraint '{self.id}': v_max squared must be finite")
         object.__setattr__(self, "params", MappingProxyType(params))
 
 
@@ -273,8 +276,9 @@ def sampled_row(
     beta = k_v * reach
     c = k_p + beta
     a0, a1 = -c * n0, -c * n1
-    if b_speed > 0.0:
-        k = beta * (bv0 * n0 + bv1 * n1) / (b_speed * b_speed)
+    square = b_speed * b_speed
+    if square > 0.0:  # a speed whose square underflows leaves out a term no larger than beta
+        k = beta * (bv0 * n0 + bv1 * n1) / square
         a0 -= k * bv0
         a1 -= k * bv1
     return (a0, a1), demand + a0 * ub0 + a1 * ub1

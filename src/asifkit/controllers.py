@@ -139,7 +139,7 @@ def desired_control(controller: ControllerKind, state: PlantState, model: PlantM
     Raises NonFiniteCommand, naming the output, if any entry is NaN or
     infinite."""
     if isinstance(controller, AdversarialController):
-        return ControlInput._trusted(_adversarial_command(controller, state, model), model.control_bounds)
+        return ControlInput._trusted(_adversarial_command(controller, state, model))
     if isinstance(controller, NnController):
         command = mlp_forward(controller.spec, state.xs).tolist()
     elif isinstance(controller, PdController):
@@ -155,7 +155,7 @@ def desired_control(controller: ControllerKind, state: PlantState, model: PlantM
         raise InvalidState(f"controller output {command} does not match control dim {model.control_dim}")
     # bound first, so signed zeros clamp as np.clip does
     saturated = tuple([min(hi, max(lo, v)) for v, (lo, hi) in zip(command, model._box)])
-    return ControlInput._trusted(saturated, model.control_bounds)
+    return ControlInput._trusted(saturated)
 
 
 def _adversarial_command(

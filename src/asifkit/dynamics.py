@@ -18,7 +18,7 @@ MLP controller's matrix products still round through BLAS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from numpy.random import Generator, default_rng
@@ -81,24 +81,23 @@ class PlantState:
 class ControlInput:
     """Bounded actuation command: u_min <= u <= u_max componentwise. The
     command is held as us, a tuple of Python floats, and u gives it as a
-    read-only float64 array built when read."""
+    read-only float64 array built when read. The constructor checks the
+    command against bounds, shape (control_dim, 2) with columns
+    [u_min, u_max], and does not keep them."""
 
     us: tuple[float, ...]
-    bounds: np.ndarray  # shape (control_dim, 2), columns [u_min, u_max]
+    bounds: InitVar[np.ndarray]
 
     def __init__(self, u, bounds):
         object.__setattr__(self, "us", u)
-        object.__setattr__(self, "bounds", bounds)
-        self.__post_init__()
+        self.__post_init__(bounds)
 
-    def __post_init__(self):
+    def __post_init__(self, bounds):
         try:
             u = np.array(self.us, dtype=float)  # a copy: the caller's array stays writable
         except (TypeError, ValueError) as exc:
             raise InvalidState(f"control is not a vector of floats: {exc}") from None
-        bounds = np.asarray(self.bounds, dtype=float).reshape(-1, 2)
-        bounds.setflags(write=False)
-        object.__setattr__(self, "bounds", bounds)
+        bounds = np.asarray(bounds, dtype=float).reshape(-1, 2)
         if u.shape != (bounds.shape[0],):
             raise InvalidState(f"control dim {u.shape} does not match bounds {bounds.shape}")
         us = tuple(u.tolist())
@@ -110,12 +109,11 @@ class ControlInput:
         object.__setattr__(self, "us", us)
 
     @classmethod
-    def _trusted(cls, us: tuple[float, ...], bounds: np.ndarray) -> "ControlInput":
+    def _trusted(cls, us: tuple[float, ...]) -> "ControlInput":
         """Wrap a tuple of Python floats the caller has just built inside
-        validated bounds (a model's read-only control_bounds), without the
-        public checks."""
+        validated bounds (a model's box), without the public checks."""
         command = object.__new__(cls)
-        command.__dict__.update(us=us, bounds=bounds)
+        command.__dict__["us"] = us
         return command
 
     @property
@@ -128,13 +126,16 @@ class ControlInput:
 @dataclass(frozen=True)
 class PlantModel:
     """A control-affine plant: drift f, actuation map g, box bounds, and a
-    norm bound on the additive disturbance."""
+    norm bound on the additive disturbance. Models compare and hash by kind,
+    disturbance bound and box; control_bounds is the box as a read-only
+    array."""
 
     kind: str
-    control_bounds: np.ndarray  # shape (control_dim, 2)
+    control_bounds: np.ndarray = field(compare=False)  # shape (control_dim, 2)
     disturbance_bound: float = 0.0
     state_dim: int = field(init=False)
     control_dim: int = field(init=False)
+    _box: tuple[tuple[float, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _MODEL_DIMS:
@@ -280,4 +281,6 @@ def sample_disturbance(model: PlantModel, rng) -> tuple[float, ...]:
     if norm == 0.0:
         return (0.0,) * model.state_dim
     scale = magnitude / norm
+    if scale == math.inf:  # a huge bound over a tiny norm: normalise the direction first
+        return tuple([c / norm * magnitude for c in direction])
     return tuple([c * scale for c in direction])

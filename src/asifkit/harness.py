@@ -10,8 +10,8 @@ their per-step fields round-trip losslessly.
 The loop carries the state, the commands and the disturbance as tuples of
 Python floats (PlantState.xs, ControlInput.us, sample_disturbance's tuple),
 so a step builds no array beyond the disturbance draw and an MLP
-controller's. The recorder keeps the tuples, and the trace's arrays are
-built from them once the episode ends.
+controller's. The recorder keeps each step's floats in one flat list, which
+the trace builder slices into arrays once the episode ends.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 from .asif import INFEASIBLE_FALLBACK, MODIFIED, PASSTHROUGH, command_deviation, filter_control
 from .barrier import (
+    _STATE_DIMS,
     BarrierConstraint,
     check_bounds_consistency,
     constraint_from_config,
@@ -51,11 +52,29 @@ from .errors import (
 
 UNFILTERED = "unfiltered"
 
-_STATUS_CODES = {PASSTHROUGH: 0, MODIFIED: 1, INFEASIBLE_FALLBACK: 2, UNFILTERED: 3}
-_STATUS_NAMES = {v: k for k, v in _STATUS_CODES.items()}
+_STATUS_NAMES = (PASSTHROUGH, MODIFIED, INFEASIBLE_FALLBACK, UNFILTERED)  # indexed by int8 code
+_STATUS_CODES = {name: code for code, name in enumerate(_STATUS_NAMES)}
 _FLAGS = {"0": False, "1": True}  # the intervened column
-# the filter intervenes exactly on these statuses
-_INTERVENES = {code: name in (MODIFIED, INFEASIBLE_FALLBACK) for name, code in _STATUS_CODES.items()}
+# indexed by status code: the filter intervenes exactly on these statuses
+_INTERVENES = tuple(name in (MODIFIED, INFEASIBLE_FALLBACK) for name in _STATUS_NAMES)
+_TEXT_COLUMNS = ("intervened", "status", "solve_time")
+# run_episode keeps every step in Python lists until the episode ends, about
+# 0.6 kB a step at its peak for a 2-D plant with two constraints, so an
+# episode of more steps than this (10,000 s at the shipped dt of 0.01) is
+# refused at load rather than run out of memory
+MAX_EPISODE_STEPS = 10**6
+
+
+def _seed(value) -> int:
+    """value as an episode seed: a non-negative integer (an integral float
+    such as 2.0 included), or InvalidConfig."""
+    try:
+        seed = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidConfig(f"seed must be a non-negative integer, got {value!r}") from exc
+    if seed != value or seed < 0:
+        raise InvalidConfig(f"seed must be a non-negative integer, got {value!r}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -87,12 +106,12 @@ class ScenarioConfig:
             dt = float(cfg["dt"])
             duration = float(cfg["duration"])
             initial_state = np.asarray(cfg["initial_state"], dtype=float)
-            seed = int(cfg["seed"])
+            seed = _seed(cfg["seed"])
             schedule = tuple(
                 (float(entry["time"]), bool(entry["rta_enabled"]))
                 for entry in cfg["mode_schedule"]
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfig(f"bad scenario config: {exc}") from exc
 
         ids = [c.id for c in constraints]
@@ -102,6 +121,10 @@ class ScenarioConfig:
             raise InvalidConfig(f"need 0 < dt <= duration < inf, got dt={dt} duration={duration}")
         if 0.5 * dt * dt == 0.0:
             raise InvalidConfig(f"dt={dt} is too small: the sampled rows' 0.5*dt*dt underflows to 0")
+        if duration / dt + 1e-9 >= MAX_EPISODE_STEPS + 1:  # n_steps > MAX_EPISODE_STEPS
+            raise InvalidConfig(
+                f"duration={duration} at dt={dt} is more than {MAX_EPISODE_STEPS} steps"
+            )
         if not schedule or schedule[0][0] != 0.0:
             raise InvalidConfig("mode_schedule must start with an entry at time 0")
         times = [t for t, _ in schedule]
@@ -115,8 +138,11 @@ class ScenarioConfig:
         if not np.all(np.isfinite(initial_state)):
             raise InvalidConfig(f"initial_state must be finite, got {initial_state.tolist()}")
         for constraint in constraints:
+            if model.state_dim not in _STATE_DIMS[constraint.kind]:
+                raise InvalidConfig(
+                    f"constraint '{constraint.id}' of kind {constraint.kind} does not apply to {model.kind}"
+                )
             check_bounds_consistency(constraint, model)
-            eval_h(constraint, PlantState(initial_state))  # dimension check
         if isinstance(controller, AdversarialController):
             by_id = {c.id: c for c in constraints}
             if controller.target_constraint_id not in by_id:
@@ -262,13 +288,10 @@ def run_episode(config: ScenarioConfig, record: bool = True) -> EpisodeTrace:
     schedule = config.mode_schedule
     dt = config.dt
     n = config.n_steps
-    n_cons = len(constraints)
-    d = model.control_dim
     unfiltered_code = _STATUS_CODES[UNFILTERED]
 
-    # per-step records, turned into arrays once the episode ends
-    t_rec, x_rec, u_des_rec, u_out_rec, h_rec = [], [], [], [], []
-    intervened_rec, status_rec, solve_rec, deviation_rec = [], [], [], []
+    # per-step records, numeric holding the float cells in _trace_layout's order
+    numeric, status_rec, solve_rec, deviation_rec = [], [], [], []
 
     rng = np.random.default_rng(config.seed)
     state = PlantState(config.initial_state, 0.0)
@@ -282,13 +305,11 @@ def run_episode(config: ScenarioConfig, record: bool = True) -> EpisodeTrace:
                 result = filter_control(constraints, model, state, u_des, dt)
                 u_out = result.u_out
                 step_status = _STATUS_CODES[result.status]
-                step_intervened = result.intervened
                 step_solve = result.solve_time
                 step_dev = result.deviation
             else:
                 u_out = u_des
                 step_status = unfiltered_code
-                step_intervened = False
                 step_solve = 0.0
                 step_dev = 0.0
         except (NonFiniteCommand, SingularGradient, StructurallyInfeasible) as exc:
@@ -296,12 +317,8 @@ def run_episode(config: ScenarioConfig, record: bool = True) -> EpisodeTrace:
             break
 
         if record:
-            t_rec.append(t_k)
-            x_rec.append(state.xs)
-            u_des_rec.append(u_des.us)
-            u_out_rec.append(u_out.us)
-            h_rec.append([eval_h(constraint, state) for constraint in constraints])
-            intervened_rec.append(step_intervened)
+            numeric += (t_k, *state.xs, *u_des.us, *u_out.us)
+            numeric += [eval_h(constraint, state) for constraint in constraints]
             status_rec.append(step_status)
             solve_rec.append(step_solve)
             deviation_rec.append(step_dev)
@@ -313,24 +330,57 @@ def run_episode(config: ScenarioConfig, record: bool = True) -> EpisodeTrace:
             abort = exc
             break
 
-    steps = len(t_rec)
+    reason = "" if abort is None else f"{type(abort).__name__}: {abort}"
+    return _episode_trace(
+        config, numeric, status_rec, solve_rec, deviation_rec, state.x, state.t, abort is not None, reason
+    )
+
+
+def _trace_layout(model: PlantModel, constraint_ids) -> dict[str, tuple[slice, list[str]]]:
+    """The float blocks of a trace row in column order: each EpisodeTrace
+    field's slice of the row's float cells and its column names. h, the
+    last block, ends at the float-cell count; the _TEXT_COLUMNS follow."""
+    names = {
+        "t": ["t"],
+        "states": [f"state_{i}" for i in range(model.state_dim)],
+        "u_des": [f"udes_{i}" for i in range(model.control_dim)],
+        "u_out": [f"uout_{i}" for i in range(model.control_dim)],
+        "h": [f"h_{cid}" for cid in constraint_ids],
+    }
+    layout, lo = {}, 0
+    for field, cols in names.items():
+        layout[field] = (slice(lo, lo + len(cols)), cols)
+        lo += len(cols)
+    return layout
+
+
+def _episode_trace(
+    config: ScenarioConfig, numeric: list[float], status: list[int], solve_time: list[float],
+    deviation: list[float], final_state: np.ndarray, final_t: float, aborted: bool, abort_reason: str,
+) -> EpisodeTrace:
+    """The trace of recorded steps: numeric holds their float cells flat, row
+    after row, in _trace_layout's order, and status their int8 codes, from
+    which intervened is derived. Each block is a C-contiguous array."""
+    constraint_ids = tuple(c.id for c in config.constraints)
+    layout = _trace_layout(config.model, constraint_ids)
+    n = len(status)
+    table = np.array(numeric, dtype=float).reshape(n, layout["h"][0].stop)
+    blocks = {field: np.ascontiguousarray(table[:, cells]) for field, (cells, _) in layout.items()}
+    blocks["t"] = blocks["t"].reshape(n)
+    codes = np.array(status, dtype=np.int8)
     return EpisodeTrace(
         config=config,
         config_hash=config.config_hash,
-        constraint_ids=tuple(c.id for c in constraints),
-        t=np.array(t_rec, dtype=float),
-        states=np.array(x_rec, dtype=float).reshape(steps, model.state_dim),
-        u_des=np.array(u_des_rec, dtype=float).reshape(steps, d),
-        u_out=np.array(u_out_rec, dtype=float).reshape(steps, d),
-        h=np.array(h_rec, dtype=float).reshape(steps, n_cons),
-        intervened=np.array(intervened_rec, dtype=bool),
-        status=np.array(status_rec, dtype=np.int8),
-        solve_time=np.array(solve_rec, dtype=float),
-        deviation=np.array(deviation_rec, dtype=float),
-        final_state=state.x,
-        final_t=state.t,
-        aborted=abort is not None,
-        abort_reason="" if abort is None else f"{type(abort).__name__}: {abort}",
+        constraint_ids=constraint_ids,
+        **blocks,
+        intervened=np.array(_INTERVENES)[codes],
+        status=codes,
+        solve_time=np.array(solve_time, dtype=float),
+        deviation=np.array(deviation, dtype=float),
+        final_state=final_state,
+        final_t=final_t,
+        aborted=aborted,
+        abort_reason=abort_reason,
     )
 
 
@@ -349,13 +399,8 @@ def compute_metrics(trace: EpisodeTrace) -> SafetyMetrics:
 
 
 def trace_header(config: ScenarioConfig, constraint_ids) -> str:
-    cols = ["t"]
-    cols += [f"state_{i}" for i in range(config.model.state_dim)]
-    cols += [f"udes_{i}" for i in range(config.model.control_dim)]
-    cols += [f"uout_{i}" for i in range(config.model.control_dim)]
-    cols += [f"h_{cid}" for cid in constraint_ids]
-    cols += ["intervened", "status", "solve_time"]
-    return ",".join(cols)
+    layout = _trace_layout(config.model, constraint_ids)
+    return ",".join([col for _, cols in layout.values() for col in cols] + list(_TEXT_COLUMNS))
 
 
 def write_trace(trace: EpisodeTrace, path) -> None:
@@ -371,9 +416,9 @@ def write_trace(trace: EpisodeTrace, path) -> None:
     if trace.aborted:
         lines.append(f"# aborted: {trace.abort_reason}")
     lines.append(trace_header(trace.config, trace.constraint_ids))
-    numeric = np.concatenate(
-        [trace.t[:, None], trace.states, trace.u_des, trace.u_out, trace.h], axis=1
-    ).tolist()
+    layout = _trace_layout(trace.config.model, trace.constraint_ids)
+    blocks = [getattr(trace, field).reshape(trace.n_steps, len(cols)) for field, (_, cols) in layout.items()]
+    numeric = np.concatenate(blocks, axis=1).tolist()
     flags = ["1" if v else "0" for v in trace.intervened.tolist()]
     for row, flag, name, solve in zip(numeric, flags, trace.status_names(), trace.solve_time.tolist()):
         lines.append(",".join([*map(repr, row), flag, name, repr(solve)]))
@@ -392,11 +437,14 @@ def read_trace(path) -> EpisodeTrace:
     a cell that is no float, an intervened cell other than 0 or 1, an
     unknown status, or an intervened cell that disagrees with the status
     (1 exactly on modified and infeasible_fallback), raises ParseError with
-    the row's line."""
+    the row's line, and so does a '# config_hash:' line that disagrees with
+    the embedded config's hash."""
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = fh.read().splitlines()
 
     config = None
+    stated_hash = None
+    hash_line = 0
     aborted = False
     abort_reason = ""
     header = None
@@ -407,7 +455,10 @@ def read_trace(path) -> EpisodeTrace:
             continue
         if line.startswith("#"):
             body = line[1:].strip()
-            if body.startswith("config:"):
+            if body.startswith("config_hash:"):
+                stated_hash = body[len("config_hash:"):].strip()
+                hash_line = lineno
+            elif body.startswith("config:"):
                 try:
                     config = ScenarioConfig.from_dict(json.loads(body[len("config:"):].strip()))
                 except json.JSONDecodeError as exc:
@@ -439,13 +490,12 @@ def read_trace(path) -> EpisodeTrace:
             f"header mismatch: expected '{expected}', got '{header}'", line=header_line
         )
 
-    sd = config.model.state_dim
-    cd = config.model.control_dim
-    n_num = 1 + sd + 2 * cd + len(constraint_ids)  # t, states, u_des, u_out, h
-    ud, uo = 1 + sd, 1 + sd + cd
-    # numeric holds the rows' t, states, u_des, u_out and h cells flat, row after row
-    numeric, intervened, status, solve_time, deviation = [], [], [], [], []
+    layout = _trace_layout(config.model, constraint_ids)
+    state_cells, u_des_cells, u_out_cells = (layout[field][0] for field in ("states", "u_des", "u_out"))
     width = len(expected_cols)
+    n_num = width - len(_TEXT_COLUMNS)
+    # numeric holds the rows' float cells flat, row after row
+    numeric, status, solve_time, deviation = [], [], [], []
     for lineno, line in rows:
         cells = line.split(",")
         if len(cells) != width:
@@ -461,44 +511,31 @@ def read_trace(path) -> EpisodeTrace:
             raise ParseError(
                 f"intervened {cells[n_num]} disagrees with status {cells[n_num + 1]}", line=lineno
             )
-        intervened.append(flag)
         status.append(code)
         numeric += row
-        deviation.append(command_deviation(row[uo:uo + cd], row[ud:uo]))
+        deviation.append(command_deviation(row[u_out_cells], row[u_des_cells]))
 
-    n = len(rows)
-    table = np.array(numeric, dtype=float).reshape(n, n_num)
-    edges = (0, 1, ud, uo, uo + cd, n_num)
-    t_arr, states, u_des, u_out, h = (
-        np.ascontiguousarray(table[:, lo:hi]) for lo, hi in zip(edges, edges[1:])
+    if rows:
+        final_state, final_t = np.array(row[state_cells]), row[0]
+    else:
+        final_state, final_t = config.initial_state, 0.0
+    trace = _episode_trace(
+        config, numeric, status, solve_time, deviation, final_state, final_t, aborted, abort_reason
     )
-    t_arr = t_arr.reshape(n)
-    final_state = states[-1] if n else config.initial_state
-    final_t = float(t_arr[-1]) if n else 0.0
-    return EpisodeTrace(
-        config=config,
-        config_hash=config.config_hash,
-        constraint_ids=constraint_ids,
-        t=t_arr,
-        states=states,
-        u_des=u_des,
-        u_out=u_out,
-        h=h,
-        intervened=np.array(intervened, dtype=bool),
-        status=np.array(status, dtype=np.int8),
-        solve_time=np.array(solve_time, dtype=float),
-        deviation=np.array(deviation, dtype=float),
-        final_state=final_state,
-        final_t=final_t,
-        aborted=aborted,
-        abort_reason=abort_reason,
-    )
+    if stated_hash is not None and stated_hash != trace.config_hash:
+        raise ParseError(
+            f"config_hash {stated_hash} disagrees with the embedded config's {trace.config_hash}",
+            line=hash_line,
+        )
+    return trace
 
 
 def run_batch(config: ScenarioConfig, episodes: int, seed_base: int) -> dict:
     """Run seeded episodes sequentially and aggregate their metrics. Results
     are reported in seed order. Episodes share the validated config (and its
-    loaded controller); only the seed differs."""
+    loaded controller); only the seed differs. A seed_base that is no
+    non-negative integer raises InvalidConfig before any episode runs."""
+    seed_base = _seed(seed_base)
     per_episode = []
     aborted = 0
     for i in range(episodes):

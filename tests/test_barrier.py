@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,13 @@ def test_sampled_circle_row_admits_braking(gamma, model_2d):
 def test_sampled_circle_row_absent_at_centered_stopping_point(circle, model_2d):
     # braking from rest at the center leaves the stopping point there
     assert sampled_row(circle, model_2d, PlantState([0.0, 0.0, 0.0, 0.0]), DT) is None
+
+
+def test_sampled_circle_row_where_the_braked_speed_squared_underflows(circle, model_2d):
+    """Over a period of 2 s the braked speed is about 5e-324, whose square is
+    0: the row leaves out the term divided by that square and has authority."""
+    a, b = sampled_row(circle, model_2d, PlantState([0.0, -1.0, 0.0, 5e-324]), 2.0)
+    assert any(a) and all(map(math.isfinite, (*a, b)))
 
 
 def test_sampled_row_none_for_speed_limit(speed, model_2d):

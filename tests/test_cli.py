@@ -120,6 +120,20 @@ def test_batch_seed_order(tmp_path):
     assert agg["pooled"] is not None
 
 
+def test_configs_no_episode_can_run_exit_3(tmp_path):
+    """A negative seed base, and a constraint kind that does not fit the
+    plant, end as InvalidConfig (exit 3) before any episode runs."""
+    assert dispatch(["batch", "--config", str(SCENARIOS / "pd_1d.json"), "--episodes", "2", "--seed-base", "-3"]) == 3
+    cfg = json.loads((SCENARIOS / "circle_2d_adversarial.json").read_text())
+    cfg["model"] = json.loads((SCENARIOS / "pd_1d.json").read_text())["model"]
+    cfg["initial_state"] = [0.0, 0.0]
+    path = tmp_path / "circle_on_1d.json"
+    path.write_text(json.dumps(cfg))
+    trace = tmp_path / "t.csv"
+    assert dispatch(["simulate", "--config", str(path), "--trace", str(trace)]) == 3
+    assert not trace.exists()
+
+
 def test_check_gradients(capsys):
     assert dispatch(["check-gradients", "--states", "50"]) == 0
     out = capsys.readouterr().out

@@ -38,7 +38,7 @@ def test_compare_counts_digests_and_the_largest_command_difference():
 def test_runs_against_head_on_tiny_sets():
     """One JSON line per set, counting every item. Where this tree's sources
     are HEAD's, every item is equal."""
-    sets = {"scenarios": 4, "filter_multirow": 12, "random_1d": 30, "random_2d": 30}
+    sets = {"scenarios": 4, "filter_multirow": 12, "trace_roundtrip": 4, "random_1d": 30, "random_2d": 30}
     argv = [sys.executable, str(TOOL), "--against", "HEAD", "--sets", ",".join(sets), "--size", "4", "--random", "30"]
     out = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=600)
     lines = [json.loads(line) for line in out.stdout.splitlines()]

@@ -201,6 +201,36 @@ def test_disturbance_norm_bounded_exhaustive():
     assert worst <= 0.1 * (1 + 1e-12)
 
 
+def test_disturbance_under_a_huge_bound_is_finite():
+    """With a bound near the float maximum, magnitude / norm overflows for a
+    direction of norm below 1; the draw is then normalised first and stays
+    finite within the bound."""
+    for kind, bounds in ((DOUBLE_INTEGRATOR_1D, [[-1, 1]]), (DOUBLE_INTEGRATOR_2D, [[-1, 1], [-1, 1]])):
+        model = PlantModel(kind, bounds, disturbance_bound=1.7e308)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            w = sample_disturbance(model, rng)
+            assert all(map(math.isfinite, w)) and math.hypot(*w) <= 1.7e308 * (1 + 1e-9)
+
+
+def test_values_compare_and_hash():
+    """ControlInput compares and hashes by its command and keeps no bounds;
+    PlantModel compares and hashes by kind, box and disturbance bound."""
+    a = ControlInput([0.5], [[-1, 1]])
+    assert a == ControlInput([0.5], np.array([[-1.0, 1.0]])) and hash(a) == hash(ControlInput([0.5], [[-1, 1]]))
+    assert a != ControlInput([0.25], [[-1, 1]]) and not hasattr(a, "bounds")
+    model = PlantModel(DOUBLE_INTEGRATOR_2D, [[-1, 1], [-1, 1]], disturbance_bound=0.05)
+    same = PlantModel(DOUBLE_INTEGRATOR_2D, np.array([[-1.0, 1.0], [-1.0, 1.0]]), 0.05)
+    assert model == same and hash(model) == hash(same) and len({model, same}) == 1
+    for other in (
+        PlantModel(DOUBLE_INTEGRATOR_2D, [[-1, 1], [-1, 2]], 0.05),
+        PlantModel(DOUBLE_INTEGRATOR_2D, [[-1, 1], [-1, 1]], 0.1),
+        PlantModel(DOUBLE_INTEGRATOR_1D, [[-1, 1]], 0.05),
+    ):
+        assert model != other
+    assert not model.control_bounds.flags.writeable and model.control_bounds[:, 1].tolist() == [1.0, 1.0]
+
+
 def test_plant_state_rejects_nonfinite():
     with pytest.raises(InvalidState):
         PlantState([np.nan, 0.0])

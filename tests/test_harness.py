@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from asifkit import (
@@ -33,7 +33,7 @@ from asifkit import (
     write_trace,
 )
 from asifkit.cli import dispatch
-from asifkit.harness import _STATUS_CODES, trace_header
+from asifkit.harness import _STATUS_CODES, MAX_EPISODE_STEPS, trace_header
 from tests.conftest import Unreachable, sample_safe_state_2d, scenario_1d, scenario_2d
 from tests.oracles import write_trace_per_cell
 
@@ -80,17 +80,38 @@ def test_config_validation_errors():
         ScenarioConfig.from_dict(bad)
 
     # values no episode can run with: 0.5*dt*dt underflows to 0, a NaN dt,
-    # an endless episode, a non-finite initial state
+    # an endless episode, more steps than MAX_EPISODE_STEPS, a dt beyond the
+    # float range, a non-finite initial state, a seed that is no
+    # non-negative integer
     for key, value in [
         ("dt", 1e-320),
         ("dt", float("nan")),
         ("duration", float("inf")),
+        ("dt", 1e-160),
+        ("duration", 10_000.02),
+        ("dt", 10**400),
         ("initial_state", [float("nan"), 0.0]),
         ("initial_state", [0.0, float("inf")]),
+        ("seed", -3),
+        ("seed", 1.7),
+        ("seed", "3"),
+        ("seed", float("inf")),
+        ("seed", float("nan")),
     ]:
         bad = scenario_1d()
         bad[key] = value
         with pytest.raises(InvalidConfig):
+            ScenarioConfig.from_dict(bad)
+    assert ScenarioConfig.from_dict(scenario_1d(duration=10_000.0)).n_steps == MAX_EPISODE_STEPS
+    assert ScenarioConfig.from_dict(scenario_1d(seed=2.0)).seed == 2
+
+    # constraint kinds of the other plant, and a speed limit whose square overflows
+    fence_on_2d = dict(scenario_1d(), model=scenario_2d()["model"], initial_state=[0.0] * 4)
+    circle_on_1d = dict(scenario_2d(), model=scenario_1d()["model"], initial_state=[0.0] * 2)
+    huge_speed_limit = scenario_2d()
+    huge_speed_limit["constraints"][1]["params"]["v_max"] = 1e200
+    for bad in (fence_on_2d, circle_on_1d, huge_speed_limit):
+        with pytest.raises(InvalidConfig, match="does not apply|v_max squared"):
             ScenarioConfig.from_dict(bad)
 
 
@@ -286,6 +307,18 @@ def test_trace_intervened_must_agree_with_status(edit, tmp_path):
     assert err.value.line == lineno
 
 
+def test_trace_config_hash_line_must_match_the_config(tmp_path):
+    path = tmp_path / "t.csv"
+    write_trace(run_episode(ScenarioConfig.from_dict(scenario_1d(duration=0.1))), path)
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# config_hash: ")
+    lines[0] = "# config_hash: " + "0" * 64
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="config_hash 0{64} disagrees") as err:
+        read_trace(path)
+    assert err.value.line == 1
+
+
 def test_trace_missing_column_named(tmp_path):
     config = ScenarioConfig.from_dict(scenario_1d(duration=0.05))
     trace = run_episode(config)
@@ -414,6 +447,142 @@ def test_non_finite_command_aborts_the_episode(kp, kd, p, v):
         assert trace.abort_reason == f"NonFiniteCommand: controller output [{raw}] is not finite"
 
 
+# finite floats across the whole range, with the edges and subnormals drawn often
+_ANY_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, 1e308, -1e308]),
+)
+# positive floats, mostly of the shipped scale, else across the whole range
+_POSITIVE = st.one_of(
+    st.floats(1e-3, 10.0),
+    st.floats(1e-3, 10.0),
+    st.floats(5e-324, 1e308),
+    st.sampled_from([5e-324, 1e-160, 1e308]),
+)
+_KINDS = {2: ["geofence_1d", "speed_limit"], 4: ["geofence_2d_circle", "speed_limit"]}
+_WILD = st.one_of(st.floats(), st.integers(-(2**70), 2**70), st.none(), st.text(max_size=2))
+
+
+@st.composite
+def whole_configs(draw):
+    """A scenario config dict drawn across the float range, and the network
+    weights document of an nn controller (None for the other kinds). Most
+    draws fit the plant; some take a constraint kind of the other plant or
+    one wild field. Gains and weights may overflow, the initial state may
+    sit on a circle's centre, and the step count stays under a few dozen."""
+    sd = draw(st.sampled_from([2, 4]))
+    cd = sd // 2
+    kinds = st.one_of(st.sampled_from(_KINDS[sd]), st.sampled_from(_KINDS[2] + _KINDS[4]))
+    constraints = []
+    for i, kind in enumerate(draw(st.lists(kinds, min_size=1, max_size=3))):
+        if kind == "geofence_1d":
+            params = {"p_limit": draw(_POSITIVE), "u_max": 1.0}
+        elif kind == "geofence_2d_circle":
+            center = [draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))]
+            params = {"center": center, "radius": draw(_POSITIVE), "u_max": 1.0}
+        else:
+            params = {"v_max": draw(_POSITIVE)}
+        constraints.append({"id": f"c{i}", "kind": kind, "params": params, "gamma": draw(_POSITIVE)})
+    circles = [c["params"]["center"] for c in constraints if c["kind"] == "geofence_2d_circle"]
+    state = st.one_of(st.floats(-2.0, 2.0), _ANY_FINITE)
+    if circles and sd == 4 and draw(st.booleans()):
+        initial_state = [*draw(st.sampled_from(circles)), draw(state), draw(state)]
+    else:
+        initial_state = [draw(state) for _ in range(sd)]
+    controller_kind = draw(st.sampled_from(["adversarial", "pd", "nn"]))
+    net = None
+    if controller_kind == "adversarial":
+        target = draw(st.sampled_from([c["id"] for c in constraints]))
+        controller = {"kind": "adversarial", "target_constraint_id": target}
+    elif controller_kind == "pd":
+        gains = st.lists(_ANY_FINITE, min_size=cd, max_size=cd)
+        controller = {"kind": "pd", "kp": draw(gains), "kd": draw(gains)}
+    else:
+        sizes = [sd, draw(st.integers(1, 3)), cd]
+        net = {
+            "layer_sizes": sizes,
+            "weights": [[[draw(_ANY_FINITE) for _ in range(sizes[k])] for _ in range(sizes[k + 1])] for k in range(2)],
+            "biases": [[draw(_ANY_FINITE) for _ in range(sizes[k + 1])] for k in range(2)],
+            "activations": [draw(st.sampled_from(["tanh", "relu", "linear"])) for _ in range(2)],
+        }
+        controller = {"kind": "nn"}
+    dt = draw(st.one_of(st.sampled_from([0.01, 0.1, 1.0]), _POSITIVE))
+    schedule = [{"time": 0.0, "rta_enabled": draw(st.booleans())}]
+    if draw(st.booleans()):
+        schedule.append({"time": dt * draw(st.floats(0.5, 20.0)), "rta_enabled": draw(st.booleans())})
+    cfg = {
+        "model": {
+            "kind": {2: "double_integrator_1d", 4: "double_integrator_2d"}[sd],
+            "control_bounds": [[-1.0, 1.0]] * cd,
+            "disturbance_bound": draw(st.one_of(st.sampled_from([0.0, 0.05]), _POSITIVE)),
+        },
+        "controller": controller,
+        "constraints": constraints,
+        "dt": dt,
+        "duration": dt * draw(st.one_of(st.floats(1.0, 30.0), st.floats(0.5, 30.0))),
+        "initial_state": initial_state,
+        "seed": draw(st.integers(0, 2**64)),
+        "mode_schedule": schedule,
+    }
+    wild = draw(st.sampled_from([None] * 12 + ["dt", "duration", "disturbance_bound", "gamma", "state", "seed"]))
+    if wild == "seed":
+        cfg[wild] = draw(st.one_of(st.integers(-(2**64), -1), _ANY_FINITE, _WILD))
+    elif wild == "disturbance_bound":
+        cfg["model"][wild] = draw(_WILD)
+    elif wild == "gamma":
+        constraints[0]["gamma"] = draw(_WILD)
+    elif wild == "state":
+        initial_state[0] = draw(_WILD)
+    elif wild:
+        cfg[wild] = draw(_WILD)
+    return cfg, net
+
+
+def _overflowing_rows_config():
+    """Two circles at dt = 1.6e77 from a state with a speed of 1e-80: the
+    rows' entries of about 1.3e154 overflow their squares in the two-axis
+    solve."""
+    dt = 1.6375474301492827e77
+    cfg = scenario_2d(duration=dt, dt=dt, initial_state=(0.0, 0.0, 0.0, 9.970823070873243e-81))
+    circle = {"kind": "geofence_2d_circle", "params": {"radius": 1.0, "u_max": 1.0}}
+    cfg["constraints"] = [
+        {"id": "c0", **circle, "params": {**circle["params"], "center": [0.0, 1.0]}},
+        {"id": "c1", **circle, "params": {**circle["params"], "center": [1.0, 0.0]}},
+        {"id": "c2", "kind": "speed_limit", "params": {"v_max": 1.0}},
+    ]
+    cfg["controller"] = {"kind": "adversarial", "target_constraint_id": "c1"}
+    return cfg
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@settings(max_examples=300, deadline=None)
+@given(drawn=whole_configs())
+@example(drawn=(dict(scenario_1d(duration=0.1), seed=-3), None))
+@example(drawn=(dict(scenario_1d(duration=0.1), seed=1.7), None))
+@example(drawn=(scenario_1d(duration=1.0, dt=1e-160), None))
+@example(drawn=(dict(scenario_1d(duration=0.1), model=scenario_2d()["model"], initial_state=[0.0] * 4), None))
+@example(drawn=(dict(scenario_2d(duration=0.1), model=scenario_1d()["model"], initial_state=[0.0] * 2), None))
+@example(drawn=(scenario_2d(duration=2.0, dt=2.0, initial_state=(0.0, -1.0, 0.0, 5e-324)), None))  # speed**2 underflows
+@example(drawn=(scenario_1d(duration=4.0, dt=1.0, disturbance_bound=1e308, seed=1, rta_enabled=False), None))
+@example(drawn=(_overflowing_rows_config(), None))
+def test_every_config_that_loads_runs(drawn, tmp_path_factory):
+    """from_dict returns or raises InvalidConfig, and run_episode returns on
+    every config that loads: all its steps, or a flagged abort with the
+    steps before it kept. Nothing else raises out of either."""
+    cfg, net = drawn
+    if net is not None:
+        path = tmp_path_factory.getbasetemp() / "whole_configs_net.json"
+        path.write_text(json.dumps(net))
+        cfg["controller"]["path"] = str(path)
+    try:
+        config = ScenarioConfig.from_dict(cfg)
+    except InvalidConfig:
+        return
+    assume(config.n_steps <= 30)  # a wild dt or duration can ask for up to MAX_EPISODE_STEPS
+    trace = run_episode(config)
+    assert trace.n_steps == config.n_steps or (trace.aborted and trace.n_steps < config.n_steps)
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -499,6 +668,13 @@ def test_run_batch_matches_per_seed_episodes():
         expected.pop("max_solve_time")
         got.pop("max_solve_time")
         assert got == expected
+
+
+def test_run_batch_rejects_a_seed_base_before_any_episode():
+    config = ScenarioConfig.from_dict(scenario_1d(duration=0.1))
+    for seed_base in (-3, 1.5):
+        with pytest.raises(InvalidConfig, match="seed"):
+            run_batch(config, episodes=2, seed_base=seed_base)
 
 
 def test_config_hash_stable_under_key_order():

@@ -18,6 +18,10 @@ Sets:
                      benchmark filter_control call, seeds 1-3
   nn_nominal_batch   each batch call's metrics (solve time dropped) and its
                      episodes' traces, seed 1
+  trace_roundtrip    read_trace(write_trace(trace)) of the benchmark
+                     workload's traces, seed 1: every EpisodeTrace field
+                     but solve_time, and `asifkit metrics`'s JSON on the
+                     file, max_solve_time dropped
   random_1d          solve_qp on random_problem(default_rng(s), 1), s < N
   random_2d          the same on two axes
 
@@ -40,8 +44,21 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEEDS = {"corpus_adversarial": (1, 2, 3), "filter_multirow": (1, 2, 3), "nn_nominal_batch": (1,)}
-SETS = ("scenarios", "corpus_adversarial", "filter_multirow", "nn_nominal_batch", "random_1d", "random_2d")
+SEEDS = {
+    "corpus_adversarial": (1, 2, 3),
+    "filter_multirow": (1, 2, 3),
+    "nn_nominal_batch": (1,),
+    "trace_roundtrip": (1,),
+}
+SETS = (
+    "scenarios",
+    "corpus_adversarial",
+    "filter_multirow",
+    "nn_nominal_batch",
+    "trace_roundtrip",
+    "random_1d",
+    "random_2d",
+)
 
 
 def _digest(*parts) -> str:
@@ -122,6 +139,29 @@ def _nn_nominal_batch(workdir, size, random_count):
     return items
 
 
+def _trace_roundtrip(workdir, size, random_count):
+    import bench_workloads
+    from asifkit import cli, harness
+
+    items = []
+    for seed in SEEDS["trace_roundtrip"]:
+        for trace, csv_path, metrics_path in bench_workloads.TraceRoundtrip(seed, workdir, size).items:
+            harness.write_trace(trace, csv_path)
+            back = harness.read_trace(csv_path)
+            if cli.dispatch(["metrics", "--trace", csv_path, "--out", metrics_path]) != 0:
+                raise SystemExit(f"differential: asifkit metrics failed on {csv_path}")
+            with open(metrics_path, "r", encoding="utf-8") as fh:
+                metrics = json.load(fh)
+            metrics.pop("max_solve_time")
+            parts = [metrics, back.config.raw, back.config_hash, back.constraint_ids]
+            parts += [back.final_t, back.aborted, back.abort_reason]
+            for name in ("t", "states", "u_des", "u_out", "h", "intervened", "status", "deviation", "final_state"):
+                value = getattr(back, name)
+                parts += [name, value.dtype.str, value.shape, value.tobytes()]
+            items.append(_trace_item(back, _digest(*parts)))
+    return items
+
+
 def _random(d):
     def digest_set(workdir, size, random_count):
         import numpy as np
@@ -143,6 +183,7 @@ DIGESTS = {
     "corpus_adversarial": _corpus_adversarial,
     "filter_multirow": _filter_multirow,
     "nn_nominal_batch": _nn_nominal_batch,
+    "trace_roundtrip": _trace_roundtrip,
     "random_1d": _random(1),
     "random_2d": _random(2),
 }
