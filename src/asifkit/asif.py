@@ -31,7 +31,10 @@ the norm of its a exceeds _DEP_TOL. A row without it is met iff b <= feas_tol
 A solved point meets every row so; it is passthrough iff it equals u_des,
 else modified. A problem with no such point is an infeasible_fallback. Its
 command comes from the same contract: phase I finds the least maximum
-violation t over the box; where candidates within feas_tol of t lie more
+violation t over the box by enumerating candidate points, pricing each only
+until a row shows its maximum above the least so far plus feas_tol, which
+drops exactly the candidates that can be neither least nor tied (see
+_least_max_violation); where candidates within feas_tol of t lie more
 than feas_tol apart, phase II solves the rows shifted to b - t, which gives
 the point nearest u_des whose maximum violation is within feas_tol of t
 (Boyd & Vandenberghe, Convex Optimization, 2004, section 11.4).
@@ -180,45 +183,66 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
     constraint or the vertex of two, found in two closed-form stages, or
     None. Reached when the clamped u_des violates some row, and for the
     fallback's phase II. A point feasible within feas_tol may leave the box
-    by as much, so it is returned clipped."""
+    by as much, so it is returned clipped.
+
+    Each constraint's squared norm is computed once. A row whose squared
+    norm overflows (entries above about 1.3e154) takes part in the geometry
+    scaled by a power of two (_rescaled); points are still accepted against
+    the rows as given, under the tolerance contract."""
     rows = list(qp.rows)
     m = len(rows)
     ud0, ud1 = qp.u_des
     (lo0, hi0), (lo1, hi1) = qp.box
     # A row without authority is met everywhere or nowhere: it leaves no
     # feasible point, or it takes no further part as the empty row 0 >= 0.
+    # norms holds each constraint's squared norm; the box faces' are 1.
     dep2 = _DEP_TOL * _DEP_TOL
+    norms = []
     for i, (a0, a1, b) in enumerate(rows):
-        if a0 * a0 + a1 * a1 <= dep2:
+        norm = a0 * a0 + a1 * a1
+        if norm <= dep2:
             if b > feas_tol:
                 return None
             rows[i] = (0.0, 0.0, 0.0)
+            norm = 0.0
+        norms.append(norm)
     # the general constraint list: rows first, then box faces, so row
     # indices stay stable for reporting
     cons = rows + [(1.0, 0.0, lo0), (-1.0, -0.0, -hi0), (0.0, 1.0, lo1), (-0.0, -1.0, -hi1)]
+    norms += (1.0, 1.0, 1.0, 1.0)
     r_des = [b - a0 * ud0 - a1 * ud1 for a0, a1, b in cons]
+    # geo holds the constraints the geometry below is computed on: cons,
+    # except that a row whose squared norm overflows is scaled by a power of
+    # two, which leaves its line and the signs of its violations as they are.
+    # Points are accepted against cons and rows alone.
+    geo, r_geo = cons, r_des
+    if math.inf in norms:
+        geo, r_geo = _rescaled(cons, norms, qp.u_des)
 
     # Stage 1. Every feasible point lies across the hyperplane of the violated
     # constraint farthest from u_des (the first on ties), so the projection
     # onto it is optimal if it is feasible, and no other single projection
     # can be.
-    violated = [i for i, r in enumerate(r_des) if r > feas_tol]
-    if not violated:
-        return _solved(qp, (ud0, ud1), ())
     k = -1
     far = 0.0
-    for i in violated:
-        a0, a1, _ = cons[i]
-        dist2 = r_des[i] * r_des[i] / (a0 * a0 + a1 * a1)
-        if dist2 > far:
-            k = i
-            far = dist2
-    a0, a1, _ = cons[k]
-    lam = r_des[k] / (a0 * a0 + a1 * a1)
+    meets = True  # u_des meets every constraint
+    for i, r in enumerate(r_des):
+        if r > feas_tol:
+            meets = False
+            g = r_geo[i]
+            dist2 = g * g / norms[i]
+            if dist2 > far:
+                k = i
+                far = dist2
+    if meets:
+        return _solved(qp, (ud0, ud1), ())
+    a0, a1, _ = geo[k]
+    lam = r_geo[k] / norms[k]
     s0 = ud0 + lam * a0
     s1 = ud1 + lam * a1
     r_s = [b - a0 * s0 - a1 * s1 for a0, a1, b in cons]
-    r_s[k] = 0.0
+    if geo is cons:
+        r_s[k] = 0.0  # s lies on constraint k; a scaled row k is checked as it is
     if max(r_s) <= feas_tol:
         return _solved(qp, (s0, s1), (k,) if k < m else ())
 
@@ -230,27 +254,29 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
     # the optimum, and with none feasible the problem has no feasible point.
     # (For nearly parallel normals the multiplier test below passes almost
     # any pair; the order by distance still finds the optimum.)
-    violated_at_des = [i for i, r in enumerate(r_des) if r > 0.0]
+    violated_at_des = [i for i, r in enumerate(r_geo) if r > 0.0]
     vertices = []
     for p, r in enumerate(r_s):
         if r <= 0.0:
             continue
-        p0, p1, pb = cons[p]
-        g_pp = p0 * p0 + p1 * p1
-        r_p = r_des[p]
+        p0, p1, pb = geo[p]
+        g_pp = norms[p]
+        big_p = max(1.0, g_pp)
+        dep_p = dep2 * big_p
+        r_p = r_geo[p]
         for q in range(len(cons)) if r_p > 0.0 else violated_at_des:
             if q == p or (q < p and r_s[q] > 0.0):
                 continue  # not a pair, or a pair already taken
-            q0, q1, qb = cons[q]
-            g_qq = q0 * q0 + q1 * q1
+            q0, q1, qb = geo[q]
+            g_qq = norms[q]
             cross = q0 * p1 - q1 * p0
-            if not cross * cross > dep2 * max(1.0, g_pp) * g_qq:
+            if not cross * cross > dep_p * g_qq:
                 continue  # dependent normals, or a test an overflow left NaN
             # the multipliers times cross^2 must be nonnegative; tol bounds
             # the rounding of the violations at u_des they are built from
             g_pq = p0 * q0 + p1 * q1
-            r_q = r_des[q]
-            tol = feas_tol * (g_pp + g_qq + abs(g_pq)) * max(1.0, g_pp, g_qq)
+            r_q = r_geo[q]
+            tol = feas_tol * (g_pp + g_qq + abs(g_pq)) * max(big_p, g_qq)
             if g_qq * r_p - g_pq * r_q < -tol or g_pp * r_q - g_pq * r_p < -tol:
                 continue
             v0 = (qb * p1 - pb * q1) / cross
@@ -264,6 +290,22 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
         if all(b - a0 * v0 - a1 * v1 <= feas_tol for a0, a1, b in rows):
             return _solved(qp, (v0, v1), tuple(sorted(i for i in (p, q) if i < m)))
     return None
+
+
+def _rescaled(cons, norms, u_des):
+    """cons and the violations of u_des with every row whose squared norm
+    overflowed divided by the power of two that brings its largest |a| into
+    [0.5, 1), norms updated to match. The scaling is exact unless an entry
+    underflows, so the row keeps its line."""
+    ud0, ud1 = u_des
+    geo = list(cons)
+    for i, (a0, a1, b) in enumerate(cons):
+        if norms[i] == math.inf and math.isfinite(a0) and math.isfinite(a1):
+            e = -math.frexp(max(abs(a0), abs(a1)))[1]
+            a0, a1, b = math.ldexp(a0, e), math.ldexp(a1, e), math.ldexp(b, e)
+            geo[i] = (a0, a1, b)
+            norms[i] = a0 * a0 + a1 * a1
+    return geo, [b - a0 * ud0 - a1 * ud1 for a0, a1, b in geo]
 
 
 def _solve_interval(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tuple[int, ...], str] | None:
@@ -322,7 +364,8 @@ def _fallback(qp, feas_tol):
 def _row_violations(rows, u) -> list[float]:
     """b - a*u0 for (a, b) pairs, b - (a0*u0 + a1*u1) for (a0, a1, b)
     triples, at the point u: the one pricing of the clamp test and the
-    fallback."""
+    fallback, whose candidate pricing in _least_max_violation writes the
+    same expressions out row by row."""
     if len(u) == 1:
         (u0,) = u
         return [b - a * u0 for a, b in rows]
@@ -339,14 +382,25 @@ def _least_max_violation(qp, feas_tol) -> tuple[tuple[float, ...], list[float]]:
     equal-value locus crosses a box face, or (2-D) where two such loci
     cross: the vertices of the linear program min t s.t. t >= b_i - a_i . u
     over the box (Seidel, 1991). Crossings of two loci come from Cramer's
-    rule, accepted within 1e-12 of the box and clamped into it, and every
-    candidate is priced by _row_violations. Candidates whose maximum
-    violation is within feas_tol of the least one are tied. When they all
-    lie within feas_tol of the first least one, that candidate is returned.
-    Otherwise they span a face of least-max-violation points, and the point
-    of it nearest u_des is the solve of the rows shifted by the least
-    violation (phase II); should that solve find no point, the candidate is
-    kept.
+    rule, accepted within 1e-12 of the box and clamped into it. Candidates
+    whose maximum violation is within feas_tol of the least one are tied.
+    When they all lie within feas_tol of the first least one, that candidate
+    is returned. Otherwise they span a face of least-max-violation points,
+    and the point of it nearest u_des is the solve of the rows shifted by
+    the least violation (phase II); should that solve find no point, the
+    candidate is kept.
+
+    The candidates are priced in order, row by row, with _row_violations'
+    expression, and a candidate's pricing stops at its first row whose
+    violation exceeds the least maximum so far plus feas_tol. That is exact:
+    its own maximum is larger still, and so larger than the final least plus
+    feas_tol, so it can be neither the least, nor the first candidate to
+    reach it, nor tied with it, and the least, that candidate, the tie set
+    and phase II are those of pricing every candidate in full. A NaN
+    violation exceeds no bound, so it never stops a candidate; a candidate's
+    maximum is taken as max() takes it, NaN when its first row's violation
+    is NaN, and a NaN maximum is neither least nor tied unless it is the
+    first candidate's, which is then returned, as pricing in full did.
     """
     rows = qp.rows
     box = qp.box
@@ -394,10 +448,42 @@ def _least_max_violation(qp, feas_tol) -> tuple[tuple[float, ...], list[float]]:
                     # bound first, so signed zeros clamp as np.clip does
                     points.append((min(hi0, max(lo0, u0)), min(hi1, max(lo1, u1))))
 
-    phi = [max(_row_violations(rows, u)) for u in points]
-    least = min(phi)
-    best = points[phi.index(least)]
-    if all(command_deviation(u, best) <= feas_tol for u, v in zip(points, phi) if v <= least + feas_tol):
+    # top is a candidate's running maximum; bound is the least maximum so far
+    # plus feas_tol
+    first, rest = rows[0], rows[1:]
+    one_axis = len(box) == 1
+    priced = []  # (candidate, maximum violation) of each candidate priced to the end
+    best = least = None
+    bound = math.inf
+    for u in points:
+        if one_axis:
+            (u0,) = u
+            a, b = first
+            top = b - a * u0
+            if not top > bound:
+                for a, b in rest:
+                    w = b - a * u0
+                    if w > top:
+                        top = w
+                        if w > bound:
+                            break
+        else:
+            u0, u1 = u
+            a0, a1, b = first
+            top = b - (a0 * u0 + a1 * u1)
+            if not top > bound:
+                for a0, a1, b in rest:
+                    w = b - (a0 * u0 + a1 * u1)
+                    if w > top:
+                        top = w
+                        if w > bound:
+                            break
+        if top > bound:
+            continue
+        priced.append((u, top))
+        if best is None or top < least:
+            best, least, bound = u, top, top + feas_tol
+    if all(command_deviation(u, best) <= feas_tol for u, v in priced if v <= bound):
         return best, _row_violations(rows, best)
     # phase II: the face the tied candidates span is the feasible set of the
     # rows shifted by the least violation

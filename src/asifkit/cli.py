@@ -33,6 +33,13 @@ IO_ERROR = 3
 FINDINGS_ERROR = 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="asifkit",
@@ -56,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("check-gradients", help="finite-difference check of barrier gradients")
-    p.add_argument("--states", type=int, default=100)
+    p.add_argument("--states", type=_positive_int, default=100, help="states per constraint (at least 1)")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("check-case", help="parse and validate an argument document")

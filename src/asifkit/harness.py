@@ -65,16 +65,16 @@ _TEXT_COLUMNS = ("intervened", "status", "solve_time")
 MAX_EPISODE_STEPS = 10**6
 
 
-def _seed(value) -> int:
-    """value as an episode seed: a non-negative integer (an integral float
-    such as 2.0 included), or InvalidConfig."""
+def _non_negative_int(value, name: str) -> int:
+    """value as a non-negative integer (an integral float such as 2.0
+    included), or InvalidConfig naming it: an episode seed or count."""
     try:
-        seed = int(value)
+        number = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidConfig(f"seed must be a non-negative integer, got {value!r}") from exc
-    if seed != value or seed < 0:
-        raise InvalidConfig(f"seed must be a non-negative integer, got {value!r}")
-    return seed
+        raise InvalidConfig(f"{name} must be a non-negative integer, got {value!r}") from exc
+    if number != value or number < 0:
+        raise InvalidConfig(f"{name} must be a non-negative integer, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class ScenarioConfig:
             dt = float(cfg["dt"])
             duration = float(cfg["duration"])
             initial_state = np.asarray(cfg["initial_state"], dtype=float)
-            seed = _seed(cfg["seed"])
+            seed = _non_negative_int(cfg["seed"], "seed")
             schedule = tuple(
                 (float(entry["time"]), bool(entry["rta_enabled"]))
                 for entry in cfg["mode_schedule"]
@@ -533,9 +533,11 @@ def read_trace(path) -> EpisodeTrace:
 def run_batch(config: ScenarioConfig, episodes: int, seed_base: int) -> dict:
     """Run seeded episodes sequentially and aggregate their metrics. Results
     are reported in seed order. Episodes share the validated config (and its
-    loaded controller); only the seed differs. A seed_base that is no
-    non-negative integer raises InvalidConfig before any episode runs."""
-    seed_base = _seed(seed_base)
+    loaded controller); only the seed differs. An episode count or a
+    seed_base that is no non-negative integer raises InvalidConfig before
+    any episode runs."""
+    episodes = _non_negative_int(episodes, "episode count")
+    seed_base = _non_negative_int(seed_base, "seed")
     per_episode = []
     aborted = 0
     for i in range(episodes):

@@ -178,6 +178,26 @@ def test_solve_rows_without_authority():
         assert status == INFEASIBLE_FALLBACK and np.all(np.abs(u_star) <= 1.0)
 
 
+@pytest.mark.parametrize(
+    "rows_a, rows_b",
+    [
+        ([[1.0, 1.0]], [0.0]),  # stage 1: the projection onto the row
+        ([[1.0, 1.0], [0.0, 1.0]], [0.0, 0.25]),  # stage 2: the vertex of both rows
+        ([[1.0, -1.0], [1.0, 0.0]], [0.0, -0.5]),  # stage 1, the other row met
+    ],
+)
+def test_rows_whose_squared_norms_overflow_solve_as_scaled_down(rows_a, rows_b):
+    """Multiplying the first row by 2**600 overflows its squared norm but
+    leaves its line and the tolerance as they are: the solve gives the
+    unscaled problem's result bit for bit, a modified point."""
+    u_des, box = [-0.5, -0.25], [[-1.0, 1.0]] * 2
+    small = solve_qp(make_qp(u_des, rows_a, rows_b, box))
+    rows_a[0] = [2.0**600 * a for a in rows_a[0]]
+    big = solve_qp(make_qp(u_des, rows_a, rows_b, box))
+    assert small[2] == MODIFIED
+    assert (np.asarray(big[0]).tobytes(), big[1], big[2]) == (np.asarray(small[0]).tobytes(), small[1], small[2])
+
+
 @pytest.mark.parametrize("a, b", [(1e-13, 5e-14), (5e-324, 5e-324), (1.0, 1e-13)])
 def test_one_and_two_axes_decide_alike(a, b):
     """A row a * u0 >= b on box [-1, 1], u_des = 0, gets the same status, u0

@@ -134,6 +134,19 @@ def test_configs_no_episode_can_run_exit_3(tmp_path):
     assert not trace.exists()
 
 
+def test_counts_below_their_minimum_exit_non_zero(tmp_path, capsys):
+    """A negative episode count is InvalidConfig (exit 3) before any episode
+    runs, and a gradient check over fewer than one state a usage error
+    (exit 2); neither writes a result."""
+    out = tmp_path / "agg.json"
+    argv = ["batch", "--config", str(SCENARIOS / "pd_1d.json"), "--seed-base", "0", "--out", str(out)]
+    assert dispatch([*argv, "--episodes", "-2"]) == 3
+    assert not out.exists()
+    for states in ("0", "-5"):
+        assert dispatch(["check-gradients", "--states", states]) == 2
+    assert "max gradient relative error" not in capsys.readouterr().out
+
+
 def test_check_gradients(capsys):
     assert dispatch(["check-gradients", "--states", "50"]) == 0
     out = capsys.readouterr().out

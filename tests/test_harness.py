@@ -24,6 +24,7 @@ from asifkit import (
     desired_control,
     dynamics,
     filter_control,
+    harness,
     load_scenario,
     read_trace,
     run_batch,
@@ -554,6 +555,23 @@ def _overflowing_rows_config():
     return cfg
 
 
+def test_rows_whose_squared_norms_overflow_are_solved():
+    """The first step of _overflowing_rows_config, whose two circle rows
+    have squared norms beyond the float range, is modified at a point in
+    the box that meets every row under the tolerance contract."""
+    config = ScenarioConfig.from_dict(_overflowing_rows_config())
+    state = PlantState(config.initial_state, 0.0)
+    u_des = desired_control(config.controller, state, config.model)
+    qp = asif.assemble_qp(list(config.constraints), config.model, state, u_des, config.dt)
+    assert sum(a0 * a0 + a1 * a1 == float("inf") for a0, a1, _ in qp.rows) == 2
+    result = filter_control(list(config.constraints), config.model, state, u_des, config.dt)
+    assert result.status == MODIFIED and result.active_row_ids == ("c0", "c1")
+    u0, u1 = result.u_out.us
+    assert -1.0 <= u0 <= 1.0 and -1.0 <= u1 <= 1.0
+    feas_tol = asif._feas_tol(qp)
+    assert all(b - (a0 * u0 + a1 * u1) <= feas_tol for a0, a1, b in qp.rows)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @settings(max_examples=300, deadline=None)
 @given(drawn=whole_configs())
@@ -675,6 +693,15 @@ def test_run_batch_rejects_a_seed_base_before_any_episode():
     for seed_base in (-3, 1.5):
         with pytest.raises(InvalidConfig, match="seed"):
             run_batch(config, episodes=2, seed_base=seed_base)
+
+
+def test_run_batch_rejects_an_episode_count_before_any_episode(monkeypatch):
+    config = ScenarioConfig.from_dict(scenario_1d(duration=0.1))
+    monkeypatch.setattr(harness, "run_episode", lambda config: pytest.fail("an episode ran"))
+    for episodes in (-2, 1.5, "3", None, float("inf")):
+        with pytest.raises(InvalidConfig, match="episode count"):
+            run_batch(config, episodes=episodes, seed_base=0)
+    assert run_batch(config, episodes=0, seed_base=0)["per_episode"] == []
 
 
 def test_config_hash_stable_under_key_order():

@@ -12,6 +12,7 @@ over the box. A perturbation of b in its last bits must not move a fallback
 command.
 """
 
+import hashlib
 import math
 from collections import Counter
 from itertools import islice
@@ -222,6 +223,39 @@ def test_fallback_is_stable_under_last_bit_changes_of_b(d):
             moved.append(seed)
     assert fallbacks == {1: 13634, 2: 11580}[d]
     assert moved == []
+
+
+# The sha256 over solve_qp's results in order (status, each command entry's
+# float.hex(), active indices), and the passthrough, modified and fallback
+# counts, which show that fallbacks are covered. The solve computes on
+# Python floats in a fixed order, so the bits are the same on every machine;
+# a change that moves any result, a fallback's included, must re-pin it on
+# purpose.
+SOLVER_RESULTS = {
+    "random_1d": ("f919283944c73d75559024eb622d507752964f72fe7aed4b0f6d9ba94ce073bf", (612, 985, 3403)),
+    "random_2d": ("77f71a13e7c6c6161cdcef515cf5ed76c503261872031229fc1b334a2422d006", (411, 1634, 2955)),
+    "multirow": ("2e7ab73df737435fbdb9172420dbda216e7d7a205c2220201f46aed42d54e965", (779, 834, 387)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_RESULTS))
+def test_solver_results_are_pinned(name):
+    """Every bit of the command, the active rows and the status of solve_qp
+    on random_problem seeds 0-4999 per axis count and on 2000 multirow_cases
+    filter problems. compare() lets a tied fallback move; this does not."""
+    if name == "multirow":
+        problems = (assemble_qp(*case) for case in islice(multirow_cases(np.random.default_rng(5)), 2000))
+    else:
+        d = int(name[-2])
+        problems = (random_problem(np.random.default_rng(seed), d) for seed in range(5000))
+    digest = hashlib.sha256()
+    statuses = Counter()
+    for qp in problems:
+        u, active, status = solve_qp(qp)
+        digest.update(repr((status, [v.hex() for v in u], active)).encode())
+        statuses[status] += 1
+    counts = tuple(statuses[status] for status in (PASSTHROUGH, MODIFIED, INFEASIBLE_FALLBACK))
+    assert (digest.hexdigest(), counts) == SOLVER_RESULTS[name]
 
 
 def _leaves(value):

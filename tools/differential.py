@@ -6,9 +6,12 @@
 Extracts ``git archive REF`` into a temporary directory, then digests the
 same inputs with this tree's asifkit and with REF's, each in its own
 subprocess, and prints one JSON line per set: how many items are equal, how
-many differ, and the largest difference of a command entry between the two
-(null where the commands have different shapes). The inputs are built by
-this tree's benchmark workloads and tests, so both sides see the same ones.
+many differ, the largest difference of a command entry between the two
+(null where the commands have different shapes), and on each side, this
+tree's first, how many solves ended in infeasible_fallback (a solve per
+item, or an episode's steps), which shows whether an identity claim covers
+the fallback. The inputs are built by this tree's benchmark workloads and
+tests, so both sides see the same ones.
 
 Sets:
   scenarios          the shipped scenarios/*.json traces as written by
@@ -50,6 +53,7 @@ SEEDS = {
     "nn_nominal_batch": (1,),
     "trace_roundtrip": (1,),
 }
+FALLBACK = "infeasible_fallback"
 SETS = (
     "scenarios",
     "corpus_adversarial",
@@ -71,8 +75,12 @@ def _digest(*parts) -> str:
 # ------------------------------------------------------------------ worker
 
 
+# Each digest function returns one (digest, command entries, fallback
+# count) item per input.
+
+
 def _trace_item(trace, digest):
-    return digest, trace.u_out.ravel().tolist()
+    return digest, trace.u_out.ravel().tolist(), trace.status_names().count(FALLBACK)
 
 
 def _scenarios(workdir, size, random_count):
@@ -112,7 +120,8 @@ def _filter_multirow(workdir, size, random_count):
         for constraints, state, u_des in workload.inputs:
             result = asif.filter_control(constraints, workload.model, state, u_des)
             u = result.u_out.u
-            items.append((_digest(result.status, u.tobytes(), result.active_row_ids, result.deviation), u.tolist()))
+            digest = _digest(result.status, u.tobytes(), result.active_row_ids, result.deviation)
+            items.append((digest, u.tolist(), int(result.status == FALLBACK)))
     return items
 
 
@@ -135,7 +144,8 @@ def _nn_nominal_batch(workdir, size, random_count):
                 for i in range(workload.episodes)
             ]
             digest = _digest(episodes, *map(bench_workloads._trace_digest, traces))
-            items.append((digest, [v for trace in traces for v in trace.u_out.ravel().tolist()]))
+            u = [v for trace in traces for v in trace.u_out.ravel().tolist()]
+            items.append((digest, u, sum(trace.status_names().count(FALLBACK) for trace in traces)))
     return items
 
 
@@ -172,7 +182,7 @@ def _random(d):
         items = []
         for seed in range(random_count):
             u, active, status = solve_qp(random_problem(np.random.default_rng(seed), d))
-            items.append((_digest(status, np.array(u, dtype=float).tobytes(), active), list(u)))
+            items.append((_digest(status, np.array(u, dtype=float).tobytes(), active), list(u), int(status == FALLBACK)))
         return items
 
     return digest_set
@@ -212,15 +222,17 @@ def extract(ref: str, dest: Path) -> None:
 
 
 def compare(ours, theirs) -> dict:
-    """Counts of equal and different items and the largest command difference."""
+    """Counts of equal and different items, the largest command difference
+    and each side's fallback count."""
     equal = sum(a[0] == b[0] for a, b in zip(ours, theirs))
     largest = 0.0
-    for (_, u), (_, v) in zip(ours, theirs):
+    for (_, u, _), (_, v, _) in zip(ours, theirs):
         if len(u) != len(v):
             largest = None
             break
         largest = max([largest, *(abs(x - y) for x, y in zip(u, v))])
-    return {"equal": equal, "different": max(len(ours), len(theirs)) - equal, "max_u_diff": largest}
+    fallbacks = [sum(item[2] for item in side) for side in (ours, theirs)]
+    return {"equal": equal, "different": max(len(ours), len(theirs)) - equal, "max_u_diff": largest, "fallbacks": fallbacks}
 
 
 def run(ref: str, sets, size, random_count) -> list[dict]:
