@@ -29,7 +29,12 @@ Tolerance contract, on one axis and on two: a row has control authority iff
 the norm of its a exceeds _DEP_TOL. A row without it is met iff b <= feas_tol
 (_feas_tol); any other row is met at a point iff b - a.u <= feas_tol there.
 A solved point meets every row so; it is passthrough iff it equals u_des,
-else modified. A problem with no such point is an infeasible_fallback. Its
+else modified. A problem with no such point is an infeasible_fallback. On
+two axes a solved point lies within feas_tol of the box, so a row whose b
+exceeds its largest a.u over the box by more than 2 * feas_tol * (1 + |a0|
++ |a1|) certifies that there is none (Boyd & Vandenberghe, Convex
+Optimization, 2004, section 5.8); the solve checks for one before its
+vertex search (see _solve_plane) and so ends most fallbacks early. Its
 command comes from the same contract: phase I finds the least maximum
 violation t over the box by enumerating candidate points, pricing each only
 until a row shows its maximum above the least so far plus feas_tol, which
@@ -185,6 +190,19 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
     fallback's phase II. A point feasible within feas_tol may leave the box
     by as much, so it is returned clipped.
 
+    Between the stages a box check ends the solve with None when one row
+    alone cannot be met: b - top > 2 * feas_tol * (1 + |a0| + |a1|), top
+    the largest a.u over the box. Stage 2 accepts only vertices within
+    feas_tol of the box, where a.u exceeds top by at most feas_tol * (|a0|
+    + |a1|) (the contract's box slack, the |a| term), so such a row is
+    violated there by more than feas_tol, the factor 2 covering the
+    rounding of both evaluations, as feas_tol >= 1e-11 * (1 + |b| + the
+    largest |box bound|). The check is exact: stage 2 would find no point
+    either, so every result keeps its bits. A product that overflows leaves
+    the comparison false (inf or NaN) or certifies a row that the solve's
+    own evaluations could not meet. The check runs only once stage 1 has
+    failed, so a problem stage 1 solves pays nothing for it.
+
     Each constraint's squared norm is computed once. A row whose squared
     norm overflows (entries above about 1.3e154) takes part in the geometry
     scaled by a power of two (_rescaled); points are still accepted against
@@ -245,6 +263,14 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
         r_s[k] = 0.0  # s lies on constraint k; a scaled row k is checked as it is
     if max(r_s) <= feas_tol:
         return _solved(qp, (s0, s1), (k,) if k < m else ())
+
+    # Box check: one row that no point near the box meets ends the solve
+    # (the docstring gives the margin).
+    tol2 = 2.0 * feas_tol
+    for a0, a1, b in rows:
+        top = a0 * (hi0 if a0 > 0.0 else lo0) + a1 * (hi1 if a1 > 0.0 else lo1)
+        if b - top > tol2 * (1.0 + abs(a0) + abs(a1)):
+            return None
 
     # Stage 2. The optimum is the vertex of two independent constraints with
     # both multipliers nonnegative. One of them is violated at s, or s would

@@ -9,7 +9,9 @@ strengthened barrier condition hdot + gamma * h >= 0 (cbf_row):
 
 Every function reads the state's float tuple (PlantState.xs), and rows and
 gradients are returned as tuples of Python floats: a row's a is the
-solver's row without its b.
+solver's row without its b. h and its gradient come from one evaluation,
+_terms, which dispatches on the kind once, so cbf_row evaluates each
+constraint once per state.
 
 A command held over a control period dt (zero-order hold) obeys a different
 condition, h(x_{k+1}) >= (1 - gamma dt) h(x_k). sampled_row gives that row
@@ -127,64 +129,60 @@ def _coords(constraint: BarrierConstraint, state: PlantState, model: PlantModel 
     return xs
 
 
-def _h(constraint: BarrierConstraint, x: tuple[float, ...]) -> float:
+def _terms(constraint: BarrierConstraint, x: tuple[float, ...]) -> tuple[float, tuple[float, ...] | None]:
+    """h and its gradient at the decoded state x, from one dispatch on the
+    kind (a circle's distance is computed once). The gradient is None where
+    it is singular, at a circle's center."""
     p = constraint.params
-    if constraint.kind == GEOFENCE_1D:
+    kind = constraint.kind
+    if kind == GEOFENCE_1D:
         pos, vel = x
-        return p["p_limit"] - pos - vel * abs(vel) / (2.0 * p["u_max"])
-    if constraint.kind == GEOFENCE_2D_CIRCLE:
+        u_max = p["u_max"]
+        speed = abs(vel)
+        return p["p_limit"] - pos - vel * speed / (2.0 * u_max), (-1.0, -speed / u_max)
+    if kind == GEOFENCE_2D_CIRCLE:
         cx, cy = p["center"]
-        r0 = x[0] - cx
-        r1 = x[1] - cy
+        u_max = p["u_max"]
+        p0, p1, v0, v1 = x
+        r0 = p0 - cx
+        r1 = p1 - cy
         d = math.hypot(r0, r1)
-        v_r = (r0 * x[2] + r1 * x[3]) / d if d > 0.0 else 0.0
+        v_r = (r0 * v0 + r1 * v1) / d if d > 0.0 else 0.0
         out = max(0.0, v_r)
-        return p["radius"] - d - out * out / (2.0 * p["u_max"])
-    # speed_limit
-    if len(x) == 2:
-        v = x[1]
-        return p["v_max"] ** 2 - v * v
-    v0, v1 = x[2], x[3]
-    return p["v_max"] ** 2 - v0 * v0 - v1 * v1
-
-
-def _grad(constraint: BarrierConstraint, x: tuple[float, ...]) -> tuple[float, ...]:
-    p = constraint.params
-    if constraint.kind == GEOFENCE_1D:
-        return (-1.0, -abs(x[1]) / p["u_max"])
-    if constraint.kind == GEOFENCE_2D_CIRCLE:
-        cx, cy = p["center"]
-        r0 = x[0] - cx
-        r1 = x[1] - cy
-        d = math.hypot(r0, r1)
+        h = p["radius"] - d - out * out / (2.0 * u_max)
         if d == 0.0:
-            raise SingularGradient(constraint.id)
+            return h, None
         rh0, rh1 = r0 / d, r1 / d
-        v0, v1 = x[2], x[3]
         v_r = rh0 * v0 + rh1 * v1
         if v_r > 0.0:
-            c = v_r / p["u_max"]
-            return (
+            c = v_r / u_max
+            return h, (
                 -rh0 - c * (v0 - v_r * rh0) / d,
                 -rh1 - c * (v1 - v_r * rh1) / d,
                 -c * rh0,
                 -c * rh1,
             )
-        return (-rh0, -rh1, 0.0, 0.0)
+        return h, (-rh0, -rh1, 0.0, 0.0)
     # speed_limit
     if len(x) == 2:
-        return (0.0, -2.0 * x[1])
-    return (0.0, 0.0, -2.0 * x[2], -2.0 * x[3])
+        v = x[1]
+        return p["v_max"] ** 2 - v * v, (0.0, -2.0 * v)
+    v0, v1 = x[2], x[3]
+    return p["v_max"] ** 2 - v0 * v0 - v1 * v1, (0.0, 0.0, -2.0 * v0, -2.0 * v1)
 
 
 def eval_h(constraint: BarrierConstraint, state: PlantState) -> float:
     """Barrier value; h >= 0 iff the state is in the constraint's safe set."""
-    return _h(constraint, _coords(constraint, state))
+    return _terms(constraint, _coords(constraint, state))[0]
 
 
 def eval_grad_h(constraint: BarrierConstraint, state: PlantState) -> tuple[float, ...]:
-    """Gradient of h with respect to the state vector, a tuple of floats."""
-    return _grad(constraint, _coords(constraint, state))
+    """Gradient of h with respect to the state vector, a tuple of floats.
+    Raises SingularGradient at a circle's center."""
+    grad = _terms(constraint, _coords(constraint, state))[1]
+    if grad is None:
+        raise SingularGradient(constraint.id)
+    return grad
 
 
 def cbf_row(constraint: BarrierConstraint, model: PlantModel, state: PlantState) -> tuple[tuple[float, ...], float]:
@@ -195,8 +193,10 @@ def cbf_row(constraint: BarrierConstraint, model: PlantModel, state: PlantState)
     of floats, and b depend only on the state, never on u.
     """
     x = _coords(constraint, state, model)
-    gamma_h = constraint.gamma * _h(constraint, x)
-    grad = _grad(constraint, x)
+    h, grad = _terms(constraint, x)
+    if grad is None:
+        raise SingularGradient(constraint.id)
+    gamma_h = constraint.gamma * h
     return actuation_row(model, grad), -drift_term(model, grad, x) - gamma_h
 
 
@@ -239,7 +239,7 @@ def sampled_row(
     u_max = p["u_max"]
     decay = 1.0 - constraint.gamma * dt
     if constraint.kind == GEOFENCE_1D:
-        h_k = _h(constraint, x)
+        h_k = _terms(constraint, x)[0]
         # With s = v_{k+1} = v_free + k_v u, p_{k+1} = p_free + rho (s - v_free)
         # and h(x_{k+1}) = p_limit - p_free + rho v_free - rho s - s|s|/(2 u_max),
         # which falls on decay * h_k at the root s of rho s + s|s|/(2 u_max) = k.

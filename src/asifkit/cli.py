@@ -7,8 +7,10 @@ check), 2 usage error, 3 IO or parse error.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -33,11 +35,29 @@ IO_ERROR = 3
 FINDINGS_ERROR = 1
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, minimum: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _check_out_dirs(*paths) -> None:
+    """Raise the OSError that writing each given path would for a missing
+    directory, before any episode runs to produce what it would hold."""
+    for path in paths:
+        if path is not None:
+            directory = os.path.dirname(path) or "."
+            if not os.path.isdir(directory):
+                raise FileNotFoundError(errno.ENOENT, "no such directory", directory)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-gradients", help="finite-difference check of barrier gradients")
     p.add_argument("--states", type=_positive_int, default=100, help="states per constraint (at least 1)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
 
     p = sub.add_parser("check-case", help="parse and validate an argument document")
     p.add_argument("--argument", required=True)
@@ -85,9 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     config = load_scenario(args.config)
+    metrics_path = args.metrics or f"{args.trace}.metrics.json"
+    _check_out_dirs(args.trace, metrics_path)
     trace = run_episode(config)
     write_trace(trace, args.trace)
-    metrics_path = args.metrics or f"{args.trace}.metrics.json"
     metrics = compute_metrics(trace)
     with open(metrics_path, "w", encoding="utf-8") as fh:
         json.dump(metrics.to_dict(), fh, indent=2)
@@ -100,6 +121,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_batch(args) -> int:
     config = load_scenario(args.config)
+    _check_out_dirs(args.out)
     result = run_batch(config, args.episodes, args.seed_base)
     text = json.dumps(result, indent=2) + "\n"
     if args.out:

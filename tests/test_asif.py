@@ -211,6 +211,48 @@ def test_one_and_two_axes_decide_alike(a, b):
     assert one[2] == PASSTHROUGH
 
 
+def _margin_qp(misses):
+    """Rows 2u0 + 2u1 >= 4 + delta and 10(u1 - u0) >= 0 in box [-1, 1]^2,
+    where the first row's largest value over the box, 4, falls short of b by
+    delta = misses * feas_tol. Their vertex is (1 + delta/4, 1 + delta/4).
+    u_des projects onto the first row at the vertex plus (e, -e), e =
+    feas_tol/10, which violates the second row by 2 feas_tol, so stage 1
+    fails (for misses = 3 that projection leaves the box by 0.85 feas_tol).
+    feas_tol is that of the problem with delta = 0 (6.6e-11); delta moves
+    it by a relative 1e-9 at most."""
+    feas_tol = 1e-11 * (1.0 + 4.0 + 0.8 + 0.8)
+    delta = misses * feas_tol
+    vertex = 1.0 + delta / 4.0
+    e = feas_tol / 10.0
+    u_des = [vertex - 0.2 + e, vertex - 0.2 - e]
+    qp = make_qp(u_des, [[2.0, 2.0], [-10.0, 10.0]], [4.0 + delta, 0.0], [[-1.0, 1.0]] * 2)
+    assert abs(asif._feas_tol(qp) - feas_tol) <= 1e-9 * feas_tol
+    return qp
+
+
+def test_row_missing_the_box_within_the_margin_stays_modified():
+    """The first row misses the box by 3 feas_tol, less than feas_tol * (1 +
+    |a0| + |a1|) = 5 feas_tol: its vertex with the second row lies within
+    feas_tol of the box and meets both rows, so the box check must not end
+    the solve. A margin without the |a| term (2 feas_tol) would."""
+    qp = _margin_qp(3.0)
+    u_star, active, status = solve_qp(qp)
+    assert status == MODIFIED and np.asarray(u_star).tolist() == [1.0, 1.0] and active == (0, 1)
+
+
+def test_row_beyond_the_margin_ends_in_the_fallback():
+    """Missing the box by 12 feas_tol, beyond the box check's 10 feas_tol,
+    the first row leaves no point: the fallback is the least-max-violation
+    point, the corner (1, 1), bit for bit as after a full stage 2."""
+    qp = _margin_qp(12.0)
+    feas_tol = asif._feas_tol(qp)
+    assert asif._solve_plane(qp, feas_tol) is None
+    result = solve_qp(qp)
+    assert result == asif._fallback(qp, feas_tol)
+    u_star, active, status = result
+    assert status == INFEASIBLE_FALLBACK and np.asarray(u_star).tolist() == [1.0, 1.0] and active == (0,)
+
+
 def test_fallback_ties_take_the_nearest_least_max_violation_point():
     """When a whole face of the box attains the least maximum violation, the
     fallback is the point of that face nearest u_des, not the nearest of the

@@ -153,10 +153,15 @@ def test_braking_distance_soundness(fence, model_1d):
             assert state.x[0] <= 1.0 + 1e-9
 
 
-def test_circle_singular_gradient(circle):
-    with pytest.raises(SingularGradient) as err:
-        eval_grad_h(circle, PlantState([0.0, 0.0, 1.0, 0.0]))
-    assert err.value.constraint_id == "circle"
+def test_circle_singular_gradient(circle, model_2d):
+    """At the center the gradient and so the row are undefined, while h is
+    still the radius."""
+    state = PlantState([0.0, 0.0, 1.0, 0.0])
+    for call in (lambda: eval_grad_h(circle, state), lambda: cbf_row(circle, model_2d, state)):
+        with pytest.raises(SingularGradient) as err:
+            call()
+        assert err.value.constraint_id == "circle"
+    assert eval_h(circle, state) == circle.params["radius"]
 
 
 def test_dimension_mismatch(fence, circle):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from asifkit import ScenarioConfig, compute_metrics, run_episode, write_trace
+from asifkit import ScenarioConfig, cli, compute_metrics, run_episode, write_trace
 from asifkit.assurance import template_text
 from asifkit.cli import dispatch
 
@@ -136,15 +136,39 @@ def test_configs_no_episode_can_run_exit_3(tmp_path):
 
 def test_counts_below_their_minimum_exit_non_zero(tmp_path, capsys):
     """A negative episode count is InvalidConfig (exit 3) before any episode
-    runs, and a gradient check over fewer than one state a usage error
-    (exit 2); neither writes a result."""
+    runs, and a gradient check over fewer than one state or from a negative
+    seed a usage error (exit 2); none writes a result."""
     out = tmp_path / "agg.json"
     argv = ["batch", "--config", str(SCENARIOS / "pd_1d.json"), "--seed-base", "0", "--out", str(out)]
     assert dispatch([*argv, "--episodes", "-2"]) == 3
     assert not out.exists()
-    for states in ("0", "-5"):
-        assert dispatch(["check-gradients", "--states", states]) == 2
+    for flags in (["--states", "0"], ["--states", "-5"], ["--seed", "-1"]):
+        assert dispatch(["check-gradients", *flags]) == 2
     assert "max gradient relative error" not in capsys.readouterr().out
+
+
+def test_outputs_in_a_missing_directory_exit_3_before_any_episode(tmp_path, monkeypatch, capsys):
+    """batch --out and simulate --trace/--metrics in a directory that does
+    not exist are an io error (exit 3) before any episode runs, and no file
+    is written."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(cli, "run_batch", unreachable)
+    monkeypatch.setattr(cli, "run_episode", unreachable)
+    missing = tmp_path / "missing"
+    config = str(SCENARIOS / "pd_1d.json")
+    batch = ["batch", "--config", config, "--episodes", "2", "--seed-base", "0", "--out", str(missing / "agg.json")]
+    simulate = ["simulate", "--config", config, "--trace"]
+    for argv in (
+        batch,
+        [*simulate, str(missing / "t.csv")],
+        [*simulate, str(tmp_path / "t.csv"), "--metrics", str(missing / "m.json")],
+    ):
+        assert dispatch(argv) == 3
+        assert "io error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_check_gradients(capsys):

@@ -27,6 +27,10 @@ Sets:
                      file, max_solve_time dropped
   random_1d          solve_qp on random_problem(default_rng(s), 1), s < N
   random_2d          the same on two axes
+  margin_2d          solve_qp on random_problem(default_rng(s), 2), s < N,
+                     with one row with authority moved to miss the box by
+                     k * feas_tol * (1 + |a0| + |a1|), k cycling through
+                     MARGINS, around the box check's 2
 
 --size K shrinks each workload to K items per seed (its benchmark size
 argument); --random N sets the number of random problems per axis count.
@@ -62,7 +66,9 @@ SETS = (
     "trace_roundtrip",
     "random_1d",
     "random_2d",
+    "margin_2d",
 )
+MARGINS = (0.5, 1.0, 1.5, 2.0, 2.5, 4.0)
 
 
 def _digest(*parts) -> str:
@@ -172,20 +178,62 @@ def _trace_roundtrip(workdir, size, random_count):
     return items
 
 
+def _solve_items(problems):
+    import numpy as np
+
+    from asifkit import solve_qp
+
+    items = []
+    for qp in problems:
+        u, active, status = solve_qp(qp)
+        items.append((_digest(status, np.array(u, dtype=float).tobytes(), active), list(u), int(status == FALLBACK)))
+    return items
+
+
 def _random(d):
     def digest_set(workdir, size, random_count):
         import numpy as np
 
-        from asifkit import solve_qp
         from tests.test_least_max_violation import random_problem
 
-        items = []
-        for seed in range(random_count):
-            u, active, status = solve_qp(random_problem(np.random.default_rng(seed), d))
-            items.append((_digest(status, np.array(u, dtype=float).tobytes(), active), list(u), int(status == FALLBACK)))
-        return items
+        return _solve_items(random_problem(np.random.default_rng(seed), d) for seed in range(random_count))
 
     return digest_set
+
+
+def _margin_problem(qp, k):
+    """qp with the row of largest |a0| + |a1| moved to miss the box by
+    k * feas_tol * (1 + |a0| + |a1|): its b becomes the row's largest a.u
+    over the box plus that margin. feas_tol follows the solver's tolerance
+    contract, 1e-11 * (1 + the largest |b| or |box bound| + the sum of
+    |u_des|), and depends on the new b, so b is refined three times. A
+    problem whose rows have no authority is returned as it is."""
+    i = max(range(len(qp.rows)), key=lambda j: abs(qp.rows[j][0]) + abs(qp.rows[j][1]))
+    a0, a1, b = qp.rows[i]
+    if a0 * a0 + a1 * a1 <= 1e-24:
+        return qp
+    norm1 = abs(a0) + abs(a1)
+    (lo0, hi0), (lo1, hi1) = qp.box
+    top = a0 * (hi0 if a0 > 0.0 else lo0) + a1 * (hi1 if a1 > 0.0 else lo1)
+    others = [abs(row[-1]) for j, row in enumerate(qp.rows) if j != i] + [abs(v) for pair in qp.box for v in pair]
+    u_sum = sum(abs(v) for v in qp.u_des)
+    for _ in range(3):
+        feas_tol = 1e-11 * (1.0 + max(others + [abs(b)]) + u_sum)
+        b = top + k * feas_tol * (1.0 + norm1)
+    rows = list(qp.rows)
+    rows[i] = (a0, a1, b)
+    return qp._replace(rows=tuple(rows))
+
+
+def _margin_2d(workdir, size, random_count):
+    import numpy as np
+
+    from tests.test_least_max_violation import random_problem
+
+    return _solve_items(
+        _margin_problem(random_problem(np.random.default_rng(seed), 2), MARGINS[seed % len(MARGINS)])
+        for seed in range(random_count)
+    )
 
 
 DIGESTS = {
@@ -196,6 +244,7 @@ DIGESTS = {
     "trace_roundtrip": _trace_roundtrip,
     "random_1d": _random(1),
     "random_2d": _random(2),
+    "margin_2d": _margin_2d,
 }
 
 
