@@ -13,7 +13,11 @@ constraint or the vertex of two, found by a finite enumeration (see
 solve_qp). Safe commands pass through bitwise unchanged; unsafe commands
 are minimally modified. If the rows and box admit no feasible point the
 filter falls back to the box point nearest u_des among those that minimize
-the maximum row violation, and says so loudly in the result status.
+the maximum row violation, and says so loudly in the result status. The
+common cases are decided on scalars, with no per-call table: the clamp
+test that passes a safe command, and on two axes the projection onto one
+constraint (stage 1 of _solve_plane); the constraint tables of the vertex
+search (stage 2) are built only once stage 1 has failed.
 
 A row with no control authority (a = 0) that demands b > 0 cannot be met by
 any command. Without a sampled row for its constraint, that is structural
@@ -29,12 +33,15 @@ Tolerance contract, on one axis and on two: a row has control authority iff
 the norm of its a exceeds _DEP_TOL. A row without it is met iff b <= feas_tol
 (_feas_tol); any other row is met at a point iff b - a.u <= feas_tol there.
 A solved point meets every row so; it is passthrough iff it equals u_des,
-else modified. A problem with no such point is an infeasible_fallback. On
-two axes a solved point lies within feas_tol of the box, so a row whose b
-exceeds its largest a.u over the box by more than 2 * feas_tol * (1 + |a0|
-+ |a1|) certifies that there is none (Boyd & Vandenberghe, Convex
-Optimization, 2004, section 5.8); the solve checks for one before its
-vertex search (see _solve_plane) and so ends most fallbacks early. Its
+else modified. A problem with no such point is an infeasible_fallback, and
+so, on two axes, is one whose constraints violated at u_des all have a
+squared distance that is NaN or underflows to zero (a row with an infinite
+entry), which leaves no projection to rank. On two axes a solved point
+lies within feas_tol of the box, so a row whose b exceeds its largest a.u
+over the box by more than 2 * feas_tol * (1 + |a0| + |a1|) certifies that
+there is none (Boyd & Vandenberghe, Convex Optimization, 2004, section
+5.8); the solve checks for one before its vertex search (see _solve_plane)
+and so ends most fallbacks early. Its
 command comes from the same contract: phase I finds the least maximum
 violation t over the box by enumerating candidate points, pricing each only
 until a row shows its maximum above the least so far plus feas_tol, which
@@ -140,38 +147,79 @@ def solve_qp(qp: QpProblem) -> tuple[tuple[float, ...], tuple[int, ...], str]:
     Returns (u_star, active row indices into qp.rows, status), u_star a
     tuple of floats. Starts from the box-clamped u_des; if that already
     satisfies every row it is optimal (passthrough when it equals u_des
-    bitwise, and u_star is then qp.u_des). Otherwise the minimizer is the
-    projection of u_des onto at most d of the constraints (the rows and the
-    box faces). One axis projects onto the interval the constraints leave
-    (_solve_interval). Two axes try the projection onto the violated
-    constraint farthest from u_des, then the vertices of two constraints
-    that can be optimal, nearest first. Both decide under the tolerance
-    contract of the module docstring. When no point meets the rows, the
-    fallback's least-max-violation point (_least_max_violation) is returned
-    with status infeasible_fallback; the fallback is decided here alone, so
-    it never recurses.
+    bitwise, and u_star is then qp.u_des). The clamp test prices the rows
+    at the clamped point one by one, on scalars, and stops at the first
+    that shows the largest slack positive; that largest slack is taken as
+    max() takes it, so a NaN first slack stays the maximum and the point
+    passes. Otherwise the minimizer is the projection of u_des onto at most
+    d of the constraints (the rows and the box faces). One axis projects
+    onto the interval the constraints leave (_solve_interval). Two axes try
+    the projection onto the violated constraint farthest from u_des, then
+    the vertices of two constraints that can be optimal, nearest first
+    (_solve_plane). Both decide under the tolerance contract of the module
+    docstring. When no point meets the rows, the fallback's
+    least-max-violation point (_least_max_violation) is returned with
+    status infeasible_fallback; the fallback is decided here alone, so it
+    never recurses.
     """
-    clamped = _clamped(qp.u_des, qp.box)
-    slack = _row_violations(qp.rows, clamped)
-    if max(slack, default=0.0) > 0.0:
+    u_des = qp.u_des
+    rows = qp.rows
+    clamped = _clamped(u_des, qp.box)
+    top = None  # the largest slack so far, as max() keeps it
+    if len(clamped) == 1:
+        (c0,) = clamped
+        for a, b in rows:
+            w = b - a * c0
+            if top is None or w > top:
+                top = w
+                if w > 0.0:
+                    break
+    else:
+        c0, c1 = clamped
+        for a0, a1, b in rows:
+            w = b - (a0 * c0 + a1 * c1)
+            if top is None or w > top:
+                top = w
+                if w > 0.0:
+                    break
+    if top is not None and top > 0.0:
         feas_tol = _feas_tol(qp)
         return _solve(qp, feas_tol) or _fallback(qp, feas_tol)
-    if clamped == qp.u_des:
-        return qp.u_des, (), PASSTHROUGH
+    if clamped == u_des:
+        return u_des, (), PASSTHROUGH
+    slack = _row_violations(rows, clamped)
     return clamped, tuple(i for i, s in enumerate(slack) if s == 0.0), MODIFIED
 
 
 def _clamped(u, box) -> tuple[float, ...]:
-    return tuple([lo if v < lo else (hi if v > hi else v) for v, (lo, hi) in zip(u, box)])
+    """u clipped into the box, on one axis or two."""
+    if len(u) == 1:
+        (v,), ((lo, hi),) = u, box
+        return (lo if v < lo else (hi if v > hi else v),)
+    (v0, v1), ((lo0, hi0), (lo1, hi1)) = u, box
+    return (lo0 if v0 < lo0 else (hi0 if v0 > hi0 else v0), lo1 if v1 < lo1 else (hi1 if v1 > hi1 else v1))
 
 
 def _feas_tol(qp: QpProblem) -> float:
     """The scaled feasibility tolerance: _FEAS_TOL * (1 + the largest |b| or
-    |box bound| + the sum of |u_des|)."""
-    values = [row[-1] for row in qp.rows]
-    for pair in qp.box:
-        values += pair
-    scale = 1.0 + max(map(abs, values))
+    |box bound| + the sum of |u_des|). The largest is taken as max() takes
+    it over the |b| in row order, then the box bounds: a NaN first value
+    stays the maximum."""
+    rows = qp.rows
+    box = qp.box
+    top = abs(rows[0][-1] if rows else box[0][0])
+    for row in rows:
+        v = abs(row[-1])
+        if v > top:
+            top = v
+    for lo, hi in box:
+        v = abs(lo)
+        if v > top:
+            top = v
+        v = abs(hi)
+        if v > top:
+            top = v
+    scale = 1.0 + top
     for v in qp.u_des:
         scale += abs(v)
     return _FEAS_TOL * scale
@@ -187,8 +235,21 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
     """Two control axes: the minimizer is the projection of u_des onto one
     constraint or the vertex of two, found in two closed-form stages, or
     None. Reached when the clamped u_des violates some row, and for the
-    fallback's phase II. A point feasible within feas_tol may leave the box
-    by as much, so it is returned clipped.
+    fallback's phase II, so qp has a row. A point feasible within feas_tol
+    may leave the box by as much, so it is returned clipped.
+
+    The constraints are the rows, then the box faces u0 >= lo0, -u0 >=
+    -hi0, u1 >= lo1, -u1 >= -hi1, in that order (their indices after the
+    rows). Stage 1 runs on scalars: one pass over the rows and the four
+    faces, written out, picks the violated constraint farthest from u_des,
+    then the projection onto it is checked against every constraint. A
+    violated constraint whose squared distance is NaN (a row with an
+    infinite entry, violated by inf) or underflows to zero cannot be
+    ranked; when no violated constraint can be, stage 1 has no projection
+    to try and no point is returned. The tables stage 2 needs (the
+    constraint list, the squared norms, the violations at u_des and at the
+    projection) are built only once stage 1 has failed and the box check
+    has passed, from the pass's result, without repeating it.
 
     Between the stages a box check ends the solve with None when one row
     alone cannot be met: b - top > 2 * feas_tol * (1 + |a0| + |a1|), top
@@ -203,66 +264,102 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
     own evaluations could not meet. The check runs only once stage 1 has
     failed, so a problem stage 1 solves pays nothing for it.
 
-    Each constraint's squared norm is computed once. A row whose squared
-    norm overflows (entries above about 1.3e154) takes part in the geometry
-    scaled by a power of two (_rescaled); points are still accepted against
-    the rows as given, under the tolerance contract."""
-    rows = list(qp.rows)
+    Each constraint's squared norm is computed once per stage. A row whose
+    squared norm overflows (entries above about 1.3e154) takes part in the
+    geometry scaled by a power of two (_scaled_down); points are still
+    accepted against the rows as given, under the tolerance contract."""
+    rows = qp.rows
     m = len(rows)
     ud0, ud1 = qp.u_des
     (lo0, hi0), (lo1, hi1) = qp.box
-    # A row without authority is met everywhere or nowhere: it leaves no
-    # feasible point, or it takes no further part as the empty row 0 >= 0.
-    # norms holds each constraint's squared norm; the box faces' are 1.
     dep2 = _DEP_TOL * _DEP_TOL
-    norms = []
-    for i, (a0, a1, b) in enumerate(rows):
-        norm = a0 * a0 + a1 * a1
-        if norm <= dep2:
-            if b > feas_tol:
-                return None
-            rows[i] = (0.0, 0.0, 0.0)
-            norm = 0.0
-        norms.append(norm)
-    # the general constraint list: rows first, then box faces, so row
-    # indices stay stable for reporting
-    cons = rows + [(1.0, 0.0, lo0), (-1.0, -0.0, -hi0), (0.0, 1.0, lo1), (-0.0, -1.0, -hi1)]
-    norms += (1.0, 1.0, 1.0, 1.0)
-    r_des = [b - a0 * ud0 - a1 * ud1 for a0, a1, b in cons]
-    # geo holds the constraints the geometry below is computed on: cons,
-    # except that a row whose squared norm overflows is scaled by a power of
-    # two, which leaves its line and the signs of its violations as they are.
-    # Points are accepted against cons and rows alone.
-    geo, r_geo = cons, r_des
-    if math.inf in norms:
-        geo, r_geo = _rescaled(cons, norms, qp.u_des)
+    inf = math.inf
 
     # Stage 1. Every feasible point lies across the hyperplane of the violated
     # constraint farthest from u_des (the first on ties), so the projection
     # onto it is optimal if it is feasible, and no other single projection
-    # can be.
+    # can be. k is that constraint, (ka0, ka1) its normal and lam the step
+    # along it; far is its squared distance.
     k = -1
     far = 0.0
     meets = True  # u_des meets every constraint
-    for i, r in enumerate(r_des):
+    scaled = False  # some row's squared norm overflows
+    for i, (a0, a1, b) in enumerate(qp.rows):
+        norm = a0 * a0 + a1 * a1
+        if norm <= dep2:
+            # A row without authority is met everywhere or nowhere: it leaves
+            # no feasible point, or it takes no further part as the empty row
+            # 0 >= 0.
+            if b > feas_tol:
+                return None
+            if rows is qp.rows:
+                rows = list(rows)
+            rows[i] = (0.0, 0.0, 0.0)
+            continue
+        if norm == inf:
+            scaled = True
+        r = b - a0 * ud0 - a1 * ud1
         if r > feas_tol:
             meets = False
-            g = r_geo[i]
-            dist2 = g * g / norms[i]
+            if norm == inf and math.isfinite(a0) and math.isfinite(a1):
+                a0, a1, b, norm = _scaled_down(a0, a1, b)
+                r = b - a0 * ud0 - a1 * ud1
+            dist2 = r * r / norm
             if dist2 > far:
-                k = i
-                far = dist2
+                k, far, ka0, ka1, lam = i, dist2, a0, a1, r / norm
+    # The faces' violations are the rows (1, 0, lo0), (-1, -0, -hi0), (0, 1,
+    # lo1) and (-0, -1, -hi1) evaluated as rows are, with each product by 1
+    # or -1 folded; z0 and z1 are the products by 0, NaN for a non-finite
+    # u_des. A face's squared norm is 1.
+    z0 = 0.0 * ud0
+    z1 = 0.0 * ud1
+    r = lo0 - ud0 - z1
+    if r > feas_tol:
+        meets = False
+        if r * r > far:
+            k, far, ka0, ka1, lam = m, r * r, 1.0, 0.0, r
+    r = -hi0 + ud0 + z1
+    if r > feas_tol:
+        meets = False
+        if r * r > far:
+            k, far, ka0, ka1, lam = m + 1, r * r, -1.0, -0.0, r
+    r = lo1 - z0 - ud1
+    if r > feas_tol:
+        meets = False
+        if r * r > far:
+            k, far, ka0, ka1, lam = m + 2, r * r, 0.0, 1.0, r
+    r = -hi1 + z0 + ud1
+    if r > feas_tol:
+        meets = False
+        if r * r > far:
+            k, far, ka0, ka1, lam = m + 3, r * r, -0.0, -1.0, r
     if meets:
         return _solved(qp, (ud0, ud1), ())
-    a0, a1, _ = geo[k]
-    lam = r_geo[k] / norms[k]
-    s0 = ud0 + lam * a0
-    s1 = ud1 + lam * a1
-    r_s = [b - a0 * s0 - a1 * s1 for a0, a1, b in cons]
-    if geo is cons:
-        r_s[k] = 0.0  # s lies on constraint k; a scaled row k is checked as it is
-    if max(r_s) <= feas_tol:
-        return _solved(qp, (s0, s1), (k,) if k < m else ())
+    if k < 0:
+        return None  # no violated constraint can be ranked (see the docstring)
+    s0 = ud0 + lam * ka0
+    s1 = ud1 + lam * ka1
+    # s is accepted as the largest of its violations, taken as max() takes
+    # it in constraint order, is at most feas_tol: the first row's (NaN
+    # fails) and no other above feas_tol. s lies on constraint k, whose
+    # violation is taken as 0.0 unless a row is scaled (a scaled row k is
+    # checked as it is).
+    on_k = -1 if scaled else k
+    for i, (a0, a1, b) in enumerate(rows):
+        if i != on_k:
+            r = b - a0 * s0 - a1 * s1
+            if r > feas_tol or (i == 0 and r != r):
+                break
+    else:
+        zs0 = 0.0 * s0
+        zs1 = 0.0 * s1
+        if not (
+            (lo0 - s0 - zs1 > feas_tol and on_k != m)
+            or (-hi0 + s0 + zs1 > feas_tol and on_k != m + 1)
+            or (lo1 - zs0 - s1 > feas_tol and on_k != m + 2)
+            or (-hi1 + zs0 + s1 > feas_tol and on_k != m + 3)
+        ):
+            return _solved(qp, (s0, s1), (k,) if k < m else ())
 
     # Box check: one row that no point near the box meets ends the solve
     # (the docstring gives the margin).
@@ -271,6 +368,21 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
         top = a0 * (hi0 if a0 > 0.0 else lo0) + a1 * (hi1 if a1 > 0.0 else lo1)
         if b - top > tol2 * (1.0 + abs(a0) + abs(a1)):
             return None
+
+    # The tables of stage 2: the general constraint list, rows first, so row
+    # indices stay stable for reporting; each constraint's squared norm;
+    # geo, the constraints the geometry is computed on (cons, but for the
+    # rows scaled as in stage 1, which keeps their lines and the signs of
+    # their violations), with the violations of u_des; the violations of s.
+    # Points are accepted against cons and rows alone.
+    cons = [*rows, (1.0, 0.0, lo0), (-1.0, -0.0, -hi0), (0.0, 1.0, lo1), (-0.0, -1.0, -hi1)]
+    norms = [a0 * a0 + a1 * a1 for a0, a1, _ in cons]
+    r_s = [b - a0 * s0 - a1 * s1 for a0, a1, b in cons]
+    if scaled:
+        geo, r_geo = _rescaled(cons, norms, qp.u_des)
+    else:
+        geo, r_geo = cons, [b - a0 * ud0 - a1 * ud1 for a0, a1, b in cons]
+        r_s[k] = 0.0
 
     # Stage 2. The optimum is the vertex of two independent constraints with
     # both multipliers nonnegative. One of them is violated at s, or s would
@@ -320,18 +432,24 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
 
 def _rescaled(cons, norms, u_des):
     """cons and the violations of u_des with every row whose squared norm
-    overflowed divided by the power of two that brings its largest |a| into
-    [0.5, 1), norms updated to match. The scaling is exact unless an entry
-    underflows, so the row keeps its line."""
+    overflowed and whose entries are finite scaled down (_scaled_down),
+    norms updated to match."""
     ud0, ud1 = u_des
     geo = list(cons)
     for i, (a0, a1, b) in enumerate(cons):
         if norms[i] == math.inf and math.isfinite(a0) and math.isfinite(a1):
-            e = -math.frexp(max(abs(a0), abs(a1)))[1]
-            a0, a1, b = math.ldexp(a0, e), math.ldexp(a1, e), math.ldexp(b, e)
+            a0, a1, b, norms[i] = _scaled_down(a0, a1, b)
             geo[i] = (a0, a1, b)
-            norms[i] = a0 * a0 + a1 * a1
     return geo, [b - a0 * ud0 - a1 * ud1 for a0, a1, b in geo]
+
+
+def _scaled_down(a0, a1, b):
+    """The row divided by the power of two that brings its largest |a| into
+    [0.5, 1), with its squared norm. The scaling is exact unless an entry
+    underflows, so the row keeps its line."""
+    e = -math.frexp(max(abs(a0), abs(a1)))[1]
+    a0, a1 = math.ldexp(a0, e), math.ldexp(a1, e)
+    return a0, a1, math.ldexp(b, e), a0 * a0 + a1 * a1
 
 
 def _solve_interval(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tuple[int, ...], str] | None:
@@ -389,9 +507,10 @@ def _fallback(qp, feas_tol):
 
 def _row_violations(rows, u) -> list[float]:
     """b - a*u0 for (a, b) pairs, b - (a0*u0 + a1*u1) for (a0, a1, b)
-    triples, at the point u: the one pricing of the clamp test and the
-    fallback, whose candidate pricing in _least_max_violation writes the
-    same expressions out row by row."""
+    triples, at the point u: the slacks that give a clamped u_des its active
+    rows, and the fallback's row violations. The clamp test in solve_qp and
+    the candidate pricing in _least_max_violation write the same
+    expressions out row by row."""
     if len(u) == 1:
         (u0,) = u
         return [b - a * u0 for a, b in rows]

@@ -41,7 +41,7 @@ Constraint kinds:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -71,11 +71,13 @@ def _number(value) -> float:
 
 @dataclass(frozen=True)
 class BarrierConstraint:
-    """One safety constraint h(x) >= 0 with class-kappa gain alpha(h) = gamma*h."""
+    """One safety constraint h(x) >= 0 with class-kappa gain alpha(h) = gamma*h.
+    Constraints compare by every field and hash by all but params, a
+    read-only mapping that cannot be hashed."""
 
     id: str
     kind: str
-    params: dict
+    params: dict = field(hash=False)
     gamma: float = 1.0
     hazard_id: str = ""
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,12 +32,15 @@ ACTIVATIONS = ("tanh", "relu", "linear")
 @dataclass(frozen=True)
 class MlpSpec:
     """Fully-connected network: per-layer weights W[k] of shape
-    (sizes[k+1], sizes[k]), biases b[k], and an activation per layer."""
+    (sizes[k+1], sizes[k]), biases b[k], and an activation per layer.
+    Specs compare and hash by their sizes, their weights and biases as
+    float tuples, and their activations."""
 
     layer_sizes: tuple[int, ...]
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+    weights: tuple[np.ndarray, ...] = field(compare=False)
+    biases: tuple[np.ndarray, ...] = field(compare=False)
     activations: tuple[str, ...]
+    _values: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -72,6 +75,8 @@ class MlpSpec:
             biases.append(b)
         object.__setattr__(self, "weights", tuple(weights))
         object.__setattr__(self, "biases", tuple(biases))
+        values = tuple((tuple(map(tuple, w.tolist())), tuple(b.tolist())) for w, b in zip(weights, biases))
+        object.__setattr__(self, "_values", values)
         object.__setattr__(self, "activations", tuple(self.activations))
 
 

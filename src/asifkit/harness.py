@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -81,17 +81,22 @@ def _non_negative_int(value, name: str) -> int:
 class ScenarioConfig:
     """Validated scenario: plant, controller, constraints, timing, seed, and
     the RTA mode schedule. `raw` keeps the canonical JSON-able form used for
-    hashing and persistence."""
+    hashing and persistence. Configs compare by every field, the initial
+    state by its float tuple, and hash by all but raw, a dict."""
 
     model: PlantModel
     controller: ControllerKind
     constraints: tuple[BarrierConstraint, ...]
     dt: float
     duration: float
-    initial_state: np.ndarray
+    initial_state: np.ndarray = field(compare=False)
     seed: int
     mode_schedule: tuple[tuple[float, bool], ...]
-    raw: dict
+    raw: dict = field(hash=False)
+    _initial_xs: tuple[float, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_initial_xs", tuple(self.initial_state.tolist()))
 
     @staticmethod
     def from_dict(cfg: dict) -> "ScenarioConfig":

@@ -198,6 +198,40 @@ def test_rows_whose_squared_norms_overflow_solve_as_scaled_down(rows_a, rows_b):
     assert (np.asarray(big[0]).tobytes(), big[1], big[2]) == (np.asarray(small[0]).tobytes(), small[1], small[2])
 
 
+def test_violated_rows_without_a_distance_leave_stage_1_no_projection():
+    """A row with an infinite entry that u_des violates by inf has a NaN
+    squared distance (inf / inf), so stage 1 cannot rank it. With no other
+    violated constraint there is no projection to try and the solve ends in
+    the fallback. In the first problem that is the corner (-1, -1). In the
+    second, the projection onto the top box face, (u0, 1), meets every row,
+    but no ranked constraint gives it, so it is not returned (with the last
+    row, slack there, named as active)."""
+    inf = float("inf")
+    box = ((-1.0, 1.0), (-1.0, 1.0))
+    rows = ((1.4400167254152394, -inf, -0.17774654927545933), (-1.4400167254152394, -0.0, -0.35962177380234306))
+    qp = QpProblem((-0.3200678697410273, 0.35018383322100277), rows, ("r0", "r1"), box)
+    assert asif._solve_plane(qp, asif._feas_tol(qp)) is None
+    assert solve_qp(qp) == ((-1.0, -1.0), (1,), INFEASIBLE_FALLBACK)
+    rows = ((0.0, 0.7, -1.4), (0.1, inf, -0.2), (0.9, 1.2, -1.0), (2.1, 0.0, -0.2))
+    qp = QpProblem((0.7191385815769427, -0.864028746677254), rows, ("r0", "r1", "r2", "r3"), box)
+    assert asif._solve_plane(qp, asif._feas_tol(qp)) is None
+    assert solve_qp(qp)[2] == INFEASIBLE_FALLBACK
+
+
+def test_stage_1_takes_the_largest_violation_at_the_projection_as_max_does():
+    """u_des = (-0.5, 0.25) violates u0 >= 0 and projects onto (0, 0.25),
+    where the row inf * u0 >= 0 evaluates to NaN (inf * 0). As max() takes
+    the largest violation, a NaN first one stays the maximum and rejects the
+    projection, so the solve ends in the fallback; the same row second is
+    passed over and the projection is the modified point."""
+    inf = float("inf")
+    box = ((-1.0, 1.0), (-1.0, 1.0))
+    qp = QpProblem((-0.5, 0.25), ((inf, 0.0, 0.0), (1.0, 0.0, 0.0)), ("r0", "r1"), box)
+    assert solve_qp(qp) == ((1.0, 0.25), (1,), INFEASIBLE_FALLBACK)
+    qp = QpProblem((-0.5, 0.25), ((1.0, 0.0, 0.0), (inf, 0.0, 0.0)), ("r0", "r1"), box)
+    assert solve_qp(qp) == ((0.0, 0.25), (0,), MODIFIED)
+
+
 @pytest.mark.parametrize("a, b", [(1e-13, 5e-14), (5e-324, 5e-324), (1.0, 1e-13)])
 def test_one_and_two_axes_decide_alike(a, b):
     """A row a * u0 >= b on box [-1, 1], u_des = 0, gets the same status, u0

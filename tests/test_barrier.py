@@ -210,6 +210,26 @@ def test_constraint_validation():
     assert constraint_from_config({"id": "x", "kind": SPEED_LIMIT, "params": {"v_max": 1.0}, "gamma": 2}).gamma == 2.0
 
 
+def test_constraints_compare_and_hash():
+    """Constraints built alike are equal and hash alike, with params read
+    back from a config mapping or given as a tuple centre; a change to any
+    field, params included, makes them unequal."""
+    cfg = {"id": "c", "kind": GEOFENCE_2D_CIRCLE, "params": {"center": [0.0, 1.0], "radius": 1.0, "u_max": 1.0}}
+    a = constraint_from_config(dict(cfg, gamma=2.0, hazard_id="H2"))
+    b = BarrierConstraint("c", GEOFENCE_2D_CIRCLE, {"center": (0.0, 1.0), "radius": 1, "u_max": 1.0}, 2, "H2")
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    others = [
+        BarrierConstraint("d", GEOFENCE_2D_CIRCLE, b.params, 2.0, "H2"),
+        BarrierConstraint("c", GEOFENCE_2D_CIRCLE, dict(b.params, radius=0.5), 2.0, "H2"),
+        BarrierConstraint("c", GEOFENCE_2D_CIRCLE, dict(b.params, center=(0.0, 0.0)), 2.0, "H2"),
+        BarrierConstraint("c", GEOFENCE_2D_CIRCLE, b.params, 1.0, "H2"),
+        BarrierConstraint("c", GEOFENCE_2D_CIRCLE, b.params, 2.0, "H3"),
+        BarrierConstraint("c", SPEED_LIMIT, {"v_max": 1.0}, 2.0, "H2"),
+    ]
+    for other in others:
+        assert other != a and hash(other) == hash(other)
+
+
 # ---- sampled-data rows ----
 
 DT = 0.01

@@ -37,9 +37,18 @@ def test_compare_counts_digests_and_the_largest_command_difference():
 @pytest.mark.skipif(_git("rev-parse", "--verify", "HEAD").returncode != 0, reason="needs a git checkout")
 def test_runs_against_head_on_tiny_sets():
     """One JSON line per set, counting every item and each side's
-    fallbacks, which the random and margin sets and filter_multirow have.
-    Where this tree's sources are HEAD's, every item and count is equal."""
-    sets = {"scenarios": 4, "filter_multirow": 12, "trace_roundtrip": 4, "random_1d": 30, "random_2d": 30, "margin_2d": 30}
+    fallbacks, which the random, margin and nonfinite sets and
+    filter_multirow have. Where this tree's sources are HEAD's, every item
+    and count is equal."""
+    sets = {
+        "scenarios": 4,
+        "filter_multirow": 12,
+        "trace_roundtrip": 4,
+        "random_1d": 30,
+        "random_2d": 30,
+        "margin_2d": 30,
+        "nonfinite": 60,  # 30 problems on each axis count
+    }
     argv = [sys.executable, str(TOOL), "--against", "HEAD", "--sets", ",".join(sets), "--size", "4", "--random", "30"]
     out = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=600)
     lines = [json.loads(line) for line in out.stdout.splitlines()]
@@ -47,7 +56,7 @@ def test_runs_against_head_on_tiny_sets():
     for line in lines:
         assert line["equal"] + line["different"] == sets[line["set"]], line
         assert len(line["fallbacks"]) == 2 and all(count >= 0 for count in line["fallbacks"]), line
-        if line["set"] in ("filter_multirow", "random_1d", "random_2d", "margin_2d"):
+        if line["set"] in ("filter_multirow", "random_1d", "random_2d", "margin_2d", "nonfinite"):
             assert all(0 < count <= sets[line["set"]] for count in line["fallbacks"]), line
     if not _git("status", "--porcelain", "--", "src", "scenarios").stdout:
         assert all(line["different"] == 0 and line["max_u_diff"] == 0.0 for line in lines), lines

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -621,6 +622,38 @@ def test_overflowing_integration_is_a_counted_abort(cfg):
     assert 0 < trace.n_steps < config.n_steps
     assert np.all(np.isfinite(trace.states)) and np.all(np.isfinite(trace.final_state))
     assert run_batch(config, episodes=3, seed_base=0)["aborted_episodes"] == 3
+
+
+def test_configs_compare_and_hash_by_every_field(tmp_path):
+    """Two configs loaded from the same dict are equal and hash alike, an nn
+    controller's included; a change to any one field makes them unequal."""
+    net = {"layer_sizes": [2, 1], "weights": [[[0.5, -0.25]]], "biases": [[0.0]], "activations": ["tanh"]}
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(net))
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(dict(net, biases=[[0.125]])))
+    pd = {"kind": "pd", "kp": [1.0], "kd": [2.0]}
+    base = scenario_1d()
+    for cfg in (base, scenario_2d(), scenario_1d(controller=pd), scenario_1d(controller={"kind": "nn", "path": str(path)})):
+        a, b = ScenarioConfig.from_dict(cfg), ScenarioConfig.from_dict(cfg)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    changed = [
+        scenario_1d(disturbance_bound=0.05),  # model
+        scenario_1d(controller=pd),  # controller
+        scenario_1d(gamma=2.0),  # constraints
+        scenario_1d(dt=0.02),
+        scenario_1d(duration=4.0),
+        scenario_1d(initial_state=(0.0, 0.125)),
+        scenario_1d(seed=1),
+        scenario_1d(rta_enabled=False),  # mode_schedule
+        dict(base, note="raw only"),  # raw
+    ]
+    config = ScenarioConfig.from_dict(base)
+    for cfg in changed:
+        assert ScenarioConfig.from_dict(cfg) != config, cfg
+    nn = ScenarioConfig.from_dict(scenario_1d(controller={"kind": "nn", "path": str(path)}))
+    assert nn != ScenarioConfig.from_dict(scenario_1d(controller={"kind": "nn", "path": str(other)}))
+    assert nn != replace(nn, controller=controllers.load_controller(other))  # the same raw
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")

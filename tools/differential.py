@@ -31,6 +31,9 @@ Sets:
                      with one row with authority moved to miss the box by
                      k * feas_tol * (1 + |a0| + |a1|), k cycling through
                      MARGINS, around the box check's 2
+  nonfinite          solve_qp on random_problem(default_rng(s), d), s < N,
+                     on one axis and then on two, with one row entry, drawn
+                     by the same generator, replaced by NONFINITE[s % 6]
 
 --size K shrinks each workload to K items per seed (its benchmark size
 argument); --random N sets the number of random problems per axis count.
@@ -67,8 +70,10 @@ SETS = (
     "random_1d",
     "random_2d",
     "margin_2d",
+    "nonfinite",
 )
 MARGINS = (0.5, 1.0, 1.5, 2.0, 2.5, 4.0)
+NONFINITE = (float("nan"), float("inf"), float("-inf"), 1e200, -1e200, 1e300)
 
 
 def _digest(*parts) -> str:
@@ -236,6 +241,30 @@ def _margin_2d(workdir, size, random_count):
     )
 
 
+def _nonfinite_problem(qp, rng, value):
+    """qp with one row entry, drawn by rng, replaced by value."""
+    rows = list(qp.rows)
+    i = int(rng.integers(len(rows)))
+    row = list(rows[i])
+    row[int(rng.integers(len(row)))] = value
+    rows[i] = tuple(row)
+    return qp._replace(rows=tuple(rows))
+
+
+def _nonfinite(workdir, size, random_count):
+    import numpy as np
+
+    from tests.test_least_max_violation import random_problem
+
+    problems = []
+    for d in (1, 2):
+        for seed in range(random_count):
+            rng = np.random.default_rng(seed)
+            qp = random_problem(rng, d)
+            problems.append(_nonfinite_problem(qp, rng, NONFINITE[seed % len(NONFINITE)]))
+    return _solve_items(problems)
+
+
 DIGESTS = {
     "scenarios": _scenarios,
     "corpus_adversarial": _corpus_adversarial,
@@ -245,6 +274,7 @@ DIGESTS = {
     "random_1d": _random(1),
     "random_2d": _random(2),
     "margin_2d": _margin_2d,
+    "nonfinite": _nonfinite,
 }
 
 
