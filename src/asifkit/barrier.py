@@ -9,9 +9,15 @@ strengthened barrier condition hdot + gamma * h >= 0 (cbf_row):
 
 Every function reads the state's float tuple (PlantState.xs), and rows and
 gradients are returned as tuples of Python floats: a row's a is the
-solver's row without its b. h and its gradient come from one evaluation,
-_terms, which dispatches on the kind once, so cbf_row evaluates each
-constraint once per state.
+solver's row without its b. A constraint binds its parameters once, at
+construction, as one float tuple (with 2 u_max for the braking terms, and
+v_max^2 for a speed limit). Each entry point is straight-line code per kind
+on that tuple and computes only what it returns: eval_h computes h alone,
+eval_grad_h the gradient alone, and cbf_row writes a and b out directly.
+The rows assume the double-integrator plants that the dynamics module
+documents, with g = (0; I) and f = (velocities, 0), so a = grad_h . g is
+the gradient's velocity block and grad_h . f pairs its position block with
+the velocities.
 
 A command held over a control period dt (zero-order hold) obeys a different
 condition, h(x_{k+1}) >= (1 - gamma dt) h(x_k). sampled_row gives that row
@@ -19,8 +25,7 @@ for the geofences: exact for geofence_1d, and on a stopping-point barrier,
 linearised at the braking command, for geofence_2d_circle. A sampled row
 always has authority (a != 0); it is enforced alongside the continuous row,
 never instead of it. docs/discretization_margin.md has the derivations.
-The plant's part in both rows (g, f and the held-command step) comes from
-the dynamics module.
+The held-command step comes from the dynamics module (hold_map).
 
 Constraint kinds:
 
@@ -46,7 +51,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .dynamics import PlantModel, PlantState, actuation_row, drift_term, hold_map
+from .dynamics import PlantModel, PlantState, hold_map
 from .errors import InvalidConfig, InvalidState, SingularGradient
 
 GEOFENCE_1D = "geofence_1d"
@@ -111,6 +116,17 @@ class BarrierConstraint:
             # h squares v_max, and a float power that overflows raises
             raise InvalidConfig(f"constraint '{self.id}': v_max squared must be finite")
         object.__setattr__(self, "params", MappingProxyType(params))
+        # the kernels' parameters as one float tuple: an attribute, not a
+        # field, so equality, hash and repr read params alone
+        if self.kind == GEOFENCE_2D_CIRCLE:
+            u_max = params["u_max"]
+            bound = (*params["center"], params["radius"], u_max, 2.0 * u_max)
+        elif self.kind == GEOFENCE_1D:
+            u_max = params["u_max"]
+            bound = (params["p_limit"], u_max, 2.0 * u_max)
+        else:
+            bound = (params["v_max"] ** 2,)
+        object.__setattr__(self, "_bound", bound)
 
 
 _STATE_DIMS = {GEOFENCE_1D: (2,), GEOFENCE_2D_CIRCLE: (4,), SPEED_LIMIT: (2, 4)}
@@ -131,60 +147,57 @@ def _coords(constraint: BarrierConstraint, state: PlantState, model: PlantModel 
     return xs
 
 
-def _terms(constraint: BarrierConstraint, x: tuple[float, ...]) -> tuple[float, tuple[float, ...] | None]:
-    """h and its gradient at the decoded state x, from one dispatch on the
-    kind (a circle's distance is computed once). The gradient is None where
-    it is singular, at a circle's center."""
-    p = constraint.params
+def eval_h(constraint: BarrierConstraint, state: PlantState) -> float:
+    """Barrier value; h >= 0 iff the state is in the constraint's safe set."""
+    x = _coords(constraint, state)
     kind = constraint.kind
-    if kind == GEOFENCE_1D:
-        pos, vel = x
-        u_max = p["u_max"]
-        speed = abs(vel)
-        return p["p_limit"] - pos - vel * speed / (2.0 * u_max), (-1.0, -speed / u_max)
     if kind == GEOFENCE_2D_CIRCLE:
-        cx, cy = p["center"]
-        u_max = p["u_max"]
+        cx, cy, radius, _, two_u = constraint._bound
         p0, p1, v0, v1 = x
         r0 = p0 - cx
         r1 = p1 - cy
         d = math.hypot(r0, r1)
         v_r = (r0 * v0 + r1 * v1) / d if d > 0.0 else 0.0
-        out = max(0.0, v_r)
-        h = p["radius"] - d - out * out / (2.0 * u_max)
-        if d == 0.0:
-            return h, None
-        rh0, rh1 = r0 / d, r1 / d
-        v_r = rh0 * v0 + rh1 * v1
         if v_r > 0.0:
-            c = v_r / u_max
-            return h, (
-                -rh0 - c * (v0 - v_r * rh0) / d,
-                -rh1 - c * (v1 - v_r * rh1) / d,
-                -c * rh0,
-                -c * rh1,
-            )
-        return h, (-rh0, -rh1, 0.0, 0.0)
+            return radius - d - v_r * v_r / two_u
+        return radius - d
+    if kind == GEOFENCE_1D:
+        p_limit, _, two_u = constraint._bound
+        pos, vel = x
+        return p_limit - pos - vel * abs(vel) / two_u
     # speed_limit
     if len(x) == 2:
         v = x[1]
-        return p["v_max"] ** 2 - v * v, (0.0, -2.0 * v)
+        return constraint._bound[0] - v * v
     v0, v1 = x[2], x[3]
-    return p["v_max"] ** 2 - v0 * v0 - v1 * v1, (0.0, 0.0, -2.0 * v0, -2.0 * v1)
-
-
-def eval_h(constraint: BarrierConstraint, state: PlantState) -> float:
-    """Barrier value; h >= 0 iff the state is in the constraint's safe set."""
-    return _terms(constraint, _coords(constraint, state))[0]
+    return constraint._bound[0] - v0 * v0 - v1 * v1
 
 
 def eval_grad_h(constraint: BarrierConstraint, state: PlantState) -> tuple[float, ...]:
     """Gradient of h with respect to the state vector, a tuple of floats.
     Raises SingularGradient at a circle's center."""
-    grad = _terms(constraint, _coords(constraint, state))[1]
-    if grad is None:
-        raise SingularGradient(constraint.id)
-    return grad
+    x = _coords(constraint, state)
+    kind = constraint.kind
+    if kind == GEOFENCE_2D_CIRCLE:
+        cx, cy, _, u_max, _ = constraint._bound
+        p0, p1, v0, v1 = x
+        r0 = p0 - cx
+        r1 = p1 - cy
+        d = math.hypot(r0, r1)
+        if d == 0.0:
+            raise SingularGradient(constraint.id)
+        rh0, rh1 = r0 / d, r1 / d
+        v_r = rh0 * v0 + rh1 * v1
+        if v_r > 0.0:
+            c = v_r / u_max
+            return (-rh0 - c * (v0 - v_r * rh0) / d, -rh1 - c * (v1 - v_r * rh1) / d, -c * rh0, -c * rh1)
+        return (-rh0, -rh1, 0.0, 0.0)
+    if kind == GEOFENCE_1D:
+        return (-1.0, -abs(x[1]) / constraint._bound[1])
+    # speed_limit
+    if len(x) == 2:
+        return (0.0, -2.0 * x[1])
+    return (0.0, 0.0, -2.0 * x[2], -2.0 * x[3])
 
 
 def cbf_row(constraint: BarrierConstraint, model: PlantModel, state: PlantState) -> tuple[tuple[float, ...], float]:
@@ -195,11 +208,43 @@ def cbf_row(constraint: BarrierConstraint, model: PlantModel, state: PlantState)
     of floats, and b depend only on the state, never on u.
     """
     x = _coords(constraint, state, model)
-    h, grad = _terms(constraint, x)
-    if grad is None:
-        raise SingularGradient(constraint.id)
-    gamma_h = constraint.gamma * h
-    return actuation_row(model, grad), -drift_term(model, grad, x) - gamma_h
+    kind = constraint.kind
+    gamma = constraint.gamma
+    # a = grad . g is the gradient's velocity block, + 0.0 making its zeros
+    # positive; grad . f pairs the position block with the velocities, summed
+    # in axis order after a leading 0.0 that makes a zero sum positive
+    if kind == GEOFENCE_2D_CIRCLE:
+        cx, cy, radius, u_max, two_u = constraint._bound
+        p0, p1, v0, v1 = x
+        r0 = p0 - cx
+        r1 = p1 - cy
+        d = math.hypot(r0, r1)
+        if d == 0.0:
+            raise SingularGradient(constraint.id)
+        v_r = (r0 * v0 + r1 * v1) / d
+        h = radius - d - v_r * v_r / two_u if v_r > 0.0 else radius - d
+        rh0, rh1 = r0 / d, r1 / d
+        v_r = rh0 * v0 + rh1 * v1
+        if v_r > 0.0:
+            c = v_r / u_max
+            g0 = -rh0 - c * (v0 - v_r * rh0) / d
+            g1 = -rh1 - c * (v1 - v_r * rh1) / d
+            return (-c * rh0 + 0.0, -c * rh1 + 0.0), -(0.0 + g0 * v0 + g1 * v1) - gamma * h
+        return (0.0, 0.0), -(0.0 + -rh0 * v0 + -rh1 * v1) - gamma * h
+    if kind == GEOFENCE_1D:
+        p_limit, u_max, two_u = constraint._bound
+        pos, vel = x
+        speed = abs(vel)
+        h = p_limit - pos - vel * speed / two_u
+        return (-speed / u_max + 0.0,), -(0.0 + -1.0 * vel) - gamma * h
+    # speed_limit: the gradient's position block is zero
+    if len(x) == 2:
+        v = x[1]
+        h = constraint._bound[0] - v * v
+        return (-2.0 * v + 0.0,), -(0.0 + 0.0 * v) - gamma * h
+    v0, v1 = x[2], x[3]
+    h = constraint._bound[0] - v0 * v0 - v1 * v1
+    return (-2.0 * v0 + 0.0, -2.0 * v1 + 0.0), -(0.0 + 0.0 * v0 + 0.0 * v1) - gamma * h
 
 
 def sampled_row(
@@ -231,30 +276,33 @@ def sampled_row(
 
     A row returned is a float row as cbf_row's, with authority (a != 0).
     """
-    if not dt > 0:
-        raise InvalidConfig(f"dt must be > 0, got {dt}")
-    if constraint.kind == SPEED_LIMIT:
+    # a period whose 0.5*dt*dt underflows to 0 or overflows (an infinite dt
+    # included) has no held-command step to build a row on
+    if not (dt > 0.0 and 0.0 < 0.5 * dt * dt < math.inf):
+        raise InvalidConfig(f"dt must be > 0 with 0.5*dt*dt finite and nonzero, got {dt}")
+    kind = constraint.kind
+    if kind == SPEED_LIMIT:
         return None
     x = _coords(constraint, state, model)
     free, k_p, k_v = hold_map(model, x, dt)
-    p = constraint.params
-    u_max = p["u_max"]
     decay = 1.0 - constraint.gamma * dt
-    if constraint.kind == GEOFENCE_1D:
-        h_k = _terms(constraint, x)[0]
+    if kind == GEOFENCE_1D:
+        p_limit, u_max, two_u = constraint._bound
+        pos, vel = x
+        h_k = p_limit - pos - vel * abs(vel) / two_u
         # With s = v_{k+1} = v_free + k_v u, p_{k+1} = p_free + rho (s - v_free)
         # and h(x_{k+1}) = p_limit - p_free + rho v_free - rho s - s|s|/(2 u_max),
         # which falls on decay * h_k at the root s of rho s + s|s|/(2 u_max) = k.
         p_free, v_free = free
         rho = k_p / k_v
-        k = p["p_limit"] - p_free + rho * v_free - decay * h_k
+        k = p_limit - p_free + rho * v_free - decay * h_k
         s = 2.0 * k / (rho + math.sqrt(rho * rho + 2.0 * abs(k) / u_max))
         return (-1.0,), -(s - v_free) / k_v
+    cx, cy, radius, u_max, two_u = constraint._bound
     p0, p1, v0, v1 = x
-    cx, cy = p["center"]
     speed = math.hypot(v0, v1)
-    reach = speed / (2.0 * u_max)
-    hs_k = p["radius"] - math.hypot(p0 + v0 * reach - cx, p1 + v1 * reach - cy)
+    reach = speed / two_u
+    hs_k = radius - math.hypot(p0 + v0 * reach - cx, p1 + v1 * reach - cy)
     if speed >= u_max * dt:
         # full braking along -v holds the stopping point through the step
         ub0, ub1 = -u_max * v0 / speed, -u_max * v1 / speed
@@ -265,12 +313,12 @@ def sampled_row(
     bp0, bp1 = free[0] + k_p * ub0, free[1] + k_p * ub1
     bv0, bv1 = free[2] + k_v * ub0, free[3] + k_v * ub1
     b_speed = math.hypot(bv0, bv1)
-    reach = b_speed / (2.0 * u_max)
+    reach = b_speed / two_u
     q0, q1 = bp0 + bv0 * reach - cx, bp1 + bv1 * reach - cy
     dist = math.hypot(q0, q1)
     if dist == 0.0:
         return None
-    hs_b = p["radius"] - dist
+    hs_b = radius - dist
     demand = min(decay * hs_k, hs_b) - hs_b
     n0, n1 = q0 / dist, q1 / dist
     # a = -J n with J = d q_{k+1} / du = (k_p + beta) I + beta vhat vhat^T,

@@ -9,10 +9,11 @@ A step's values are Python floats: PlantState holds its coordinates as the
 tuple xs and ControlInput its command as us, and their x and u arrays are
 built only when read. sample_disturbance returns a tuple, and step_rk4 reads
 and returns tuples, so a closed-loop step builds no array except the
-disturbance draw (and an MLP controller's). The per-step arithmetic (the
-drift term, RK4, the disturbance norm and scaling) runs in a fixed order, so
-its bits do not depend on the machine's BLAS. In a closed-loop step only an
-MLP controller's matrix products still round through BLAS.
+disturbance draw (and an MLP controller's). The per-step arithmetic (RK4,
+the disturbance norm and scaling, and the barrier rows built on these
+models' g = (0; I) and f = (velocities, 0)) runs in a fixed order, so its
+bits do not depend on the machine's BLAS. In a closed-loop step only an MLP
+controller's matrix products still round through BLAS.
 """
 
 from __future__ import annotations
@@ -168,19 +169,6 @@ def actuation_row(model: PlantModel, grad: tuple[float, ...]) -> tuple[float, ..
     if model.control_dim == 1:
         return (grad[1] + 0.0,)
     return (grad[2] + 0.0, grad[3] + 0.0)
-
-
-def drift_term(model: PlantModel, grad: tuple[float, ...], x: tuple[float, ...]) -> float:
-    """grad . f(x) at the state coordinates x, without building f.
-
-    f = (velocities, 0), so this pairs the position block of grad with the
-    velocities: the rounded products summed in axis order, each operation
-    rounded once, so the result is the same on every machine. The leading
-    0.0 + makes a zero sum a positive zero.
-    """
-    if model.control_dim == 1:
-        return 0.0 + grad[0] * x[1]
-    return 0.0 + grad[0] * x[2] + grad[1] * x[3]
 
 
 def drift_actuation_row(model: PlantModel, grad: tuple[float, ...]) -> tuple[float, ...]:

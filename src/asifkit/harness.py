@@ -126,6 +126,8 @@ class ScenarioConfig:
             raise InvalidConfig(f"need 0 < dt <= duration < inf, got dt={dt} duration={duration}")
         if 0.5 * dt * dt == 0.0:
             raise InvalidConfig(f"dt={dt} is too small: the sampled rows' 0.5*dt*dt underflows to 0")
+        if 0.5 * dt * dt == math.inf:
+            raise InvalidConfig(f"dt={dt} is too large: the sampled rows' 0.5*dt*dt overflows")
         if duration / dt + 1e-9 >= MAX_EPISODE_STEPS + 1:  # n_steps > MAX_EPISODE_STEPS
             raise InvalidConfig(
                 f"duration={duration} at dt={dt} is more than {MAX_EPISODE_STEPS} steps"

@@ -8,14 +8,22 @@ filter's earlier one-candidate-at-a-time enumerator, kept to test the
 filter's own enumeration against. Both solve crossings by Cramer's rule and
 price points with the filter's scalar sum (row_violations), so they agree
 bit for bit. The trace writer reference formats one cell at a time, as
-write_trace did before it worked on whole rows.
+write_trace did before it worked on whole rows. The barrier reference
+composes each row from h and the whole gradient, evaluated together, with
+the drift term as an exactly rounded sum, as the barrier module did before
+its entry points became per-kind kernels.
 """
 
 import json
+import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
+from asifkit.barrier import GEOFENCE_1D, GEOFENCE_2D_CIRCLE, SPEED_LIMIT
+from asifkit.dynamics import actuation_row, hold_map
+from asifkit.errors import InvalidConfig, InvalidState, SingularGradient
 from asifkit.harness import _STATUS_NAMES, trace_header
 
 _GRID_CACHE = {}
@@ -204,3 +212,147 @@ def write_trace_per_cell(trace, path):
         lines.append(",".join(cells))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+# ---- barrier reference ----
+
+_BARRIER_STATE_DIMS = {GEOFENCE_1D: (2,), GEOFENCE_2D_CIRCLE: (4,), SPEED_LIMIT: (2, 4)}
+
+
+def _barrier_coords(constraint, state, model=None):
+    """The state's float tuple, after the barrier entry points' dimension
+    checks."""
+    xs = state.xs
+    if len(xs) not in _BARRIER_STATE_DIMS[constraint.kind]:
+        raise InvalidState(f"constraint '{constraint.id}' got a {len(xs)}-dim state")
+    if model is not None and len(xs) != model.state_dim:
+        raise InvalidState(f"state dim {len(xs)} does not match model {model.kind}")
+    return xs
+
+
+def barrier_terms(constraint, x):
+    """h and its gradient at the state coordinates x, from one dispatch on
+    the kind. The gradient is None where it is singular, at a circle's
+    center."""
+    p = constraint.params
+    kind = constraint.kind
+    if kind == GEOFENCE_1D:
+        pos, vel = x
+        u_max = p["u_max"]
+        speed = abs(vel)
+        return p["p_limit"] - pos - vel * speed / (2.0 * u_max), (-1.0, -speed / u_max)
+    if kind == GEOFENCE_2D_CIRCLE:
+        cx, cy = p["center"]
+        u_max = p["u_max"]
+        p0, p1, v0, v1 = x
+        r0 = p0 - cx
+        r1 = p1 - cy
+        d = math.hypot(r0, r1)
+        v_r = (r0 * v0 + r1 * v1) / d if d > 0.0 else 0.0
+        out = max(0.0, v_r)
+        h = p["radius"] - d - out * out / (2.0 * u_max)
+        if d == 0.0:
+            return h, None
+        rh0, rh1 = r0 / d, r1 / d
+        v_r = rh0 * v0 + rh1 * v1
+        if v_r > 0.0:
+            c = v_r / u_max
+            return h, (
+                -rh0 - c * (v0 - v_r * rh0) / d,
+                -rh1 - c * (v1 - v_r * rh1) / d,
+                -c * rh0,
+                -c * rh1,
+            )
+        return h, (-rh0, -rh1, 0.0, 0.0)
+    if len(x) == 2:
+        v = x[1]
+        return p["v_max"] ** 2 - v * v, (0.0, -2.0 * v)
+    v0, v1 = x[2], x[3]
+    return p["v_max"] ** 2 - v0 * v0 - v1 * v1, (0.0, 0.0, -2.0 * v0, -2.0 * v1)
+
+
+def exact_drift(grad, x, d):
+    """grad . f with f = (velocities, 0) on d axes: the rounded products of
+    the gradient's position block and the velocities, summed exactly and
+    rounded once, so a zero sum is a positive zero. Where a product is not
+    finite there is no exact sum, and the products are added as floats."""
+    products = [g * v for g, v in zip(grad[:d], x[d:])]
+    if not all(map(math.isfinite, products)):
+        return sum(products, 0.0)
+    total = sum(map(Fraction, products))
+    try:
+        return float(total)
+    except OverflowError:  # the rounded sum lies beyond the float range
+        return math.inf if total > 0 else -math.inf
+
+
+def barrier_eval_h(constraint, state):
+    return barrier_terms(constraint, _barrier_coords(constraint, state))[0]
+
+
+def barrier_eval_grad_h(constraint, state):
+    grad = barrier_terms(constraint, _barrier_coords(constraint, state))[1]
+    if grad is None:
+        raise SingularGradient(constraint.id)
+    return grad
+
+
+def barrier_cbf_row(constraint, model, state):
+    """a = grad . g and b = -grad . f - gamma h from h and the whole
+    gradient."""
+    x = _barrier_coords(constraint, state, model)
+    h, grad = barrier_terms(constraint, x)
+    if grad is None:
+        raise SingularGradient(constraint.id)
+    gamma_h = constraint.gamma * h
+    return actuation_row(model, grad), -exact_drift(grad, x, model.control_dim) - gamma_h
+
+
+def barrier_sampled_row(constraint, model, state, dt):
+    """The sampled-data row as barrier.sampled_row derives it, on the
+    constraint's params mapping."""
+    if not (dt > 0.0 and 0.0 < 0.5 * dt * dt < math.inf):
+        raise InvalidConfig(f"bad period {dt}")
+    if constraint.kind == SPEED_LIMIT:
+        return None
+    x = _barrier_coords(constraint, state, model)
+    free, k_p, k_v = hold_map(model, x, dt)
+    p = constraint.params
+    u_max = p["u_max"]
+    decay = 1.0 - constraint.gamma * dt
+    if constraint.kind == GEOFENCE_1D:
+        h_k = barrier_terms(constraint, x)[0]
+        p_free, v_free = free
+        rho = k_p / k_v
+        k = p["p_limit"] - p_free + rho * v_free - decay * h_k
+        s = 2.0 * k / (rho + math.sqrt(rho * rho + 2.0 * abs(k) / u_max))
+        return (-1.0,), -(s - v_free) / k_v
+    p0, p1, v0, v1 = x
+    cx, cy = p["center"]
+    speed = math.hypot(v0, v1)
+    reach = speed / (2.0 * u_max)
+    hs_k = p["radius"] - math.hypot(p0 + v0 * reach - cx, p1 + v1 * reach - cy)
+    if speed >= u_max * dt:
+        ub0, ub1 = -u_max * v0 / speed, -u_max * v1 / speed
+    else:
+        ub0, ub1 = -v0 / dt, -v1 / dt
+    bp0, bp1 = free[0] + k_p * ub0, free[1] + k_p * ub1
+    bv0, bv1 = free[2] + k_v * ub0, free[3] + k_v * ub1
+    b_speed = math.hypot(bv0, bv1)
+    reach = b_speed / (2.0 * u_max)
+    q0, q1 = bp0 + bv0 * reach - cx, bp1 + bv1 * reach - cy
+    dist = math.hypot(q0, q1)
+    if dist == 0.0:
+        return None
+    hs_b = p["radius"] - dist
+    demand = min(decay * hs_k, hs_b) - hs_b
+    n0, n1 = q0 / dist, q1 / dist
+    beta = k_v * reach
+    c = k_p + beta
+    a0, a1 = -c * n0, -c * n1
+    square = b_speed * b_speed
+    if square > 0.0:
+        k = beta * (bv0 * n0 + bv1 * n1) / square
+        a0 -= k * bv0
+        a1 -= k * bv1
+    return (a0, a1), demand + a0 * ub0 + a1 * ub1

@@ -5,6 +5,7 @@ import pytest
 
 from asifkit import (
     DOUBLE_INTEGRATOR_1D,
+    DOUBLE_INTEGRATOR_2D,
     GEOFENCE_1D,
     GEOFENCE_2D_CIRCLE,
     SPEED_LIMIT,
@@ -22,6 +23,7 @@ from asifkit import (
     step_rk4,
 )
 from asifkit.barrier import check_bounds_consistency, constraint_from_config
+from tests import oracles
 
 
 def test_eval_h_fence_examples(fence):
@@ -312,7 +314,97 @@ def test_sampled_row_none_for_speed_limit(speed, model_2d):
     assert sampled_row(speed, model_2d, PlantState([0.0, 0.0, 0.1, 0.2]), DT) is None
 
 
-@pytest.mark.parametrize("dt", [0.0, -0.01, float("nan")])
-def test_sampled_row_rejects_bad_period(fence, model_1d, dt):
-    with pytest.raises(InvalidConfig):
-        sampled_row(fence, model_1d, PlantState([0.0, 0.0]), dt)
+@pytest.mark.parametrize("dt", [0.0, -0.01, float("nan"), float("inf"), 1e300, 1e-170])
+def test_sampled_row_rejects_bad_period(fence, circle, speed, model_1d, model_2d, dt):
+    """A period that is not finite and > 0, or whose 0.5*dt*dt underflows
+    to 0 or overflows, is rejected: at dt = inf or 1e300 the rows would be
+    NaN."""
+    for constraint, model, state in (
+        (fence, model_1d, PlantState([0.99, 0.5])),
+        (circle, model_2d, PlantState([0.9, 0.0, 0.5, 0.0])),
+        (speed, model_2d, PlantState([0.0, 0.0, 0.1, 0.2])),
+    ):
+        with pytest.raises(InvalidConfig):
+            sampled_row(constraint, model, state, dt)
+
+
+# ---- the entry points against the reference composition ----
+
+# entries that reach the kernels' edge cases: signed zeros, values whose
+# squares underflow or overflow, and non-finite values
+SPECIAL_ENTRIES = (0.0, -0.0, 1e-300, -1e-300, 1e154, -1e154, 1e300, -1e300, math.inf, -math.inf, math.nan)
+PERIODS = (0.001, 0.01, 0.1, 2.0)
+
+
+def _entries(rng, n):
+    """n state entries, each uniform in [-2, 2] or, one time in six, a
+    special entry."""
+    return [
+        SPECIAL_ENTRIES[rng.integers(len(SPECIAL_ENTRIES))] if rng.random() < 1 / 6 else float(rng.uniform(-2.0, 2.0))
+        for _ in range(n)
+    ]
+
+
+def barrier_cases(rng, count):
+    """count seeded (constraint, model, state, dt) cases for each of four
+    kinds: a 1-D fence, a circle, and a speed limit on each state size.
+    Entries are drawn by _entries, so they include signed zeros, tiny, huge
+    and non-finite values (states built without the public checks); a
+    circle's state sits on its center one time in ten. One case in fifty
+    has a state of the wrong size for the constraint or the model."""
+    model_1d = PlantModel(DOUBLE_INTEGRATOR_1D, [[-1.0, 1.0]])
+    model_2d = PlantModel(DOUBLE_INTEGRATOR_2D, [[-1.0, 1.0]] * 2)
+    cases = []
+    for kind, model in ((GEOFENCE_1D, model_1d), (GEOFENCE_2D_CIRCLE, model_2d), (SPEED_LIMIT, model_1d), (SPEED_LIMIT, model_2d)):
+        for _ in range(count):
+            gamma = float(rng.choice([0.5, 1.0, 2.0, 37.0]))
+            u_max = float(rng.choice([0.5, 1.0, 3.0]))
+            if kind == GEOFENCE_1D:
+                params = {"p_limit": float(rng.uniform(0.1, 2.0)), "u_max": u_max}
+            elif kind == GEOFENCE_2D_CIRCLE:
+                params = {"center": tuple(rng.uniform(-1.0, 1.0, 2).tolist()), "radius": float(rng.uniform(0.5, 2.0)), "u_max": u_max}
+            else:
+                params = {"v_max": float(rng.uniform(0.1, 2.0))}
+            constraint = BarrierConstraint("c", kind, params, gamma)
+            xs = _entries(rng, model.state_dim)
+            if kind == GEOFENCE_2D_CIRCLE and rng.random() < 0.1:
+                xs[:2] = params["center"]
+            if rng.random() < 0.02:
+                xs = _entries(rng, 6 - model.state_dim)
+            cases.append((constraint, model, PlantState._trusted(tuple(xs), 0.0), float(rng.choice(PERIODS))))
+    return cases
+
+
+def _outcome(call, *args):
+    """The call's result as its repr, which tells -0.0 and NaN apart, or the
+    type of the error it raised."""
+    try:
+        return repr(call(*args))
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def barrier_outcomes(constraint, model, state, dt, entry_points=(eval_h, eval_grad_h, cbf_row, sampled_row)):
+    """The outcomes of eval_h, eval_grad_h, cbf_row and sampled_row, or of
+    the given functions in their place, on one case."""
+    h, grad_h, row, sampled = entry_points
+    return (
+        _outcome(h, constraint, state),
+        _outcome(grad_h, constraint, state),
+        _outcome(row, constraint, model, state),
+        _outcome(sampled, constraint, model, state, dt),
+    )
+
+
+def test_entry_points_match_the_reference_composition():
+    """Each entry point gives the reference's result by repr, or raises an
+    error of the same type: h, the gradient, the row composed from the
+    whole gradient with an exactly rounded drift term, and the sampled row
+    on the params mapping, also for periods the check rejects."""
+    references = (oracles.barrier_eval_h, oracles.barrier_eval_grad_h, oracles.barrier_cbf_row, oracles.barrier_sampled_row)
+    rng = np.random.default_rng(41)
+    for constraint, model, state, dt in barrier_cases(rng, 500):
+        if rng.random() < 0.1:
+            dt = float(rng.choice([0.0, -0.01, math.nan, math.inf, 1e300, 1e-170, 2e154]))
+        expected = barrier_outcomes(constraint, model, state, dt, references)
+        assert barrier_outcomes(constraint, model, state, dt) == expected, (constraint, state.xs, dt)

@@ -105,6 +105,9 @@ def test_config_validation_errors():
         with pytest.raises(InvalidConfig):
             ScenarioConfig.from_dict(bad)
     assert ScenarioConfig.from_dict(scenario_1d(duration=10_000.0)).n_steps == MAX_EPISODE_STEPS
+    # one step of a period whose 0.5*dt*dt overflows would have NaN sampled rows
+    with pytest.raises(InvalidConfig, match="overflows"):
+        ScenarioConfig.from_dict(scenario_1d(dt=1e300, duration=1e300))
     assert ScenarioConfig.from_dict(scenario_1d(seed=2.0)).seed == 2
 
     # constraint kinds of the other plant, and a speed limit whose square overflows

@@ -34,10 +34,17 @@ Sets:
   nonfinite          solve_qp on random_problem(default_rng(s), d), s < N,
                      on one axis and then on two, with one row entry, drawn
                      by the same generator, replaced by NONFINITE[s % 6]
+  barrier            eval_h, eval_grad_h, cbf_row and sampled_row by repr
+                     (an error by its type) on
+                     tests.test_barrier.barrier_cases(default_rng(0), N):
+                     N cases for each of a 1-D fence, a circle and a speed
+                     limit on each state size, with signed zeros, tiny,
+                     huge and non-finite state entries
 
 --size K shrinks each workload to K items per seed (its benchmark size
-argument); --random N sets the number of random problems per axis count.
-The exit status is 0 whether or not the trees differ.
+argument); --random N sets the number of random problems per axis count,
+and of barrier cases per constraint kind. The exit status is 0 whether or
+not the trees differ.
 """
 
 from __future__ import annotations
@@ -71,6 +78,7 @@ SETS = (
     "random_2d",
     "margin_2d",
     "nonfinite",
+    "barrier",
 )
 MARGINS = (0.5, 1.0, 1.5, 2.0, 2.5, 4.0)
 NONFINITE = (float("nan"), float("inf"), float("-inf"), 1e200, -1e200, 1e300)
@@ -265,6 +273,14 @@ def _nonfinite(workdir, size, random_count):
     return _solve_items(problems)
 
 
+def _barrier(workdir, size, random_count):
+    import numpy as np
+
+    from tests.test_barrier import barrier_cases, barrier_outcomes
+
+    return [(_digest(*barrier_outcomes(*case)), [], 0) for case in barrier_cases(np.random.default_rng(0), random_count)]
+
+
 DIGESTS = {
     "scenarios": _scenarios,
     "corpus_adversarial": _corpus_adversarial,
@@ -275,6 +291,7 @@ DIGESTS = {
     "random_2d": _random(2),
     "margin_2d": _margin_2d,
     "nonfinite": _nonfinite,
+    "barrier": _barrier,
 }
 
 
@@ -343,7 +360,7 @@ def main(argv=None) -> int:
     parser.add_argument("--against", metavar="REF", help="git revision to compare this tree with")
     parser.add_argument("--sets", default=",".join(SETS), help="comma-separated sets (default: all)")
     parser.add_argument("--size", type=int, default=None, help="items per seed of each workload set")
-    parser.add_argument("--random", type=int, default=20000, help="random problems per axis count")
+    parser.add_argument("--random", type=int, default=20000, help="random problems per axis count, and barrier cases per kind")
     parser.add_argument("--worker", metavar="TREE", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     sets = [name for name in args.sets.split(",") if name]
