@@ -264,6 +264,10 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
     own evaluations could not meet. The check runs only once stage 1 has
     failed, so a problem stage 1 solves pays nothing for it.
 
+    Stage 2 returns the feasible vertex of least (dist^2, v0, v1, q, p),
+    dist^2 its squared distance from u_des and q, p the indices of its two
+    constraints; the rows among them are its active rows.
+
     Each constraint's squared norm is computed once per stage. A row whose
     squared norm overflows (entries above about 1.3e154) takes part in the
     geometry scaled by a power of two (_scaled_down); points are still
@@ -376,12 +380,17 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
     # their violations), with the violations of u_des; the violations of s.
     # Points are accepted against cons and rows alone.
     cons = [*rows, (1.0, 0.0, lo0), (-1.0, -0.0, -hi0), (0.0, 1.0, lo1), (-0.0, -1.0, -hi1)]
-    norms = [a0 * a0 + a1 * a1 for a0, a1, _ in cons]
-    r_s = [b - a0 * s0 - a1 * s1 for a0, a1, b in cons]
+    norms = []
+    r_s = []
+    r_geo = []
+    for a0, a1, b in cons:
+        norms.append(a0 * a0 + a1 * a1)
+        r_s.append(b - a0 * s0 - a1 * s1)
+        r_geo.append(b - a0 * ud0 - a1 * ud1)
     if scaled:
         geo, r_geo = _rescaled(cons, norms, qp.u_des)
     else:
-        geo, r_geo = cons, [b - a0 * ud0 - a1 * ud1 for a0, a1, b in cons]
+        geo = cons
         r_s[k] = 0.0
 
     # Stage 2. The optimum is the vertex of two independent constraints with
@@ -399,7 +408,7 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
             continue
         p0, p1, pb = geo[p]
         g_pp = norms[p]
-        big_p = max(1.0, g_pp)
+        big_p = g_pp if g_pp > 1.0 else 1.0  # as max(1.0, g_pp): a NaN keeps 1.0
         dep_p = dep2 * big_p
         r_p = r_geo[p]
         for q in range(len(cons)) if r_p > 0.0 else violated_at_des:
@@ -414,7 +423,7 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
             # the rounding of the violations at u_des they are built from
             g_pq = p0 * q0 + p1 * q1
             r_q = r_geo[q]
-            tol = feas_tol * (g_pp + g_qq + abs(g_pq)) * max(big_p, g_qq)
+            tol = feas_tol * (g_pp + g_qq + abs(g_pq)) * (g_qq if g_qq > big_p else big_p)
             if g_qq * r_p - g_pq * r_q < -tol or g_pp * r_q - g_pq * r_p < -tol:
                 continue
             v0 = (qb * p1 - pb * q1) / cross
@@ -423,10 +432,17 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
                 vertices.append(((v0 - ud0) * (v0 - ud0) + (v1 - ud1) * (v1 - ud1), v0, v1, q, p))
     # Vertices outside the box were dropped above. A vertex is checked
     # against its own rows too: the closer to parallel they are, the less
-    # exactly it lies on them.
-    for _, v0, v1, q, p in sorted(vertices):
-        if all(b - a0 * v0 - a1 * v1 <= feas_tol for a0, a1, b in rows):
-            return _solved(qp, (v0, v1), tuple(sorted(i for i in (p, q) if i < m)))
+    # exactly it lies on them. The keys' (q, p) are distinct, so the order
+    # is total.
+    if len(vertices) > 1:
+        vertices.sort()
+    for _, v0, v1, q, p in vertices:
+        for a0, a1, b in rows:
+            if not b - a0 * v0 - a1 * v1 <= feas_tol:
+                break  # violated, or NaN
+        else:
+            i, j = (p, q) if p < q else (q, p)
+            return _solved(qp, (v0, v1), (i, j) if j < m else ((i,) if i < m else ()))
     return None
 
 
@@ -500,9 +516,8 @@ def _solved(qp: QpProblem, u, active) -> tuple[tuple[float, ...], tuple[int, ...
 
 def _fallback(qp, feas_tol):
     u_fb, worst = _least_max_violation(qp, feas_tol)
-    top = max(worst)
-    active = tuple(i for i, w in enumerate(worst) if w >= top - feas_tol)
-    return u_fb, active, INFEASIBLE_FALLBACK
+    floor = max(worst) - feas_tol
+    return u_fb, tuple([i for i, w in enumerate(worst) if w >= floor]), INFEASIBLE_FALLBACK
 
 
 def _row_violations(rows, u) -> list[float]:
@@ -628,7 +643,7 @@ def _least_max_violation(qp, feas_tol) -> tuple[tuple[float, ...], list[float]]:
         priced.append((u, top))
         if best is None or top < least:
             best, least, bound = u, top, top + feas_tol
-    if all(command_deviation(u, best) <= feas_tol for u, v in priced if v <= bound):
+    if all(u is best or command_deviation(u, best) <= feas_tol for u, v in priced if v <= bound):
         return best, _row_violations(rows, best)
     # phase II: the face the tied candidates span is the feasible set of the
     # rows shifted by the least violation
@@ -671,10 +686,13 @@ def filter_control(
         status = INFEASIBLE_FALLBACK
     elif status == PASSTHROUGH:
         return FilterResult(u_des, False, 0.0, (), PASSTHROUGH, elapsed)
-    active_row_ids = qp.unmet_ids + tuple([qp.row_ids[i] for i in active_idx])
-    if len(active_row_ids) > 1:
-        # a constraint with two rows in the problem is named once
-        active_row_ids = tuple(dict.fromkeys(active_row_ids))
+    if len(active_idx) == 1 and not qp.unmet_ids:
+        active_row_ids = (qp.row_ids[active_idx[0]],)
+    else:
+        active_row_ids = qp.unmet_ids + tuple([qp.row_ids[i] for i in active_idx])
+        if len(active_row_ids) > 1:
+            # a constraint with two rows in the problem is named once
+            active_row_ids = tuple(dict.fromkeys(active_row_ids))
     u_out = ControlInput._trusted(u_star)
     deviation = command_deviation(u_star, qp.u_des)
     return FilterResult(u_out, True, deviation, active_row_ids, status, elapsed)

@@ -133,24 +133,21 @@ _STATE_DIMS = {GEOFENCE_1D: (2,), GEOFENCE_2D_CIRCLE: (4,), SPEED_LIMIT: (2, 4)}
 _DIM_TEXT = {GEOFENCE_1D: "2", GEOFENCE_2D_CIRCLE: "4", SPEED_LIMIT: "2- or 4"}
 
 
-def _coords(constraint: BarrierConstraint, state: PlantState, model: PlantModel | None = None) -> tuple[float, ...]:
-    """The state's float tuple, after checking its dimension against the
-    kind (and against the model, when one is given)."""
-    xs = state.xs
-    dim = len(xs)
+def _dim_error(constraint: BarrierConstraint, dim: int, model: PlantModel | None = None) -> InvalidState:
+    """The error for a state of dimension dim that does not fit the kind (or
+    the model, when one is given). The entry points test the dimension
+    inline and call this only to raise."""
     if dim not in _STATE_DIMS[constraint.kind]:
-        raise InvalidState(
-            f"constraint '{constraint.id}' expects a {_DIM_TEXT[constraint.kind]}-dim state, got {dim}"
-        )
-    if model is not None and dim != model.state_dim:
-        raise InvalidState(f"state dim {dim} does not match model {model.kind}")
-    return xs
+        return InvalidState(f"constraint '{constraint.id}' expects a {_DIM_TEXT[constraint.kind]}-dim state, got {dim}")
+    return InvalidState(f"state dim {dim} does not match model {model.kind}")
 
 
 def eval_h(constraint: BarrierConstraint, state: PlantState) -> float:
     """Barrier value; h >= 0 iff the state is in the constraint's safe set."""
-    x = _coords(constraint, state)
+    x = state.xs
     kind = constraint.kind
+    if len(x) not in _STATE_DIMS[kind]:
+        raise _dim_error(constraint, len(x))
     if kind == GEOFENCE_2D_CIRCLE:
         cx, cy, radius, _, two_u = constraint._bound
         p0, p1, v0, v1 = x
@@ -176,8 +173,10 @@ def eval_h(constraint: BarrierConstraint, state: PlantState) -> float:
 def eval_grad_h(constraint: BarrierConstraint, state: PlantState) -> tuple[float, ...]:
     """Gradient of h with respect to the state vector, a tuple of floats.
     Raises SingularGradient at a circle's center."""
-    x = _coords(constraint, state)
+    x = state.xs
     kind = constraint.kind
+    if len(x) not in _STATE_DIMS[kind]:
+        raise _dim_error(constraint, len(x))
     if kind == GEOFENCE_2D_CIRCLE:
         cx, cy, _, u_max, _ = constraint._bound
         p0, p1, v0, v1 = x
@@ -207,8 +206,10 @@ def cbf_row(constraint: BarrierConstraint, model: PlantModel, state: PlantState)
     hdot + gamma*h >= 0 under the model's control-affine dynamics. a, a tuple
     of floats, and b depend only on the state, never on u.
     """
-    x = _coords(constraint, state, model)
+    x = state.xs
     kind = constraint.kind
+    if len(x) not in _STATE_DIMS[kind] or len(x) != model.state_dim:
+        raise _dim_error(constraint, len(x), model)
     gamma = constraint.gamma
     # a = grad . g is the gradient's velocity block, + 0.0 making its zeros
     # positive; grad . f pairs the position block with the velocities, summed
@@ -283,7 +284,9 @@ def sampled_row(
     kind = constraint.kind
     if kind == SPEED_LIMIT:
         return None
-    x = _coords(constraint, state, model)
+    x = state.xs
+    if len(x) not in _STATE_DIMS[kind] or len(x) != model.state_dim:
+        raise _dim_error(constraint, len(x), model)
     free, k_p, k_v = hold_map(model, x, dt)
     decay = 1.0 - constraint.gamma * dt
     if kind == GEOFENCE_1D:
@@ -303,11 +306,12 @@ def sampled_row(
     speed = math.hypot(v0, v1)
     reach = speed / two_u
     hs_k = radius - math.hypot(p0 + v0 * reach - cx, p1 + v1 * reach - cy)
-    if speed >= u_max * dt:
+    if speed >= u_max * dt and speed > 0.0:
         # full braking along -v holds the stopping point through the step
         ub0, ub1 = -u_max * v0 / speed, -u_max * v1 / speed
     else:
-        # the command that stops the plant within the period
+        # the command that stops the plant within the period (zero at rest,
+        # also where u_max * dt underflows to 0)
         ub0, ub1 = -v0 / dt, -v1 / dt
     # the braked step, and its stopping point relative to the center
     bp0, bp1 = free[0] + k_p * ub0, free[1] + k_p * ub1

@@ -154,6 +154,26 @@ def test_solve_vertex_closed_form(u_des, rows_a, rows_b, u_expected, active_expe
     assert max(check_kkt(qp, u_star).values()) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "rows_a, rows_b, expected",
+    [
+        # stage 1 projects onto row 0; rows 1 and 2 give the same vertex with it
+        ([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], [0.6, 0.5, 0.5], "((0.6, 0.5), (0, 1), 'modified')"),
+        # the duplicates are rows 0 and 2, around the row stage 1 projects onto
+        ([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [0.5, 0.6, 0.5], "((0.6, 0.5), (0, 1), 'modified')"),
+        # row 0 is met; rows 1 and 3 are duplicates, and each meets row 2 there
+        ([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], [-0.9, 0.6, 0.5, 0.6], "((0.6, 0.5), (1, 2), 'modified')"),
+        # rows 0 and 1 are duplicates; stage 2 finds row 1's vertex with row 2
+        # before row 0's, and the least (q, p), not the order found, names row 0
+        ([[2.0, 1.0], [2.0, 1.0], [0.0, 1.0]], [1.5, 1.5, 0.5], "((0.5, 0.5), (0, 2), 'modified')"),
+    ],
+)
+def test_duplicated_row_at_the_optimal_vertex(rows_a, rows_b, expected):
+    """A duplicated row makes two vertices with equal (dist^2, v0, v1); the
+    least (q, p) names the active rows."""
+    assert repr(solve_qp(make_qp([0.0, 0.0], rows_a, rows_b, [[-1.0, 1.0], [-1.0, 1.0]]))) == expected
+
+
 def test_solve_infeasible_box_corner():
     qp = make_qp([0.0], [[-1.0]], [2.0], [[-1.0, 1.0]])  # u <= -2 impossible in box
     u_star, active, status = solve_qp(qp)

@@ -310,6 +310,14 @@ def test_sampled_circle_row_where_the_braked_speed_squared_underflows(circle, mo
     assert any(a) and all(map(math.isfinite, (*a, b)))
 
 
+def test_sampled_circle_row_at_rest_where_the_braking_step_underflows(model_2d):
+    """At rest, with u_max * dt underflowing to 0, the row is built on the
+    command that stops the plant (zero), not on a division by the speed."""
+    circle = BarrierConstraint("circle", GEOFENCE_2D_CIRCLE, {"center": (0.0, 0.0), "radius": 1.0, "u_max": 1e-300})
+    a, b = sampled_row(circle, model_2d, PlantState([0.0, 0.5, 0.0, 0.0]), 1e-30)
+    assert any(a) and all(map(math.isfinite, (*a, b)))
+
+
 def test_sampled_row_none_for_speed_limit(speed, model_2d):
     assert sampled_row(speed, model_2d, PlantState([0.0, 0.0, 0.1, 0.2]), DT) is None
 

@@ -576,6 +576,14 @@ def test_rows_whose_squared_norms_overflow_are_solved():
     assert all(b - (a0 * u0 + a1 * u1) <= feas_tol for a0, a1, b in qp.rows)
 
 
+def _resting_underflow_config():
+    """A 2-D episode at rest whose circle's u_max * dt underflows to 0."""
+    cfg = scenario_2d(duration=1e-29, dt=1e-30, initial_state=(0.0, 0.5, 0.0, 0.0))
+    cfg["model"]["control_bounds"] = [[-1e-300, 1e-300], [-1e-300, 1e-300]]
+    cfg["constraints"][0]["params"]["u_max"] = 1e-300
+    return cfg
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @settings(max_examples=300, deadline=None)
 @given(drawn=whole_configs())
@@ -587,6 +595,7 @@ def test_rows_whose_squared_norms_overflow_are_solved():
 @example(drawn=(scenario_2d(duration=2.0, dt=2.0, initial_state=(0.0, -1.0, 0.0, 5e-324)), None))  # speed**2 underflows
 @example(drawn=(scenario_1d(duration=4.0, dt=1.0, disturbance_bound=1e308, seed=1, rta_enabled=False), None))
 @example(drawn=(_overflowing_rows_config(), None))
+@example(drawn=(_resting_underflow_config(), None))
 def test_every_config_that_loads_runs(drawn, tmp_path_factory):
     """from_dict returns or raises InvalidConfig, and run_episode returns on
     every config that loads: all its steps, or a flagged abort with the

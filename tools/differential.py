@@ -31,6 +31,12 @@ Sets:
                      with one row with authority moved to miss the box by
                      k * feas_tol * (1 + |a0| + |a1|), k cycling through
                      MARGINS, around the box check's 2
+  degenerate_2d      solve_qp on random_problem(default_rng(s), 2), s < N,
+                     with one more row inserted at a drawn place: for even
+                     s a copy of a drawn row, for odd s a row with a drawn
+                     normal through the float vertex of two drawn rows (a
+                     copy where there is one row or they are parallel), so
+                     that stage 2's vertices tie on (dist^2, v0, v1)
   nonfinite          solve_qp on random_problem(default_rng(s), d), s < N,
                      on one axis and then on two, with one row entry, drawn
                      by the same generator, replaced by NONFINITE[s % 6]
@@ -77,6 +83,7 @@ SETS = (
     "random_1d",
     "random_2d",
     "margin_2d",
+    "degenerate_2d",
     "nonfinite",
     "barrier",
 )
@@ -249,6 +256,39 @@ def _margin_2d(workdir, size, random_count):
     )
 
 
+def _degenerate_problem(qp, rng, through_vertex):
+    """qp with one more row, drawn by rng and inserted at a drawn place: a
+    copy of a row, or, when through_vertex, a row with a drawn normal through
+    the vertex of that row and another, as Cramer's rule gives it in floats
+    (a copy where there is one row or the two are parallel)."""
+    rows = list(qp.rows)
+    i = int(rng.integers(len(rows)))
+    extra = rows[i]
+    if through_vertex and len(rows) > 1:
+        j = int(rng.integers(len(rows) - 1))
+        (p0, p1, pb), (q0, q1, qb) = rows[i], rows[j + (j >= i)]
+        cross = q0 * p1 - q1 * p0
+        if cross != 0.0:
+            v0 = (qb * p1 - pb * q1) / cross
+            v1 = (q0 * pb - p0 * qb) / cross
+            a0, a1 = rng.normal(size=2).tolist()
+            extra = (a0, a1, a0 * v0 + a1 * v1)
+    rows.insert(int(rng.integers(len(rows) + 1)), extra)
+    return qp._replace(rows=tuple(rows), row_ids=tuple(f"r{k}" for k in range(len(rows))))
+
+
+def _degenerate_2d(workdir, size, random_count):
+    import numpy as np
+
+    from tests.test_least_max_violation import random_problem
+
+    problems = []
+    for seed in range(random_count):
+        rng = np.random.default_rng(seed)
+        problems.append(_degenerate_problem(random_problem(rng, 2), rng, seed % 2 == 1))
+    return _solve_items(problems)
+
+
 def _nonfinite_problem(qp, rng, value):
     """qp with one row entry, drawn by rng, replaced by value."""
     rows = list(qp.rows)
@@ -290,6 +330,7 @@ DIGESTS = {
     "random_1d": _random(1),
     "random_2d": _random(2),
     "margin_2d": _margin_2d,
+    "degenerate_2d": _degenerate_2d,
     "nonfinite": _nonfinite,
     "barrier": _barrier,
 }
