@@ -55,7 +55,12 @@ Rounding: the filter computes in Python floats from the barrier rows
 (cbf_row, sampled_row) to the command, the solve and fallback in one fixed
 order with no numpy call, so its bits match on every machine. It reads u_des
 as the command's float tuple (ControlInput.us), and filter_control wraps the
-solved tuple as the filtered command without building an array.
+solved tuple as the filtered command without building an array. The fixed
+cost of a call is kept to its arithmetic: the problem and the result are
+built as plain tuples of their classes, solve_qp goes straight to the
+one-axis or the two-axis solve from the axis count its clamp test branches
+on, the scaled tolerance and the deviation are written out for one axis and
+for two, and the fallback prices each candidate point as it draws it.
 """
 
 from __future__ import annotations
@@ -77,6 +82,11 @@ INFEASIBLE_FALLBACK = "infeasible_fallback"
 
 _DEP_TOL = 1e-12  # rank test for a constraint's normal and for a pair of normals
 _FEAS_TOL = 1e-11  # violation counted as zero, before scaling by the problem size
+
+# QpProblem and FilterResult are built on every call. tuple.__new__ makes the
+# same instances from all their fields, without the Python frame of the
+# __new__ that NamedTuple generates.
+_new = tuple.__new__
 
 
 class QpProblem(NamedTuple):
@@ -129,16 +139,16 @@ def assemble_qp(
         a, b = cbf_row(constraint, model, state)
         sampled = None if dt is None else sampled_row(constraint, model, state, dt)
         if any(a):
-            rows.append((*a, b))
+            rows.append(a + (b,))
             row_ids.append(constraint.id)
         elif b > 0.0:
             if sampled is None:
                 raise StructurallyInfeasible(constraint.id)
             unmet.append(constraint.id)
         if sampled is not None:
-            rows.append((*sampled[0], sampled[1]))
+            rows.append(sampled[0] + (sampled[1],))
             row_ids.append(constraint.id)
-    return QpProblem(u_des.us, tuple(rows), tuple(row_ids), model._box, tuple(unmet))
+    return _new(QpProblem, (u_des.us, tuple(rows), tuple(row_ids), model._box, tuple(unmet)))
 
 
 def solve_qp(qp: QpProblem) -> tuple[tuple[float, ...], tuple[int, ...], str]:
@@ -157,10 +167,10 @@ def solve_qp(qp: QpProblem) -> tuple[tuple[float, ...], tuple[int, ...], str]:
     the projection onto the violated constraint farthest from u_des, then
     the vertices of two constraints that can be optimal, nearest first
     (_solve_plane). Both decide under the tolerance contract of the module
-    docstring. When no point meets the rows, the fallback's
-    least-max-violation point (_least_max_violation) is returned with
-    status infeasible_fallback; the fallback is decided here alone, so it
-    never recurses.
+    docstring; the clamp test's own branch on the axis count picks which.
+    When no point meets the rows, the fallback's least-max-violation point
+    (_least_max_violation) is returned with status infeasible_fallback; the
+    fallback is decided here alone, so it never recurses.
     """
     u_des = qp.u_des
     rows = qp.rows
@@ -173,7 +183,8 @@ def solve_qp(qp: QpProblem) -> tuple[tuple[float, ...], tuple[int, ...], str]:
             if top is None or w > top:
                 top = w
                 if w > 0.0:
-                    break
+                    feas_tol = _feas_tol(qp)
+                    return _solve_interval(qp, feas_tol) or _fallback(qp, feas_tol)
     else:
         c0, c1 = clamped
         for a0, a1, b in rows:
@@ -181,10 +192,8 @@ def solve_qp(qp: QpProblem) -> tuple[tuple[float, ...], tuple[int, ...], str]:
             if top is None or w > top:
                 top = w
                 if w > 0.0:
-                    break
-    if top is not None and top > 0.0:
-        feas_tol = _feas_tol(qp)
-        return _solve(qp, feas_tol) or _fallback(qp, feas_tol)
+                    feas_tol = _feas_tol(qp)
+                    return _solve_plane(qp, feas_tol) or _fallback(qp, feas_tol)
     if clamped == u_des:
         return u_des, (), PASSTHROUGH
     slack = _row_violations(rows, clamped)
@@ -206,29 +215,39 @@ def _feas_tol(qp: QpProblem) -> float:
     it over the |b| in row order, then the box bounds: a NaN first value
     stays the maximum."""
     rows = qp.rows
-    box = qp.box
-    top = abs(rows[0][-1] if rows else box[0][0])
-    for row in rows:
-        v = abs(row[-1])
+    if len(qp.u_des) == 1:
+        (u0,), ((lo0, hi0),) = qp.u_des, qp.box
+        top = abs(rows[0][1]) if rows else abs(lo0)
+        for _, b in rows:
+            v = abs(b)
+            if v > top:
+                top = v
+        v = abs(lo0)
         if v > top:
             top = v
-    for lo, hi in box:
-        v = abs(lo)
+        v = abs(hi0)
         if v > top:
             top = v
-        v = abs(hi)
+        return _FEAS_TOL * (1.0 + top + abs(u0))
+    (u0, u1), ((lo0, hi0), (lo1, hi1)) = qp.u_des, qp.box
+    top = abs(rows[0][2]) if rows else abs(lo0)
+    for _, _, b in rows:
+        v = abs(b)
         if v > top:
             top = v
-    scale = 1.0 + top
-    for v in qp.u_des:
-        scale += abs(v)
-    return _FEAS_TOL * scale
-
-
-def _solve(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tuple[int, ...], str] | None:
-    """The minimizer under the tolerance contract, as solve_qp's result, or
-    None when no point meets every row."""
-    return _solve_interval(qp, feas_tol) if qp.control_dim == 1 else _solve_plane(qp, feas_tol)
+    v = abs(lo0)
+    if v > top:
+        top = v
+    v = abs(hi0)
+    if v > top:
+        top = v
+    v = abs(lo1)
+    if v > top:
+        top = v
+    v = abs(hi1)
+    if v > top:
+        top = v
+    return _FEAS_TOL * (1.0 + top + abs(u0) + abs(u1))
 
 
 def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tuple[int, ...], str] | None:
@@ -550,8 +569,9 @@ def _least_max_violation(qp, feas_tol) -> tuple[tuple[float, ...], list[float]]:
     the least violation (phase II); should that solve find no point, the
     candidate is kept.
 
-    The candidates are priced in order, row by row, with _row_violations'
-    expression, and a candidate's pricing stops at its first row whose
+    The candidates are drawn one at a time (_candidates), each priced as it
+    is drawn, row by row, with _row_violations' expression, so no list of
+    them is built; a candidate's pricing stops at its first row whose
     violation exceeds the least maximum so far plus feas_tol. That is exact:
     its own maximum is larger still, and so larger than the final least plus
     feas_tol, so it can be neither the least, nor the first candidate to
@@ -564,62 +584,17 @@ def _least_max_violation(qp, feas_tol) -> tuple[tuple[float, ...], list[float]]:
     """
     rows = qp.rows
     box = qp.box
-    if len(box) == 1:
-        ((lo0, hi0),) = box
-        points = [(lo0,), (hi0,)]
-        for (ai, bi), (aj, bj) in combinations(rows, 2):
-            da = ai - aj
-            if da != 0.0:
-                u = (bi - bj) / da
-                if lo0 <= u <= hi0:
-                    points.append((u,))
-    else:
-        (lo0, hi0), (lo1, hi1) = box
-        points = [(lo0, lo1), (lo0, hi1), (hi0, lo1), (hi0, hi1)]
-        # each pair's equal-value line crossed with the box faces
-        for (ai0, ai1, bi), (aj0, aj1, bj) in combinations(rows, 2):
-            da0 = ai0 - aj0
-            da1 = ai1 - aj1
-            db = bi - bj
-            if da1 != 0.0:
-                for fixed in (lo0, hi0):
-                    val = (db - da0 * fixed) / da1
-                    if lo1 <= val <= hi1:
-                        points.append((fixed, val))
-            if da0 != 0.0:
-                for fixed in (lo1, hi1):
-                    val = (db - da1 * fixed) / da0
-                    if lo0 <= val <= hi0:
-                        points.append((val, fixed))
-        # two pairs' equal-value lines crossed; the determinant test keeps
-        # Cramer's rule off a zero divisor
-        for (ai0, ai1, bi), (aj0, aj1, bj), (ak0, ak1, bk) in combinations(rows, 3):
-            p0 = ai0 - aj0
-            p1 = ai1 - aj1
-            q0 = ai0 - ak0
-            q1 = ai1 - ak1
-            det = p0 * q1 - p1 * q0
-            if abs(det) >= 1e-14:
-                r0 = bi - bj
-                r1 = bi - bk
-                u0 = (r0 * q1 - p1 * r1) / det
-                u1 = (p0 * r1 - r0 * q0) / det
-                if lo0 - 1e-12 <= u0 <= hi0 + 1e-12 and lo1 - 1e-12 <= u1 <= hi1 + 1e-12:
-                    # bound first, so signed zeros clamp as np.clip does
-                    points.append((min(hi0, max(lo0, u0)), min(hi1, max(lo1, u1))))
-
     # top is a candidate's running maximum; bound is the least maximum so far
     # plus feas_tol
     first, rest = rows[0], rows[1:]
-    one_axis = len(box) == 1
     priced = []  # (candidate, maximum violation) of each candidate priced to the end
     best = least = None
     bound = math.inf
-    for u in points:
-        if one_axis:
+    if len(box) == 1:
+        a_first, b_first = first
+        for u in _candidates(rows, box):
             (u0,) = u
-            a, b = first
-            top = b - a * u0
+            top = b_first - a_first * u0
             if not top > bound:
                 for a, b in rest:
                     w = b - a * u0
@@ -627,10 +602,15 @@ def _least_max_violation(qp, feas_tol) -> tuple[tuple[float, ...], list[float]]:
                         top = w
                         if w > bound:
                             break
-        else:
+                else:
+                    priced.append((u, top))
+                    if best is None or top < least:
+                        best, least, bound = u, top, top + feas_tol
+    else:
+        a0_first, a1_first, b_first = first
+        for u in _candidates(rows, box):
             u0, u1 = u
-            a0, a1, b = first
-            top = b - (a0 * u0 + a1 * u1)
+            top = b_first - (a0_first * u0 + a1_first * u1)
             if not top > bound:
                 for a0, a1, b in rest:
                     w = b - (a0 * u0 + a1 * u1)
@@ -638,29 +618,82 @@ def _least_max_violation(qp, feas_tol) -> tuple[tuple[float, ...], list[float]]:
                         top = w
                         if w > bound:
                             break
-        if top > bound:
-            continue
-        priced.append((u, top))
-        if best is None or top < least:
-            best, least, bound = u, top, top + feas_tol
+                else:
+                    priced.append((u, top))
+                    if best is None or top < least:
+                        best, least, bound = u, top, top + feas_tol
     if all(u is best or command_deviation(u, best) <= feas_tol for u, v in priced if v <= bound):
         return best, _row_violations(rows, best)
     # phase II: the face the tied candidates span is the feasible set of the
     # rows shifted by the least violation
     shifted = qp._replace(rows=tuple([(*row[:-1], row[-1] - least) for row in rows]))
-    solved = _solve(shifted, feas_tol)
+    solved = (_solve_interval if len(box) == 1 else _solve_plane)(shifted, feas_tol)
     u = best if solved is None else solved[0]
     return u, _row_violations(rows, u)
 
 
+def _candidates(rows, box):
+    """The candidate points of _least_max_violation, drawn one at a time in
+    a fixed order: the box corners, each pair's equal-value locus crossed
+    with the box faces, then (2-D) two pairs' loci crossed."""
+    if len(box) == 1:
+        ((lo0, hi0),) = box
+        yield (lo0,)
+        yield (hi0,)
+        for (ai, bi), (aj, bj) in combinations(rows, 2):
+            da = ai - aj
+            if da != 0.0:
+                u = (bi - bj) / da
+                if lo0 <= u <= hi0:
+                    yield (u,)
+        return
+    (lo0, hi0), (lo1, hi1) = box
+    yield (lo0, lo1)
+    yield (lo0, hi1)
+    yield (hi0, lo1)
+    yield (hi0, hi1)
+    # each pair's equal-value line crossed with the box faces
+    for (ai0, ai1, bi), (aj0, aj1, bj) in combinations(rows, 2):
+        da0 = ai0 - aj0
+        da1 = ai1 - aj1
+        db = bi - bj
+        if da1 != 0.0:
+            for fixed in (lo0, hi0):
+                val = (db - da0 * fixed) / da1
+                if lo1 <= val <= hi1:
+                    yield (fixed, val)
+        if da0 != 0.0:
+            for fixed in (lo1, hi1):
+                val = (db - da1 * fixed) / da0
+                if lo0 <= val <= hi0:
+                    yield (val, fixed)
+    # two pairs' equal-value lines crossed; the determinant test keeps
+    # Cramer's rule off a zero divisor
+    for (ai0, ai1, bi), (aj0, aj1, bj), (ak0, ak1, bk) in combinations(rows, 3):
+        p0 = ai0 - aj0
+        p1 = ai1 - aj1
+        q0 = ai0 - ak0
+        q1 = ai1 - ak1
+        det = p0 * q1 - p1 * q0
+        if abs(det) >= 1e-14:
+            r0 = bi - bj
+            r1 = bi - bk
+            u0 = (r0 * q1 - p1 * r1) / det
+            u1 = (p0 * r1 - r0 * q0) / det
+            if lo0 - 1e-12 <= u0 <= hi0 + 1e-12 and lo1 - 1e-12 <= u1 <= hi1 + 1e-12:
+                # bound first, so signed zeros clamp as np.clip does
+                yield (min(hi0, max(lo0, u0)), min(hi1, max(lo1, u1)))
+
+
 def command_deviation(u, u_des) -> float:
-    """Euclidean distance between two commands given as float sequences,
-    summed in axis order: the one formula for a step's deviation, used by
-    the filter and by read_trace."""
-    square = 0.0
-    for ui, di in zip(u, u_des):
-        square += (ui - di) * (ui - di)
-    return math.sqrt(square)
+    """Euclidean distance between two commands given as float sequences of
+    one or two entries, summed in axis order: the one formula for a step's
+    deviation, used by the filter and by read_trace."""
+    if len(u) == 1:
+        (u0,), (d0,) = u, u_des
+        return math.sqrt((u0 - d0) * (u0 - d0))
+    (u0, u1), (d0, d1) = u, u_des
+    return math.sqrt((u0 - d0) * (u0 - d0) + (u1 - d1) * (u1 - d1))
 
 
 def filter_control(
@@ -685,7 +718,7 @@ def filter_control(
     if qp.unmet_ids:
         status = INFEASIBLE_FALLBACK
     elif status == PASSTHROUGH:
-        return FilterResult(u_des, False, 0.0, (), PASSTHROUGH, elapsed)
+        return _new(FilterResult, (u_des, False, 0.0, (), PASSTHROUGH, elapsed))
     if len(active_idx) == 1 and not qp.unmet_ids:
         active_row_ids = (qp.row_ids[active_idx[0]],)
     else:
@@ -695,7 +728,7 @@ def filter_control(
             active_row_ids = tuple(dict.fromkeys(active_row_ids))
     u_out = ControlInput._trusted(u_star)
     deviation = command_deviation(u_star, qp.u_des)
-    return FilterResult(u_out, True, deviation, active_row_ids, status, elapsed)
+    return _new(FilterResult, (u_out, True, deviation, active_row_ids, status, elapsed))
 
 
 def check_kkt(qp: QpProblem, u_star, tol: float = 1e-8) -> dict:

@@ -8,7 +8,9 @@ filter's earlier one-candidate-at-a-time enumerator, kept to test the
 filter's own enumeration against. Both solve crossings by Cramer's rule and
 price points with the filter's scalar sum (row_violations), so they agree
 bit for bit. The trace writer reference formats one cell at a time, as
-write_trace did before it worked on whole rows. The barrier reference
+write_trace did before it worked on whole rows. The filter's scaled
+feasibility tolerance and a step's deviation have the generic loops they
+had before they were written out for one axis and for two. The barrier reference
 composes each row from h and the whole gradient, evaluated together, with
 the drift term as an exactly rounded sum, as the barrier module did before
 its entry points became per-kind kernels.
@@ -21,6 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
+from asifkit.asif import _FEAS_TOL
 from asifkit.barrier import GEOFENCE_1D, GEOFENCE_2D_CIRCLE, SPEED_LIMIT
 from asifkit.dynamics import actuation_row, hold_map
 from asifkit.errors import InvalidConfig, InvalidState, SingularGradient
@@ -190,6 +193,40 @@ def least_max_violation(qp, rows_a, rows_b, lo, hi):
         if best is None or key < best[0]:
             best = (key, u)
     return best[1]
+
+
+def feas_tol(qp):
+    """The scaled feasibility tolerance: _FEAS_TOL * (1 + the largest |b| or
+    |box bound| + the sum of |u_des|). The largest is taken as max() takes
+    it over the |b| in row order, then the box bounds: a NaN first value
+    stays the maximum."""
+    rows = qp.rows
+    box = qp.box
+    top = abs(rows[0][-1] if rows else box[0][0])
+    for row in rows:
+        v = abs(row[-1])
+        if v > top:
+            top = v
+    for lo, hi in box:
+        v = abs(lo)
+        if v > top:
+            top = v
+        v = abs(hi)
+        if v > top:
+            top = v
+    scale = 1.0 + top
+    for v in qp.u_des:
+        scale += abs(v)
+    return _FEAS_TOL * scale
+
+
+def command_deviation(u, u_des):
+    """Euclidean distance between two commands, their squared differences
+    summed in axis order from 0.0."""
+    square = 0.0
+    for ui, di in zip(u, u_des):
+        square += (ui - di) * (ui - di)
+    return math.sqrt(square)
 
 
 def write_trace_per_cell(trace, path):

@@ -1,3 +1,5 @@
+import math
+import struct
 from itertools import combinations
 
 import numpy as np
@@ -10,6 +12,7 @@ from asifkit import (
     MODIFIED,
     PASSTHROUGH,
     ControlInput,
+    FilterResult,
     PlantState,
     QpProblem,
     StructurallyInfeasible,
@@ -22,7 +25,9 @@ from asifkit import (
 )
 
 
+from tests import oracles
 from tests.oracles import grid_oracle, least_max_violation, qp_arrays, row_violations
+from tests.test_least_max_violation import random_problem
 
 
 def make_qp(u_des, rows_a, rows_b, box):
@@ -374,6 +379,112 @@ def test_filter_determinism(fence, model_1d):
     assert a.deviation == b.deviation
     assert a.active_row_ids == b.active_row_ids
     assert a.status == b.status
+
+
+# ---- call path and result types ----
+
+ENTRY_POINTS = ("cbf_row", "sampled_row", "assemble_qp", "solve_qp")
+
+
+@pytest.mark.parametrize("dt", [None, 0.05])
+@pytest.mark.parametrize("u_des", [(0.0, 0.0), (1.0, 1.0), (-1.0, 0.5)])
+def test_filter_calls_each_entry_point_through_the_module(monkeypatch, circle, speed, model_2d, dt, u_des):
+    """filter_control reaches cbf_row (and, given dt, sampled_row) once per
+    constraint and assemble_qp and solve_qp once per call, each through
+    asif's module attribute, the binding a tracer wraps. Its result and the
+    problem are exact instances of their classes, as the usual constructors
+    build them."""
+    calls = dict.fromkeys(ENTRY_POINTS, 0)
+    problems = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            out = fn(*args, **kwargs)
+            if name == "assemble_qp":
+                problems.append(out)
+            return out
+
+        return wrapper
+
+    for name in ENTRY_POINTS:
+        monkeypatch.setattr(asif, name, counting(name, getattr(asif, name)))
+    constraints = [circle, speed]
+    state = PlantState([0.5, 0.2, 0.3, -0.2])
+    result = filter_control(constraints, model_2d, state, ControlInput(list(u_des), model_2d.control_bounds), dt)
+    assert calls == {"cbf_row": 2, "sampled_row": 0 if dt is None else 2, "assemble_qp": 1, "solve_qp": 1}
+
+    assert type(result) is FilterResult and result == FilterResult(*result)
+    assert result._replace(solve_time=0.0) == FilterResult(*result)._replace(solve_time=0.0)
+    assert type(result._replace(solve_time=0.0)) is FilterResult
+    assert result.intervened == (result.status != PASSTHROUGH)
+    (qp,) = problems
+    assert type(qp) is QpProblem and qp == QpProblem(*qp)
+    assert qp._replace(rows=()) == QpProblem(*qp)._replace(rows=()) and type(qp._replace(rows=())) is QpProblem
+    assert qp.control_dim == 2 and qp.unmet_ids == () and len(qp) == len(QpProblem._fields)
+
+
+def test_call_path_sees_every_status(circle, speed, model_2d):
+    """The commands of the call-path test reach both result constructions:
+    a passthrough and a filtered step."""
+    state = PlantState([0.5, 0.2, 0.3, -0.2])
+    statuses = {
+        filter_control([circle, speed], model_2d, state, ControlInput(list(u), model_2d.control_bounds)).status
+        for u in [(0.0, 0.0), (1.0, 1.0), (-1.0, 0.5)]
+    }
+    assert PASSTHROUGH in statuses and statuses - {PASSTHROUGH}
+
+
+# ---- written-out helpers against their generic loops ----
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _nonfinite_rows(d):
+    """Problems whose rows hold a non-finite or huge entry, NaN first
+    among them: a NaN first |b| stays the largest."""
+    for seed, value in enumerate([math.nan, math.inf, -math.inf, 1e300, -1e200, math.nan] * 20):
+        qp = random_problem(np.random.default_rng(seed), d)
+        rows = [list(row) for row in qp.rows]
+        rows[seed % len(rows)][seed % (d + 1)] = value
+        rows[0][-1] = value if seed % 3 == 0 else rows[0][-1]
+        yield qp._replace(rows=tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_feas_tol_matches_the_generic_loop(d):
+    problems = [random_problem(np.random.default_rng(seed), d) for seed in range(400)]
+    problems += list(_nonfinite_rows(d))
+    problems += [qp._replace(rows=(), row_ids=()) for qp in problems[:20]]
+    problems.append(QpProblem((math.nan,) * d, ((*[1.0] * d, math.nan),), ("r0",), ((-math.inf, 2.0),) * d))
+    nan_first = 0
+    for qp in problems:
+        assert _bits(asif._feas_tol(qp)) == _bits(oracles.feas_tol(qp)), qp
+        nan_first += bool(qp.rows) and math.isnan(qp.rows[0][-1])
+    assert nan_first >= 20
+    nan_first_qp = random_problem(np.random.default_rng(0), d)
+    nan_first_qp = nan_first_qp._replace(rows=((*[1.0] * d, math.nan), (*[1.0] * d, 5.0)), row_ids=("r0", "r1"))
+    assert math.isnan(asif._feas_tol(nan_first_qp))
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.5, 1e308, -1e308, math.inf, -math.inf, math.nan]
+
+
+def test_command_deviation_matches_the_generic_loop():
+    pairs = [((u,), (v,)) for u in SPECIAL for v in SPECIAL]
+    pairs += [((u0, u1), (v0, v1)) for u0 in SPECIAL for u1 in SPECIAL[::3] for v0 in SPECIAL[::2] for v1 in SPECIAL]
+    rng = np.random.default_rng(3)
+    pairs += [(tuple(rng.normal(size=d).tolist()), tuple(rng.normal(size=d).tolist())) for d in (1, 2) for _ in range(200)]
+    for u, u_des in pairs:
+        assert _bits(asif.command_deviation(u, u_des)) == _bits(oracles.command_deviation(u, u_des)), (u, u_des)
+    # read_trace passes slices of a row's floats
+    row = [0.25, -0.0, 5e-324, 1.0, -1e308, 1e308, math.inf, 0.5, -0.5]
+    for start in range(len(row) - 3):
+        for d in (1, 2):
+            u, u_des = row[start : start + d], row[start + d : start + 2 * d]
+            assert _bits(asif.command_deviation(u, u_des)) == _bits(oracles.command_deviation(u, u_des)), (u, u_des)
 
 
 # ---- randomized oracle equivalence ----

@@ -1,0 +1,49 @@
+"""tools/percall.py: the summary and a run on a tiny workload."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "percall.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("percall", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_summary_groups_the_per_call_times_by_status():
+    line = _tool().summary("x", [1000, 3000, 2000, 10000], ["modified", "passthrough", "modified", "modified"])
+    assert line == {
+        "side": "x",
+        "calls": 4,
+        "p50_us": 2.5,
+        "p99_us": 9.79,
+        "sum_us": 16.0,
+        "status": {"modified": {"calls": 3, "p50_us": 2.0}, "passthrough": {"calls": 1, "p50_us": 3.0}},
+    }
+
+
+@pytest.mark.skipif(
+    subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD"], capture_output=True).returncode != 0,
+    reason="needs a git checkout",
+)
+@pytest.mark.parametrize("workload, size, calls", [("filter_multirow", 8, 8), ("corpus_adversarial", 1, 6000)])
+def test_runs_against_head_on_a_tiny_workload(workload, size, calls):
+    """One JSON line per side, this tree's first, each counting every call
+    once under the status that side returned."""
+    argv = [sys.executable, str(TOOL), "--against", "HEAD", "--workload", workload, "--size", str(size), "--rounds", "1"]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=600)
+    lines = [json.loads(line) for line in out.stdout.splitlines()]
+    assert [line["side"] for line in lines] == ["this tree", "HEAD"]
+    for line in lines:
+        assert line["calls"] == calls
+        assert sum(status["calls"] for status in line["status"].values()) == calls
+        assert 0.0 < line["p50_us"] <= line["p99_us"] and line["sum_us"] > 0.0
