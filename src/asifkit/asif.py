@@ -721,6 +721,10 @@ def filter_control(
         return _new(FilterResult, (u_des, False, 0.0, (), PASSTHROUGH, elapsed))
     if len(active_idx) == 1 and not qp.unmet_ids:
         active_row_ids = (qp.row_ids[active_idx[0]],)
+    elif len(active_idx) == 2 and not qp.unmet_ids:
+        # two rows of one constraint (its continuous and sampled rows) name it once
+        first, second = qp.row_ids[active_idx[0]], qp.row_ids[active_idx[1]]
+        active_row_ids = (first,) if first == second else (first, second)
     else:
         active_row_ids = qp.unmet_ids + tuple([qp.row_ids[i] for i in active_idx])
         if len(active_row_ids) > 1:

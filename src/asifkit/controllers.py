@@ -12,6 +12,8 @@ Three kinds:
 Every controller's output is saturated into the plant's box, so downstream
 code always sees an in-bounds desired command. An output with a NaN or
 infinite entry has no meaningful saturation and raises NonFiniteCommand.
+The saturation is written out for one axis and for two, and an MLP layer's
+product is w.dot(v), which rounds as w @ v does.
 """
 
 from __future__ import annotations
@@ -126,12 +128,15 @@ ControllerKind = NnController | PdController | AdversarialController
 
 
 def mlp_forward(spec: MlpSpec, x: np.ndarray) -> np.ndarray:
-    """Sequential affine-then-activation evaluation."""
+    """Sequential affine-then-activation evaluation. Each layer's product is
+    w.dot(v), which for a matrix and a vector rounds as w @ v does (both
+    reach the same BLAS matrix-vector product) without the operator's
+    dispatch."""
     v = np.asarray(x, dtype=float)
     if v.shape != (spec.layer_sizes[0],):
         raise InvalidModel(f"input length {v.shape} != {spec.layer_sizes[0]}")
     for w, b, act in zip(spec.weights, spec.biases, spec.activations):
-        v = w @ v + b
+        v = w.dot(v) + b
         if act == "tanh":
             v = np.tanh(v)
         elif act == "relu":
@@ -159,8 +164,12 @@ def desired_control(controller: ControllerKind, state: PlantState, model: PlantM
     if len(command) != model.control_dim:
         raise InvalidState(f"controller output {command} does not match control dim {model.control_dim}")
     # bound first, so signed zeros clamp as np.clip does
-    saturated = tuple([min(hi, max(lo, v)) for v, (lo, hi) in zip(command, model._box)])
-    return ControlInput._trusted(saturated)
+    if model.control_dim == 1:
+        lo, hi = model._box[0]
+        return ControlInput._trusted((min(hi, max(lo, command[0])),))
+    (lo0, hi0), (lo1, hi1) = model._box
+    c0, c1 = command
+    return ControlInput._trusted((min(hi0, max(lo0, c0)), min(hi1, max(lo1, c1))))
 
 
 def _adversarial_command(
@@ -180,10 +189,17 @@ def _adversarial_command(
     a = actuation_row(model, grad)
     if not any(a):
         a = drift_actuation_row(model, grad)  # push along the position gradient instead
-    return tuple([
-        hi if aj < 0.0 else (lo if aj > 0.0 else min(max(0.0, lo), hi))
-        for aj, (lo, hi) in zip(a, model._box)
-    ])
+    # full magnitude against a's sign, zero (clamped into the box) where a is zero
+    if model.control_dim == 1:
+        lo, hi = model._box[0]
+        a0 = a[0]
+        return (hi if a0 < 0.0 else (lo if a0 > 0.0 else min(max(0.0, lo), hi)),)
+    (lo0, hi0), (lo1, hi1) = model._box
+    a0, a1 = a
+    return (
+        hi0 if a0 < 0.0 else (lo0 if a0 > 0.0 else min(max(0.0, lo0), hi0)),
+        hi1 if a1 < 0.0 else (lo1 if a1 > 0.0 else min(max(0.0, lo1), hi1)),
+    )
 
 
 def controller_from_config(cfg: dict) -> ControllerKind:

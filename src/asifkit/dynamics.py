@@ -12,8 +12,11 @@ and returns tuples, so a closed-loop step builds no array except the
 disturbance draw (and an MLP controller's). The per-step arithmetic (RK4,
 the disturbance norm and scaling, and the barrier rows built on these
 models' g = (0; I) and f = (velocities, 0)) runs in a fixed order, so its
-bits do not depend on the machine's BLAS. In a closed-loop step only an MLP
-controller's matrix products still round through BLAS.
+bits do not depend on the machine's BLAS. RK4's stages and the
+disturbance's norm and scaling are written out for one axis and for two,
+in the order of the per-axis loops they replace, so their bits are those
+loops'. In a closed-loop step only an MLP controller's matrix products
+still round through BLAS.
 """
 
 from __future__ import annotations
@@ -68,7 +71,9 @@ class PlantState:
         """Wrap a tuple of finite Python floats the caller has just built,
         without the public constructor's copy and checks."""
         state = object.__new__(cls)
-        state.__dict__.update(xs=xs, t=t)
+        fields = state.__dict__
+        fields["xs"] = xs
+        fields["t"] = t
         return state
 
     @property
@@ -198,7 +203,8 @@ def step_rk4(model: PlantModel, state: PlantState, u: ControlInput, w, dt: float
     with norm at most the model's disturbance bound. For the linear models
     here the result matches the closed-form transition. The step reads the
     state's and command's float tuples and returns a state built from its
-    own, so it makes no array.
+    own, so it makes no array. The stages are written out for one axis and
+    for two.
     """
     if dt <= 0:
         raise InvalidConfig(f"dt must be > 0, got {dt}")
@@ -216,59 +222,91 @@ def step_rk4(model: PlantModel, state: PlantState, u: ControlInput, w, dt: float
     uv = u.us
     if len(uv) != model.control_dim:
         raise InvalidState("control outside model bounds")
-    for c, (lo, hi) in zip(uv, model._box):
-        if not lo <= c <= hi:
-            raise InvalidState("control outside model bounds")
-    x0 = state.xs
-    if len(x0) != model.state_dim:
-        raise InvalidState(f"state dim {len(x0)} does not match model {model.kind}")
 
-    # Classical RK4 stages, unrolled per axis. Each axis of this model family
-    # is an independent double integrator with constant stage acceleration
+    # Classical RK4 stages, per axis. Each axis of this model family is an
+    # independent double integrator with constant stage acceleration
     # a = u + w_v, so the velocity stage derivatives are all a and only the
-    # position stage derivatives vary.
-    half = model.state_dim // 2
+    # position stage derivatives vary: k1 = v + w_p, k2 = k3 = v + dt/2 a +
+    # w_p and k4 = v + dt a + w_p. A finite sum of the new entries means
+    # finite entries; only when it is not (overflow, or a NaN or inf entry)
+    # are they tested one by one.
     half_dt = 0.5 * dt
     sixth_dt = dt / 6.0
-    x1 = list(x0)
-    for j in range(half):
-        p = x0[j]
-        v = x0[half + j]
-        wp = ws[j]
-        acc = uv[j] + ws[half + j]
-        k1p = v + wp
-        k2p = v + half_dt * acc + wp
-        k3p = k2p
-        k4p = v + dt * acc + wp
-        x1[j] = p + sixth_dt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        x1[half + j] = v + dt * acc
-    # a finite sum means finite entries; only when it is not (overflow, or a
-    # NaN or inf entry) are the entries tested one by one
-    if not math.isfinite(sum(x1)) and not all(map(math.isfinite, x1)):
-        raise NonFiniteState(f"non-finite state entries: {x1}")
-    return PlantState._trusted(tuple(x1), state.t + dt)
+    if model.control_dim == 1:
+        lo, hi = model._box[0]
+        if not lo <= uv[0] <= hi:
+            raise InvalidState("control outside model bounds")
+        x0 = state.xs
+        if len(x0) != 2:
+            raise InvalidState(f"state dim {len(x0)} does not match model {model.kind}")
+        p, v = x0
+        w0, w1 = ws
+        acc = uv[0] + w1
+        k1p = v + w0
+        k2p = v + half_dt * acc + w0
+        k4p = v + dt * acc + w0
+        y0 = p + sixth_dt * (k1p + 2.0 * k2p + 2.0 * k2p + k4p)
+        y1 = v + dt * acc
+        if not math.isfinite(y0 + y1) and not (math.isfinite(y0) and math.isfinite(y1)):
+            raise NonFiniteState(f"non-finite state entries: {[y0, y1]}")
+        return PlantState._trusted((y0, y1), state.t + dt)
+
+    (lo0, hi0), (lo1, hi1) = model._box
+    u0, u1 = uv
+    if not (lo0 <= u0 <= hi0 and lo1 <= u1 <= hi1):
+        raise InvalidState("control outside model bounds")
+    x0 = state.xs
+    if len(x0) != 4:
+        raise InvalidState(f"state dim {len(x0)} does not match model {model.kind}")
+    p0, p1, v0, v1 = x0
+    w0, w1, w2, w3 = ws
+    acc = u0 + w2
+    k1p = v0 + w0
+    k2p = v0 + half_dt * acc + w0
+    k4p = v0 + dt * acc + w0
+    y0 = p0 + sixth_dt * (k1p + 2.0 * k2p + 2.0 * k2p + k4p)
+    y2 = v0 + dt * acc
+    acc = u1 + w3
+    k1p = v1 + w1
+    k2p = v1 + half_dt * acc + w1
+    k4p = v1 + dt * acc + w1
+    y1 = p1 + sixth_dt * (k1p + 2.0 * k2p + 2.0 * k2p + k4p)
+    y3 = v1 + dt * acc
+    if not math.isfinite(y0 + y1 + y2 + y3) and not (
+        math.isfinite(y0) and math.isfinite(y1) and math.isfinite(y2) and math.isfinite(y3)
+    ):
+        raise NonFiniteState(f"non-finite state entries: {[y0, y1, y2, y3]}")
+    return PlantState._trusted((y0, y1, y2, y3), state.t + dt)
 
 
 def sample_disturbance(model: PlantModel, rng) -> tuple[float, ...]:
     """Draw a disturbance with uniform direction and magnitude uniform in
     [0, disturbance_bound], as a tuple of state_dim Python floats.
     Deterministic given an integer seed; also accepts a numpy Generator so a
-    caller can own the stream. The direction is one standard_normal draw,
-    scaled per coordinate by magnitude / norm, which rounds as numpy's
-    elementwise product does.
+    caller can own the stream. The direction is one standard_normal draw;
+    its squared norm is summed from 0.0 in axis order, and each coordinate
+    is scaled by magnitude / norm, which rounds as numpy's elementwise
+    product does. Both are written out per state size.
     """
     if model.disturbance_bound == 0.0:
         return (0.0,) * model.state_dim
     gen = rng if isinstance(rng, Generator) else default_rng(rng)
     direction = gen.standard_normal(model.state_dim).tolist()
     magnitude = model.disturbance_bound * gen.random()  # the draw gen.uniform(0, bound) makes
-    square = 0.0
-    for c in direction:
-        square += c * c  # in axis order, not through a BLAS dot
-    norm = math.sqrt(square)
+    if model.state_dim == 2:
+        c0, c1 = direction
+        norm = math.sqrt(0.0 + c0 * c0 + c1 * c1)
+        if norm == 0.0:
+            return (0.0, 0.0)
+        scale = magnitude / norm
+        if scale == math.inf:  # a huge bound over a tiny norm: normalise the direction first
+            return (c0 / norm * magnitude, c1 / norm * magnitude)
+        return (c0 * scale, c1 * scale)
+    c0, c1, c2, c3 = direction
+    norm = math.sqrt(0.0 + c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3)
     if norm == 0.0:
-        return (0.0,) * model.state_dim
+        return (0.0, 0.0, 0.0, 0.0)
     scale = magnitude / norm
-    if scale == math.inf:  # a huge bound over a tiny norm: normalise the direction first
-        return tuple([c / norm * magnitude for c in direction])
-    return tuple([c * scale for c in direction])
+    if scale == math.inf:
+        return (c0 / norm * magnitude, c1 / norm * magnitude, c2 / norm * magnitude, c3 / norm * magnitude)
+    return (c0 * scale, c1 * scale, c2 * scale, c3 * scale)

@@ -325,7 +325,8 @@ def run_episode(config: ScenarioConfig, record: bool = True) -> EpisodeTrace:
 
         if record:
             numeric += (t_k, *state.xs, *u_des.us, *u_out.us)
-            numeric += [eval_h(constraint, state) for constraint in constraints]
+            for constraint in constraints:
+                numeric.append(eval_h(constraint, state))
             status_rec.append(step_status)
             solve_rec.append(step_solve)
             deviation_rec.append(step_dev)

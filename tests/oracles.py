@@ -9,8 +9,11 @@ filter's own enumeration against. Both solve crossings by Cramer's rule and
 price points with the filter's scalar sum (row_violations), so they agree
 bit for bit. The trace writer reference formats one cell at a time, as
 write_trace did before it worked on whole rows. The filter's scaled
-feasibility tolerance and a step's deviation have the generic loops they
-had before they were written out for one axis and for two. The barrier reference
+feasibility tolerance and a step's deviation, RK4's stages, the
+disturbance's norm and scaling and the adversarial command's saturation
+have the generic per-axis loops they had before they were written out for
+one axis and for two, and the MLP reference takes each layer's product as
+w @ v. The barrier reference
 composes each row from h and the whole gradient, evaluated together, with
 the drift term as an exactly rounded sum, as the barrier module did before
 its entry points became per-kind kernels.
@@ -24,8 +27,8 @@ from itertools import combinations
 import numpy as np
 
 from asifkit.asif import _FEAS_TOL
-from asifkit.barrier import GEOFENCE_1D, GEOFENCE_2D_CIRCLE, SPEED_LIMIT
-from asifkit.dynamics import actuation_row, hold_map
+from asifkit.barrier import GEOFENCE_1D, GEOFENCE_2D_CIRCLE, SPEED_LIMIT, eval_grad_h
+from asifkit.dynamics import actuation_row, drift_actuation_row, hold_map
 from asifkit.errors import InvalidConfig, InvalidState, SingularGradient
 from asifkit.harness import _STATUS_NAMES, trace_header
 
@@ -122,6 +125,77 @@ def closed_form_step(x, u, w, dt):
     p1 = p + (v + wp) * dt + 0.5 * a * dt * dt
     v1 = v + a * dt
     return np.concatenate([p1, v1])
+
+
+def rk4_stages(model, xs, us, ws, dt):
+    """step_rk4's new state, as a list, from the state, command and
+    disturbance floats by the per-axis loop: each axis's stage derivatives
+    k1 = v + w_p, k2 = k3 = v + dt/2 a + w_p and k4 = v + dt a + w_p, with
+    a = u + w_v, summed k1 + 2 k2 + 2 k3 + k4 left to right."""
+    half = model.state_dim // 2
+    half_dt = 0.5 * dt
+    sixth_dt = dt / 6.0
+    x1 = list(xs)
+    for j in range(half):
+        p = xs[j]
+        v = xs[half + j]
+        wp = ws[j]
+        acc = us[j] + ws[half + j]
+        k1p = v + wp
+        k2p = v + half_dt * acc + wp
+        k3p = k2p
+        k4p = v + dt * acc + wp
+        x1[j] = p + sixth_dt * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        x1[half + j] = v + dt * acc
+    return x1
+
+
+def sample_disturbance(model, gen):
+    """sample_disturbance's draw from the Generator gen by the generic loop:
+    the same two draws, the squared norm summed from 0.0 in axis order, and
+    each coordinate scaled by magnitude / norm, or divided by the norm
+    first when that scale overflows."""
+    if model.disturbance_bound == 0.0:
+        return (0.0,) * model.state_dim
+    direction = gen.standard_normal(model.state_dim).tolist()
+    magnitude = model.disturbance_bound * gen.random()
+    square = 0.0
+    for c in direction:
+        square += c * c
+    norm = math.sqrt(square)
+    if norm == 0.0:
+        return (0.0,) * model.state_dim
+    scale = magnitude / norm
+    if scale == math.inf:
+        return tuple([c / norm * magnitude for c in direction])
+    return tuple([c * scale for c in direction])
+
+
+def adversarial_command(constraint, model, state):
+    """The adversarial controller's command for constraint: full magnitude
+    against the sign of a = grad_h . g (or, where a is zero, of the position
+    gradient), zero clamped into the box where an entry of a is zero,
+    saturated axis by axis in one comprehension."""
+    grad = eval_grad_h(constraint, state)
+    a = actuation_row(model, grad)
+    if not any(a):
+        a = drift_actuation_row(model, grad)
+    return tuple([
+        hi if aj < 0.0 else (lo if aj > 0.0 else min(max(0.0, lo), hi))
+        for aj, (lo, hi) in zip(a, model._box)
+    ])
+
+
+def mlp_forward(spec, x):
+    """An MLP's output with each layer's affine map as w @ v + b."""
+    v = np.asarray(x, dtype=float)
+    for w, b, act in zip(spec.weights, spec.biases, spec.activations):
+        v = w @ v + b
+        if act == "tanh":
+            v = np.tanh(v)
+        elif act == "relu":
+            v = np.maximum(v, 0.0)
+    return v
 
 
 def least_max_violation_candidates(rows_a, rows_b, lo, hi):

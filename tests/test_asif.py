@@ -1,6 +1,7 @@
 import math
 import struct
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from asifkit import (
     cbf_row,
     check_kkt,
     filter_control,
+    harness,
     solve_qp,
 )
 
@@ -658,3 +660,40 @@ def test_solve_properties_on_hand_built_problems(qp):
             assert max(kkt.values()) <= 1e-8, kkt
     elif status == INFEASIBLE_FALLBACK:
         assert _least_max_violation(qp, 2001 if qp.control_dim == 1 else 201) > 0.0
+
+
+# ---- active row ids ----
+
+
+def test_active_row_ids_match_the_general_expression(tmp_path, monkeypatch):
+    """filter_control names the active rows as tuple(dict.fromkeys(unmet
+    ids + the active rows' ids)) names them, on every call of the
+    benchmark's filter_multirow seed 1 and of one corpus_adversarial
+    episode per cell, whose sampled rows repeat their constraint's id."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import bench_workloads
+
+    multirow = bench_workloads.FilterMultirow(1, str(tmp_path))
+    calls = [(constraints, multirow.model, state, u_des, None) for constraints, state, u_des in multirow.inputs]
+    record = harness.filter_control
+
+    def recording(*args):
+        calls.append(args)
+        return record(*args)
+
+    monkeypatch.setattr(harness, "filter_control", recording)
+    for cfg in bench_workloads.CorpusAdversarial(1, str(tmp_path), 1).configs:
+        harness.run_episode(harness.ScenarioConfig.from_dict(cfg))
+    pairs = {True: 0, False: 0}
+    for constraints, model, state, u_des, dt in calls:
+        result = filter_control(constraints, model, state, u_des, dt)
+        qp = assemble_qp(constraints, model, state, u_des, dt)
+        _, active, status = solve_qp(qp)
+        if status == PASSTHROUGH and not qp.unmet_ids:
+            want = ()
+        else:
+            want = tuple(dict.fromkeys(qp.unmet_ids + tuple(qp.row_ids[i] for i in active)))
+        assert result.active_row_ids == want, (state.xs, u_des.us, dt)
+        if len(active) == 2 and not qp.unmet_ids:
+            pairs[qp.row_ids[active[0]] == qp.row_ids[active[1]]] += 1
+    assert len(calls) == 10000 and pairs[True] > 0 and pairs[False] > 300, pairs

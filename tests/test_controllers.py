@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -6,21 +7,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asifkit import (
+    DOUBLE_INTEGRATOR_1D,
+    DOUBLE_INTEGRATOR_2D,
+    GEOFENCE_1D,
+    GEOFENCE_2D_CIRCLE,
+    SPEED_LIMIT,
     AdversarialController,
+    BarrierConstraint,
     InvalidModel,
     InvalidState,
     MlpSpec,
     NnController,
     ParseError,
     PdController,
+    PlantModel,
     PlantState,
     ScenarioConfig,
+    SingularGradient,
     compute_metrics,
     desired_control,
     load_controller,
     mlp_forward,
     run_episode,
 )
+from tests import oracles
 from tests.conftest import scenario_1d
 
 
@@ -197,3 +207,63 @@ def test_nn_in_closed_loop(tmp_path):
     trace = run_episode(ScenarioConfig.from_dict(cfg))
     assert trace.n_steps == 100
     assert not trace.aborted
+
+
+# ---- the written-out controllers against the loop forms ----
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def test_adversarial_command_matches_the_comprehension():
+    """The saturation written out per axis gives the comprehension's command
+    bit for bit, on boxes on either side of zero and at states where the
+    row's entries are zero or signed zeros."""
+    rng = np.random.default_rng(23)
+    boxes = ([-1.0, 1.0], [0.25, 2.0], [-3.0, -0.5], [-0.0, 1.0], [-2.0, 0.0])
+    entries = (0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5)
+    cases = 0
+    for _ in range(600):
+        d = int(rng.integers(1, 3))
+        box = [boxes[rng.integers(len(boxes))] for _ in range(d)]
+        model = PlantModel(DOUBLE_INTEGRATOR_1D if d == 1 else DOUBLE_INTEGRATOR_2D, box)
+        if d == 1:
+            constraint = BarrierConstraint("c", GEOFENCE_1D, {"p_limit": 1.0, "u_max": 1.0})
+        elif rng.random() < 0.5:
+            constraint = BarrierConstraint("c", GEOFENCE_2D_CIRCLE, {"center": [0.1, -0.2], "radius": 2.0, "u_max": 1.0})
+        else:
+            constraint = BarrierConstraint("c", SPEED_LIMIT, {"v_max": 1.5})
+        xs = [entries[rng.integers(len(entries))] if rng.random() < 0.4 else float(rng.uniform(-1.0, 1.0)) for _ in range(2 * d)]
+        state = PlantState(xs)
+        controller = AdversarialController("c").bind(constraint, model)
+        try:
+            want = oracles.adversarial_command(constraint, model, state)
+        except SingularGradient:
+            with pytest.raises(SingularGradient):
+                desired_control(controller, state, model)
+            continue
+        assert _bits(desired_control(controller, state, model).us) == _bits(want), (box, xs)
+        cases += 1
+    assert cases > 500
+
+
+@pytest.mark.parametrize("sizes, activations", [
+    ((2, 32, 32, 1), ("tanh", "tanh", "linear")),
+    ((2, 8, 1), ("relu", "linear")),
+    ((4, 16, 2), ("tanh", "tanh")),
+    ((1, 1), ("linear",)),
+])
+def test_mlp_forward_matches_the_matmul_form(sizes, activations):
+    """Each layer's w.dot(v) + b gives w @ v + b bit for bit."""
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        spec = MlpSpec(
+            layer_sizes=sizes,
+            weights=tuple(rng.normal(size=(m, n)) * rng.choice([1e-3, 1.0, 30.0]) for n, m in zip(sizes, sizes[1:])),
+            biases=tuple(rng.normal(size=m) for m in sizes[1:]),
+            activations=activations,
+        )
+        for _ in range(5):
+            x = rng.normal(size=sizes[0]) * rng.choice([1e-6, 1.0, 1e3])
+            assert mlp_forward(spec, x.tolist()).tobytes() == oracles.mlp_forward(spec, x).tobytes()

@@ -50,6 +50,7 @@ def test_runs_against_head_on_tiny_sets():
         "degenerate_2d": 30,
         "nonfinite": 60,  # 30 problems on each axis count
         "barrier": 120,  # 30 cases of each of four constraint kinds
+        "plant": 90,  # 30 cases of each of three functions
     }
     argv = [sys.executable, str(TOOL), "--against", "HEAD", "--sets", ",".join(sets), "--size", "4", "--random", "30"]
     out = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=600)

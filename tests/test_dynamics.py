@@ -1,23 +1,35 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from numpy.random import PCG64, Generator, default_rng
 
 from asifkit import (
     DOUBLE_INTEGRATOR_1D,
     DOUBLE_INTEGRATOR_2D,
+    GEOFENCE_1D,
+    GEOFENCE_2D_CIRCLE,
+    AdversarialController,
+    BarrierConstraint,
     ControlInput,
     InvalidConfig,
     InvalidDisturbance,
     InvalidState,
+    MlpSpec,
+    NnController,
+    NonFiniteState,
+    PdController,
     PlantModel,
     PlantState,
+    desired_control,
     sample_disturbance,
     step_rk4,
 )
 
 
 from asifkit.dynamics import actuation_row, drift_actuation_row, hold_map
+from tests import oracles
 from tests.oracles import closed_form_step, eval_dynamics
 
 
@@ -272,3 +284,215 @@ def test_model_validation():
         PlantModel(DOUBLE_INTEGRATOR_1D, [[-1, 1], [-1, 1]])
     with pytest.raises(InvalidConfig):
         PlantModel(DOUBLE_INTEGRATOR_1D, [[-1, 1]], disturbance_bound=-0.1)
+
+
+# ---- the written-out step against the per-axis loops ----
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+# entries that reach the step's edge cases: signed zeros, subnormals, and
+# values whose stage sums overflow
+STEP_ENTRIES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.7e308, -1.7e308)
+
+
+def _step_entries(rng, n):
+    """n entries, each normal with a drawn scale or, one time in six, a
+    special entry."""
+    return [
+        STEP_ENTRIES[rng.integers(len(STEP_ENTRIES))] if rng.random() < 1 / 6 else float(rng.normal() * 10.0 ** rng.integers(-3, 4))
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("kind", [DOUBLE_INTEGRATOR_1D, DOUBLE_INTEGRATOR_2D])
+def test_step_rk4_matches_the_per_axis_loop(kind):
+    """The written-out stages give the per-axis loop's floats bit for bit,
+    and raise NonFiniteState naming the loop's list exactly when an entry
+    of it is not finite."""
+    d = 1 if kind == DOUBLE_INTEGRATOR_1D else 2
+    model = PlantModel(kind, [[-2.0, 3.0]] * d, disturbance_bound=1.7e308)
+    rng = np.random.default_rng(19)
+    raised = 0
+    for _ in range(4000):
+        xs = tuple(_step_entries(rng, 2 * d))
+        us = tuple(float(v) for v in rng.choice([-2.0, -0.0, 0.0, 5e-324, 3.0, rng.uniform(-2.0, 3.0)], size=d))
+        ws = tuple(_step_entries(rng, 2 * d))
+        if math.hypot(*ws) > 1.7e308:
+            ws = (0.0,) * (2 * d)
+        dt = float(rng.choice([1e-3, 0.01, 0.1, 1.0, rng.uniform(0.0, 2.0), 1e300]))
+        state = PlantState._trusted(xs, 0.5)
+        want = oracles.rk4_stages(model, xs, us, ws, dt)
+        if all(map(math.isfinite, want)):
+            got = step_rk4(model, state, ControlInput._trusted(us), ws, dt)
+            assert _bits(got.xs) == _bits(want) and got.t == 0.5 + dt, (xs, us, ws, dt)
+        else:
+            raised += 1
+            with pytest.raises(NonFiniteState) as info:
+                step_rk4(model, state, ControlInput._trusted(us), ws, dt)
+            assert str(info.value) == f"non-finite state entries: {want}"
+    assert 100 < raised < 3900
+
+
+class _ScriptedGenerator(Generator):
+    """A Generator whose standard_normal and random return scripted values."""
+
+    def __init__(self, directions, uniforms):
+        super().__init__(PCG64(0))
+        self._directions = iter(directions)
+        self._uniforms = iter(uniforms)
+
+    def standard_normal(self, size=None):
+        return np.array(next(self._directions), dtype=float)
+
+    def random(self):
+        return next(self._uniforms)
+
+
+@pytest.mark.parametrize("kind", [DOUBLE_INTEGRATOR_1D, DOUBLE_INTEGRATOR_2D])
+def test_sample_disturbance_matches_the_generic_loop(kind):
+    """The written-out norm and scaling give the loop's floats bit for bit,
+    from the same draws, for an int seed and for a Generator, also where
+    the scale overflows or the direction is zero."""
+    n = 2 if kind == DOUBLE_INTEGRATOR_1D else 4
+    for bound in (0.0, 5e-324, 0.05, 1.0, 1e300, 1.7e308):
+        model = PlantModel(kind, [[-1.0, 1.0]] * (n // 2), disturbance_bound=bound)
+        ours, ref = default_rng(11), default_rng(11)
+        for _ in range(300):
+            assert _bits(sample_disturbance(model, ours)) == _bits(oracles.sample_disturbance(model, ref))
+        for seed in range(30):
+            assert _bits(sample_disturbance(model, seed)) == _bits(oracles.sample_disturbance(model, default_rng(seed)))
+    model = PlantModel(kind, [[-1.0, 1.0]] * (n // 2), disturbance_bound=1.7e308)
+    directions = [[0.0, -0.0] * (n // 2), [5e-324] * n, [1e-160, -0.0] * (n // 2), [-1e-3] * n, [1e154] * n, [3.0, -4.0] * (n // 2)]
+    uniforms = [0.0, 0.999, 1.0, 0.5, 1e-300, 0.25]
+    got = [sample_disturbance(model, _ScriptedGenerator(directions[k:], uniforms[k:])) for k in range(len(directions))]
+    want = [oracles.sample_disturbance(model, _ScriptedGenerator(directions[k:], uniforms[k:])) for k in range(len(directions))]
+    assert [_bits(w) for w in got] == [_bits(w) for w in want]
+    # a zero direction draws zeros; a tiny one over a huge magnitude is normalised first
+    assert got[0] == (0.0,) * n
+    assert all(map(math.isfinite, got[2] + got[3])) and any(got[2]) and any(got[3])
+
+
+# ---- seeded cases of the plant side of a step, for tools/differential.py ----
+
+
+def _draws(model, seed):
+    """Three draws from one Generator seeded with seed."""
+    gen = default_rng(seed)
+    return tuple(sample_disturbance(model, gen) for _ in range(3))
+
+
+def _plant_disturbance(rng, model):
+    """A disturbance for model: a tuple, list or array of floats within the
+    bound, ints, entries that are not numbers, a wrong length, a NaN or inf
+    entry, or a norm just above the bound."""
+    n = model.state_dim
+    bound = model.disturbance_bound
+    w = rng.normal(size=n)
+    w = w / np.linalg.norm(w)
+    pick = rng.integers(11)
+    if pick == 0:
+        return [int(v) for v in rng.integers(-1, 2, size=n)]
+    if pick == 10:
+        return ["a", None, 0.0][rng.integers(3):]
+    if pick == 1:
+        return tuple(w.tolist()) + (0.0,) * int(rng.choice([-1, 1]))
+    if pick == 2:
+        w[rng.integers(n)] = rng.choice([math.nan, math.inf, -math.inf])
+    elif pick == 3:
+        w = w * (bound * (1.0 + 2e-9) + 1e-300)
+    else:
+        w = w * (bound * rng.uniform(0.0, 1.0))
+    if pick == 4:
+        return w.tolist()
+    return w if pick == 5 else tuple(w.tolist())
+
+
+def plant_cases(rng, count):
+    """count seeded (function, args) cases for each of step_rk4,
+    sample_disturbance and desired_control, on both state sizes.
+
+    step_rk4 gets states with special entries (states built without the
+    public checks, some of the wrong size or whose step overflows), commands
+    in and outside the box, the disturbances of _plant_disturbance, and
+    periods that are not positive, huge or NaN. sample_disturbance gets an
+    int seed or a Generator (three draws) under bounds from 0 to a huge
+    bound over a tiny norm. desired_control gets adversarial, PD and NN
+    controllers, some of them wrong for the model or giving a non-finite
+    output."""
+    models = {}
+    for kind, d in ((DOUBLE_INTEGRATOR_1D, 1), (DOUBLE_INTEGRATOR_2D, 2)):
+        models[d] = [PlantModel(kind, [[-1.0, 1.0], [-0.5, 2.0]][:d], bound) for bound in (0.0, 5e-324, 0.05, 1.5, 1.7e308)]
+    cases = []
+    for _ in range(count):
+        d = int(rng.integers(1, 3))
+        model = models[d][rng.integers(5)]
+        xs = _step_entries(rng, 2 * d + (int(rng.choice([-1, 1])) if rng.random() < 0.02 else 0))
+        us = [float(rng.uniform(lo, hi)) for lo, hi in model._box]
+        if rng.random() < 0.1:
+            us[rng.integers(d)] = float(rng.choice([-1.5, 2.5, math.nan]))
+        elif rng.random() < 0.02:
+            us.append(0.0)
+        dt = float(rng.choice([0.01, 0.1, rng.uniform(0.0, 1.0), 0.0, -0.1, 1e300, math.nan], p=[0.3, 0.3, 0.3, 0.025, 0.025, 0.025, 0.025]))
+        args = (model, PlantState._trusted(tuple(xs), 0.0), ControlInput._trusted(tuple(us)), _plant_disturbance(rng, model), dt)
+        cases.append((step_rk4, args))
+    for _ in range(count):
+        model = models[int(rng.integers(1, 3))][rng.integers(5)]
+        seed = int(rng.integers(2**32))
+        cases.append((sample_disturbance, (model, seed)) if rng.random() < 0.5 else (_draws, (model, seed)))
+    fence = BarrierConstraint("c", GEOFENCE_1D, {"p_limit": 1.0, "u_max": 1.0})
+    circle = BarrierConstraint("c", GEOFENCE_2D_CIRCLE, {"center": [0.2, -0.1], "radius": 1.5, "u_max": 1.0})
+    for _ in range(count):
+        d = int(rng.integers(1, 3))
+        model = models[d][0]
+        xs = _step_entries(rng, 2 * d)
+        pick = rng.integers(3)
+        if pick == 0:
+            controller = AdversarialController("c").bind(fence if d == 1 else circle, model)
+            xs = [v if abs(v) < 1e6 else 0.0 for v in xs]
+            if d == 2 and rng.random() < 0.2:
+                xs[:2] = [0.2, -0.1]  # the circle's center, where its gradient vanishes
+        elif pick == 1:
+            gains = d + (rng.random() < 0.1)
+            controller = PdController(tuple(rng.uniform(0.0, 3.0, gains).tolist()), tuple(rng.uniform(0.0, 3.0, gains).tolist()))
+        else:
+            outputs = d + (rng.random() < 0.1)
+            sizes = (2 * d, 8, outputs)
+            spec = MlpSpec(
+                sizes,
+                tuple(rng.normal(size=(m, n)) for n, m in zip(sizes, sizes[1:])),
+                tuple(rng.normal(size=m) for m in sizes[1:]),
+                ("tanh", "linear"),
+            )
+            controller = NnController(spec)
+        cases.append((desired_control, (controller, PlantState._trusted(tuple(xs), 0.0), model)))
+    return cases
+
+
+def plant_outcome(function, args):
+    """The call's result as its repr, which tells -0.0 and NaN apart, or its
+    error's type and message."""
+    try:
+        with np.errstate(all="ignore"):  # an MLP's products may overflow
+            return repr(function(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_plant_cases_reach_every_check():
+    """The cases plant_cases draws for the differential set reach each
+    public check of step_rk4 and desired_control, and both scalings of a
+    disturbance draw."""
+    outcomes = [plant_outcome(*case) for case in plant_cases(np.random.default_rng(0), 600)]
+    kinds = {outcome.split(":")[0].split("(")[0] for outcome in outcomes}
+    assert kinds >= {
+        "",  # a draw's tuple, or a tuple of three
+        "PlantState", "ControlInput", "InvalidConfig", "InvalidState", "InvalidDisturbance", "NonFiniteState",
+        "NonFiniteCommand", "SingularGradient",
+    }, kinds
+    messages = "\n".join(outcomes)
+    for text in ("disturbance is not", "disturbance dim", "control outside model bounds", "state dim",
+                 "does not match control dim", "pd gains"):
+        assert text in messages, text

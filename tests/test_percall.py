@@ -31,6 +31,11 @@ def test_summary_groups_the_per_call_times_by_status():
     }
 
 
+def test_episode_summary_gives_steps_per_second_and_per_plant_step_times():
+    line = _tool().episode_summary("x", [2000, 6000, 4000], [2, 3, 1], ["b", "a", "b"])
+    assert line == {"side": "x", "episodes": 3, "steps": 6, "steps_per_s": 500000.0, "us_per_step": {"a": 2.0, "b": 2.0}}
+
+
 @pytest.mark.skipif(
     subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD"], capture_output=True).returncode != 0,
     reason="needs a git checkout",
@@ -47,3 +52,30 @@ def test_runs_against_head_on_a_tiny_workload(workload, size, calls):
         assert line["calls"] == calls
         assert sum(status["calls"] for status in line["status"].values()) == calls
         assert 0.0 < line["p50_us"] <= line["p99_us"] and line["sum_us"] > 0.0
+
+
+@pytest.mark.skipif(
+    subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD"], capture_output=True).returncode != 0,
+    reason="needs a git checkout",
+)
+@pytest.mark.parametrize("workload, size, episodes, kinds", [
+    ("corpus_adversarial", 1, 12, ["double_integrator_1d", "double_integrator_2d"]),
+    ("nn_nominal_batch", 1, 2, ["double_integrator_1d"]),
+])
+def test_times_episodes_against_head_on_a_tiny_workload(workload, size, episodes, kinds):
+    """One JSON line per side, this tree's first, each counting every
+    episode and step once, with a time per step for each plant kind."""
+    argv = [sys.executable, str(TOOL), "--against", "HEAD", "--op", "episode", "--workload", workload, "--size", str(size), "--rounds", "1"]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=600)
+    lines = [json.loads(line) for line in out.stdout.splitlines()]
+    assert [line["side"] for line in lines] == ["this tree", "HEAD"]
+    assert lines[0]["steps"] == lines[1]["steps"] > 0
+    for line in lines:
+        assert line["episodes"] == episodes and line["steps_per_s"] > 0.0
+        assert sorted(line["us_per_step"]) == kinds and all(v > 0.0 for v in line["us_per_step"].values())
+
+
+def test_rejects_a_workload_the_op_does_not_run():
+    argv = [sys.executable, str(TOOL), "--against", "HEAD", "--op", "episode", "--workload", "filter_multirow"]
+    out = subprocess.run(argv, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 2 and "--op episode runs on" in out.stderr

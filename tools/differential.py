@@ -46,10 +46,19 @@ Sets:
                      N cases for each of a 1-D fence, a circle and a speed
                      limit on each state size, with signed zeros, tiny,
                      huge and non-finite state entries
+  plant              step_rk4, sample_disturbance and desired_control by
+                     repr (an error by its type and message) on
+                     tests.test_dynamics.plant_cases(default_rng(0), N):
+                     N cases for each function on both state sizes, with
+                     disturbances as lists, arrays or ints, wrong lengths,
+                     NaN and inf entries, norms just above the bound,
+                     commands outside the box, states that overflow, int
+                     seeds and Generators, and adversarial, PD and NN
+                     controllers
 
 --size K shrinks each workload to K items per seed (its benchmark size
 argument); --random N sets the number of random problems per axis count,
-and of barrier cases per constraint kind. The exit status is 0 whether or
+of barrier cases per constraint kind and of plant cases per function. The exit status is 0 whether or
 not the trees differ.
 """
 
@@ -86,6 +95,7 @@ SETS = (
     "degenerate_2d",
     "nonfinite",
     "barrier",
+    "plant",
 )
 MARGINS = (0.5, 1.0, 1.5, 2.0, 2.5, 4.0)
 NONFINITE = (float("nan"), float("inf"), float("-inf"), 1e200, -1e200, 1e300)
@@ -321,6 +331,14 @@ def _barrier(workdir, size, random_count):
     return [(_digest(*barrier_outcomes(*case)), [], 0) for case in barrier_cases(np.random.default_rng(0), random_count)]
 
 
+def _plant(workdir, size, random_count):
+    import numpy as np
+
+    from tests.test_dynamics import plant_cases, plant_outcome
+
+    return [(_digest(plant_outcome(*case)), [], 0) for case in plant_cases(np.random.default_rng(0), random_count)]
+
+
 DIGESTS = {
     "scenarios": _scenarios,
     "corpus_adversarial": _corpus_adversarial,
@@ -333,6 +351,7 @@ DIGESTS = {
     "degenerate_2d": _degenerate_2d,
     "nonfinite": _nonfinite,
     "barrier": _barrier,
+    "plant": _plant,
 }
 
 
@@ -401,7 +420,7 @@ def main(argv=None) -> int:
     parser.add_argument("--against", metavar="REF", help="git revision to compare this tree with")
     parser.add_argument("--sets", default=",".join(SETS), help="comma-separated sets (default: all)")
     parser.add_argument("--size", type=int, default=None, help="items per seed of each workload set")
-    parser.add_argument("--random", type=int, default=20000, help="random problems per axis count, and barrier cases per kind")
+    parser.add_argument("--random", type=int, default=20000, help="random problems per axis count, barrier cases per kind and plant cases per function")
     parser.add_argument("--worker", metavar="TREE", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     sets = [name for name in args.sets.split(",") if name]

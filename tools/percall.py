@@ -1,26 +1,37 @@
-"""Per-call timing of filter_control in this tree against a git revision.
+"""Per-call timing of filter_control or run_episode in this tree against a
+git revision.
 
-    python tools/percall.py --against REF [--workload filter_multirow]
-                            [--seed N] [--size K] [--rounds R]
+    python tools/percall.py --against REF [--op filter|episode]
+                            [--workload NAME] [--seed N] [--size K]
+                            [--rounds R]
 
 Extracts ``git archive REF`` into a temporary directory, as
 tools/differential.py does, and imports its asifkit under the package name
-asifkit_ref beside this tree's asifkit, in one process. The filter_control
-calls of a benchmark workload are built once by this tree's workload code
-and then rebuilt on each side with that side's public constructors, so both
-trees see the same inputs in their own types.
+asifkit_ref beside this tree's asifkit, in one process. The calls of a
+benchmark workload are built once by this tree's workload code and then
+rebuilt on each side with that side's public constructors, so both trees
+see the same inputs in their own types.
 
-Workloads:
+--op filter (the default) times filter_control calls. Workloads:
   filter_multirow     the benchmark's direct filter_control calls (no dt)
   corpus_adversarial  the filter_control calls of the benchmark's episodes,
                       recorded from a run of this tree (with the period dt)
 
+--op episode times whole run_episode calls, each on a ScenarioConfig that
+side built once with from_dict. Workloads:
+  corpus_adversarial  the benchmark's episode configs
+  nn_nominal_batch    the configs of every batch call's episodes (seeds
+                      seed_base + i), their networks written by the workload
+
 Each round times every call once on each side, the side that goes first
 alternating from round to round, with the cyclic garbage collector off; a
-call's time is its least over the rounds. One JSON line is printed per side,
-this tree's first: the number of calls, p50, p99 and the sum of those
+call's time is its least over the rounds (21 rounds by default for filter
+calls, 9 for episodes). One JSON line is printed per side, this tree's
+first. For filter calls: the number of calls, p50, p99 and the sum of those
 per-call times in microseconds, and the call count and median per status,
-each side's calls grouped by the status that side returned.
+each side's calls grouped by the status that side returned. For episodes:
+the number of episodes and steps, steps per second over the sum of the
+per-episode times, and microseconds per step for each plant kind.
 """
 
 from __future__ import annotations
@@ -37,7 +48,11 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("filter_multirow", "corpus_adversarial")
+WORKLOADS = {
+    "filter": ("filter_multirow", "corpus_adversarial"),
+    "episode": ("corpus_adversarial", "nn_nominal_batch"),
+}
+ROUNDS = {"filter": 21, "episode": 9}
 
 
 def load_tree(src: Path, name: str):
@@ -101,9 +116,20 @@ def rebuild(package, calls) -> list[tuple]:
     return out
 
 
+def episode_configs(workload: str, seed: int, size, workdir) -> list[dict]:
+    """The workload's episodes as scenario-config mappings."""
+    import bench_workloads
+
+    if workload == "corpus_adversarial":
+        return list(bench_workloads.CorpusAdversarial(seed, workdir, size).configs)
+    bench = bench_workloads.NnNominalBatch(seed, workdir, size)
+    return [dict(cfg, seed=seed_base + i) for _argv, _out, cfg, seed_base in bench.jobs for i in range(bench.episodes)]
+
+
 def time_calls(sides, rounds: int) -> list[list[int]]:
     """Each side's least time per call over the rounds, in ns. sides is a
-    list of (filter_control, calls) with calls of equal length."""
+    list of (function, calls), each call a tuple of the function's
+    arguments, with calls of equal length."""
     n = len(sides[0][1])
     best = [[sys.maxsize] * n for _ in sides]
     clock = time.perf_counter_ns
@@ -115,10 +141,10 @@ def time_calls(sides, rounds: int) -> list[list[int]]:
             if r % 2:
                 order.reverse()
             for i in range(n):
-                for s, (filter_control, calls) in order:
+                for s, (function, calls) in order:
                     args = calls[i]
                     start = clock()
-                    filter_control(*args)
+                    function(*args)
                     elapsed = clock() - start
                     if elapsed < best[s][i]:
                         best[s][i] = elapsed
@@ -145,7 +171,24 @@ def summary(label: str, times_ns, statuses) -> dict:
     }
 
 
-def run(ref: str, workload: str, seed: int, size, rounds: int) -> list[dict]:
+def episode_summary(label: str, times_ns, steps, kinds) -> dict:
+    """Episodes, steps, steps per second over the summed per-episode times,
+    and microseconds per step for each plant kind."""
+    per_kind = {}
+    for kind in sorted(set(kinds)):
+        ns = sum(t for t, k in zip(times_ns, kinds) if k == kind)
+        n = sum(m for m, k in zip(steps, kinds) if k == kind)
+        per_kind[kind] = round(ns / 1e3 / n, 3)
+    return {
+        "side": label,
+        "episodes": len(times_ns),
+        "steps": int(sum(steps)),
+        "steps_per_s": round(sum(steps) / (sum(times_ns) / 1e9), 1),
+        "us_per_step": per_kind,
+    }
+
+
+def run(ref: str, workload: str, seed: int, size, rounds: int, op: str = "filter") -> list[dict]:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tools")]
     import asifkit
     from differential import extract
@@ -154,24 +197,43 @@ def run(ref: str, workload: str, seed: int, size, rounds: int) -> list[dict]:
         ref_tree = Path(tmp) / "ref"
         extract(ref, ref_tree)
         ref_package = load_tree(ref_tree / "src", "asifkit_ref")
+        packages = (asifkit, ref_package)
+        labels = ("this tree", ref)
+        if op == "episode":
+            configs = episode_configs(workload, seed, size, tmp)
+            sides = [
+                (package.harness.run_episode, [(package.harness.ScenarioConfig.from_dict(cfg),) for cfg in configs])
+                for package in packages
+            ]
+            traces = [[run_episode(*args) for args in calls] for run_episode, calls in sides]
+            best = time_calls(sides, rounds)
+            return [
+                episode_summary(label, times, [trace.t.shape[0] for trace in side], [t.config.model.kind for t in side])
+                for label, times, side in zip(labels, best, traces)
+            ]
         calls = workload_calls(workload, seed, size, tmp)
-        sides = [(package.filter_control, rebuild(package, calls)) for package in (asifkit, ref_package)]
+        sides = [(package.filter_control, rebuild(package, calls)) for package in packages]
         statuses = [[filter_control(*args).status for args in side_calls] for filter_control, side_calls in sides]
         best = time_calls(sides, rounds)
-    return [summary(label, times, status) for label, times, status in zip(("this tree", ref), best, statuses)]
+    return [summary(label, times, status) for label, times, status in zip(labels, best, statuses)]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="REF", required=True, help="git revision to compare this tree with")
-    parser.add_argument("--workload", choices=WORKLOADS, default="filter_multirow")
+    parser.add_argument("--op", choices=tuple(WORKLOADS), default="filter", help="the call timed (default filter)")
+    parser.add_argument("--workload", default=None, help="the benchmark workload (default: the op's first)")
     parser.add_argument("--seed", type=int, default=1, help="the workload's seed (default 1)")
     parser.add_argument("--size", type=int, default=None, help="the workload's size argument (default: its own)")
-    parser.add_argument("--rounds", type=int, default=21, help="timed rounds over the calls (default 21)")
+    parser.add_argument("--rounds", type=int, default=None, help="timed rounds over the calls (default 21, or 9 for episodes)")
     args = parser.parse_args(argv)
-    if args.rounds < 1:
+    workload = args.workload or WORKLOADS[args.op][0]
+    if workload not in WORKLOADS[args.op]:
+        parser.error(f"--op {args.op} runs on {list(WORKLOADS[args.op])}, not {workload!r}")
+    rounds = ROUNDS[args.op] if args.rounds is None else args.rounds
+    if rounds < 1:
         parser.error("--rounds must be at least 1")
-    for line in run(args.against, args.workload, args.seed, args.size, args.rounds):
+    for line in run(args.against, workload, args.seed, args.size, rounds, args.op):
         print(json.dumps(line))
     return 0
 
