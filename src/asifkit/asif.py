@@ -688,7 +688,8 @@ def _candidates(rows, box):
 def command_deviation(u, u_des) -> float:
     """Euclidean distance between two commands given as float sequences of
     one or two entries, summed in axis order: the one formula for a step's
-    deviation, used by the filter and by read_trace."""
+    deviation, used by the filter; read_trace applies the same operations
+    to whole columns (harness._deviations)."""
     if len(u) == 1:
         (u0,), (d0,) = u, u_des
         return math.sqrt((u0 - d0) * (u0 - d0))

@@ -20,10 +20,12 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from typing import NoReturn
 
 import numpy as np
 
-from .asif import INFEASIBLE_FALLBACK, MODIFIED, PASSTHROUGH, command_deviation, filter_control
+from .asif import INFEASIBLE_FALLBACK, MODIFIED, PASSTHROUGH, filter_control
 from .barrier import (
     _STATE_DIMS,
     BarrierConstraint,
@@ -57,6 +59,7 @@ _STATUS_CODES = {name: code for code, name in enumerate(_STATUS_NAMES)}
 _FLAGS = {"0": False, "1": True}  # the intervened column
 # indexed by status code: the filter intervenes exactly on these statuses
 _INTERVENES = tuple(name in (MODIFIED, INFEASIBLE_FALLBACK) for name in _STATUS_NAMES)
+_INTERVENES_ARRAY = np.array(_INTERVENES)
 _TEXT_COLUMNS = ("intervened", "status", "solve_time")
 # run_episode keeps every step in Python lists until the episode ends, about
 # 0.6 kB a step at its peak for a 2-D plant with two constraints, so an
@@ -120,6 +123,10 @@ class ScenarioConfig:
             raise InvalidConfig(f"bad scenario config: {exc}") from exc
 
         ids = [c.id for c in constraints]
+        for cid in ids:
+            # a trace row is one line of comma-separated cells, headed h_<id>
+            if "," in cid or "".join(cid.splitlines()) != cid:
+                raise InvalidConfig(f"constraint id {cid!r} holds a ',' or a line break, which a trace cannot hold")
         if len(set(ids)) != len(ids):
             raise InvalidConfig(f"duplicate constraint ids in {ids}")
         if not (0.0 < dt <= duration < math.inf):
@@ -339,8 +346,10 @@ def run_episode(config: ScenarioConfig, record: bool = True) -> EpisodeTrace:
             break
 
     reason = "" if abort is None else f"{type(abort).__name__}: {abort}"
+    cells = _trace_layout(model, [c.id for c in constraints])["h"][0].stop
+    table = np.array(numeric, dtype=float).reshape(len(status_rec), cells)
     return _episode_trace(
-        config, numeric, status_rec, solve_rec, deviation_rec, state.x, state.t, abort is not None, reason
+        config, table, status_rec, solve_rec, deviation_rec, state.x, state.t, abort is not None, reason
     )
 
 
@@ -363,16 +372,16 @@ def _trace_layout(model: PlantModel, constraint_ids) -> dict[str, tuple[slice, l
 
 
 def _episode_trace(
-    config: ScenarioConfig, numeric: list[float], status: list[int], solve_time: list[float],
-    deviation: list[float], final_state: np.ndarray, final_t: float, aborted: bool, abort_reason: str,
+    config: ScenarioConfig, table: np.ndarray, status: list[int], solve_time, deviation,
+    final_state: np.ndarray, final_t: float, aborted: bool, abort_reason: str,
 ) -> EpisodeTrace:
-    """The trace of recorded steps: numeric holds their float cells flat, row
-    after row, in _trace_layout's order, and status their int8 codes, from
-    which intervened is derived. Each block is a C-contiguous array."""
+    """The trace of recorded steps: table is their (n, cells) float array,
+    a row per step in _trace_layout's order, in any memory order, and status
+    their int8 codes, from which intervened is derived. Each block is a
+    C-contiguous array of its own."""
     constraint_ids = tuple(c.id for c in config.constraints)
     layout = _trace_layout(config.model, constraint_ids)
     n = len(status)
-    table = np.array(numeric, dtype=float).reshape(n, layout["h"][0].stop)
     blocks = {field: np.ascontiguousarray(table[:, cells]) for field, (cells, _) in layout.items()}
     blocks["t"] = blocks["t"].reshape(n)
     codes = np.array(status, dtype=np.int8)
@@ -381,7 +390,7 @@ def _episode_trace(
         config_hash=config.config_hash,
         constraint_ids=constraint_ids,
         **blocks,
-        intervened=np.array(_INTERVENES)[codes],
+        intervened=_INTERVENES_ARRAY[codes],
         status=codes,
         solve_time=np.array(solve_time, dtype=float),
         deviation=np.array(deviation, dtype=float),
@@ -434,6 +443,62 @@ def write_trace(trace: EpisodeTrace, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _deviations(u_out: np.ndarray, u_des: np.ndarray) -> np.ndarray:
+    """asif.command_deviation of every step, on the commands' (1, n) or
+    (2, n) column arrays: the same IEEE operations in the same order, elementwise,
+    so the bits are equal. Squares that overflow give inf, and inf - inf
+    NaN, silently, as in command_deviation."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = u_out[0] - u_des[0]
+        total = d * d
+        if len(u_out) == 2:
+            d = u_out[1] - u_des[1]
+            total = total + d * d
+        return np.sqrt(total)
+
+
+def _parse_columns(split: list[list[str]], width: int):
+    """The data rows' float columns (a (cells, n) array), status codes and
+    solve times, each column parsed in one pass; None when a row has the
+    wrong width, a bad cell, or an intervened cell that disagrees with its
+    status."""
+    if set(map(len, split)) != {width}:
+        return None
+    *numeric, flags, names, solves = zip(*split)
+    try:
+        cells = map(float, chain.from_iterable(numeric))
+        columns = np.fromiter(cells, float, len(numeric) * len(split)).reshape(len(numeric), len(split))
+        codes = list(map(_STATUS_CODES.__getitem__, names))
+        agree = list(map(_FLAGS.__getitem__, flags)) == list(map(_INTERVENES.__getitem__, codes))
+        solve_time = list(map(float, solves))
+    except (ValueError, KeyError):
+        return None
+    return (columns, codes, solve_time) if agree else None
+
+
+def _raise_bad_row(rows: list[tuple[int, str]], width: int) -> NoReturn:
+    """Raise the ParseError of the first bad data row, checking each row in
+    turn: its width, then its cells in column order, then whether intervened
+    agrees with the status. Called only once _parse_columns has failed."""
+    n_num = width - len(_TEXT_COLUMNS)
+    for lineno, line in rows:
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ParseError(f"expected {width} cells, got {len(cells)}", line=lineno)
+        try:
+            list(map(float, cells[:n_num]))
+            flag = _FLAGS[cells[n_num]]
+            code = _STATUS_CODES[cells[n_num + 1]]
+            float(cells[n_num + 2])
+        except (ValueError, KeyError) as exc:
+            raise ParseError(f"bad cell value: {exc}", line=lineno) from exc
+        if flag != _INTERVENES[code]:
+            raise ParseError(
+                f"intervened {cells[n_num]} disagrees with status {cells[n_num + 1]}", line=lineno
+            )
+    raise AssertionError("_parse_columns failed on rows that all pass")
+
+
 def read_trace(path) -> EpisodeTrace:
     """Parse a trace CSV written by write_trace.
 
@@ -445,8 +510,12 @@ def read_trace(path) -> EpisodeTrace:
     a cell that is no float, an intervened cell other than 0 or 1, an
     unknown status, or an intervened cell that disagrees with the status
     (1 exactly on modified and infeasible_fallback), raises ParseError with
-    the row's line, and so does a '# config_hash:' line that disagrees with
-    the embedded config's hash."""
+    the first such row's line, and so does a '# config_hash:' line that
+    disagrees with the embedded config's hash.
+
+    The data rows are parsed by column: each float column in one pass of
+    float(), the deviations on arrays. Only a file with a bad row is
+    scanned again, row by row, to name the first bad one."""
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = fh.read().splitlines()
 
@@ -499,36 +568,21 @@ def read_trace(path) -> EpisodeTrace:
         )
 
     layout = _trace_layout(config.model, constraint_ids)
-    state_cells, u_des_cells, u_out_cells = (layout[field][0] for field in ("states", "u_des", "u_out"))
     width = len(expected_cols)
-    n_num = width - len(_TEXT_COLUMNS)
-    # numeric holds the rows' float cells flat, row after row
-    numeric, status, solve_time, deviation = [], [], [], []
-    for lineno, line in rows:
-        cells = line.split(",")
-        if len(cells) != width:
-            raise ParseError(f"expected {width} cells, got {len(cells)}", line=lineno)
-        try:
-            row = list(map(float, cells[:n_num]))
-            flag = _FLAGS[cells[n_num]]
-            code = _STATUS_CODES[cells[n_num + 1]]
-            solve_time.append(float(cells[n_num + 2]))
-        except (ValueError, KeyError) as exc:
-            raise ParseError(f"bad cell value: {exc}", line=lineno) from exc
-        if flag != _INTERVENES[code]:
-            raise ParseError(
-                f"intervened {cells[n_num]} disagrees with status {cells[n_num + 1]}", line=lineno
-            )
-        status.append(code)
-        numeric += row
-        deviation.append(command_deviation(row[u_out_cells], row[u_des_cells]))
-
     if rows:
-        final_state, final_t = np.array(row[state_cells]), row[0]
+        parsed = _parse_columns([line.split(",") for _, line in rows], width)
+        if parsed is None:
+            _raise_bad_row(rows, width)
+        columns, status, solve_time = parsed
+        deviation = _deviations(columns[layout["u_out"][0]], columns[layout["u_des"][0]])
+        final_state, final_t = columns[layout["states"][0], -1].copy(), float(columns[0, -1])
+        table = columns.T
     else:
+        status, solve_time, deviation = [], [], []
         final_state, final_t = config.initial_state, 0.0
+        table = np.empty((0, width - len(_TEXT_COLUMNS)))
     trace = _episode_trace(
-        config, numeric, status, solve_time, deviation, final_state, final_t, aborted, abort_reason
+        config, table, status, solve_time, deviation, final_state, final_t, aborted, abort_reason
     )
     if stated_hash is not None and stated_hash != trace.config_hash:
         raise ParseError(

@@ -481,7 +481,7 @@ def test_command_deviation_matches_the_generic_loop():
     pairs += [(tuple(rng.normal(size=d).tolist()), tuple(rng.normal(size=d).tolist())) for d in (1, 2) for _ in range(200)]
     for u, u_des in pairs:
         assert _bits(asif.command_deviation(u, u_des)) == _bits(oracles.command_deviation(u, u_des)), (u, u_des)
-    # read_trace passes slices of a row's floats
+    # lists sliced out of a row of floats
     row = [0.25, -0.0, 5e-324, 1.0, -1e308, 1e308, math.inf, 0.5, -0.5]
     for start in range(len(row) - 3):
         for d in (1, 2):

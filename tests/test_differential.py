@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from asifkit import ParseError, ScenarioConfig, read_trace, run_episode, write_trace
+from tests.conftest import scenario_1d
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "differential.py"
 
@@ -34,6 +37,45 @@ def test_compare_counts_digests_and_the_largest_command_difference():
     assert compare(ours, ours[:2]) == {"equal": 2, "different": 1, "max_u_diff": 0.0, "fallbacks": [4, 1]}
 
 
+def test_trace_edits_give_the_outcomes_they_name(tmp_path):
+    """On a 1-D trace of 20 rows (header on line 3, data rows from line 4),
+    each trace_errors edit reads back or raises the ParseError its name
+    says, on the line of the first bad row."""
+    path = tmp_path / "t.csv"
+    write_trace(run_episode(ScenarioConfig.from_dict(scenario_1d(duration=0.2))), path)
+    texts = _tool().edited_traces(path.read_text().splitlines())
+    row_5 = "line 9: "
+    errors = {
+        "short_row": row_5 + "expected 9 cells, got 8",
+        "long_row": row_5 + "expected 9 cells, got 10",
+        "bad_float": row_5 + "bad cell value: could not convert string to float: 'x'",
+        "empty_float": row_5 + "bad cell value: could not convert string to float: ''",
+        "bad_solve_time": row_5 + "bad cell value: could not convert string to float: 'fast'",
+        "bad_flag": row_5 + "bad cell value: '2'",
+        "float_flag": row_5 + "bad cell value: '1.0'",
+        "unknown_status": row_5 + "bad cell value: 'paused'",
+        "padded_status": row_5 + "bad cell value: ' passthrough'",
+        "disagreement": row_5 + "intervened 1 disagrees with status passthrough",
+        "disagreement_then_short_row": "line 7: intervened 1 disagrees with status passthrough",
+        "short_row_then_bad_float": "line 7: expected 9 cells, got 8",
+        "bad_status_then_disagreement": "line 7: bad cell value: '?'",
+        "comment_and_blank_before_bad_float": "line 12: bad cell value: could not convert string to float: 'x'",
+        "wrong_hash": "line 1: config_hash 0000",
+        "missing_column": "line 3: missing column 'status'",
+        "reordered_columns": "line 3: header mismatch",
+    }
+    assert set(errors) < set(texts)
+    for name, text in texts.items():
+        path.write_bytes(text.encode())
+        if name in errors:
+            with pytest.raises(ParseError) as err:
+                read_trace(path)
+            assert str(err.value).startswith(errors[name]), name
+        else:
+            back = read_trace(path)
+            assert back.n_steps == (0 if name == "no_rows" else 20) and back.aborted == (name == "abort_after_rows"), name
+
+
 @pytest.mark.skipif(_git("rev-parse", "--verify", "HEAD").returncode != 0, reason="needs a git checkout")
 def test_runs_against_head_on_tiny_sets():
     """One JSON line per set, counting every item and each side's
@@ -44,6 +86,7 @@ def test_runs_against_head_on_tiny_sets():
         "scenarios": 4,
         "filter_multirow": 12,
         "trace_roundtrip": 4,
+        "trace_errors": 4 * 26,  # 25 edits and CRLF line ends of each trace
         "random_1d": 30,
         "random_2d": 30,
         "margin_2d": 30,

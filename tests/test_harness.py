@@ -1,5 +1,8 @@
 import hashlib
 import json
+import math
+import re
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -349,6 +352,135 @@ def test_trace_bad_cell_reports_row(tmp_path):
     with pytest.raises(ParseError) as err:
         read_trace(tmp_path / "t.csv")
     assert err.value.line == first_data + 1
+
+
+def test_trace_first_bad_row_wins(tmp_path):
+    """Of two bad rows, the first one's error is raised, whichever check
+    each fails."""
+    path = tmp_path / "t.csv"
+    write_trace(run_episode(ScenarioConfig.from_dict(scenario_1d(duration=0.5))), path)
+    _edit_data_row(path, 30, lambda cells: cells[:-1])
+    bad = _edit_data_row(path, 10, lambda cells: ["x", *cells[1:]])
+    with pytest.raises(ParseError, match="bad cell value") as err:
+        read_trace(path)
+    assert err.value.line == bad
+    write_trace(run_episode(ScenarioConfig.from_dict(scenario_1d(duration=0.5))), path)
+    _edit_data_row(path, 30, lambda cells: [*cells[:-3], "1", "passthrough", cells[-1]])
+    short = _edit_data_row(path, 10, lambda cells: cells[:-1])
+    with pytest.raises(ParseError, match="expected 9 cells, got 8") as err:
+        read_trace(path)
+    assert err.value.line == short
+
+
+# every character str.splitlines ends a line at, and the cell separator
+_ROW_BREAKERS = [",", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_row_breakers_are_every_line_boundary():
+    assert [chr(i) for i in range(0x110000) if len(f"a{chr(i)}b".splitlines()) > 1] == _ROW_BREAKERS[1:]
+
+
+@pytest.mark.parametrize("cid", [f"a{c}b" for c in _ROW_BREAKERS] + ["a\r\nb", "\n", "fence,"])
+def test_constraint_id_that_would_break_a_trace_row_is_refused(cid):
+    """An id holding a ',' or a line boundary would make a trace whose
+    header read_trace cannot match, so the config does not load."""
+    cfg = scenario_1d(duration=0.05)
+    cfg["constraints"][0]["id"] = cid
+    cfg["controller"]["target_constraint_id"] = cid
+    with pytest.raises(InvalidConfig, match=re.escape(repr(cid))):
+        ScenarioConfig.from_dict(cfg)
+
+
+@pytest.mark.parametrize("cid", [" sp ", "#x", ""])
+def test_constraint_ids_with_spaces_a_hash_or_nothing_round_trip(cid, tmp_path):
+    cfg = scenario_1d(duration=0.5)
+    cfg["constraints"][0]["id"] = cid
+    cfg["controller"]["target_constraint_id"] = cid
+    trace = run_episode(ScenarioConfig.from_dict(cfg))
+    write_trace(trace, tmp_path / "t.csv")
+    back = read_trace(tmp_path / "t.csv")
+    assert back.constraint_ids == (cid,) and back.config_hash == trace.config_hash
+    for field in TRACE_FIELDS:
+        assert getattr(back, field).tobytes() == getattr(trace, field).tobytes(), field
+
+
+_DEVIATION_CELLS = [
+    "0.0", "-0.0", "5e-324", "-5e-324", "2.2250738585072014e-308", "1.5", "-0.75", "1e155", "-1e155",
+    "1.7e308", "-1.7e308", "inf", "-inf", "nan", "-nan",
+]
+
+
+def _special_commands_trace(tmp_path, cfg, rows, rng):
+    """A trace file of the config's episode with its data rows replaced by
+    rows copies of the first, each with its commands drawn from
+    _DEVIATION_CELLS; the commands keep the first row's status."""
+    path = tmp_path / "special.csv"
+    config = ScenarioConfig.from_dict(cfg)
+    write_trace(run_episode(config), path)
+    lines = path.read_text().splitlines()
+    head = next(i for i, l in enumerate(lines) if not l.startswith("#")) + 1
+    first = lines[head].split(",")
+    commands = slice(1 + config.model.state_dim, 1 + config.model.state_dim + 2 * config.model.control_dim)
+    out = lines[:head]
+    for _ in range(rows):
+        cells = list(first)
+        cells[commands] = rng.choice(_DEVIATION_CELLS, size=2 * config.model.control_dim).tolist()
+        out.append(",".join(cells))
+    path.write_text("\n".join(out) + "\n")
+    return path
+
+
+def test_column_deviations_match_command_deviation_bit_for_bit(tmp_path, monkeypatch):
+    """read_trace's deviations equal asif.command_deviation of each row's
+    commands by bits: on every row of the benchmark's trace_roundtrip
+    traces (seed 1), and on rows whose commands hold signed zeros,
+    subnormals, squares that overflow, NaN of either sign and inf."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import bench_workloads
+
+    def check(back):
+        want = [asif.command_deviation(uo, ud) for uo, ud in zip(back.u_out.tolist(), back.u_des.tolist())]
+        assert back.deviation.tobytes() == np.array(want, dtype=float).tobytes()
+
+    rows = 0
+    for trace, csv_path, _metrics in bench_workloads.TraceRoundtrip(1, str(tmp_path)).items:
+        write_trace(trace, csv_path)
+        back = read_trace(csv_path)
+        check(back)
+        rows += back.n_steps
+    assert rows == 8000
+    rng = np.random.default_rng(0)
+    for cfg in (scenario_1d(duration=0.05), scenario_2d(duration=0.05)):
+        back = read_trace(_special_commands_trace(tmp_path, cfg, 4000, rng))
+        assert np.isnan(back.deviation).any() and np.isinf(back.deviation).any() and (back.deviation == 0.0).any()
+        check(back)
+
+
+def test_read_trace_warns_of_nothing(tmp_path):
+    """Commands whose squares overflow, or whose difference is inf - inf,
+    give inf and NaN deviations without a warning, as command_deviation
+    does; neither does a trace with no steps warn."""
+    path = _special_commands_trace(tmp_path, scenario_2d(duration=0.05), 500, np.random.default_rng(1))
+    empty = tmp_path / "empty.csv"
+    write_trace(run_episode(ScenarioConfig.from_dict(scenario_2d(duration=0.5)), record=False), empty)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.isfinite(read_trace(path).deviation).all()
+        assert read_trace(empty).n_steps == 0
+
+
+def test_final_state_read_back_is_a_writable_copy(tmp_path):
+    """A trace read back holds its last row's state in final_state, a
+    C-contiguous array of its own, and that row's time as a float."""
+    trace = run_episode(ScenarioConfig.from_dict(scenario_2d(duration=0.5, disturbance_bound=0.05)))
+    write_trace(trace, tmp_path / "t.csv")
+    back = read_trace(tmp_path / "t.csv")
+    final = back.final_state
+    assert final.flags.c_contiguous and final.flags.writeable and final.flags.owndata
+    assert final.tobytes() == back.states[-1].tobytes() and final.dtype == np.float64
+    assert type(back.final_t) is float and back.final_t == back.t[-1]
+    final[:] = math.inf
+    assert np.isfinite(back.states).all()
 
 
 def strip_solve_time(path):

@@ -20,7 +20,7 @@ def _tool():
 
 
 def test_summary_groups_the_per_call_times_by_status():
-    line = _tool().summary("x", [1000, 3000, 2000, 10000], ["modified", "passthrough", "modified", "modified"])
+    line = _tool().summary("x", [1000, 3000, 2000, 10000], ["modified", "passthrough", "modified", "modified"], ["b", "a", "a", "b"])
     assert line == {
         "side": "x",
         "calls": 4,
@@ -28,6 +28,19 @@ def test_summary_groups_the_per_call_times_by_status():
         "p99_us": 9.79,
         "sum_us": 16.0,
         "status": {"modified": {"calls": 3, "p50_us": 2.0}, "passthrough": {"calls": 1, "p50_us": 3.0}},
+        "plant": {"a": {"calls": 2, "p50_us": 2.5}, "b": {"calls": 2, "p50_us": 5.5}},
+    }
+
+
+def test_trace_summary_gives_per_row_times_and_rows_per_second():
+    times = {"write_trace": [1000, 3000], "read_trace": [2000, 2000], "metrics": [4000, 2000]}
+    line = _tool().trace_summary("x", times, [1, 3])
+    assert line == {
+        "side": "x",
+        "traces": 2,
+        "rows": 4,
+        "us_per_row": {"write_trace": 1.0, "read_trace": 1.0, "metrics": 1.5},
+        "rows_per_s": 400000.0,
     }
 
 
@@ -48,9 +61,12 @@ def test_runs_against_head_on_a_tiny_workload(workload, size, calls):
     out = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=600)
     lines = [json.loads(line) for line in out.stdout.splitlines()]
     assert [line["side"] for line in lines] == ["this tree", "HEAD"]
+    kinds = {"filter_multirow": ["double_integrator_2d"], "corpus_adversarial": ["double_integrator_1d", "double_integrator_2d"]}
     for line in lines:
         assert line["calls"] == calls
         assert sum(status["calls"] for status in line["status"].values()) == calls
+        assert sorted(line["plant"]) == kinds[workload]
+        assert sum(plant["calls"] for plant in line["plant"].values()) == calls
         assert 0.0 < line["p50_us"] <= line["p99_us"] and line["sum_us"] > 0.0
 
 
@@ -73,6 +89,24 @@ def test_times_episodes_against_head_on_a_tiny_workload(workload, size, episodes
     for line in lines:
         assert line["episodes"] == episodes and line["steps_per_s"] > 0.0
         assert sorted(line["us_per_step"]) == kinds and all(v > 0.0 for v in line["us_per_step"].values())
+
+
+@pytest.mark.skipif(
+    subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD"], capture_output=True).returncode != 0,
+    reason="needs a git checkout",
+)
+def test_times_trace_io_against_head_on_a_tiny_workload():
+    """One JSON line per side, this tree's first, each counting every trace
+    and row once, with a time per row for each timed call."""
+    argv = [sys.executable, str(TOOL), "--against", "HEAD", "--op", "trace", "--size", "2", "--rounds", "1"]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=600)
+    lines = [json.loads(line) for line in out.stdout.splitlines()]
+    assert [line["side"] for line in lines] == ["this tree", "HEAD"]
+    assert lines[0]["rows"] == lines[1]["rows"] > 0
+    for line in lines:
+        assert line["traces"] == 2 and line["rows_per_s"] > 0.0
+        assert sorted(line["us_per_row"]) == ["metrics", "read_trace", "write_trace"]
+        assert all(v > 0.0 for v in line["us_per_row"].values())
 
 
 def test_rejects_a_workload_the_op_does_not_run():

@@ -25,6 +25,16 @@ Sets:
                      workload's traces, seed 1: every EpisodeTrace field
                      but solve_time, and `asifkit metrics`'s JSON on the
                      file, max_solve_time dropped
+  trace_errors       read_trace of the benchmark workload's traces, seed
+                     1, each with its solve_time cells set to 0.0 and then
+                     changed by one of TRACE_EDITS: a row short or long, a
+                     bad, padded or special float cell, a bad flag or
+                     status, a disagreement (also in two rows, the first
+                     of which must be named), a comment or blank line
+                     between rows, an abort note after them, CRLF line
+                     ends, no rows, a wrong hash, a missing or reordered
+                     column; the error's type, message and line, or the
+                     trace read
   random_1d          solve_qp on random_problem(default_rng(s), 1), s < N
   random_2d          the same on two axes
   margin_2d          solve_qp on random_problem(default_rng(s), 2), s < N,
@@ -89,6 +99,7 @@ SETS = (
     "filter_multirow",
     "nn_nominal_batch",
     "trace_roundtrip",
+    "trace_errors",
     "random_1d",
     "random_2d",
     "margin_2d",
@@ -185,6 +196,19 @@ def _nn_nominal_batch(workdir, size, random_count):
     return items
 
 
+READ_BACK_FIELDS = ("t", "states", "u_des", "u_out", "h", "intervened", "status", "deviation", "final_state")
+
+
+def _read_back_parts(back, fields=READ_BACK_FIELDS) -> list:
+    """What a trace read back holds, for a digest: its config, flags and
+    the named arrays by dtype, shape and bytes."""
+    parts = [back.config.raw, back.config_hash, back.constraint_ids, back.final_t, back.aborted, back.abort_reason]
+    for name in fields:
+        value = getattr(back, name)
+        parts += [name, value.dtype.str, value.shape, value.tobytes()]
+    return parts
+
+
 def _trace_roundtrip(workdir, size, random_count):
     import bench_workloads
     from asifkit import cli, harness
@@ -199,12 +223,130 @@ def _trace_roundtrip(workdir, size, random_count):
             with open(metrics_path, "r", encoding="utf-8") as fh:
                 metrics = json.load(fh)
             metrics.pop("max_solve_time")
-            parts = [metrics, back.config.raw, back.config_hash, back.constraint_ids]
-            parts += [back.final_t, back.aborted, back.abort_reason]
-            for name in ("t", "states", "u_des", "u_out", "h", "intervened", "status", "deviation", "final_state"):
-                value = getattr(back, name)
-                parts += [name, value.dtype.str, value.shape, value.tobytes()]
-            items.append(_trace_item(back, _digest(*parts)))
+            items.append(_trace_item(back, _digest(metrics, *_read_back_parts(back))))
+    return items
+
+
+def _cell(row: int, col: int, value):
+    """An edit setting data row row's cell col to value, or to value(cell)
+    where value is callable."""
+    def edit(head, rows):
+        cells = rows[row].split(",")
+        cells[col] = value(cells[col]) if callable(value) else value
+        rows[row] = ",".join(cells)
+
+    return edit
+
+
+def _short(row: int):
+    """An edit dropping the last cell of data row row."""
+    def edit(head, rows):
+        rows[row] = rows[row].rsplit(",", 1)[0]
+
+    return edit
+
+
+def _insert(row: int, line: str):
+    """An edit inserting line before data row row, or after the last row
+    where row is None."""
+    def edit(head, rows):
+        rows.insert(len(rows) if row is None else row, line)
+
+    return edit
+
+
+def _header(old: str, new: str):
+    def edit(head, rows):
+        head[-1] = head[-1].replace(old, new)
+
+    return edit
+
+
+def _flip_flag(row: int):
+    return _cell(row, -3, lambda cell: "0" if cell == "1" else "1")
+
+
+def _long(head, rows):
+    rows[5] += ",0.0"
+
+
+def _no_rows(head, rows):
+    rows.clear()
+
+
+def _wrong_hash(head, rows):
+    head[0] = "# config_hash: " + "0" * 64  # write_trace's first line
+
+
+# the edits of each trace_errors variant, applied in order to a trace
+# file's lines, (preamble and header, data rows), in place; a negative
+# column counts from the row's end (-3 intervened, -2 status, -1
+# solve_time)
+TRACE_EDITS = {
+    "short_row": [_short(5)],
+    "long_row": [_long],
+    "bad_float": [_cell(5, 1, "x")],
+    "empty_float": [_cell(5, 0, "")],
+    "padded_float": [_cell(5, 1, lambda cell: f" {cell}\t")],
+    "nan_float": [_cell(5, 1, "nan")],
+    "inf_command": [_cell(5, -4, "-inf")],
+    "underscore_float": [_cell(5, 2, "1_000")],
+    "bad_solve_time": [_cell(5, -1, "fast")],
+    "bad_flag": [_cell(5, -3, "2")],
+    "float_flag": [_cell(5, -3, "1.0")],
+    "unknown_status": [_cell(5, -2, "paused")],
+    "padded_status": [_cell(5, -2, lambda cell: f" {cell}")],
+    "disagreement": [_flip_flag(5)],
+    "disagreement_then_short_row": [_flip_flag(3), _short(8)],
+    "short_row_then_bad_float": [_short(3), _cell(8, 1, "x")],
+    "bad_status_then_disagreement": [_cell(3, -2, "?"), _flip_flag(8)],
+    "comment_between_rows": [_insert(5, "# a note")],
+    "comment_and_blank_before_bad_float": [_insert(3, "# a note"), _insert(3, ""), _cell(8, 1, "x")],
+    "blank_between_rows": [_insert(5, " \t ")],
+    "abort_after_rows": [_insert(None, "# aborted: a late note")],
+    "no_rows": [_no_rows],
+    "wrong_hash": [_wrong_hash],
+    "missing_column": [_header(",status", "")],
+    "reordered_columns": [_header("intervened,status", "status,intervened")],
+}
+
+
+def edited_traces(lines: list[str]) -> dict[str, str]:
+    """The text of a written trace, given as its lines, under each of
+    TRACE_EDITS and with CRLF line ends, its solve_time cells, a wall
+    clock's, set to 0.0 first."""
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    head = lines[:first]
+    rows = [line.rsplit(",", 1)[0] + ",0.0" for line in lines[first:]]
+    texts = {}
+    for name, edits in TRACE_EDITS.items():
+        edited_head, edited_rows = list(head), list(rows)
+        for edit in edits:
+            edit(edited_head, edited_rows)
+        texts[name] = "\n".join(edited_head + edited_rows) + "\n"
+    texts["crlf"] = "\r\n".join(head + rows) + "\r\n"
+    return texts
+
+
+def _trace_errors(workdir, size, random_count):
+    import bench_workloads
+    from asifkit import harness
+
+    items = []
+    for seed in SEEDS["trace_roundtrip"]:
+        for trace, csv_path, _metrics_path in bench_workloads.TraceRoundtrip(seed, workdir, size).items:
+            harness.write_trace(trace, csv_path)
+            with open(csv_path, "r", encoding="utf-8") as fh:
+                texts = edited_traces(fh.read().splitlines())
+            for name, text in texts.items():
+                with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+                try:
+                    back = harness.read_trace(csv_path)
+                except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+                    items.append((_digest(name, type(exc).__name__, str(exc), getattr(exc, "line", None)), [], 0))
+                else:
+                    items.append(_trace_item(back, _digest(name, *_read_back_parts(back, (*READ_BACK_FIELDS, "solve_time")))))
     return items
 
 
@@ -345,6 +487,7 @@ DIGESTS = {
     "filter_multirow": _filter_multirow,
     "nn_nominal_batch": _nn_nominal_batch,
     "trace_roundtrip": _trace_roundtrip,
+    "trace_errors": _trace_errors,
     "random_1d": _random(1),
     "random_2d": _random(2),
     "margin_2d": _margin_2d,

@@ -1,7 +1,7 @@
-"""Per-call timing of filter_control or run_episode in this tree against a
-git revision.
+"""Per-call timing of filter_control, run_episode or trace I/O in this tree
+against a git revision.
 
-    python tools/percall.py --against REF [--op filter|episode]
+    python tools/percall.py --against REF [--op filter|episode|trace]
                             [--workload NAME] [--seed N] [--size K]
                             [--rounds R]
 
@@ -23,21 +23,31 @@ side built once with from_dict. Workloads:
   nn_nominal_batch    the configs of every batch call's episodes (seeds
                       seed_base + i), their networks written by the workload
 
+--op trace times the trace path of the trace_roundtrip workload: per
+trace, write_trace to a file, read_trace of it, and the `asifkit metrics`
+dispatch on it (which reads it again), each side on the traces its own
+run_episode gives for the workload's configs and on files of its own.
+
 Each round times every call once on each side, the side that goes first
 alternating from round to round, with the cyclic garbage collector off; a
 call's time is its least over the rounds (21 rounds by default for filter
-calls, 9 for episodes). One JSON line is printed per side, this tree's
-first. For filter calls: the number of calls, p50, p99 and the sum of those
-per-call times in microseconds, and the call count and median per status,
-each side's calls grouped by the status that side returned. For episodes:
-the number of episodes and steps, steps per second over the sum of the
-per-episode times, and microseconds per step for each plant kind.
+calls, 9 for episodes and traces). One JSON line is printed per side, this
+tree's first. For filter calls: the number of calls, p50, p99 and the sum
+of those per-call times in microseconds, and the call count and median per
+status and per plant kind, each side's calls grouped by the status that
+side returned. For episodes: the number of episodes and steps, steps per
+second over the sum of the per-episode times, and microseconds per step
+for each plant kind. For traces: the number of traces and rows,
+microseconds per row of write_trace, read_trace and the metrics dispatch,
+each summed over the traces, and rows per second of the workload's whole
+operation, write_trace then the metrics dispatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import importlib.util
 import json
 import sys
@@ -51,8 +61,9 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = {
     "filter": ("filter_multirow", "corpus_adversarial"),
     "episode": ("corpus_adversarial", "nn_nominal_batch"),
+    "trace": ("trace_roundtrip",),
 }
-ROUNDS = {"filter": 21, "episode": 9}
+ROUNDS = {"filter": 21, "episode": 9, "trace": 9}
 
 
 def load_tree(src: Path, name: str):
@@ -153,21 +164,29 @@ def time_calls(sides, rounds: int) -> list[list[int]]:
     return best
 
 
-def summary(label: str, times_ns, statuses) -> dict:
-    """p50, p99 and sum of the per-call times, and per-status counts and
-    medians, in microseconds."""
+def _groups(us, keys) -> dict:
+    """The count and median of the times us for each key, keys naming each
+    time's group."""
+    groups = {}
+    for key in sorted(set(keys)):
+        picked = us[[k == key for k in keys]]
+        groups[key] = {"calls": int(picked.size), "p50_us": round(float(np.median(picked)), 3)}
+    return groups
+
+
+def summary(label: str, times_ns, statuses, kinds) -> dict:
+    """p50, p99 and sum of the per-call times, and the counts and medians
+    per status and per plant kind (kinds names each call's), in
+    microseconds."""
     us = np.array(times_ns, dtype=float) / 1e3
-    by_status = {}
-    for status in sorted(set(statuses)):
-        picked = us[[s == status for s in statuses]]
-        by_status[status] = {"calls": int(picked.size), "p50_us": round(float(np.median(picked)), 3)}
     return {
         "side": label,
         "calls": int(us.size),
         "p50_us": round(float(np.percentile(us, 50)), 3),
         "p99_us": round(float(np.percentile(us, 99)), 3),
         "sum_us": round(float(us.sum()), 1),
-        "status": by_status,
+        "status": _groups(us, statuses),
+        "plant": _groups(us, kinds),
     }
 
 
@@ -188,6 +207,45 @@ def episode_summary(label: str, times_ns, steps, kinds) -> dict:
     }
 
 
+def trace_summary(label: str, times_ns: dict, rows) -> dict:
+    """Traces, rows, microseconds per row of each timed call summed over
+    the traces, and rows per second of write_trace then the metrics
+    dispatch. times_ns maps each call's name to its per-trace times."""
+    n = sum(rows)
+    whole_s = (sum(times_ns["write_trace"]) + sum(times_ns["metrics"])) / 1e9
+    return {
+        "side": label,
+        "traces": len(rows),
+        "rows": int(n),
+        "us_per_row": {name: round(sum(times) / 1e3 / n, 3) for name, times in times_ns.items()},
+        "rows_per_s": round(n / whole_s, 1),
+    }
+
+
+def time_traces(packages, labels, seed: int, size, rounds: int, workdir) -> list[dict]:
+    """Time write_trace, read_trace and the metrics dispatch of each side
+    on the trace_roundtrip workload's episodes."""
+    import bench_workloads
+
+    configs = [trace.config.raw for trace, _csv, _metrics in bench_workloads.TraceRoundtrip(seed, workdir, size).items]
+    ops = {"write_trace": [], "read_trace": [], "metrics": []}
+    rows = []
+    for s, package in enumerate(packages):
+        harness = package.harness
+        traces = [harness.run_episode(harness.ScenarioConfig.from_dict(cfg)) for cfg in configs]
+        paths = [str(Path(workdir) / f"side{s}_trace_{i}.csv") for i in range(len(traces))]
+        ops["write_trace"].append((harness.write_trace, list(zip(traces, paths))))
+        ops["read_trace"].append((harness.read_trace, [(path,) for path in paths]))
+        argvs = [(["metrics", "--trace", path, "--out", path + ".metrics.json"],) for path in paths]
+        ops["metrics"].append((importlib.import_module(package.__name__ + ".cli").dispatch, argvs))
+        rows.append([trace.n_steps for trace in traces])
+    times = {name: time_calls(sides, rounds) for name, sides in ops.items()}
+    return [
+        trace_summary(label, {name: best[s] for name, best in times.items()}, rows[s])
+        for s, label in enumerate(labels)
+    ]
+
+
 def run(ref: str, workload: str, seed: int, size, rounds: int, op: str = "filter") -> list[dict]:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tools")]
     import asifkit
@@ -199,6 +257,8 @@ def run(ref: str, workload: str, seed: int, size, rounds: int, op: str = "filter
         ref_package = load_tree(ref_tree / "src", "asifkit_ref")
         packages = (asifkit, ref_package)
         labels = ("this tree", ref)
+        if op == "trace":
+            return time_traces(packages, labels, seed, size, rounds, tmp)
         if op == "episode":
             configs = episode_configs(workload, seed, size, tmp)
             sides = [
@@ -215,7 +275,8 @@ def run(ref: str, workload: str, seed: int, size, rounds: int, op: str = "filter
         sides = [(package.filter_control, rebuild(package, calls)) for package in packages]
         statuses = [[filter_control(*args).status for args in side_calls] for filter_control, side_calls in sides]
         best = time_calls(sides, rounds)
-    return [summary(label, times, status) for label, times, status in zip(labels, best, statuses)]
+    kinds = [model.kind for _constraints, model, *_ in calls]
+    return [summary(label, times, status, kinds) for label, times, status in zip(labels, best, statuses)]
 
 
 def main(argv=None) -> int:
@@ -225,7 +286,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default=None, help="the benchmark workload (default: the op's first)")
     parser.add_argument("--seed", type=int, default=1, help="the workload's seed (default 1)")
     parser.add_argument("--size", type=int, default=None, help="the workload's size argument (default: its own)")
-    parser.add_argument("--rounds", type=int, default=None, help="timed rounds over the calls (default 21, or 9 for episodes)")
+    parser.add_argument("--rounds", type=int, default=None, help="timed rounds over the calls (default 21, or 9 for episodes and traces)")
     args = parser.parse_args(argv)
     workload = args.workload or WORKLOADS[args.op][0]
     if workload not in WORKLOADS[args.op]:
