@@ -50,6 +50,7 @@ from .errors import (
     InvalidModel,
     InvalidState,
     NonFiniteCommand,
+    NonFiniteRow,
     NonFiniteState,
     ParseError,
     SingularGradient,

@@ -29,14 +29,15 @@ rows. Such a step's command is the minimal-deviation point over those rows
 (u_des itself, with deviation 0, when it meets them all), not the
 least-max-violation point the same status names otherwise.
 
-Tolerance contract, on one axis and on two: a row has control authority iff
-the norm of its a exceeds _DEP_TOL. A row without it is met iff b <= feas_tol
-(_feas_tol); any other row is met at a point iff b - a.u <= feas_tol there.
-A solved point meets every row so; it is passthrough iff it equals u_des,
-else modified. A problem with no such point is an infeasible_fallback, and
-so, on two axes, is one whose constraints violated at u_des all have a
-squared distance that is NaN or underflows to zero (a row with an infinite
-entry), which leaves no projection to rank. On two axes a solved point
+Tolerance contract, on one axis and on two, for a problem whose every entry
+is finite (solve_qp raises otherwise, NonFiniteRow naming a row's
+constraint): a row has control authority iff the norm of its a exceeds
+_DEP_TOL. A row without it is met iff b <= feas_tol (_feas_tol); any other
+row is met at a point iff b - a.u <= feas_tol there. A solved point meets
+every row so; it is passthrough iff it equals u_des, else modified. A
+problem with no such point is an infeasible_fallback, and so, on two axes,
+is one whose constraints violated at u_des all have a squared distance that
+underflows to zero, which leaves no projection to rank. On two axes a solved point
 lies within feas_tol of the box, so a row whose b exceeds its largest a.u
 over the box by more than 2 * feas_tol * (1 + |a0| + |a1|) certifies that
 there is none (Boyd & Vandenberghe, Convex Optimization, 2004, section
@@ -57,10 +58,9 @@ order with no numpy call, so its bits match on every machine. It reads u_des
 as the command's float tuple (ControlInput.us), and filter_control wraps the
 solved tuple as the filtered command without building an array. The fixed
 cost of a call is kept to its arithmetic: the problem and the result are
-built as plain tuples of their classes, solve_qp goes straight to the
-one-axis or the two-axis solve from the axis count its clamp test branches
-on, the scaled tolerance and the deviation are written out for one axis and
-for two, and the fallback prices each candidate point as it draws it.
+built as plain tuples of their classes, the finiteness precondition is
+checked on the clamp test's own comparisons, the scaled tolerance and the
+deviation are written out for one axis and for two, and the fallback prices each candidate point as it draws it.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ import numpy as np
 
 from .barrier import BarrierConstraint, cbf_row, sampled_row
 from .dynamics import ControlInput, PlantModel, PlantState
-from .errors import StructurallyInfeasible
+from .errors import InvalidConfig, NonFiniteCommand, NonFiniteRow, StructurallyInfeasible
 
 PASSTHROUGH = "passthrough"
 MODIFIED = "modified"
@@ -82,6 +82,7 @@ INFEASIBLE_FALLBACK = "infeasible_fallback"
 
 _DEP_TOL = 1e-12  # rank test for a constraint's normal and for a pair of normals
 _FEAS_TOL = 1e-11  # violation counted as zero, before scaling by the problem size
+_INF, _NEG_INF = math.inf, -math.inf
 
 # QpProblem and FilterResult are built on every call. tuple.__new__ makes the
 # same instances from all their fields, without the Python frame of the
@@ -152,52 +153,71 @@ def assemble_qp(
 
 
 def solve_qp(qp: QpProblem) -> tuple[tuple[float, ...], tuple[int, ...], str]:
-    """Exact minimizer of 0.5||u - u_des||^2 under rows and box.
+    """Exact minimizer of 0.5||u - u_des||^2 under rows and box, whose every
+    entry, and u_des's, must be finite.
 
     Returns (u_star, active row indices into qp.rows, status), u_star a
     tuple of floats. Starts from the box-clamped u_des; if that already
     satisfies every row it is optimal (passthrough when it equals u_des
-    bitwise, and u_star is then qp.u_des). The clamp test prices the rows
-    at the clamped point one by one, on scalars, and stops at the first
-    that shows the largest slack positive; that largest slack is taken as
-    max() takes it, so a NaN first slack stays the maximum and the point
-    passes. Otherwise the minimizer is the projection of u_des onto at most
-    d of the constraints (the rows and the box faces). One axis projects
+    bitwise, and u_star is then qp.u_des). The clamp test prices every row
+    at the clamped point, on scalars, and a row whose slack is positive is
+    violated there. It also enforces the precondition: where its box test
+    fails or a slack is not finite, _require_finite raises, or finds every
+    entry finite and lets the overflow stand. Otherwise the minimizer is
+    the projection of u_des onto at most d of the constraints (the rows and the box faces). One axis projects
     onto the interval the constraints leave (_solve_interval). Two axes try
     the projection onto the violated constraint farthest from u_des, then
     the vertices of two constraints that can be optimal, nearest first
     (_solve_plane). Both decide under the tolerance contract of the module
-    docstring; the clamp test's own branch on the axis count picks which.
-    When no point meets the rows, the fallback's least-max-violation point
+    docstring. When no point meets the rows, the fallback's least-max-violation point
     (_least_max_violation) is returned with status infeasible_fallback; the
     fallback is decided here alone, so it never recurses.
     """
     u_des = qp.u_des
     rows = qp.rows
-    clamped = _clamped(u_des, qp.box)
-    top = None  # the largest slack so far, as max() keeps it
-    if len(clamped) == 1:
-        (c0,) = clamped
+    clamped = u_des
+    violated = False
+    if len(u_des) == 1:
+        (c0,), ((lo0, hi0),) = u_des, qp.box
+        if not _NEG_INF < lo0 <= c0 <= hi0 < _INF:
+            _require_finite(qp)
+            (c0,) = clamped = _clamped(u_des, qp.box)
         for a, b in rows:
             w = b - a * c0
-            if top is None or w > top:
-                top = w
-                if w > 0.0:
-                    feas_tol = _feas_tol(qp)
-                    return _solve_interval(qp, feas_tol) or _fallback(qp, feas_tol)
+            if not _NEG_INF < w < _INF:
+                _require_finite(qp)
+            if w > 0.0:
+                violated = True
     else:
-        c0, c1 = clamped
+        (c0, c1), ((lo0, hi0), (lo1, hi1)) = u_des, qp.box
+        if not (_NEG_INF < lo0 <= c0 <= hi0 < _INF and _NEG_INF < lo1 <= c1 <= hi1 < _INF):
+            _require_finite(qp)
+            c0, c1 = clamped = _clamped(u_des, qp.box)
         for a0, a1, b in rows:
             w = b - (a0 * c0 + a1 * c1)
-            if top is None or w > top:
-                top = w
-                if w > 0.0:
-                    feas_tol = _feas_tol(qp)
-                    return _solve_plane(qp, feas_tol) or _fallback(qp, feas_tol)
-    if clamped == u_des:
+            if not _NEG_INF < w < _INF:
+                _require_finite(qp)
+            if w > 0.0:
+                violated = True
+    if violated:
+        feas_tol = _feas_tol(qp)
+        return (_solve_interval if len(u_des) == 1 else _solve_plane)(qp, feas_tol) or _fallback(qp, feas_tol)
+    if clamped is u_des:
         return u_des, (), PASSTHROUGH
-    slack = _row_violations(rows, clamped)
-    return clamped, tuple(i for i, s in enumerate(slack) if s == 0.0), MODIFIED
+    return clamped, tuple(i for i, s in enumerate(_row_violations(rows, clamped)) if s == 0.0), MODIFIED
+
+
+def _require_finite(qp: QpProblem) -> None:
+    """Raise for the first non-finite entry of qp: NonFiniteCommand for
+    u_des, InvalidConfig for the box, NonFiniteRow naming the constraint
+    of a row, checked in that order. Returns when every entry is finite."""
+    if not all(map(math.isfinite, qp.u_des)):
+        raise NonFiniteCommand(f"command {list(qp.u_des)} is not finite")
+    if not all(math.isfinite(v) for pair in qp.box for v in pair):
+        raise InvalidConfig(f"control bounds {[list(pair) for pair in qp.box]} are not finite")
+    for i, row in enumerate(qp.rows):
+        if not all(map(math.isfinite, row)):
+            raise NonFiniteRow(qp.row_ids[i], f"row {i} {row} of constraint '{qp.row_ids[i]}' is not finite")
 
 
 def _clamped(u, box) -> tuple[float, ...]:
@@ -211,33 +231,25 @@ def _clamped(u, box) -> tuple[float, ...]:
 
 def _feas_tol(qp: QpProblem) -> float:
     """The scaled feasibility tolerance: _FEAS_TOL * (1 + the largest |b| or
-    |box bound| + the sum of |u_des|). The largest is taken as max() takes
-    it over the |b| in row order, then the box bounds: a NaN first value
-    stays the maximum."""
+    |box bound| + the sum of |u_des|)."""
     rows = qp.rows
     if len(qp.u_des) == 1:
         (u0,), ((lo0, hi0),) = qp.u_des, qp.box
-        top = abs(rows[0][1]) if rows else abs(lo0)
+        top = abs(lo0)
         for _, b in rows:
             v = abs(b)
             if v > top:
                 top = v
-        v = abs(lo0)
-        if v > top:
-            top = v
         v = abs(hi0)
         if v > top:
             top = v
         return _FEAS_TOL * (1.0 + top + abs(u0))
     (u0, u1), ((lo0, hi0), (lo1, hi1)) = qp.u_des, qp.box
-    top = abs(rows[0][2]) if rows else abs(lo0)
+    top = abs(lo0)
     for _, _, b in rows:
         v = abs(b)
         if v > top:
             top = v
-    v = abs(lo0)
-    if v > top:
-        top = v
     v = abs(hi0)
     if v > top:
         top = v
@@ -262,8 +274,7 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
     rows). Stage 1 runs on scalars: one pass over the rows and the four
     faces, written out, picks the violated constraint farthest from u_des,
     then the projection onto it is checked against every constraint. A
-    violated constraint whose squared distance is NaN (a row with an
-    infinite entry, violated by inf) or underflows to zero cannot be
+    violated row whose squared distance underflows to zero cannot be
     ranked; when no violated constraint can be, stage 1 has no projection
     to try and no point is returned. The tables stage 2 needs (the
     constraint list, the squared norms, the violations at u_des and at the
@@ -296,7 +307,6 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
     ud0, ud1 = qp.u_des
     (lo0, hi0), (lo1, hi1) = qp.box
     dep2 = _DEP_TOL * _DEP_TOL
-    inf = math.inf
 
     # Stage 1. Every feasible point lies across the hyperplane of the violated
     # constraint farthest from u_des (the first on ties), so the projection
@@ -319,12 +329,12 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
                 rows = list(rows)
             rows[i] = (0.0, 0.0, 0.0)
             continue
-        if norm == inf:
+        if norm == _INF:
             scaled = True
         r = b - a0 * ud0 - a1 * ud1
         if r > feas_tol:
             meets = False
-            if norm == inf and math.isfinite(a0) and math.isfinite(a1):
+            if norm == _INF:
                 a0, a1, b, norm = _scaled_down(a0, a1, b)
                 r = b - a0 * ud0 - a1 * ud1
             dist2 = r * r / norm
@@ -332,26 +342,24 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
                 k, far, ka0, ka1, lam = i, dist2, a0, a1, r / norm
     # The faces' violations are the rows (1, 0, lo0), (-1, -0, -hi0), (0, 1,
     # lo1) and (-0, -1, -hi1) evaluated as rows are, with each product by 1
-    # or -1 folded; z0 and z1 are the products by 0, NaN for a non-finite
-    # u_des. A face's squared norm is 1.
-    z0 = 0.0 * ud0
-    z1 = 0.0 * ud1
-    r = lo0 - ud0 - z1
+    # or -1 folded and each product by 0 dropped, which leaves a violation
+    # above feas_tol as it is. A face's squared norm is 1.
+    r = lo0 - ud0
     if r > feas_tol:
         meets = False
         if r * r > far:
             k, far, ka0, ka1, lam = m, r * r, 1.0, 0.0, r
-    r = -hi0 + ud0 + z1
+    r = -hi0 + ud0
     if r > feas_tol:
         meets = False
         if r * r > far:
             k, far, ka0, ka1, lam = m + 1, r * r, -1.0, -0.0, r
-    r = lo1 - z0 - ud1
+    r = lo1 - ud1
     if r > feas_tol:
         meets = False
         if r * r > far:
             k, far, ka0, ka1, lam = m + 2, r * r, 0.0, 1.0, r
-    r = -hi1 + z0 + ud1
+    r = -hi1 + ud1
     if r > feas_tol:
         meets = False
         if r * r > far:
@@ -362,25 +370,19 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
         return None  # no violated constraint can be ranked (see the docstring)
     s0 = ud0 + lam * ka0
     s1 = ud1 + lam * ka1
-    # s is accepted as the largest of its violations, taken as max() takes
-    # it in constraint order, is at most feas_tol: the first row's (NaN
-    # fails) and no other above feas_tol. s lies on constraint k, whose
-    # violation is taken as 0.0 unless a row is scaled (a scaled row k is
-    # checked as it is).
+    # s is accepted when none of its violations exceeds feas_tol. s lies on
+    # constraint k, whose violation is taken as 0.0 unless a row is scaled
+    # (a scaled row k is checked as it is).
     on_k = -1 if scaled else k
     for i, (a0, a1, b) in enumerate(rows):
-        if i != on_k:
-            r = b - a0 * s0 - a1 * s1
-            if r > feas_tol or (i == 0 and r != r):
-                break
+        if i != on_k and b - a0 * s0 - a1 * s1 > feas_tol:
+            break
     else:
-        zs0 = 0.0 * s0
-        zs1 = 0.0 * s1
         if not (
-            (lo0 - s0 - zs1 > feas_tol and on_k != m)
-            or (-hi0 + s0 + zs1 > feas_tol and on_k != m + 1)
-            or (lo1 - zs0 - s1 > feas_tol and on_k != m + 2)
-            or (-hi1 + zs0 + s1 > feas_tol and on_k != m + 3)
+            (lo0 - s0 > feas_tol and on_k != m)
+            or (-hi0 + s0 > feas_tol and on_k != m + 1)
+            or (lo1 - s1 > feas_tol and on_k != m + 2)
+            or (-hi1 + s1 > feas_tol and on_k != m + 3)
         ):
             return _solved(qp, (s0, s1), (k,) if k < m else ())
 
@@ -427,7 +429,7 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
             continue
         p0, p1, pb = geo[p]
         g_pp = norms[p]
-        big_p = g_pp if g_pp > 1.0 else 1.0  # as max(1.0, g_pp): a NaN keeps 1.0
+        big_p = g_pp if g_pp > 1.0 else 1.0
         dep_p = dep2 * big_p
         r_p = r_geo[p]
         for q in range(len(cons)) if r_p > 0.0 else violated_at_des:
@@ -437,7 +439,7 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
             g_qq = norms[q]
             cross = q0 * p1 - q1 * p0
             if not cross * cross > dep_p * g_qq:
-                continue  # dependent normals, or a test an overflow left NaN
+                continue  # dependent normals
             # the multipliers times cross^2 must be nonnegative; tol bounds
             # the rounding of the violations at u_des they are built from
             g_pq = p0 * q0 + p1 * q1
@@ -458,7 +460,7 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
     for _, v0, v1, q, p in vertices:
         for a0, a1, b in rows:
             if not b - a0 * v0 - a1 * v1 <= feas_tol:
-                break  # violated, or NaN
+                break  # violated
         else:
             i, j = (p, q) if p < q else (q, p)
             return _solved(qp, (v0, v1), (i, j) if j < m else ((i,) if i < m else ()))
@@ -467,12 +469,11 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
 
 def _rescaled(cons, norms, u_des):
     """cons and the violations of u_des with every row whose squared norm
-    overflowed and whose entries are finite scaled down (_scaled_down),
-    norms updated to match."""
+    overflowed scaled down (_scaled_down), norms updated to match."""
     ud0, ud1 = u_des
     geo = list(cons)
     for i, (a0, a1, b) in enumerate(cons):
-        if norms[i] == math.inf and math.isfinite(a0) and math.isfinite(a1):
+        if norms[i] == _INF:
             a0, a1, b, norms[i] = _scaled_down(a0, a1, b)
             geo[i] = (a0, a1, b)
     return geo, [b - a0 * ud0 - a1 * ud1 for a0, a1, b in geo]
@@ -576,52 +577,43 @@ def _least_max_violation(qp, feas_tol) -> tuple[tuple[float, ...], list[float]]:
     its own maximum is larger still, and so larger than the final least plus
     feas_tol, so it can be neither the least, nor the first candidate to
     reach it, nor tied with it, and the least, that candidate, the tie set
-    and phase II are those of pricing every candidate in full. A NaN
-    violation exceeds no bound, so it never stops a candidate; a candidate's
-    maximum is taken as max() takes it, NaN when its first row's violation
-    is NaN, and a NaN maximum is neither least nor tied unless it is the
-    first candidate's, which is then returned, as pricing in full did.
+    and phase II are those of pricing every candidate in full.
     """
     rows = qp.rows
     box = qp.box
     # top is a candidate's running maximum; bound is the least maximum so far
     # plus feas_tol
-    first, rest = rows[0], rows[1:]
     priced = []  # (candidate, maximum violation) of each candidate priced to the end
     best = least = None
-    bound = math.inf
+    bound = _INF
     if len(box) == 1:
-        a_first, b_first = first
         for u in _candidates(rows, box):
             (u0,) = u
-            top = b_first - a_first * u0
-            if not top > bound:
-                for a, b in rest:
-                    w = b - a * u0
-                    if w > top:
-                        top = w
-                        if w > bound:
-                            break
-                else:
-                    priced.append((u, top))
-                    if best is None or top < least:
-                        best, least, bound = u, top, top + feas_tol
+            top = _NEG_INF
+            for a, b in rows:
+                w = b - a * u0
+                if w > top:
+                    top = w
+                    if w > bound:
+                        break
+            else:
+                priced.append((u, top))
+                if best is None or top < least:
+                    best, least, bound = u, top, top + feas_tol
     else:
-        a0_first, a1_first, b_first = first
         for u in _candidates(rows, box):
             u0, u1 = u
-            top = b_first - (a0_first * u0 + a1_first * u1)
-            if not top > bound:
-                for a0, a1, b in rest:
-                    w = b - (a0 * u0 + a1 * u1)
-                    if w > top:
-                        top = w
-                        if w > bound:
-                            break
-                else:
-                    priced.append((u, top))
-                    if best is None or top < least:
-                        best, least, bound = u, top, top + feas_tol
+            top = _NEG_INF
+            for a0, a1, b in rows:
+                w = b - (a0 * u0 + a1 * u1)
+                if w > top:
+                    top = w
+                    if w > bound:
+                        break
+            else:
+                priced.append((u, top))
+                if best is None or top < least:
+                    best, least, bound = u, top, top + feas_tol
     if all(u is best or command_deviation(u, best) <= feas_tol for u, v in priced if v <= bound):
         return best, _row_violations(rows, best)
     # phase II: the face the tied candidates span is the feasible set of the

@@ -59,6 +59,14 @@ class StructurallyInfeasible(AsifKitError):
         super().__init__(message or f"constraint '{constraint_id}' is structurally infeasible at this state")
 
 
+class NonFiniteRow(AsifKitError):
+    """A filter row has a NaN or infinite entry (names the constraint)."""
+
+    def __init__(self, constraint_id, message=""):
+        self.constraint_id = constraint_id
+        super().__init__(message or f"a row of constraint '{constraint_id}' has a non-finite entry here")
+
+
 class EmptyTrace(AsifKitError):
     """Metrics requested for a trace with no recorded steps."""
 

@@ -46,6 +46,7 @@ from .errors import (
     EmptyTrace,
     InvalidConfig,
     NonFiniteCommand,
+    NonFiniteRow,
     NonFiniteState,
     ParseError,
     SingularGradient,
@@ -290,11 +291,11 @@ def run_episode(config: ScenarioConfig, record: bool = True) -> EpisodeTrace:
 
     Deterministic given the config (including seed). The filter is given the
     control period, so it enforces the sampled-data rows as well. A
-    NonFiniteCommand from the controller, a SingularGradient or
-    StructurallyInfeasible raised by the filter, or a NonFiniteState from an
-    integration that overflows aborts the episode; the partial trace (the
-    steps before it) is returned flagged aborted rather than discarded, with
-    the error in abort_reason.
+    NonFiniteCommand from the controller, a SingularGradient,
+    StructurallyInfeasible or NonFiniteRow raised by the filter, or a
+    NonFiniteState from an integration that overflows aborts the episode;
+    the partial trace (the steps before it) is returned flagged aborted
+    rather than discarded, with the error in abort_reason.
     """
     model = config.model
     controller = config.controller
@@ -326,7 +327,7 @@ def run_episode(config: ScenarioConfig, record: bool = True) -> EpisodeTrace:
                 step_status = unfiltered_code
                 step_solve = 0.0
                 step_dev = 0.0
-        except (NonFiniteCommand, SingularGradient, StructurallyInfeasible) as exc:
+        except (NonFiniteCommand, SingularGradient, StructurallyInfeasible, NonFiniteRow) as exc:
             abort = exc
             break
 

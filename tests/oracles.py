@@ -271,12 +271,10 @@ def least_max_violation(qp, rows_a, rows_b, lo, hi):
 
 def feas_tol(qp):
     """The scaled feasibility tolerance: _FEAS_TOL * (1 + the largest |b| or
-    |box bound| + the sum of |u_des|). The largest is taken as max() takes
-    it over the |b| in row order, then the box bounds: a NaN first value
-    stays the maximum."""
+    |box bound| + the sum of |u_des|)."""
     rows = qp.rows
     box = qp.box
-    top = abs(rows[0][-1] if rows else box[0][0])
+    top = abs(box[0][0])
     for row in rows:
         v = abs(row[-1])
         if v > top:

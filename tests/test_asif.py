@@ -14,6 +14,9 @@ from asifkit import (
     PASSTHROUGH,
     ControlInput,
     FilterResult,
+    InvalidConfig,
+    NonFiniteCommand,
+    NonFiniteRow,
     PlantState,
     QpProblem,
     StructurallyInfeasible,
@@ -226,37 +229,85 @@ def test_rows_whose_squared_norms_overflow_solve_as_scaled_down(rows_a, rows_b):
 
 
 def test_violated_rows_without_a_distance_leave_stage_1_no_projection():
-    """A row with an infinite entry that u_des violates by inf has a NaN
-    squared distance (inf / inf), so stage 1 cannot rank it. With no other
-    violated constraint there is no projection to try and the solve ends in
-    the fallback. In the first problem that is the corner (-1, -1). In the
-    second, the projection onto the top box face, (u0, 1), meets every row,
-    but no ranked constraint gives it, so it is not returned (with the last
-    row, slack there, named as active)."""
-    inf = float("inf")
+    """The row 1e154 * u0 >= 1e-10 is violated at u_des = (0, 0) by more
+    than feas_tol, but its squared distance, 1e-20 / 1e308, underflows to
+    zero, so stage 1 cannot rank it. With no other violated constraint there
+    is no projection to try and the solve ends in the fallback, at (1, 0).
+    Rows with an infinite entry, whose distances are NaN, raise before it."""
     box = ((-1.0, 1.0), (-1.0, 1.0))
+    qp = QpProblem((0.0, 0.0), ((1e154, 0.0, 1e-10),), ("r0",), box)
+    assert asif._solve_plane(qp, asif._feas_tol(qp)) is None
+    assert solve_qp(qp) == ((1.0, 0.0), (0,), INFEASIBLE_FALLBACK)
+    inf = float("inf")
     rows = ((1.4400167254152394, -inf, -0.17774654927545933), (-1.4400167254152394, -0.0, -0.35962177380234306))
-    qp = QpProblem((-0.3200678697410273, 0.35018383322100277), rows, ("r0", "r1"), box)
-    assert asif._solve_plane(qp, asif._feas_tol(qp)) is None
-    assert solve_qp(qp) == ((-1.0, -1.0), (1,), INFEASIBLE_FALLBACK)
+    with pytest.raises(NonFiniteRow) as err:
+        solve_qp(QpProblem((-0.3200678697410273, 0.35018383322100277), rows, ("r0", "r1"), box))
+    assert err.value.constraint_id == "r0"
     rows = ((0.0, 0.7, -1.4), (0.1, inf, -0.2), (0.9, 1.2, -1.0), (2.1, 0.0, -0.2))
-    qp = QpProblem((0.7191385815769427, -0.864028746677254), rows, ("r0", "r1", "r2", "r3"), box)
-    assert asif._solve_plane(qp, asif._feas_tol(qp)) is None
-    assert solve_qp(qp)[2] == INFEASIBLE_FALLBACK
+    with pytest.raises(NonFiniteRow) as err:
+        solve_qp(QpProblem((0.7191385815769427, -0.864028746677254), rows, ("r0", "r1", "r2", "r3"), box))
+    assert err.value.constraint_id == "r1"
 
 
-def test_stage_1_takes_the_largest_violation_at_the_projection_as_max_does():
-    """u_des = (-0.5, 0.25) violates u0 >= 0 and projects onto (0, 0.25),
-    where the row inf * u0 >= 0 evaluates to NaN (inf * 0). As max() takes
-    the largest violation, a NaN first one stays the maximum and rejects the
-    projection, so the solve ends in the fallback; the same row second is
-    passed over and the projection is the modified point."""
-    inf = float("inf")
+def test_a_non_finite_row_raises_in_either_order():
+    """A row with a NaN or infinite entry raises NonFiniteRow naming its
+    constraint, wherever it stands, so its place cannot decide the result:
+    the rows (NaN, 0, 0) and (1, 0, 0.5) at u_des = (0, 0) must not pass
+    (0, 0), which violates the second row, and the row inf * u0 >= 0, NaN
+    at the projection (0, 0.25) of u_des = (-0.5, 0.25), must not reject it
+    in one order and accept it in the other."""
+    nan, inf = math.nan, math.inf
     box = ((-1.0, 1.0), (-1.0, 1.0))
-    qp = QpProblem((-0.5, 0.25), ((inf, 0.0, 0.0), (1.0, 0.0, 0.0)), ("r0", "r1"), box)
-    assert solve_qp(qp) == ((1.0, 0.25), (1,), INFEASIBLE_FALLBACK)
-    qp = QpProblem((-0.5, 0.25), ((1.0, 0.0, 0.0), (inf, 0.0, 0.0)), ("r0", "r1"), box)
-    assert solve_qp(qp) == ((0.0, 0.25), (0,), MODIFIED)
+    for u_des, bad, good in [((0.0, 0.0), (nan, 0.0, 0.0), (1.0, 0.0, 0.5)), ((-0.5, 0.25), (inf, 0.0, 0.0), (1.0, 0.0, 0.0))]:
+        for rows, ids in [((bad, good), ("bad", "good")), ((good, bad), ("good", "bad"))]:
+            with pytest.raises(NonFiniteRow) as err:
+                solve_qp(QpProblem(u_des, rows, ids, box))
+            assert err.value.constraint_id == "bad"
+    # one axis
+    for rows in [((nan, 0.0), (1.0, 0.5)), ((1.0, 0.5), (1.0, -inf))]:
+        with pytest.raises(NonFiniteRow):
+            solve_qp(QpProblem((0.0,), rows, ("r0", "r1"), ((-1.0, 1.0),)))
+
+
+@pytest.mark.parametrize(
+    "u_des, box",
+    [
+        ((math.nan,), ((-1.0, 1.0),)),
+        ((math.inf,), ((-1.0, 1.0),)),
+        ((0.0, math.nan), ((-1.0, 1.0), (-1.0, 1.0))),
+        ((-math.inf, 0.0), ((-math.inf, 1.0), (-1.0, 1.0))),
+        ((0.0,), ((-1.0, math.inf),)),
+        ((0.0, 0.0), ((-1.0, 1.0), (math.nan, 1.0))),
+        ((0.0, 0.0), ((-1.0, 1.0), (-1.0, math.inf))),
+    ],
+)
+def test_a_non_finite_command_or_box_raises(u_des, box):
+    """u_des and the box are checked as the rows are, with no row to price
+    and with one that u_des meets: a NaN or infinite command entry raises
+    NonFiniteCommand, a NaN or infinite bound InvalidConfig."""
+    error = NonFiniteCommand if not all(map(math.isfinite, u_des)) else InvalidConfig
+    d = len(u_des)
+    for rows in [(), ((*[0.0] * (d - 1), 1.0, -5.0),)]:
+        with pytest.raises(error):
+            solve_qp(QpProblem(u_des, rows, ("r0",)[: len(rows)], box))
+
+
+def test_an_overflowed_slack_is_not_a_non_finite_entry():
+    """The finite row 1e300 * u0 >= 0 in the box [-1e10, 1e10]^2 has a clamp
+    slack that overflows: -inf at u_des = (1e10, 0), where the row is met,
+    and +inf at (-1e10, 0), where it is violated. Neither raises. A slack
+    that overflows to NaN (inf - inf, at (1e10, -1e10) for the row (1e300,
+    1e300, 0)) counts as met, and does not hide the rows after it."""
+    big = ((-1e10, 1e10), (-1e10, 1e10))
+    row, other = (1e300, 0.0, 0.0), (0.0, 1.0, 2.0)
+    assert solve_qp(QpProblem((1e10, 0.0), (row,), ("r0",), big)) == ((1e10, 0.0), (), PASSTHROUGH)
+    assert solve_qp(QpProblem((1e10, 0.0), (row, other), ("r0", "r1"), big)) == ((1e10, 2.0), (1,), MODIFIED)
+    assert solve_qp(QpProblem((-1e10, 0.0), (row,), ("r0",), big)) == ((0.0, 0.0), (0,), MODIFIED)
+    assert solve_qp(QpProblem((-1e10, 0.0), (other, row), ("r0", "r1"), big)) == ((0.0, 2.0), (0, 1), MODIFIED)
+    assert solve_qp(QpProblem((-1e10, 3.0), (other, row), ("r0", "r1"), big)) == ((0.0, 3.0), (1,), MODIFIED)
+    nan_slack, met = (1e300, 1e300, 0.0), (0.0, 1.0, 0.5)
+    for rows, active in [((nan_slack, met), (1,)), ((met, nan_slack), (0,))]:
+        assert solve_qp(QpProblem((1e10, -1e10), rows, ("r0", "r1"), big)) == ((1e10, 0.5), active, MODIFIED)
 
 
 @pytest.mark.parametrize("a, b", [(1e-13, 5e-14), (5e-324, 5e-324), (1.0, 1e-13)])
@@ -444,10 +495,10 @@ def _bits(x):
     return struct.pack("<d", x)
 
 
-def _nonfinite_rows(d):
-    """Problems whose rows hold a non-finite or huge entry, NaN first
-    among them: a NaN first |b| stays the largest."""
-    for seed, value in enumerate([math.nan, math.inf, -math.inf, 1e300, -1e200, math.nan] * 20):
+def _huge_rows(d):
+    """Problems whose rows hold a huge entry, in the first row's b for
+    every third."""
+    for seed, value in enumerate([1e300, -1e200, 1.7e308, -1e308] * 30):
         qp = random_problem(np.random.default_rng(seed), d)
         rows = [list(row) for row in qp.rows]
         rows[seed % len(rows)][seed % (d + 1)] = value
@@ -458,17 +509,11 @@ def _nonfinite_rows(d):
 @pytest.mark.parametrize("d", [1, 2])
 def test_feas_tol_matches_the_generic_loop(d):
     problems = [random_problem(np.random.default_rng(seed), d) for seed in range(400)]
-    problems += list(_nonfinite_rows(d))
+    problems += list(_huge_rows(d))
     problems += [qp._replace(rows=(), row_ids=()) for qp in problems[:20]]
-    problems.append(QpProblem((math.nan,) * d, ((*[1.0] * d, math.nan),), ("r0",), ((-math.inf, 2.0),) * d))
-    nan_first = 0
+    problems.append(QpProblem((1e308,) * d, ((*[1.0] * d, -1e308),), ("r0",), ((-1e308, 2.0),) * d))
     for qp in problems:
         assert _bits(asif._feas_tol(qp)) == _bits(oracles.feas_tol(qp)), qp
-        nan_first += bool(qp.rows) and math.isnan(qp.rows[0][-1])
-    assert nan_first >= 20
-    nan_first_qp = random_problem(np.random.default_rng(0), d)
-    nan_first_qp = nan_first_qp._replace(rows=((*[1.0] * d, math.nan), (*[1.0] * d, 5.0)), row_ids=("r0", "r1"))
-    assert math.isnan(asif._feas_tol(nan_first_qp))
 
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.5, 1e308, -1e308, math.inf, -math.inf, math.nan]

@@ -2,13 +2,14 @@
 
 import importlib.util
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from asifkit import ParseError, ScenarioConfig, read_trace, run_episode, write_trace
+from asifkit import ParseError, QpProblem, ScenarioConfig, read_trace, run_episode, solve_qp, write_trace
 from tests.conftest import scenario_1d
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +36,26 @@ def test_compare_counts_digests_and_the_largest_command_difference():
     # commands of another shape (an episode that aborted earlier) have no difference
     assert compare(ours, [("a", [0.0], 0), *theirs[1:]])["max_u_diff"] is None
     assert compare(ours, ours[:2]) == {"equal": 2, "different": 1, "max_u_diff": 0.0, "fallbacks": [4, 1]}
+
+
+def test_a_solve_set_digests_an_error_raised_on_one_side():
+    """A solve set's item whose problem raises is digested by the error's
+    type and message, with no command, so the run goes on. Against a side
+    where that problem solves, the item counts as different, the largest
+    command difference is null (the commands differ in shape), and only the
+    solving side counts its fallback."""
+    tool = _tool()
+    box = ((-1.0, 1.0), (-1.0, 1.0))
+    solved = QpProblem((0.0, 0.0), ((1.0, 0.0, 0.5),), ("r0",), box)
+    raising = QpProblem((0.0, 0.0), ((float("nan"), 0.0, 0.0), (1.0, 0.0, 0.5)), ("r0", "r1"), box)
+    ours = tool._solve_items([solved, raising])
+    message = "row 0 (nan, 0.0, 0.0) of constraint 'r0' is not finite"
+    assert ours[1] == (tool._digest("NonFiniteRow", message), [], 0)
+    u, active, status = solve_qp(solved)
+    assert ours[0] == (tool._digest(status, struct.pack("=2d", *u), active), [0.5, 0.0], 0)
+    # the other side, where the second problem ends in the fallback
+    theirs = [ours[0], (tool._digest("infeasible_fallback", struct.pack("=2d", 1.0, 0.0), (1,)), [1.0, 0.0], 1)]
+    assert tool.compare(ours, theirs) == {"equal": 1, "different": 1, "max_u_diff": None, "fallbacks": [0, 1]}
 
 
 def test_trace_edits_give_the_outcomes_they_name(tmp_path):

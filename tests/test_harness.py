@@ -749,9 +749,9 @@ def test_every_config_that_loads_runs(drawn, tmp_path_factory):
 @pytest.mark.parametrize(
     "cfg",
     [
-        scenario_1d(duration=0.5, initial_state=(-1e308, -1e308)),
-        scenario_1d(duration=0.5, disturbance_bound=1e308),
-        scenario_2d(duration=0.5, initial_state=(1e308, 1e308, 1e308, 1e308)),
+        scenario_1d(rta_enabled=False, duration=0.5, initial_state=(-1e308, -1e308)),
+        scenario_1d(rta_enabled=False, duration=0.5, disturbance_bound=1e308),
+        scenario_2d(rta_enabled=False, duration=0.5, initial_state=(1e308, 1e308, 1e308, 1e308)),
     ],
     ids=["state", "disturbance", "state_2d"],
 )
@@ -759,11 +759,39 @@ def test_overflowing_integration_is_a_counted_abort(cfg):
     """A config that loads but whose integration overflows (a state near the
     float range, a disturbance bound of 1e308) ends each episode as a
     flagged NonFiniteState abort, with the steps before it kept; nothing
-    raises out of run_episode, and run_batch counts every abort."""
+    raises out of run_episode, and run_batch counts every abort. The filter
+    is off: under it these states abort earlier, on a non-finite row (see
+    test_a_non_finite_row_is_a_counted_abort)."""
     config = ScenarioConfig.from_dict(cfg)
     trace = run_episode(config)
     assert trace.aborted and trace.abort_reason.startswith("NonFiniteState: non-finite state entries")
     assert 0 < trace.n_steps < config.n_steps
+    assert np.all(np.isfinite(trace.states)) and np.all(np.isfinite(trace.final_state))
+    assert run_batch(config, episodes=3, seed_base=0)["aborted_episodes"] == 3
+
+
+@pytest.mark.parametrize(
+    "cfg, constraint_id, steps",
+    [
+        (scenario_1d(duration=0.5, initial_state=(-1e308, -1e308)), "fence", 0),
+        (scenario_2d(duration=0.5, initial_state=(1e308, 1e308, 1e308, 1e308)), "circle", 0),
+        (scenario_1d(duration=0.5, initial_state=(0.0, -1e200)), "fence", 0),
+        (scenario_1d(duration=0.5, disturbance_bound=1e308), "fence", 1),
+        (scenario_1d(duration=0.5, disturbance_bound=1e156), "fence", 10),
+        (scenario_2d(duration=0.5, disturbance_bound=1e156), "circle", 19),
+    ],
+    ids=["state", "state_2d", "speed", "disturbance", "disturbance_1e156", "disturbance_1e156_2d"],
+)
+def test_a_non_finite_row_is_a_counted_abort(cfg, constraint_id, steps):
+    """A state whose barrier row has a NaN or infinite entry (a speed whose
+    square overflows) ends the episode as a flagged NonFiniteRow abort that
+    names the constraint, with the steps before it kept; nothing raises out
+    of run_episode, and run_batch counts every abort."""
+    config = ScenarioConfig.from_dict(cfg)
+    trace = run_episode(config)
+    assert trace.aborted and trace.abort_reason.startswith("NonFiniteRow: row ")
+    assert f"of constraint '{constraint_id}' is not finite" in trace.abort_reason
+    assert trace.n_steps == steps
     assert np.all(np.isfinite(trace.states)) and np.all(np.isfinite(trace.final_state))
     assert run_batch(config, episodes=3, seed_base=0)["aborted_episodes"] == 3
 

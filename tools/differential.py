@@ -66,6 +66,9 @@ Sets:
                      seeds and Generators, and adversarial, PD and NN
                      controllers
 
+The solve sets, random_1d to nonfinite, digest an error that solve_qp
+raises by its type and message, with no command.
+
 --size K shrinks each workload to K items per seed (its benchmark size
 argument); --random N sets the number of random problems per axis count,
 of barrier cases per constraint kind and of plant cases per function. The exit status is 0 whether or
@@ -351,14 +354,20 @@ def _trace_errors(workdir, size, random_count):
 
 
 def _solve_items(problems):
+    """solve_qp's status, command bits and active rows for each problem, or
+    the error it raised by type and message."""
     import numpy as np
 
-    from asifkit import solve_qp
+    from asifkit import AsifKitError, solve_qp
 
     items = []
     for qp in problems:
-        u, active, status = solve_qp(qp)
-        items.append((_digest(status, np.array(u, dtype=float).tobytes(), active), list(u), int(status == FALLBACK)))
+        try:
+            u, active, status = solve_qp(qp)
+        except AsifKitError as exc:
+            items.append((_digest(type(exc).__name__, str(exc)), [], 0))
+        else:
+            items.append((_digest(status, np.array(u, dtype=float).tobytes(), active), list(u), int(status == FALLBACK)))
     return items
 
 
