@@ -8,24 +8,29 @@ closed-form state transition exactly (up to float rounding).
 A step's values are Python floats: PlantState holds its coordinates as the
 tuple xs and ControlInput its command as us, and their x and u arrays are
 built only when read. sample_disturbance returns a tuple, and step_rk4 reads
-and returns tuples, so a closed-loop step builds no array except the
-disturbance draw (and an MLP controller's). The per-step arithmetic (RK4,
-the disturbance norm and scaling, and the barrier rows built on these
-models' g = (0; I) and f = (velocities, 0)) runs in a fixed order, so its
-bits do not depend on the machine's BLAS. RK4's stages and the
-disturbance's norm and scaling are written out for one axis and for two,
-in the order of the per-axis loops they replace, so their bits are those
-loops'. In a closed-loop step only an MLP controller's matrix products
-still round through BLAS.
+and returns tuples, so a closed-loop step builds no array (an MLP
+controller's aside). An episode's disturbances come from one
+disturbance_stream, which draws its directions and magnitudes in blocks of
+up to DISTURBANCE_BLOCK steps from two seeded child streams and scales each
+block in one elementwise pass. The per-step arithmetic (RK4, the
+disturbance norm and scaling, and the barrier rows built on these models'
+g = (0; I) and f = (velocities, 0)) runs in a fixed order, so its bits do
+not depend on the machine's BLAS. RK4's stages are written out for one axis
+and for two, in the order of the per-axis loop they replace, and the
+block scaling keeps the per-draw loop's operation order, so their bits are
+those loops'. In a closed-loop step only an MLP controller's matrix
+products still round through BLAS.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import InitVar, dataclass, field
+from types import GeneratorType
 
 import numpy as np
-from numpy.random import Generator, default_rng
+from numpy.random import Generator, SeedSequence, default_rng
 
 from .errors import InvalidConfig, InvalidDisturbance, InvalidState, NonFiniteState
 
@@ -36,6 +41,9 @@ _MODEL_DIMS = {
     DOUBLE_INTEGRATOR_1D: (2, 1),
     DOUBLE_INTEGRATOR_2D: (4, 2),
 }
+
+# the most steps of an episode's disturbance that one block draws
+DISTURBANCE_BLOCK = 1024
 
 
 @dataclass(frozen=True, init=False)
@@ -279,34 +287,65 @@ def step_rk4(model: PlantModel, state: PlantState, u: ControlInput, w, dt: float
     return PlantState._trusted((y0, y1, y2, y3), state.t + dt)
 
 
+def _scaled(bound: float, directions: np.ndarray, uniforms: np.ndarray) -> Iterator[tuple[float, ...]]:
+    """The disturbances of k draws, directions a (k, state_dim) array of
+    standard normals and uniforms k draws from [0, 1), as an iterator over
+    k tuples of Python floats, each built as it is read, so a block holds
+    no tuple per row for the cyclic collector to count. Each row's squared
+    norm is summed from 0.0 in axis order, and its coordinates are scaled
+    by magnitude / norm with magnitude = bound * uniform: elementwise, in
+    the per-draw loop's order, so each row's bits are that loop's. A zero
+    direction gives zeros, and where the scale overflows (a huge bound over
+    a tiny norm) the direction is normalised first."""
+    with np.errstate(all="ignore"):  # overflows and 0 / 0 as in float arithmetic
+        magnitude = bound * uniforms
+        square = 0.0 + directions[:, 0] * directions[:, 0]
+        for j in range(1, directions.shape[1]):
+            square = square + directions[:, j] * directions[:, j]
+        norm = np.sqrt(square)
+        scale = magnitude / norm
+        w = directions * scale[:, None]
+        huge = scale == math.inf
+        if huge.any():
+            w[huge] = directions[huge] / norm[huge, None] * magnitude[huge, None]
+    w[norm == 0.0] = 0.0
+    return zip(*w.T.tolist())
+
+
+def disturbance_stream(model: PlantModel, seed: int, n_steps: int) -> Iterator[tuple[float, ...]]:
+    """An episode's disturbances, one per step for at most n_steps steps,
+    for sample_disturbance to read in order. SeedSequence(seed) spawns two
+    child streams, the first for the directions and the second for the
+    magnitudes, and each block of up to DISTURBANCE_BLOCK steps draws
+    standard_normal((k, state_dim)) from the one and random(k) from the
+    other. The blocks never reach past n_steps, and since a numpy block
+    draw equals the same draws made one by one, the disturbances do not
+    depend on the block size. Nothing is drawn, and no generator built,
+    before the first disturbance is read."""
+    children = SeedSequence(seed).spawn(2)
+    direction_rng, magnitude_rng = default_rng(children[0]), default_rng(children[1])
+    left = n_steps
+    while left > 0:
+        k = min(left, DISTURBANCE_BLOCK)
+        left -= k
+        directions = direction_rng.standard_normal((k, model.state_dim))
+        yield from _scaled(model.disturbance_bound, directions, magnitude_rng.random(k))
+
+
 def sample_disturbance(model: PlantModel, rng) -> tuple[float, ...]:
     """Draw a disturbance with uniform direction and magnitude uniform in
     [0, disturbance_bound], as a tuple of state_dim Python floats.
-    Deterministic given an integer seed; also accepts a numpy Generator so a
-    caller can own the stream. The direction is one standard_normal draw;
-    its squared norm is summed from 0.0 in axis order, and each coordinate
-    is scaled by magnitude / norm, which rounds as numpy's elementwise
-    product does. Both are written out per state size.
+
+    rng is a disturbance_stream, whose next disturbance is returned, or an
+    integer seed or a numpy Generator, from which one standard_normal
+    direction and then one random() magnitude are drawn and scaled as a
+    block of one. A zero bound gives zeros without reading rng.
     """
     if model.disturbance_bound == 0.0:
         return (0.0,) * model.state_dim
+    if type(rng) is GeneratorType:
+        return next(rng)
     gen = rng if isinstance(rng, Generator) else default_rng(rng)
-    direction = gen.standard_normal(model.state_dim).tolist()
-    magnitude = model.disturbance_bound * gen.random()  # the draw gen.uniform(0, bound) makes
-    if model.state_dim == 2:
-        c0, c1 = direction
-        norm = math.sqrt(0.0 + c0 * c0 + c1 * c1)
-        if norm == 0.0:
-            return (0.0, 0.0)
-        scale = magnitude / norm
-        if scale == math.inf:  # a huge bound over a tiny norm: normalise the direction first
-            return (c0 / norm * magnitude, c1 / norm * magnitude)
-        return (c0 * scale, c1 * scale)
-    c0, c1, c2, c3 = direction
-    norm = math.sqrt(0.0 + c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3)
-    if norm == 0.0:
-        return (0.0, 0.0, 0.0, 0.0)
-    scale = magnitude / norm
-    if scale == math.inf:
-        return (c0 / norm * magnitude, c1 / norm * magnitude, c2 / norm * magnitude, c3 / norm * magnitude)
-    return (c0 * scale, c1 * scale, c2 * scale, c3 * scale)
+    direction = gen.standard_normal(model.state_dim)
+    magnitude = gen.random()
+    return next(_scaled(model.disturbance_bound, direction.reshape(1, -1), np.array([magnitude])))

@@ -9,9 +9,11 @@ their per-step fields round-trip losslessly.
 
 The loop carries the state, the commands and the disturbance as tuples of
 Python floats (PlantState.xs, ControlInput.us, sample_disturbance's tuple),
-so a step builds no array beyond the disturbance draw and an MLP
-controller's. The recorder keeps each step's floats in one flat list, which
-the trace builder slices into arrays once the episode ends.
+so a step builds no array beyond an MLP controller's. Each episode reads its
+disturbances from one dynamics.disturbance_stream seeded with the config's
+seed, which draws them in blocks. The recorder keeps each step's floats in
+one flat list, which the trace builder slices into arrays once the episode
+ends.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, repeat
 from typing import NoReturn
 
 import numpy as np
@@ -41,7 +44,7 @@ from .controllers import (
     controller_from_config,
     desired_control,
 )
-from .dynamics import PlantModel, PlantState, sample_disturbance, step_rk4
+from .dynamics import PlantModel, PlantState, disturbance_stream, sample_disturbance, step_rk4
 from .errors import (
     EmptyTrace,
     InvalidConfig,
@@ -289,7 +292,9 @@ def _mode_at(schedule, t: float) -> bool:
 def run_episode(config: ScenarioConfig, record: bool = True) -> EpisodeTrace:
     """Run one closed-loop episode.
 
-    Deterministic given the config (including seed). The filter is given the
+    Deterministic given the config (including seed): the disturbances come
+    from disturbance_stream(model, seed, n_steps), one per step, and the
+    stream draws nothing when the bound is 0. The filter is given the
     control period, so it enforces the sampled-data rows as well. A
     NonFiniteCommand from the controller, a SingularGradient,
     StructurallyInfeasible or NonFiniteRow raised by the filter, or a
@@ -308,7 +313,7 @@ def run_episode(config: ScenarioConfig, record: bool = True) -> EpisodeTrace:
     # per-step records, numeric holding the float cells in _trace_layout's order
     numeric, status_rec, solve_rec, deviation_rec = [], [], [], []
 
-    rng = np.random.default_rng(config.seed)
+    disturbances = disturbance_stream(model, config.seed, n)
     state = PlantState(config.initial_state, 0.0)
     abort = None
 
@@ -339,7 +344,7 @@ def run_episode(config: ScenarioConfig, record: bool = True) -> EpisodeTrace:
             solve_rec.append(step_solve)
             deviation_rec.append(step_dev)
 
-        w = sample_disturbance(model, rng)
+        w = sample_disturbance(model, disturbances)
         try:
             state = step_rk4(model, state, u_out, w, dt)
         except NonFiniteState as exc:
@@ -458,29 +463,32 @@ def _deviations(u_out: np.ndarray, u_des: np.ndarray) -> np.ndarray:
         return np.sqrt(total)
 
 
-def _parse_columns(split: list[list[str]], width: int):
-    """The data rows' float columns (a (cells, n) array), status codes and
-    solve times, each column parsed in one pass; None when a row has the
+def _parse_columns(lines: list[str], width: int):
+    """The data lines' float columns (a (cells, n) array), status codes and
+    solve times, each column parsed in one pass; None when a line has the
     wrong width, a bad cell, or an intervened cell that disagrees with its
-    status."""
-    if set(map(len, split)) != {width}:
+    status. The lines are joined and split once, so the cells make one list
+    rather than one per line."""
+    if set(map(str.count, lines, repeat(","))) != {width - 1}:
         return None
-    *numeric, flags, names, solves = zip(*split)
+    cells = ",".join(lines).split(",")
+    n, n_num = len(lines), width - len(_TEXT_COLUMNS)
     try:
-        cells = map(float, chain.from_iterable(numeric))
-        columns = np.fromiter(cells, float, len(numeric) * len(split)).reshape(len(numeric), len(split))
-        codes = list(map(_STATUS_CODES.__getitem__, names))
-        agree = list(map(_FLAGS.__getitem__, flags)) == list(map(_INTERVENES.__getitem__, codes))
-        solve_time = list(map(float, solves))
+        floats = map(float, chain.from_iterable(cells[j::width] for j in range(n_num)))
+        columns = np.fromiter(floats, float, n_num * n).reshape(n_num, n)
+        codes = list(map(_STATUS_CODES.__getitem__, cells[n_num + 1::width]))
+        agree = list(map(_FLAGS.__getitem__, cells[n_num::width])) == list(map(_INTERVENES.__getitem__, codes))
+        solve_time = list(map(float, cells[n_num + 2::width]))
     except (ValueError, KeyError):
         return None
     return (columns, codes, solve_time) if agree else None
 
 
-def _raise_bad_row(rows: list[tuple[int, str]], width: int) -> NoReturn:
-    """Raise the ParseError of the first bad data row, checking each row in
-    turn: its width, then its cells in column order, then whether intervened
-    agrees with the status. Called only once _parse_columns has failed."""
+def _raise_bad_row(rows: Iterable[tuple[int, str]], width: int) -> NoReturn:
+    """Raise the ParseError of the first bad data row, rows giving each
+    row's line number and text, checking each row in turn: its width, then
+    its cells in column order, then whether intervened agrees with the
+    status. Called only once _parse_columns has failed."""
     n_num = width - len(_TEXT_COLUMNS)
     for lineno, line in rows:
         cells = line.split(",")
@@ -514,9 +522,12 @@ def read_trace(path) -> EpisodeTrace:
     the first such row's line, and so does a '# config_hash:' line that
     disagrees with the embedded config's hash.
 
-    The data rows are parsed by column: each float column in one pass of
-    float(), the deviations on arrays. Only a file with a bad row is
-    scanned again, row by row, to name the first bad one."""
+    The data rows are parsed by column: their lines are joined and split
+    once, each float column is parsed in one pass of float(), and the
+    deviations are computed on arrays. No row gets a list or tuple of its
+    own, so however long the file, a read does not set off a cyclic
+    collection by itself. Only a file with a bad row is scanned again, row
+    by row, to name the first bad one."""
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = fh.read().splitlines()
 
@@ -527,7 +538,7 @@ def read_trace(path) -> EpisodeTrace:
     abort_reason = ""
     header = None
     header_line = 0
-    rows = []
+    linenos, lines = [], []  # each data row's line number and text
     for lineno, line in enumerate(raw_lines, start=1):
         if not line.strip():
             continue
@@ -549,7 +560,8 @@ def read_trace(path) -> EpisodeTrace:
             header = line
             header_line = lineno
             continue
-        rows.append((lineno, line))
+        linenos.append(lineno)
+        lines.append(line)
 
     if config is None:
         raise ParseError("missing '# config:' preamble", line=1)
@@ -570,10 +582,10 @@ def read_trace(path) -> EpisodeTrace:
 
     layout = _trace_layout(config.model, constraint_ids)
     width = len(expected_cols)
-    if rows:
-        parsed = _parse_columns([line.split(",") for _, line in rows], width)
+    if lines:
+        parsed = _parse_columns(lines, width)
         if parsed is None:
-            _raise_bad_row(rows, width)
+            _raise_bad_row(zip(linenos, lines), width)
         columns, status, solve_time = parsed
         deviation = _deviations(columns[layout["u_out"][0]], columns[layout["u_des"][0]])
         final_state, final_t = columns[layout["states"][0], -1].copy(), float(columns[0, -1])

@@ -30,20 +30,30 @@ def _tool():
 def test_compare_counts_digests_and_the_largest_command_difference():
     compare = _tool().compare
     ours = [("a", [0.0, 1.0], 0), ("b", [0.5], 1), ("c", [2.0], 3)]
-    assert compare(ours, ours) == {"equal": 3, "different": 0, "max_u_diff": 0.0, "fallbacks": [4, 4]}
+    assert compare(ours, ours) == {"equal": 3, "different": 0, "max_u_diff": 0.0, "shape_mismatches": 0, "fallbacks": [4, 4]}
     theirs = [("a", [0.0, 1.0], 0), ("x", [0.25], 0), ("c", [2.0], 3)]
-    assert compare(ours, theirs) == {"equal": 2, "different": 1, "max_u_diff": 0.25, "fallbacks": [4, 3]}
-    # commands of another shape (an episode that aborted earlier) have no difference
-    assert compare(ours, [("a", [0.0], 0), *theirs[1:]])["max_u_diff"] is None
-    assert compare(ours, ours[:2]) == {"equal": 2, "different": 1, "max_u_diff": 0.0, "fallbacks": [4, 1]}
+    assert compare(ours, theirs) == {"equal": 2, "different": 1, "max_u_diff": 0.25, "shape_mismatches": 0, "fallbacks": [4, 3]}
+    assert compare(ours, ours[:2]) == {"equal": 2, "different": 1, "max_u_diff": 0.0, "shape_mismatches": 0, "fallbacks": [4, 1]}
+
+
+def test_compare_counts_shape_mismatches_apart_from_the_largest_difference():
+    """Items whose commands differ in shape (an episode that aborted at
+    another step, a solve that raised on one side) are counted apart; the
+    largest command difference is taken over the other items, and is null
+    only when no item's commands have the same shape."""
+    compare = _tool().compare
+    ours = [("a", [0.0, 1.0], 0), ("b", [0.5], 1), ("c", [2.0], 3)]
+    theirs = [("x", [0.0], 0), ("y", [0.25], 0), ("c", [2.0], 3)]
+    assert compare(ours, theirs) == {"equal": 1, "different": 2, "max_u_diff": 0.25, "shape_mismatches": 1, "fallbacks": [4, 3]}
+    assert compare(ours[:1], theirs[:1]) == {"equal": 0, "different": 1, "max_u_diff": None, "shape_mismatches": 1, "fallbacks": [0, 0]}
 
 
 def test_a_solve_set_digests_an_error_raised_on_one_side():
     """A solve set's item whose problem raises is digested by the error's
     type and message, with no command, so the run goes on. Against a side
-    where that problem solves, the item counts as different, the largest
-    command difference is null (the commands differ in shape), and only the
-    solving side counts its fallback."""
+    where that problem solves, the item counts as different and as a shape
+    mismatch, the largest command difference is taken over the other item,
+    and only the solving side counts its fallback."""
     tool = _tool()
     box = ((-1.0, 1.0), (-1.0, 1.0))
     solved = QpProblem((0.0, 0.0), ((1.0, 0.0, 0.5),), ("r0",), box)
@@ -55,7 +65,7 @@ def test_a_solve_set_digests_an_error_raised_on_one_side():
     assert ours[0] == (tool._digest(status, struct.pack("=2d", *u), active), [0.5, 0.0], 0)
     # the other side, where the second problem ends in the fallback
     theirs = [ours[0], (tool._digest("infeasible_fallback", struct.pack("=2d", 1.0, 0.0), (1,)), [1.0, 0.0], 1)]
-    assert tool.compare(ours, theirs) == {"equal": 1, "different": 1, "max_u_diff": None, "fallbacks": [0, 1]}
+    assert tool.compare(ours, theirs) == {"equal": 1, "different": 1, "max_u_diff": 0.0, "shape_mismatches": 1, "fallbacks": [0, 1]}
 
 
 def test_trace_edits_give_the_outcomes_they_name(tmp_path):
@@ -126,5 +136,5 @@ def test_runs_against_head_on_tiny_sets():
         if line["set"] in ("filter_multirow", "random_1d", "random_2d", "margin_2d", "degenerate_2d", "nonfinite"):
             assert all(0 < count <= sets[line["set"]] for count in line["fallbacks"]), line
     if not _git("status", "--porcelain", "--", "src", "scenarios").stdout:
-        assert all(line["different"] == 0 and line["max_u_diff"] == 0.0 for line in lines), lines
+        assert all(line["different"] == 0 and line["max_u_diff"] == 0.0 and line["shape_mismatches"] == 0 for line in lines), lines
         assert all(line["fallbacks"][0] == line["fallbacks"][1] for line in lines), lines

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from numpy.random import PCG64, Generator, default_rng
+from numpy.random import PCG64, Generator, SeedSequence, default_rng
 
 from asifkit import (
     DOUBLE_INTEGRATOR_1D,
@@ -23,6 +23,7 @@ from asifkit import (
     PlantModel,
     PlantState,
     desired_control,
+    dynamics,
     sample_disturbance,
     step_rk4,
 )
@@ -353,9 +354,11 @@ class _ScriptedGenerator(Generator):
 
 @pytest.mark.parametrize("kind", [DOUBLE_INTEGRATOR_1D, DOUBLE_INTEGRATOR_2D])
 def test_sample_disturbance_matches_the_generic_loop(kind):
-    """The written-out norm and scaling give the loop's floats bit for bit,
-    from the same draws, for an int seed and for a Generator, also where
-    the scale overflows or the direction is zero."""
+    """The block scaling gives the loop's floats bit for bit, from the same
+    draws: for an int seed and for a Generator (blocks of one), for a
+    disturbance_stream against the loop on its two child streams drawn one
+    by one, and for one block of scripted draws, also where the scale
+    overflows or the direction is zero."""
     n = 2 if kind == DOUBLE_INTEGRATOR_1D else 4
     for bound in (0.0, 5e-324, 0.05, 1.0, 1e300, 1.7e308):
         model = PlantModel(kind, [[-1.0, 1.0]] * (n // 2), disturbance_bound=bound)
@@ -364,12 +367,21 @@ def test_sample_disturbance_matches_the_generic_loop(kind):
             assert _bits(sample_disturbance(model, ours)) == _bits(oracles.sample_disturbance(model, ref))
         for seed in range(30):
             assert _bits(sample_disturbance(model, seed)) == _bits(oracles.sample_disturbance(model, default_rng(seed)))
+        stream = dynamics.disturbance_stream(model, 11, 300)
+        direction_rng, magnitude_rng = map(default_rng, SeedSequence(11).spawn(2))
+        one_by_one = _ScriptedGenerator(
+            (direction_rng.standard_normal(n) for _ in range(300)), (magnitude_rng.random() for _ in range(300))
+        )
+        for _ in range(300):
+            assert _bits(sample_disturbance(model, stream)) == _bits(oracles.sample_disturbance(model, one_by_one))
     model = PlantModel(kind, [[-1.0, 1.0]] * (n // 2), disturbance_bound=1.7e308)
     directions = [[0.0, -0.0] * (n // 2), [5e-324] * n, [1e-160, -0.0] * (n // 2), [-1e-3] * n, [1e154] * n, [3.0, -4.0] * (n // 2)]
     uniforms = [0.0, 0.999, 1.0, 0.5, 1e-300, 0.25]
     got = [sample_disturbance(model, _ScriptedGenerator(directions[k:], uniforms[k:])) for k in range(len(directions))]
     want = [oracles.sample_disturbance(model, _ScriptedGenerator(directions[k:], uniforms[k:])) for k in range(len(directions))]
     assert [_bits(w) for w in got] == [_bits(w) for w in want]
+    block = dynamics._scaled(model.disturbance_bound, np.array(directions), np.array(uniforms))
+    assert [_bits(w) for w in block] == [_bits(w) for w in want]
     # a zero direction draws zeros; a tiny one over a huge magnitude is normalised first
     assert got[0] == (0.0,) * n
     assert all(map(math.isfinite, got[2] + got[3])) and any(got[2]) and any(got[3])

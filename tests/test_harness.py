@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -504,6 +505,72 @@ def test_episode_determinism_bytes(tmp_path):
     assert strip_solve_time(a) == strip_solve_time(b)
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        scenario_1d(duration=12.0, disturbance_bound=0.05, seed=5),
+        scenario_2d(duration=12.0, disturbance_bound=0.05, seed=5),
+        scenario_2d(duration=0.5, disturbance_bound=1e156),  # aborts on a non-finite row
+    ],
+    ids=["1d", "2d", "aborting"],
+)
+def test_traces_do_not_depend_on_the_disturbance_block(cfg, tmp_path, monkeypatch):
+    """An episode's trace is the same bytes whether its disturbance stream
+    draws blocks of 1, 7 or 1,024 steps, across a block boundary (1,200
+    steps) and in an episode that aborts."""
+    texts = []
+    for block in (1, 7, 1024):
+        monkeypatch.setattr(dynamics, "DISTURBANCE_BLOCK", block)
+        path = tmp_path / f"{block}.csv"
+        trace = run_episode(ScenarioConfig.from_dict(cfg))
+        write_trace(trace, path)
+        texts.append((strip_solve_time(path), trace.final_state.tobytes(), trace.final_t))
+    assert texts[0] == texts[1] == texts[2]
+    assert trace.aborted == (cfg["duration"] == 0.5)
+
+
+class _DrawLog:
+    """A Generator's stand-in that logs the size of each draw."""
+
+    def __init__(self, gen, log):
+        self._gen, self._log = gen, log
+
+    def standard_normal(self, size):
+        self._log.append(("standard_normal", size))
+        return self._gen.standard_normal(size)
+
+    def random(self, size):
+        self._log.append(("random", size))
+        return self._gen.random(size)
+
+
+def test_the_disturbance_stream_draws_no_more_than_its_steps(monkeypatch):
+    """A stream of n steps draws blocks of at most DISTURBANCE_BLOCK steps
+    that add up to n, and none before its first disturbance is read. A
+    20-step episode draws its 20 disturbances in one block, an episode that
+    aborts early draws no more, and a zero-bound episode builds no
+    generator at all."""
+    log = []
+    monkeypatch.setattr(dynamics, "default_rng", lambda seed: _DrawLog(np.random.default_rng(seed), log))
+    model = ScenarioConfig.from_dict(scenario_2d(disturbance_bound=0.05)).model
+    monkeypatch.setattr(dynamics, "DISTURBANCE_BLOCK", 7)
+    for n, blocks in ((0, []), (1, [1]), (7, [7]), (20, [7, 7, 6])):
+        stream = dynamics.disturbance_stream(model, 3, n)
+        assert log == []
+        assert len(list(stream)) == n
+        assert log == [draw for k in blocks for draw in (("standard_normal", (k, 4)), ("random", k))], n
+        log.clear()
+    monkeypatch.setattr(dynamics, "DISTURBANCE_BLOCK", 1024)
+    run_episode(ScenarioConfig.from_dict(scenario_1d(duration=0.2, disturbance_bound=0.05)))
+    assert log == [("standard_normal", (20, 2)), ("random", 20)]
+    log.clear()
+    trace = run_episode(ScenarioConfig.from_dict(scenario_2d(duration=0.5, disturbance_bound=1e156)))
+    assert trace.aborted and log == [("standard_normal", (50, 4)), ("random", 50)]
+    monkeypatch.setattr(dynamics, "default_rng", lambda seed: pytest.fail("a generator was built"))
+    monkeypatch.setattr(dynamics, "SeedSequence", lambda seed: pytest.fail("a seed sequence was built"))
+    assert run_episode(ScenarioConfig.from_dict(scenario_1d(duration=0.2))).n_steps == 20
+
+
 # sha256 of each shipped scenario's trace without its solve_time column. No
 # step of these traces rounds through BLAS, so the bits are the same on every
 # machine; a change that moves any of them must re-pin it on purpose.
@@ -511,7 +578,7 @@ SHIPPED_TRACE_SHA256 = {
     "circle_2d_adversarial": "e9cf17868221ac1e9cd3a39810937bce2c264d4d3a1e2c856ae1a9d020dd3379",
     "geofence_1d_adversarial": "0d8fe5df1d08ddbad49cced627983114a18436f202cddddb0c1f9fe33639f1ff",
     "geofence_1d_rta_off": "3dee840107fe21dcc23ab7de862a8339807381cab3ee592dd04cc0016fbbbd15",
-    "pd_1d": "5dcb41bf7be62a7aedb3ba37db38f3726b07de607624e12677189f4163b80176",
+    "pd_1d": "4bbf49efe4af649e8b1a7215f953273c99bbf84bff33d7643d7c30c52bcedc70",
 }
 
 
@@ -543,6 +610,25 @@ def test_recorder_noninterference():
     without = run_episode(ScenarioConfig.from_dict(cfg), record=False)
     assert with_rec.final_state.tobytes() == without.final_state.tobytes()
     assert with_rec.final_t == without.final_t
+
+
+def test_reading_a_trace_sets_off_no_collection(tmp_path):
+    """read_trace of a 500-row trace allocates no container per row, so,
+    started after a collection, it sets off no cyclic collection."""
+    path = tmp_path / "t.csv"
+    write_trace(run_episode(ScenarioConfig.from_dict(scenario_2d(duration=5.0))), path)
+    phases = []
+
+    def record(phase, info):
+        phases.append(phase)
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        trace = read_trace(path)
+    finally:
+        gc.callbacks.remove(record)
+    assert trace.n_steps == 500 and phases == []
 
 
 def test_aborted_episode_keeps_partial_trace(tmp_path):
@@ -776,9 +862,10 @@ def test_overflowing_integration_is_a_counted_abort(cfg):
         (scenario_1d(duration=0.5, initial_state=(-1e308, -1e308)), "fence", 0),
         (scenario_2d(duration=0.5, initial_state=(1e308, 1e308, 1e308, 1e308)), "circle", 0),
         (scenario_1d(duration=0.5, initial_state=(0.0, -1e200)), "fence", 0),
-        (scenario_1d(duration=0.5, disturbance_bound=1e308), "fence", 1),
-        (scenario_1d(duration=0.5, disturbance_bound=1e156), "fence", 10),
-        (scenario_2d(duration=0.5, disturbance_bound=1e156), "circle", 19),
+        # seed 3: the first step's state stays finite, so its row is what aborts
+        (scenario_1d(duration=0.5, disturbance_bound=1e308, seed=3), "fence", 1),
+        (scenario_1d(duration=0.5, disturbance_bound=1e156), "fence", 6),
+        (scenario_2d(duration=0.5, disturbance_bound=1e156), "circle", 6),
     ],
     ids=["state", "state_2d", "speed", "disturbance", "disturbance_1e156", "disturbance_1e156_2d"],
 )
@@ -919,11 +1006,12 @@ def test_config_hash_stable_under_key_order():
 
 def test_step_runs_on_floats_without_numpy(monkeypatch):
     """desired_control, filter_control with the period, sample_disturbance
-    given a Generator and step_rk4 run disturbed closed loops with numpy out
-    of reach in dynamics, barrier, controllers and asif: a 1-D fence and a
-    2-D circle under the adversary, and pd_1d's PD law. Every state, command
-    and disturbance is a tuple of Python floats, and each loop ends in
-    run_episode's final state bit for bit."""
+    reading the episode's disturbance_stream, and step_rk4 run disturbed
+    closed loops with numpy out of reach in dynamics, barrier, controllers
+    and asif, but for the stream's block scaling, reached once per block: a
+    1-D fence and a 2-D circle under the adversary, and pd_1d's PD law.
+    Every state, command and disturbance is a tuple of Python floats, and
+    each loop ends in run_episode's final state bit for bit."""
     configs = [
         ScenarioConfig.from_dict(scenario_1d(duration=2.0, disturbance_bound=0.05)),
         ScenarioConfig.from_dict(scenario_2d(duration=2.0, disturbance_bound=0.05)),
@@ -932,21 +1020,35 @@ def test_step_runs_on_floats_without_numpy(monkeypatch):
     starts = [PlantState(config.initial_state) for config in configs]
     ends = []
     statuses = Counter()
+    unreachable = Unreachable()
+    scaled = dynamics._scaled
+    blocks = []
+
+    def scaled_with_numpy(bound, directions, uniforms):
+        blocks.append(len(uniforms))
+        dynamics.np = np
+        try:
+            return scaled(bound, directions, uniforms)
+        finally:
+            dynamics.np = unreachable
+
     with monkeypatch.context() as patch:
         for module in (asif, barrier, controllers, dynamics):
-            patch.setattr(module, "np", Unreachable())
+            patch.setattr(module, "np", unreachable)
+        patch.setattr(dynamics, "_scaled", scaled_with_numpy)
         for config, state in zip(configs, starts):
             model, constraints = config.model, list(config.constraints)
-            rng = np.random.default_rng(config.seed)
+            stream = dynamics.disturbance_stream(model, config.seed, config.n_steps)
             for _ in range(config.n_steps):
                 u_des = desired_control(config.controller, state, model)
                 result = filter_control(constraints, model, state, u_des, config.dt)
                 statuses[result.status] += 1
-                w = sample_disturbance(model, rng)
+                w = sample_disturbance(model, stream)
                 for values in (state.xs, u_des.us, result.u_out.us, w):
                     assert type(values) is tuple and {type(c) for c in values} == {float}, values
                 state = step_rk4(model, state, result.u_out, w, config.dt)
             ends.append(state)
+    assert blocks == [config.n_steps for config in configs]  # each under DISTURBANCE_BLOCK
     assert {PASSTHROUGH, MODIFIED} <= set(statuses), statuses
     for config, state in zip(configs, ends):
         trace = run_episode(config)

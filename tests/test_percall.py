@@ -45,8 +45,15 @@ def test_trace_summary_gives_per_row_times_and_rows_per_second():
 
 
 def test_episode_summary_gives_steps_per_second_and_per_plant_step_times():
-    line = _tool().episode_summary("x", [2000, 6000, 4000], [2, 3, 1], ["b", "a", "b"])
-    assert line == {"side": "x", "episodes": 3, "steps": 6, "steps_per_s": 500000.0, "us_per_step": {"a": 2.0, "b": 2.0}}
+    line = _tool().episode_summary("x", [2000, 6000, 4000], [2, 3, 1], ["b", "a", "b"], [True, False, False])
+    assert line == {
+        "side": "x",
+        "episodes": 3,
+        "steps": 6,
+        "steps_per_s": 500000.0,
+        "us_per_step": {"a": 2.0, "b": 2.0},
+        "us_per_step_by_disturbance": {"disturbed": 1.0, "undisturbed": 2.5},
+    }
 
 
 @pytest.mark.skipif(
@@ -80,15 +87,20 @@ def test_runs_against_head_on_a_tiny_workload(workload, size, calls):
 ])
 def test_times_episodes_against_head_on_a_tiny_workload(workload, size, episodes, kinds):
     """One JSON line per side, this tree's first, each counting every
-    episode and step once, with a time per step for each plant kind."""
+    episode and step once, with a time per step for each plant kind and
+    for the disturbed and the undisturbed episodes."""
     argv = [sys.executable, str(TOOL), "--against", "HEAD", "--op", "episode", "--workload", workload, "--size", str(size), "--rounds", "1"]
     out = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=600)
     lines = [json.loads(line) for line in out.stdout.splitlines()]
     assert [line["side"] for line in lines] == ["this tree", "HEAD"]
     assert lines[0]["steps"] == lines[1]["steps"] > 0
+    # every nn_nominal_batch episode is disturbed; half the corpus's are
+    disturbances = ["disturbed"] if workload == "nn_nominal_batch" else ["disturbed", "undisturbed"]
     for line in lines:
         assert line["episodes"] == episodes and line["steps_per_s"] > 0.0
         assert sorted(line["us_per_step"]) == kinds and all(v > 0.0 for v in line["us_per_step"].values())
+        by_disturbance = line["us_per_step_by_disturbance"]
+        assert sorted(by_disturbance) == disturbances and all(v > 0.0 for v in by_disturbance.values())
 
 
 @pytest.mark.skipif(

@@ -7,10 +7,12 @@ Extracts ``git archive REF`` into a temporary directory, then digests the
 same inputs with this tree's asifkit and with REF's, each in its own
 subprocess, and prints one JSON line per set: how many items are equal, how
 many differ, the largest difference of a command entry between the two
-(null where the commands have different shapes), and on each side, this
-tree's first, how many solves ended in infeasible_fallback (a solve per
-item, or an episode's steps), which shows whether an identity claim covers
-the fallback. The inputs are built by this tree's benchmark workloads and
+over the items whose commands have the same shape (null when none has), how
+many items' commands differ in shape (an episode that aborted at another
+step, a solve that raised on one side), and on each side, this tree's
+first, how many solves ended in infeasible_fallback (a solve per item, or
+an episode's steps), which shows whether an identity claim covers the
+fallback. The inputs are built by this tree's benchmark workloads and
 tests, so both sides see the same ones.
 
 Sets:
@@ -531,16 +533,20 @@ def extract(ref: str, dest: Path) -> None:
 
 def compare(ours, theirs) -> dict:
     """Counts of equal and different items, the largest command difference
-    and each side's fallback count."""
+    over the items whose commands have the same shape, the count of items
+    whose commands differ in shape, and each side's fallback count."""
+    pairs = [(u, v) for (_, u, _), (_, v, _) in zip(ours, theirs)]
+    same = [(u, v) for u, v in pairs if len(u) == len(v)]
+    largest = max([0.0, *(abs(x - y) for u, v in same for x, y in zip(u, v))]) if same else None
     equal = sum(a[0] == b[0] for a, b in zip(ours, theirs))
-    largest = 0.0
-    for (_, u, _), (_, v, _) in zip(ours, theirs):
-        if len(u) != len(v):
-            largest = None
-            break
-        largest = max([largest, *(abs(x - y) for x, y in zip(u, v))])
     fallbacks = [sum(item[2] for item in side) for side in (ours, theirs)]
-    return {"equal": equal, "different": max(len(ours), len(theirs)) - equal, "max_u_diff": largest, "fallbacks": fallbacks}
+    return {
+        "equal": equal,
+        "different": max(len(ours), len(theirs)) - equal,
+        "max_u_diff": largest,
+        "shape_mismatches": len(pairs) - len(same),
+        "fallbacks": fallbacks,
+    }
 
 
 def run(ref: str, sets, size, random_count) -> list[dict]:

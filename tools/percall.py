@@ -37,10 +37,11 @@ of those per-call times in microseconds, and the call count and median per
 status and per plant kind, each side's calls grouped by the status that
 side returned. For episodes: the number of episodes and steps, steps per
 second over the sum of the per-episode times, and microseconds per step
-for each plant kind. For traces: the number of traces and rows,
-microseconds per row of write_trace, read_trace and the metrics dispatch,
-each summed over the traces, and rows per second of the workload's whole
-operation, write_trace then the metrics dispatch.
+for each plant kind and for the disturbed and the undisturbed episodes.
+For traces: the number of traces and rows, microseconds per row of
+write_trace, read_trace and the metrics dispatch, each summed over the
+traces, and rows per second of the workload's whole operation, write_trace
+then the metrics dispatch.
 """
 
 from __future__ import annotations
@@ -190,20 +191,28 @@ def summary(label: str, times_ns, statuses, kinds) -> dict:
     }
 
 
-def episode_summary(label: str, times_ns, steps, kinds) -> dict:
+def _us_per_step(times_ns, steps, keys) -> dict:
+    """Microseconds per step over the episodes of each key, keys naming
+    each episode's group."""
+    out = {}
+    for key in sorted(set(keys)):
+        ns = sum(t for t, k in zip(times_ns, keys) if k == key)
+        n = sum(m for m, k in zip(steps, keys) if k == key)
+        out[key] = round(ns / 1e3 / n, 3)
+    return out
+
+
+def episode_summary(label: str, times_ns, steps, kinds, disturbed) -> dict:
     """Episodes, steps, steps per second over the summed per-episode times,
-    and microseconds per step for each plant kind."""
-    per_kind = {}
-    for kind in sorted(set(kinds)):
-        ns = sum(t for t, k in zip(times_ns, kinds) if k == kind)
-        n = sum(m for m, k in zip(steps, kinds) if k == kind)
-        per_kind[kind] = round(ns / 1e3 / n, 3)
+    and microseconds per step for each plant kind and, apart, for the
+    episodes with a disturbance (disturbed flags each) and without."""
     return {
         "side": label,
         "episodes": len(times_ns),
         "steps": int(sum(steps)),
         "steps_per_s": round(sum(steps) / (sum(times_ns) / 1e9), 1),
-        "us_per_step": per_kind,
+        "us_per_step": _us_per_step(times_ns, steps, kinds),
+        "us_per_step_by_disturbance": _us_per_step(times_ns, steps, ["disturbed" if d else "undisturbed" for d in disturbed]),
     }
 
 
@@ -268,7 +277,13 @@ def run(ref: str, workload: str, seed: int, size, rounds: int, op: str = "filter
             traces = [[run_episode(*args) for args in calls] for run_episode, calls in sides]
             best = time_calls(sides, rounds)
             return [
-                episode_summary(label, times, [trace.t.shape[0] for trace in side], [t.config.model.kind for t in side])
+                episode_summary(
+                    label,
+                    times,
+                    [trace.t.shape[0] for trace in side],
+                    [trace.config.model.kind for trace in side],
+                    [trace.config.model.disturbance_bound > 0.0 for trace in side],
+                )
                 for label, times, side in zip(labels, best, traces)
             ]
         calls = workload_calls(workload, seed, size, tmp)
