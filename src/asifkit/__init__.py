@@ -38,6 +38,7 @@ from .dynamics import (
     ControlInput,
     PlantModel,
     PlantState,
+    disturbance_stream,
     sample_disturbance,
     step_rk4,
 )

@@ -16,6 +16,7 @@ from .report import (
     default_schema,
     evidence_report,
     render_report,
+    unknown_solution_items,
 )
 from .template import template_text
 
@@ -36,5 +37,6 @@ __all__ = [
     "default_schema",
     "evidence_report",
     "render_report",
+    "unknown_solution_items",
     "template_text",
 ]

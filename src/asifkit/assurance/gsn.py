@@ -28,9 +28,7 @@ _ALLOWED_CHILDREN = {
     "strategy": {"goal", "context", "assumption"},
 }
 
-_NODE_RE = re.compile(
-    r"^(goal|strategy|solution|context|assumption)\s+([A-Za-z][A-Za-z0-9_]*):\s*\"([^\"]*)\"\s*$"
-)
+_NODE_RE = re.compile(rf"^({'|'.join(KINDS)})\s+([A-Za-z][A-Za-z0-9_]*):\s*\"([^\"]*)\"\s*$")
 _EDGE_RE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)\s*->\s*([A-Za-z][A-Za-z0-9_]*)\s*$")
 
 
@@ -230,9 +228,14 @@ def solutions_under(nodes: dict[str, ArgumentNode], goal_id: str) -> list[str]:
 
 
 def path_to(nodes: dict[str, ArgumentNode], root: str, target: str) -> list[str]:
-    """One id path from root to target (first found, deterministic)."""
+    """One id path from root to target (first found, deterministic). Each
+    node is entered once, so a cycle does not send the walk round it."""
+    seen: set[str] = set()
 
     def walk(nid: str, trail: list[str]) -> list[str] | None:
+        if nid in seen:
+            return None
+        seen.add(nid)
         trail = trail + [nid]
         if nid == target:
             return trail

@@ -3,71 +3,41 @@
 Every solution node in the template owns one ledger slot. The slot's type is
 carried by the solution id prefix (E_PM_* is proof/math, and so on), which
 keeps the ledger and the argument from drifting apart. Per-type slot counts
-are fixed: (11, 8, 8, 6, 5, 3, 3, 2, 3, 2, 1, 1, 1, 1) over the fourteen
-types below, 55 slots total.
+are fixed by the table of the fourteen types below, 55 slots total.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from ..errors import InvalidLedger, ParseError
 from .gsn import parse_argument
 from .template import template_text
 
-EVIDENCE_TYPES = (
-    "proof_math",
-    "requirements_ag",
-    "sim_input_analysis",
-    "peer_expert_review",
-    "sim_results",
-    "static_analysis",
-    "documentation",
-    "tool_validation",
-    "model_sufficiency",
-    "stability_analysis",
-    "stpa_tables",
-    "computational_cost",
-    "performance_testing",
-    "implementer_goal",
+# One row per evidence type, in report order: the solution-id prefix that
+# carries the type, the type, and its slot count in the shipped template.
+_EVIDENCE_TABLE = (
+    ("E_PM", "proof_math", 11),
+    ("E_RA", "requirements_ag", 8),
+    ("E_SI", "sim_input_analysis", 8),
+    ("E_PR", "peer_expert_review", 6),
+    ("E_SR", "sim_results", 5),
+    ("E_SA", "static_analysis", 3),
+    ("E_DO", "documentation", 3),
+    ("E_TV", "tool_validation", 2),
+    ("E_MS", "model_sufficiency", 3),
+    ("E_ST", "stability_analysis", 2),
+    ("E_SP", "stpa_tables", 1),
+    ("E_CC", "computational_cost", 1),
+    ("E_PT", "performance_testing", 1),
+    ("E_IG", "implementer_goal", 1),
 )
-
-EXPECTED_TYPE_COUNTS = {
-    "proof_math": 11,
-    "requirements_ag": 8,
-    "sim_input_analysis": 8,
-    "peer_expert_review": 6,
-    "sim_results": 5,
-    "static_analysis": 3,
-    "documentation": 3,
-    "tool_validation": 2,
-    "model_sufficiency": 3,
-    "stability_analysis": 2,
-    "stpa_tables": 1,
-    "computational_cost": 1,
-    "performance_testing": 1,
-    "implementer_goal": 1,
-}
+EVIDENCE_TYPES = tuple(etype for _prefix, etype, _count in _EVIDENCE_TABLE)
+EXPECTED_TYPE_COUNTS = {etype: count for _prefix, etype, count in _EVIDENCE_TABLE}
+_PREFIX_TO_TYPE = {prefix: etype for prefix, etype, _count in _EVIDENCE_TABLE}
 
 STATUSES = ("provided", "missing", "waived")
-
-_PREFIX_TO_TYPE = {
-    "E_PM": "proof_math",
-    "E_RA": "requirements_ag",
-    "E_SI": "sim_input_analysis",
-    "E_PR": "peer_expert_review",
-    "E_SR": "sim_results",
-    "E_SA": "static_analysis",
-    "E_DO": "documentation",
-    "E_TV": "tool_validation",
-    "E_MS": "model_sufficiency",
-    "E_ST": "stability_analysis",
-    "E_SP": "stpa_tables",
-    "E_CC": "computational_cost",
-    "E_PT": "performance_testing",
-    "E_IG": "implementer_goal",
-}
 
 # The type table tracks 55 slots while the originating compliance method
 # counts 51 evidence items: some table rows are user-answered goals rather
@@ -141,19 +111,8 @@ def type_counts(items: list[EvidenceItem]) -> dict[str, int]:
 
 
 def save_ledger(items: list[EvidenceItem], path) -> None:
-    doc = [
-        {
-            "id": item.id,
-            "solution_id": item.solution_id,
-            "etype": item.etype,
-            "status": item.status,
-            "artifact": item.artifact,
-            "notes": item.notes,
-        }
-        for item in items
-    ]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump([asdict(item) for item in items], fh, indent=2)
         fh.write("\n")
 
 

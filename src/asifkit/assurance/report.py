@@ -79,6 +79,11 @@ class ComplianceReport:
     note: str
 
 
+def unknown_solution_items(nodes: dict[str, ArgumentNode], ledger: list[EvidenceItem]) -> list[EvidenceItem]:
+    """The ledger items, in order, whose solution_id names no solution node."""
+    return [item for item in ledger if item.solution_id not in nodes or nodes[item.solution_id].kind != "solution"]
+
+
 def evidence_report(
     nodes: dict[str, ArgumentNode],
     root: str,
@@ -86,12 +91,11 @@ def evidence_report(
     ledger: list[EvidenceItem],
 ) -> ComplianceReport:
     schema.validate(nodes)
+    unknown = unknown_solution_items(nodes, ledger)
+    if unknown:
+        raise InvalidLedger(f"ledger item '{unknown[0].id}' references unknown solution '{unknown[0].solution_id}'")
     by_solution: dict[str, list[EvidenceItem]] = {}
     for item in ledger:
-        if item.solution_id not in nodes or nodes[item.solution_id].kind != "solution":
-            raise InvalidLedger(
-                f"ledger item '{item.id}' references unknown solution '{item.solution_id}'"
-            )
         by_solution.setdefault(item.solution_id, []).append(item)
 
     def settled(item: EvidenceItem) -> bool:

@@ -23,6 +23,7 @@ from .assurance import (
     parse_argument,
     render_report,
     save_ledger,
+    unknown_solution_items,
     validate_argument,
 )
 from .barrier import GEOFENCE_1D, GEOFENCE_2D_CIRCLE, SPEED_LIMIT, BarrierConstraint, eval_grad_h, eval_h
@@ -58,6 +59,15 @@ def _check_out_dirs(*paths) -> None:
             directory = os.path.dirname(path) or "."
             if not os.path.isdir(directory):
                 raise FileNotFoundError(errno.ENOENT, "no such directory", directory)
+
+
+def _write_out(text: str, path) -> None:
+    """Write text to the file path, or to stdout when path is None."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,36 +133,24 @@ def _cmd_batch(args) -> int:
     config = load_scenario(args.config)
     _check_out_dirs(args.out)
     result = run_batch(config, args.episodes, args.seed_base)
-    text = json.dumps(result, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(json.dumps(result, indent=2) + "\n", args.out)
     return 0
 
 
 def _cmd_metrics(args) -> int:
     trace = read_trace(args.trace)
     metrics = compute_metrics(trace)
-    text = json.dumps(metrics.to_dict(), indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(json.dumps(metrics.to_dict(), indent=2) + "\n", args.out)
     return 0
 
 
 def _gradient_check_states(rng, kind):
-    if kind == GEOFENCE_1D:
+    if kind != GEOFENCE_2D_CIRCLE:
         return PlantState(rng.uniform(-2.0, 2.0, size=2))
-    if kind == GEOFENCE_2D_CIRCLE:
-        while True:
-            x = rng.uniform(-2.0, 2.0, size=4)
-            if float(np.hypot(x[0], x[1])) > 1e-3:
-                return PlantState(x)
-    return PlantState(rng.uniform(-2.0, 2.0, size=2))
+    while True:
+        x = rng.uniform(-2.0, 2.0, size=4)
+        if float(np.hypot(x[0], x[1])) > 1e-3:
+            return PlantState(x)
 
 
 def _cmd_check_gradients(args) -> int:
@@ -188,13 +186,9 @@ def _cmd_check_case(args) -> int:
         print(f"{finding.severity}: {finding.code}: {finding.message}")
     if args.ledger:
         ledger = load_ledger(args.ledger)
-        unknown = [
-            item.id
-            for item in ledger
-            if item.solution_id not in nodes or nodes[item.solution_id].kind != "solution"
-        ]
-        for item_id in unknown:
-            print(f"error: ledger: item '{item_id}' references an unknown solution")
+        unknown = unknown_solution_items(nodes, ledger)
+        for item in unknown:
+            print(f"error: ledger: item '{item.id}' references an unknown solution")
         if unknown:
             return FINDINGS_ERROR
     if not findings:
@@ -222,12 +216,7 @@ def _cmd_report(args) -> int:
         return FINDINGS_ERROR
     ledger = load_ledger(args.ledger)
     report = evidence_report(nodes, root, default_schema(), ledger)
-    text = render_report(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(render_report(report), args.out)
     return 0
 
 

@@ -27,10 +27,9 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import InitVar, dataclass, field
-from types import GeneratorType
 
 import numpy as np
-from numpy.random import Generator, SeedSequence, default_rng
+from numpy.random import SeedSequence, default_rng
 
 from .errors import InvalidConfig, InvalidDisturbance, InvalidState, NonFiniteState
 
@@ -332,20 +331,11 @@ def disturbance_stream(model: PlantModel, seed: int, n_steps: int) -> Iterator[t
         yield from _scaled(model.disturbance_bound, directions, magnitude_rng.random(k))
 
 
-def sample_disturbance(model: PlantModel, rng) -> tuple[float, ...]:
-    """Draw a disturbance with uniform direction and magnitude uniform in
-    [0, disturbance_bound], as a tuple of state_dim Python floats.
-
-    rng is a disturbance_stream, whose next disturbance is returned, or an
-    integer seed or a numpy Generator, from which one standard_normal
-    direction and then one random() magnitude are drawn and scaled as a
-    block of one. A zero bound gives zeros without reading rng.
-    """
+def sample_disturbance(model: PlantModel, stream: Iterator[tuple[float, ...]]) -> tuple[float, ...]:
+    """The next disturbance of stream, a disturbance_stream for model: a
+    tuple of state_dim Python floats with uniform direction and magnitude
+    uniform in [0, disturbance_bound]. A zero bound gives zeros without
+    reading stream."""
     if model.disturbance_bound == 0.0:
         return (0.0,) * model.state_dim
-    if type(rng) is GeneratorType:
-        return next(rng)
-    gen = rng if isinstance(rng, Generator) else default_rng(rng)
-    direction = gen.standard_normal(model.state_dim)
-    magnitude = gen.random()
-    return next(_scaled(model.disturbance_bound, direction.reshape(1, -1), np.array([magnitude])))
+    return next(stream)

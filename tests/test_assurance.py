@@ -15,10 +15,12 @@ from asifkit.assurance import (
     save_ledger,
     serialize_argument,
     template_text,
+    unknown_solution_items,
     validate_argument,
 )
-from asifkit.assurance.gsn import solutions_under
-from asifkit.assurance.ledger import EXPECTED_TYPE_COUNTS, type_counts
+from asifkit.assurance.gsn import path_to, solutions_under
+from asifkit.assurance.ledger import EXPECTED_TYPE_COUNTS, EvidenceItem, type_counts
+from asifkit.assurance.report import ComplianceSchema
 
 
 @pytest.fixture(scope="module")
@@ -255,8 +257,37 @@ def test_unknown_solution_rejected(template):
     bad = items[0].__class__(
         id="ghost", solution_id="E_nope", etype="proof_math", status="missing"
     )
-    with pytest.raises(InvalidLedger):
+    with pytest.raises(InvalidLedger, match="ledger item 'ghost' references unknown solution 'E_nope'"):
         evidence_report(nodes, root, default_schema(), items + [bad])
+    goal = EvidenceItem("goal", "G_root", "proof_math")
+    assert unknown_solution_items(nodes, [goal] + items + [bad]) == [goal, bad]
+    with pytest.raises(InvalidLedger, match="ledger item 'goal' references unknown solution 'G_root'"):
+        evidence_report(nodes, root, default_schema(), items + [goal, bad])
+
+
+# G_root -> A -> B -> A, with the solution E_SR_x under A and E_SR_y under
+# nothing
+CYCLIC = (
+    'goal G_root: "r"\ngoal A: "a"\ngoal B: "b"\nsolution E_SR_x: "x"\nsolution E_SR_y: "y"\n'
+    "G_root -> A\nA -> B\nB -> A\nA -> E_SR_x\n"
+)
+
+
+def test_path_to_walks_a_cycle_once():
+    nodes, root = parse_argument(CYCLIC)
+    assert path_to(nodes, root, "E_SR_x") == ["G_root", "A", "E_SR_x"]
+    assert path_to(nodes, root, "E_SR_y") == ["E_SR_y"]
+
+
+def test_evidence_report_on_a_cyclic_argument():
+    """evidence_report does not check the argument for cycles; on one with
+    a missing slot it still returns, the slot's path walked once round."""
+    nodes, root = parse_argument(CYCLIC)
+    schema = ComplianceSchema(criteria=(("c", "t"),), claim_groups={}, criterion_map={"c": ("G_root",)})
+    ledger = [EvidenceItem("E_SR_x", "E_SR_x", "sim_results"), EvidenceItem("E_SR_y", "E_SR_y", "sim_results", "provided")]
+    report = evidence_report(nodes, root, schema, ledger)
+    assert report.criteria == ({"id": "c", "title": "t", "status": "unsupported", "provided": 0, "total": 1},)
+    assert report.missing == ({"item_id": "E_SR_x", "etype": "sim_results", "path": "G_root > A > E_SR_x"},)
 
 
 _RANK = {"unsupported": 0, "partially-supported": 1, "supported": 2}

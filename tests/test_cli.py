@@ -31,6 +31,27 @@ def test_ledger_init_writes_55_slots(tmp_path, capsys):
     assert "51" in text and "user-answered goal" in text
 
 
+# sha256 of what `asifkit ledger init` writes and of `asifkit report` on the
+# shipped template with that fresh ledger: a change to either digest is a
+# change of the ledger file or the report a user reads
+LEDGER_INIT_SHA256 = "189a23aed716d62e07e8116a2da90446673fddd2f3ab8a763306ae8a7bca96ac"
+FRESH_REPORT_SHA256 = "ad4f8ca8017218754bd473bc3d406e26d652d510a4d55dc3f438a1f98492c89e"
+
+
+def test_ledger_init_and_report_bytes_are_pinned(template_file, tmp_path, capsys):
+    """The ledger file and the report, to --out or to stdout, keep their
+    bytes."""
+    ledger = tmp_path / "ledger.json"
+    assert dispatch(["ledger", "init", "--out", str(ledger)]) == 0
+    assert capsys.readouterr().out == f"wrote 55 evidence slots to {ledger}\n"
+    assert sha(ledger) == LEDGER_INIT_SHA256
+    report = tmp_path / "report.md"
+    assert dispatch(["report", "--argument", str(template_file), "--ledger", str(ledger), "--out", str(report)]) == 0
+    assert sha(report) == FRESH_REPORT_SHA256 and capsys.readouterr().out == ""
+    assert dispatch(["report", "--argument", str(template_file), "--ledger", str(ledger)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == FRESH_REPORT_SHA256
+
+
 def test_check_case_on_shipped_template(template_file, capsys):
     assert dispatch(["check-case", "--argument", str(template_file)]) == 0
     out = capsys.readouterr().out

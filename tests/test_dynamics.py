@@ -29,6 +29,9 @@ from asifkit import (
 )
 
 
+# tools/differential.py imports plant_cases from here against a revision's
+# asifkit, so this module reads the stream as dynamics.disturbance_stream,
+# which every revision since the stream came has
 from asifkit.dynamics import actuation_row, drift_actuation_row, hold_map
 from tests import oracles
 from tests.oracles import closed_form_step, eval_dynamics
@@ -173,26 +176,44 @@ def test_step_rk4_errors(model_1d, model_2d):
 
 
 def test_disturbance_zero_bound(model_1d):
-    assert np.array_equal(sample_disturbance(model_1d, 7), np.zeros(2))
+    """A zero bound gives zeros without reading the argument, whatever it is."""
+
+    def unread():
+        pytest.fail("the stream was read")
+        yield
+
+    for source in (unread(), 7, None):
+        assert sample_disturbance(model_1d, source) == (0.0, 0.0)
+
+
+def test_disturbance_reads_only_a_stream():
+    """Under a nonzero bound the argument is an iterator of disturbances: an
+    int seed or a numpy Generator is not one, and next raises TypeError."""
+    model = PlantModel(DOUBLE_INTEGRATOR_2D, [[-1, 1], [-1, 1]], disturbance_bound=0.1)
+    for source in (7, default_rng(7)):
+        with pytest.raises(TypeError, match="is not an iterator"):
+            sample_disturbance(model, source)
+    assert sample_disturbance(model, iter([(0.5, 0.25, 0.0, 0.0)])) == (0.5, 0.25, 0.0, 0.0)
 
 
 def test_disturbance_same_seed_identical():
     model = PlantModel(DOUBLE_INTEGRATOR_2D, [[-1, 1], [-1, 1]], disturbance_bound=0.1)
-    a = sample_disturbance(model, 123)
-    b = sample_disturbance(model, 123)
-    assert np.array_equal(a, b)
+    a = dynamics.disturbance_stream(model, 123, 50)
+    b = dynamics.disturbance_stream(model, 123, 50)
+    assert [sample_disturbance(model, a) for _ in range(50)] == [sample_disturbance(model, b) for _ in range(50)]
 
 
 def test_disturbance_is_numpys_scaled_draw():
-    """sample_disturbance returns Python floats equal bit for bit to the
-    draw scaled by numpy's elementwise product, from the same stream."""
+    """A stream's disturbances are Python floats equal bit for bit to the
+    draws of its two child streams scaled by numpy's elementwise product."""
     for kind, bounds in ((DOUBLE_INTEGRATOR_1D, [[-1, 1]]), (DOUBLE_INTEGRATOR_2D, [[-1, 1], [-1, 1]])):
         model = PlantModel(kind, bounds, disturbance_bound=0.05)
-        ours, ref = np.random.default_rng(3), np.random.default_rng(3)
+        stream = dynamics.disturbance_stream(model, 3, 2000)
+        direction_rng, magnitude_rng = map(default_rng, SeedSequence(3).spawn(2))
         for _ in range(2000):
-            w = sample_disturbance(model, ours)
-            direction = ref.standard_normal(model.state_dim)
-            magnitude = 0.05 * ref.random()
+            w = sample_disturbance(model, stream)
+            direction = direction_rng.standard_normal(model.state_dim)
+            magnitude = 0.05 * magnitude_rng.random()
             want = direction * (magnitude / math.sqrt(sum(c * c for c in direction.tolist())))
             assert type(w) is tuple and {type(c) for c in w} == {float}
             assert np.array(w).tobytes() == want.tobytes()
@@ -200,10 +221,8 @@ def test_disturbance_is_numpys_scaled_draw():
 
 def test_disturbance_norm_bounded_exhaustive():
     model = PlantModel(DOUBLE_INTEGRATOR_2D, [[-1, 1], [-1, 1]], disturbance_bound=0.1)
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(10_000):
-        worst = max(worst, float(np.linalg.norm(sample_disturbance(model, rng))))
+    stream = dynamics.disturbance_stream(model, 0, 10_000)
+    worst = max(float(np.linalg.norm(sample_disturbance(model, stream))) for _ in range(10_000))
     assert worst <= 0.1 * (1 + 1e-12)
 
 
@@ -213,9 +232,9 @@ def test_disturbance_under_a_huge_bound_is_finite():
     finite within the bound."""
     for kind, bounds in ((DOUBLE_INTEGRATOR_1D, [[-1, 1]]), (DOUBLE_INTEGRATOR_2D, [[-1, 1], [-1, 1]])):
         model = PlantModel(kind, bounds, disturbance_bound=1.7e308)
-        rng = np.random.default_rng(5)
+        stream = dynamics.disturbance_stream(model, 5, 200)
         for _ in range(200):
-            w = sample_disturbance(model, rng)
+            w = sample_disturbance(model, stream)
             assert all(map(math.isfinite, w)) and math.hypot(*w) <= 1.7e308 * (1 + 1e-9)
 
 
@@ -352,36 +371,39 @@ class _ScriptedGenerator(Generator):
         return next(self._uniforms)
 
 
+def _child_draws(seed, n, count):
+    """A Generator that hands out the draws of a disturbance_stream of
+    count steps seeded with seed one at a time: count standard_normal(n)
+    directions from the first child of SeedSequence(seed) and count
+    random() magnitudes from the second, each drawn one by one."""
+    direction_rng, magnitude_rng = map(default_rng, SeedSequence(seed).spawn(2))
+    return _ScriptedGenerator(
+        (direction_rng.standard_normal(n) for _ in range(count)), (magnitude_rng.random() for _ in range(count))
+    )
+
+
 @pytest.mark.parametrize("kind", [DOUBLE_INTEGRATOR_1D, DOUBLE_INTEGRATOR_2D])
 def test_sample_disturbance_matches_the_generic_loop(kind):
     """The block scaling gives the loop's floats bit for bit, from the same
-    draws: for an int seed and for a Generator (blocks of one), for a
-    disturbance_stream against the loop on its two child streams drawn one
-    by one, and for one block of scripted draws, also where the scale
-    overflows or the direction is zero."""
+    draws: for disturbance_streams of many seeds and lengths against the
+    loop on their two child streams drawn one by one, and for one block of
+    scripted draws, also where the scale overflows or the direction is
+    zero."""
     n = 2 if kind == DOUBLE_INTEGRATOR_1D else 4
     for bound in (0.0, 5e-324, 0.05, 1.0, 1e300, 1.7e308):
         model = PlantModel(kind, [[-1.0, 1.0]] * (n // 2), disturbance_bound=bound)
-        ours, ref = default_rng(11), default_rng(11)
-        for _ in range(300):
-            assert _bits(sample_disturbance(model, ours)) == _bits(oracles.sample_disturbance(model, ref))
-        for seed in range(30):
-            assert _bits(sample_disturbance(model, seed)) == _bits(oracles.sample_disturbance(model, default_rng(seed)))
-        stream = dynamics.disturbance_stream(model, 11, 300)
-        direction_rng, magnitude_rng = map(default_rng, SeedSequence(11).spawn(2))
-        one_by_one = _ScriptedGenerator(
-            (direction_rng.standard_normal(n) for _ in range(300)), (magnitude_rng.random() for _ in range(300))
-        )
-        for _ in range(300):
-            assert _bits(sample_disturbance(model, stream)) == _bits(oracles.sample_disturbance(model, one_by_one))
+        for seed, count in [(11, 300)] + [(seed, 1 + seed % 3) for seed in range(30)]:
+            stream = dynamics.disturbance_stream(model, seed, count)
+            one_by_one = _child_draws(seed, n, count)
+            for _ in range(count):
+                assert _bits(sample_disturbance(model, stream)) == _bits(oracles.sample_disturbance(model, one_by_one))
     model = PlantModel(kind, [[-1.0, 1.0]] * (n // 2), disturbance_bound=1.7e308)
     directions = [[0.0, -0.0] * (n // 2), [5e-324] * n, [1e-160, -0.0] * (n // 2), [-1e-3] * n, [1e154] * n, [3.0, -4.0] * (n // 2)]
     uniforms = [0.0, 0.999, 1.0, 0.5, 1e-300, 0.25]
-    got = [sample_disturbance(model, _ScriptedGenerator(directions[k:], uniforms[k:])) for k in range(len(directions))]
-    want = [oracles.sample_disturbance(model, _ScriptedGenerator(directions[k:], uniforms[k:])) for k in range(len(directions))]
+    scripted = _ScriptedGenerator(directions, uniforms)
+    want = [oracles.sample_disturbance(model, scripted) for _ in directions]
+    got = list(dynamics._scaled(model.disturbance_bound, np.array(directions), np.array(uniforms)))
     assert [_bits(w) for w in got] == [_bits(w) for w in want]
-    block = dynamics._scaled(model.disturbance_bound, np.array(directions), np.array(uniforms))
-    assert [_bits(w) for w in block] == [_bits(w) for w in want]
     # a zero direction draws zeros; a tiny one over a huge magnitude is normalised first
     assert got[0] == (0.0,) * n
     assert all(map(math.isfinite, got[2] + got[3])) and any(got[2]) and any(got[3])
@@ -391,9 +413,9 @@ def test_sample_disturbance_matches_the_generic_loop(kind):
 
 
 def _draws(model, seed):
-    """Three draws from one Generator seeded with seed."""
-    gen = default_rng(seed)
-    return tuple(sample_disturbance(model, gen) for _ in range(3))
+    """Three draws from one disturbance_stream seeded with seed."""
+    stream = dynamics.disturbance_stream(model, seed, 3)
+    return tuple(sample_disturbance(model, stream) for _ in range(3))
 
 
 def _plant_disturbance(rng, model):
@@ -429,9 +451,9 @@ def plant_cases(rng, count):
     step_rk4 gets states with special entries (states built without the
     public checks, some of the wrong size or whose step overflows), commands
     in and outside the box, the disturbances of _plant_disturbance, and
-    periods that are not positive, huge or NaN. sample_disturbance gets an
-    int seed or a Generator (three draws) under bounds from 0 to a huge
-    bound over a tiny norm. desired_control gets adversarial, PD and NN
+    periods that are not positive, huge or NaN. sample_disturbance reads a
+    seeded disturbance_stream (one draw or three) under bounds from 0 to a
+    huge bound over a tiny norm. desired_control gets adversarial, PD and NN
     controllers, some of them wrong for the model or giving a non-finite
     output."""
     models = {}
@@ -453,7 +475,10 @@ def plant_cases(rng, count):
     for _ in range(count):
         model = models[int(rng.integers(1, 3))][rng.integers(5)]
         seed = int(rng.integers(2**32))
-        cases.append((sample_disturbance, (model, seed)) if rng.random() < 0.5 else (_draws, (model, seed)))
+        if rng.random() < 0.5:
+            cases.append((sample_disturbance, (model, dynamics.disturbance_stream(model, seed, 1))))
+        else:
+            cases.append((_draws, (model, seed)))
     fence = BarrierConstraint("c", GEOFENCE_1D, {"p_limit": 1.0, "u_max": 1.0})
     circle = BarrierConstraint("c", GEOFENCE_2D_CIRCLE, {"center": [0.2, -0.1], "radius": 1.5, "u_max": 1.0})
     for _ in range(count):
@@ -495,9 +520,11 @@ def plant_outcome(function, args):
 
 def test_plant_cases_reach_every_check():
     """The cases plant_cases draws for the differential set reach each
-    public check of step_rk4 and desired_control, and both scalings of a
-    disturbance draw."""
-    outcomes = [plant_outcome(*case) for case in plant_cases(np.random.default_rng(0), 600)]
+    public check of step_rk4 and desired_control, and draw a stream's
+    disturbances, one or three, under every bound from 0 to the huge one
+    over a tiny norm, each a tuple."""
+    cases = plant_cases(np.random.default_rng(0), 600)
+    outcomes = [plant_outcome(*case) for case in cases]
     kinds = {outcome.split(":")[0].split("(")[0] for outcome in outcomes}
     assert kinds >= {
         "",  # a draw's tuple, or a tuple of three
@@ -508,3 +535,7 @@ def test_plant_cases_reach_every_check():
     for text in ("disturbance is not", "disturbance dim", "control outside model bounds", "state dim",
                  "does not match control dim", "pd gains"):
         assert text in messages, text
+    draws = [(args[0].disturbance_bound, outcome) for (function, args), outcome in zip(cases, outcomes)
+             if function in (sample_disturbance, _draws)]
+    assert {bound for bound, _ in draws} == {0.0, 5e-324, 0.05, 1.5, 1.7e308}
+    assert all(outcome.startswith("(") for _, outcome in draws)

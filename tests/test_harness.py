@@ -27,6 +27,7 @@ from asifkit import (
     compute_metrics,
     controllers,
     desired_control,
+    disturbance_stream,
     dynamics,
     filter_control,
     harness,
@@ -555,7 +556,7 @@ def test_the_disturbance_stream_draws_no_more_than_its_steps(monkeypatch):
     model = ScenarioConfig.from_dict(scenario_2d(disturbance_bound=0.05)).model
     monkeypatch.setattr(dynamics, "DISTURBANCE_BLOCK", 7)
     for n, blocks in ((0, []), (1, [1]), (7, [7]), (20, [7, 7, 6])):
-        stream = dynamics.disturbance_stream(model, 3, n)
+        stream = disturbance_stream(model, 3, n)
         assert log == []
         assert len(list(stream)) == n
         assert log == [draw for k in blocks for draw in (("standard_normal", (k, 4)), ("random", k))], n
@@ -1038,7 +1039,7 @@ def test_step_runs_on_floats_without_numpy(monkeypatch):
         patch.setattr(dynamics, "_scaled", scaled_with_numpy)
         for config, state in zip(configs, starts):
             model, constraints = config.model, list(config.constraints)
-            stream = dynamics.disturbance_stream(model, config.seed, config.n_steps)
+            stream = disturbance_stream(model, config.seed, config.n_steps)
             for _ in range(config.n_steps):
                 u_des = desired_control(config.controller, state, model)
                 result = filter_control(constraints, model, state, u_des, config.dt)

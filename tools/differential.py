@@ -64,9 +64,9 @@ Sets:
                      N cases for each function on both state sizes, with
                      disturbances as lists, arrays or ints, wrong lengths,
                      NaN and inf entries, norms just above the bound,
-                     commands outside the box, states that overflow, int
-                     seeds and Generators, and adversarial, PD and NN
-                     controllers
+                     commands outside the box, states that overflow, one
+                     or three draws of a seeded disturbance_stream, and
+                     adversarial, PD and NN controllers
 
 The solve sets, random_1d to nonfinite, digest an error that solve_qp
 raises by its type and message, with no command.
