@@ -21,6 +21,7 @@ from .barrier import (
     cbf_row,
     eval_grad_h,
     eval_h,
+    filter_rows,
     sampled_row,
 )
 from .controllers import (

@@ -53,8 +53,9 @@ the point nearest u_des whose maximum violation is within feas_tol of t
 (Boyd & Vandenberghe, Convex Optimization, 2004, section 11.4).
 
 Rounding: the filter computes in Python floats from the barrier rows
-(cbf_row, sampled_row) to the command, the solve and fallback in one fixed
-order with no numpy call, so its bits match on every machine. It reads u_des
+(cbf_row without a period, filter_rows with one, one call per constraint
+either way) to the command, the solve and fallback in one fixed order with
+no numpy call, so its bits match on every machine. It reads u_des
 as the command's float tuple (ControlInput.us), and filter_control wraps the
 solved tuple as the filtered command without building an array. The fixed
 cost of a call is kept to its arithmetic: the problem and the result are
@@ -72,7 +73,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .barrier import BarrierConstraint, cbf_row, sampled_row
+from .barrier import BarrierConstraint, cbf_row, filter_rows
 from .dynamics import ControlInput, PlantModel, PlantState
 from .errors import InvalidConfig, NonFiniteCommand, NonFiniteRow, StructurallyInfeasible
 
@@ -125,8 +126,9 @@ def assemble_qp(
     dt: float | None = None,
 ) -> QpProblem:
     """One row per constraint via cbf_row; box from the model bounds. Given
-    the control period dt, each constraint's sampled_row, where it has one,
-    follows its continuous row.
+    the control period dt, one filter_rows call per constraint gives its
+    continuous row, the same as cbf_row's, and its sampled row, where it has
+    one, which follows the continuous row.
 
     Rows with a = 0 are insensitive to control: vacuous when b <= 0 (dropped).
     When b > 0 no command can meet the row. The constraint is then
@@ -136,19 +138,27 @@ def assemble_qp(
     rows = []
     row_ids = []
     unmet = []
-    for constraint in constraints:
-        a, b = cbf_row(constraint, model, state)
-        sampled = None if dt is None else sampled_row(constraint, model, state, dt)
-        if any(a):
-            rows.append(a + (b,))
-            row_ids.append(constraint.id)
-        elif b > 0.0:
-            if sampled is None:
+    if dt is None:
+        for constraint in constraints:
+            a, b = cbf_row(constraint, model, state)
+            if any(a):
+                rows.append(a + (b,))
+                row_ids.append(constraint.id)
+            elif b > 0.0:
                 raise StructurallyInfeasible(constraint.id)
-            unmet.append(constraint.id)
-        if sampled is not None:
-            rows.append(sampled[0] + (sampled[1],))
-            row_ids.append(constraint.id)
+    else:
+        for constraint in constraints:
+            row, sampled = filter_rows(constraint, model, state, dt)
+            if row[0] or row[-2]:  # a != 0: row[-2] is a_1 on two axes, a_0 on one
+                rows.append(row)
+                row_ids.append(constraint.id)
+            elif row[-1] > 0.0:
+                if sampled is None:
+                    raise StructurallyInfeasible(constraint.id)
+                unmet.append(constraint.id)
+            if sampled is not None:
+                rows.append(sampled)
+                row_ids.append(constraint.id)
     return _new(QpProblem, (u_des.us, tuple(rows), tuple(row_ids), model._box, tuple(unmet)))
 
 

@@ -182,17 +182,29 @@ def validate_argument(nodes: dict[str, ArgumentNode], root: str) -> list[Finding
     # developed-goal check: some strategy or solution in the descendant set
     developed_cache: dict[str, bool] = {}
 
-    def developed(nid: str) -> bool:
-        if nid in developed_cache:
-            return developed_cache[nid]
-        developed_cache[nid] = False  # placeholder; graph is acyclic here
-        result = False
-        for child in nodes[nid].children:
-            if nodes[child].kind in ("strategy", "solution") or developed(child):
-                result = True
-                break
-        developed_cache[nid] = result
-        return result
+    def developed(start: str) -> bool:
+        # depth-first with an explicit stack of (node, next child index), so
+        # a deep argument needs no Python frame per level; the graph is
+        # acyclic here, so a node is never on the stack twice
+        if start in developed_cache:
+            return developed_cache[start]
+        stack: list[tuple[str, int]] = [(start, 0)]
+        while stack:
+            nid, idx = stack[-1]
+            children = nodes[nid].children
+            if idx == len(children):
+                developed_cache[nid] = False
+                stack.pop()
+                continue
+            child = children[idx]
+            if nodes[child].kind in ("strategy", "solution") or developed_cache.get(child):
+                developed_cache[nid] = True
+                stack.pop()
+            elif child in developed_cache:
+                stack[-1] = (nid, idx + 1)
+            else:
+                stack.append((child, 0))  # this frame reads the child's result once it is decided
+        return developed_cache[start]
 
     for nid in sorted(nodes):
         node = nodes[nid]
@@ -228,21 +240,26 @@ def solutions_under(nodes: dict[str, ArgumentNode], goal_id: str) -> list[str]:
 
 
 def path_to(nodes: dict[str, ArgumentNode], root: str, target: str) -> list[str]:
-    """One id path from root to target (first found, deterministic). Each
-    node is entered once, so a cycle does not send the walk round it."""
-    seen: set[str] = set()
-
-    def walk(nid: str, trail: list[str]) -> list[str] | None:
-        if nid in seen:
-            return None
-        seen.add(nid)
-        trail = trail + [nid]
-        if nid == target:
-            return trail
-        for child in nodes[nid].children:
-            found = walk(child, trail)
-            if found:
-                return found
-        return None
-
-    return walk(root, []) or [target]
+    """One id path from root to target (first found, deterministic: children
+    in their order). Each node is entered once, so a cycle does not send the
+    walk round it, and the walk keeps its own stack, so a deep argument
+    needs no Python frame per level."""
+    if root == target:
+        return [root]
+    seen = {root}
+    stack: list[tuple[str, int]] = [(root, 0)]  # the path, with each node's next child
+    while stack:
+        nid, idx = stack[-1]
+        children = nodes[nid].children
+        if idx == len(children):
+            stack.pop()
+            continue
+        stack[-1] = (nid, idx + 1)
+        child = children[idx]
+        if child in seen:
+            continue
+        seen.add(child)
+        if child == target:
+            return [node for node, _ in stack] + [child]
+        stack.append((child, 0))
+    return [target]

@@ -8,19 +8,30 @@ strengthened barrier condition hdot + gamma * h >= 0 (cbf_row):
     b = -grad_h(x) . f(x) - gamma * h(x)
 
 Every function reads the state's float tuple (PlantState.xs), and rows and
-gradients are returned as tuples of Python floats: a row's a is the
-solver's row without its b. A constraint binds its parameters once, at
-construction, as one float tuple (with 2 u_max for the braking terms, and
-v_max^2 for a speed limit). Each entry point is straight-line code per kind
-on that tuple and computes only what it returns: eval_h computes h alone,
-eval_grad_h the gradient alone, and cbf_row writes a and b out directly.
-The rows assume the double-integrator plants that the dynamics module
-documents, with g = (0; I) and f = (velocities, 0), so a = grad_h . g is
-the gradient's velocity block and grad_h . f pairs its position block with
-the velocities.
+gradients are returned as tuples of Python floats. A constraint binds its
+parameters once, at construction, as one float tuple (with 2 u_max for the
+braking terms, and v_max^2 for a speed limit). Each entry point is
+straight-line code per kind on that tuple and computes only what it
+returns:
+
+  eval_h        h alone
+  eval_grad_h   the gradient alone
+  cbf_row       the continuous row as (a, b), a being the solver's row
+                without its b: the filter's row without a period
+  filter_rows   the continuous row and the sampled row (or None) as solver
+                rows (a..., b), from one dimension test and one kind
+                dispatch: the filter's one call per constraint given dt
+  sampled_row   the sampled row alone as (a, b), read from filter_rows
+
+cbf_row and filter_rows each write the continuous row out, in the same
+operations, so that the filter without a period keeps its straight-line
+call; tests pin the two bit for bit. The rows assume the double-integrator
+plants that the dynamics module documents, with g = (0; I) and
+f = (velocities, 0), so a = grad_h . g is the gradient's velocity block and
+grad_h . f pairs its position block with the velocities.
 
 A command held over a control period dt (zero-order hold) obeys a different
-condition, h(x_{k+1}) >= (1 - gamma dt) h(x_k). sampled_row gives that row
+condition, h(x_{k+1}) >= (1 - gamma dt) h(x_k). The sampled row enforces it
 for the geofences: exact for geofence_1d, and on a stopping-point barrier,
 linearised at the braking command, for geofence_2d_circle. A sampled row
 always has authority (a != 0); it is enforced alongside the continuous row,
@@ -248,10 +259,131 @@ def cbf_row(constraint: BarrierConstraint, model: PlantModel, state: PlantState)
     return (-2.0 * v0 + 0.0, -2.0 * v1 + 0.0), -(0.0 + 0.0 * v0 + 0.0 * v1) - gamma * h
 
 
+def filter_rows(
+    constraint: BarrierConstraint, model: PlantModel, state: PlantState, dt: float, *, continuous: bool = True
+) -> tuple[tuple[float, ...] | None, tuple[float, ...] | None]:
+    """The constraint's continuous row and its sampled-data row for a command
+    held over one period dt, both as solver rows (a..., b), from one
+    dimension test and one kind dispatch: the rows assemble_qp takes given
+    dt. The continuous row is cbf_row's, bit for bit; the sampled row is the
+    one sampled_row documents, or None where there is none.
+
+    Errors come in the order of cbf_row and then sampled_row: the state's
+    dimension, a circle's center (SingularGradient), then the period.
+    continuous=False leaves out a circle's continuous row (None), so a
+    state on its center is no error there: the form sampled_row reads.
+    """
+    x = state.xs
+    kind = constraint.kind
+    if len(x) not in _STATE_DIMS[kind] or len(x) != model.state_dim:
+        raise _dim_error(constraint, len(x), model)
+    gamma = constraint.gamma
+    # the continuous rows are cbf_row's arithmetic, in its order
+    if kind == GEOFENCE_1D:
+        p_limit, u_max, two_u = constraint._bound
+        pos, vel = x
+        speed = abs(vel)
+        h = p_limit - pos - vel * speed / two_u
+        row = (-speed / u_max + 0.0, -(0.0 + -1.0 * vel) - gamma * h)
+        if not (dt > 0.0 and 0.0 < 0.5 * dt * dt < math.inf):
+            raise _period_error(dt)
+        free, k_p, k_v = hold_map(model, x, dt)
+        # With s = v_{k+1} = v_free + k_v u, p_{k+1} = p_free + rho (s - v_free)
+        # and h(x_{k+1}) = p_limit - p_free + rho v_free - rho s - s|s|/(2 u_max),
+        # which falls on (1 - gamma dt) h at the root s of
+        # rho s + s|s|/(2 u_max) = k.
+        p_free, v_free = free
+        rho = k_p / k_v
+        k = p_limit - p_free + rho * v_free - (1.0 - gamma * dt) * h
+        s = 2.0 * k / (rho + math.sqrt(rho * rho + 2.0 * abs(k) / u_max))
+        return row, (-1.0, -(s - v_free) / k_v)
+    if kind == GEOFENCE_2D_CIRCLE:
+        cx, cy, radius, u_max, two_u = constraint._bound
+        p0, p1, v0, v1 = x
+        if continuous:
+            r0 = p0 - cx
+            r1 = p1 - cy
+            d = math.hypot(r0, r1)
+            if d == 0.0:
+                raise SingularGradient(constraint.id)
+            v_r = (r0 * v0 + r1 * v1) / d
+            h = radius - d - v_r * v_r / two_u if v_r > 0.0 else radius - d
+            rh0, rh1 = r0 / d, r1 / d
+            v_r = rh0 * v0 + rh1 * v1
+            if v_r > 0.0:
+                c = v_r / u_max
+                g0 = -rh0 - c * (v0 - v_r * rh0) / d
+                g1 = -rh1 - c * (v1 - v_r * rh1) / d
+                row = (-c * rh0 + 0.0, -c * rh1 + 0.0, -(0.0 + g0 * v0 + g1 * v1) - gamma * h)
+            else:
+                row = (0.0, 0.0, -(0.0 + -rh0 * v0 + -rh1 * v1) - gamma * h)
+        else:
+            row = None
+        if not (dt > 0.0 and 0.0 < 0.5 * dt * dt < math.inf):
+            raise _period_error(dt)
+        free, k_p, k_v = hold_map(model, x, dt)
+        speed = math.hypot(v0, v1)
+        reach = speed / two_u
+        hs_k = radius - math.hypot(p0 + v0 * reach - cx, p1 + v1 * reach - cy)
+        if speed >= u_max * dt and speed > 0.0:
+            # full braking along -v holds the stopping point through the step
+            ub0, ub1 = -u_max * v0 / speed, -u_max * v1 / speed
+        else:
+            # the command that stops the plant within the period (zero at rest,
+            # also where u_max * dt underflows to 0)
+            ub0, ub1 = -v0 / dt, -v1 / dt
+        # the braked step, and its stopping point relative to the center
+        bp0, bp1 = free[0] + k_p * ub0, free[1] + k_p * ub1
+        bv0, bv1 = free[2] + k_v * ub0, free[3] + k_v * ub1
+        b_speed = math.hypot(bv0, bv1)
+        reach = b_speed / two_u
+        q0, q1 = bp0 + bv0 * reach - cx, bp1 + bv1 * reach - cy
+        dist = math.hypot(q0, q1)
+        if dist == 0.0:
+            return row, None
+        hs_b = radius - dist
+        demand = min((1.0 - gamma * dt) * hs_k, hs_b) - hs_b
+        n0, n1 = q0 / dist, q1 / dist
+        # a = -J n with J = d q_{k+1} / du = (k_p + beta) I + beta vhat vhat^T,
+        # beta = k_v |v_{k+1}| / (2 u_max), vhat along v_{k+1}
+        beta = k_v * reach
+        c = k_p + beta
+        a0, a1 = -c * n0, -c * n1
+        square = b_speed * b_speed
+        if square > 0.0:  # a speed whose square underflows leaves out a term no larger than beta
+            k = beta * (bv0 * n0 + bv1 * n1) / square
+            a0 -= k * bv0
+            a1 -= k * bv1
+        return row, (a0, a1, demand + a0 * ub0 + a1 * ub1)
+    # speed_limit: the gradient's position block is zero, and there is no
+    # sampled row
+    if len(x) == 2:
+        v = x[1]
+        h = constraint._bound[0] - v * v
+        row = (-2.0 * v + 0.0, -(0.0 + 0.0 * v) - gamma * h)
+    else:
+        v0, v1 = x[2], x[3]
+        h = constraint._bound[0] - v0 * v0 - v1 * v1
+        row = (-2.0 * v0 + 0.0, -2.0 * v1 + 0.0, -(0.0 + 0.0 * v0 + 0.0 * v1) - gamma * h)
+    if not (dt > 0.0 and 0.0 < 0.5 * dt * dt < math.inf):
+        raise _period_error(dt)
+    return row, None
+
+
+def _period_error(dt) -> InvalidConfig:
+    """The error for a period with no held-command step to build a row on:
+    one not > 0, or whose 0.5*dt*dt underflows to 0 or overflows (an
+    infinite dt included). The checks are written inline, as
+    dt > 0.0 and 0.0 < 0.5 * dt * dt < math.inf, and call this only to
+    raise."""
+    return InvalidConfig(f"dt must be > 0 with 0.5*dt*dt finite and nonzero, got {dt}")
+
+
 def sampled_row(
     constraint: BarrierConstraint, model: PlantModel, state: PlantState, dt: float
 ) -> tuple[tuple[float, ...], float] | None:
-    """The sampled-data row a . u >= b for a command held over one period dt.
+    """The sampled-data row a . u >= b for a command held over one period dt,
+    as cbf_row's (a, b) pair; filter_rows computes it.
 
     It enforces h(x_{k+1}(u)) >= (1 - gamma*dt) * h(x_k), where x_{k+1}(u) is
     the undisturbed zero-order-hold step (dynamics.hold_map), which is the
@@ -275,67 +407,17 @@ def sampled_row(
         its maximum, so there is no row (None).
     speed_limit: None; the continuous row stands alone.
 
-    A row returned is a float row as cbf_row's, with authority (a != 0).
+    A row returned has authority (a != 0). The period is checked first, and
+    a speed limit returns None whatever its state; the state's dimension
+    is checked next. A state on a circle's center, where cbf_row raises, is
+    no error here.
     """
-    # a period whose 0.5*dt*dt underflows to 0 or overflows (an infinite dt
-    # included) has no held-command step to build a row on
     if not (dt > 0.0 and 0.0 < 0.5 * dt * dt < math.inf):
-        raise InvalidConfig(f"dt must be > 0 with 0.5*dt*dt finite and nonzero, got {dt}")
-    kind = constraint.kind
-    if kind == SPEED_LIMIT:
+        raise _period_error(dt)
+    if constraint.kind == SPEED_LIMIT:
         return None
-    x = state.xs
-    if len(x) not in _STATE_DIMS[kind] or len(x) != model.state_dim:
-        raise _dim_error(constraint, len(x), model)
-    free, k_p, k_v = hold_map(model, x, dt)
-    decay = 1.0 - constraint.gamma * dt
-    if kind == GEOFENCE_1D:
-        p_limit, u_max, two_u = constraint._bound
-        pos, vel = x
-        h_k = p_limit - pos - vel * abs(vel) / two_u
-        # With s = v_{k+1} = v_free + k_v u, p_{k+1} = p_free + rho (s - v_free)
-        # and h(x_{k+1}) = p_limit - p_free + rho v_free - rho s - s|s|/(2 u_max),
-        # which falls on decay * h_k at the root s of rho s + s|s|/(2 u_max) = k.
-        p_free, v_free = free
-        rho = k_p / k_v
-        k = p_limit - p_free + rho * v_free - decay * h_k
-        s = 2.0 * k / (rho + math.sqrt(rho * rho + 2.0 * abs(k) / u_max))
-        return (-1.0,), -(s - v_free) / k_v
-    cx, cy, radius, u_max, two_u = constraint._bound
-    p0, p1, v0, v1 = x
-    speed = math.hypot(v0, v1)
-    reach = speed / two_u
-    hs_k = radius - math.hypot(p0 + v0 * reach - cx, p1 + v1 * reach - cy)
-    if speed >= u_max * dt and speed > 0.0:
-        # full braking along -v holds the stopping point through the step
-        ub0, ub1 = -u_max * v0 / speed, -u_max * v1 / speed
-    else:
-        # the command that stops the plant within the period (zero at rest,
-        # also where u_max * dt underflows to 0)
-        ub0, ub1 = -v0 / dt, -v1 / dt
-    # the braked step, and its stopping point relative to the center
-    bp0, bp1 = free[0] + k_p * ub0, free[1] + k_p * ub1
-    bv0, bv1 = free[2] + k_v * ub0, free[3] + k_v * ub1
-    b_speed = math.hypot(bv0, bv1)
-    reach = b_speed / two_u
-    q0, q1 = bp0 + bv0 * reach - cx, bp1 + bv1 * reach - cy
-    dist = math.hypot(q0, q1)
-    if dist == 0.0:
-        return None
-    hs_b = radius - dist
-    demand = min(decay * hs_k, hs_b) - hs_b
-    n0, n1 = q0 / dist, q1 / dist
-    # a = -J n with J = d q_{k+1} / du = (k_p + beta) I + beta vhat vhat^T,
-    # beta = k_v |v_{k+1}| / (2 u_max), vhat along v_{k+1}
-    beta = k_v * reach
-    c = k_p + beta
-    a0, a1 = -c * n0, -c * n1
-    square = b_speed * b_speed
-    if square > 0.0:  # a speed whose square underflows leaves out a term no larger than beta
-        k = beta * (bv0 * n0 + bv1 * n1) / square
-        a0 -= k * bv0
-        a1 -= k * bv1
-    return (a0, a1), demand + a0 * ub0 + a1 * ub1
+    row = filter_rows(constraint, model, state, dt, continuous=False)[1]
+    return None if row is None else (row[:-1], row[-1])
 
 
 def constraint_from_config(cfg: dict) -> BarrierConstraint:

@@ -13,7 +13,10 @@ Every controller's output is saturated into the plant's box, so downstream
 code always sees an in-bounds desired command. An output with a NaN or
 infinite entry has no meaningful saturation and raises NonFiniteCommand.
 The saturation is written out for one axis and for two, and an MLP layer's
-product is w.dot(v), which rounds as w @ v does.
+product is w.dot(v), which rounds as w @ v does. A network binds its layer
+plan once, when its MlpSpec is built: per layer the weights' bound dot
+method, the bias and the activation's function (None for linear), so
+that a forward pass does no lookup by name.
 """
 
 from __future__ import annotations
@@ -28,7 +31,14 @@ from .barrier import BarrierConstraint, eval_grad_h
 from .dynamics import ControlInput, PlantModel, PlantState, actuation_row, drift_actuation_row
 from .errors import InvalidConfig, InvalidModel, InvalidState, NonFiniteCommand, ParseError
 
-ACTIVATIONS = ("tanh", "relu", "linear")
+
+def _relu(v: np.ndarray) -> np.ndarray:
+    return np.maximum(v, 0.0)
+
+
+# each activation's function on a layer's array; linear is the identity
+_ACTIVATION_FUNCTIONS = {"tanh": np.tanh, "relu": _relu, "linear": None}
+ACTIVATIONS = tuple(_ACTIVATION_FUNCTIONS)
 
 
 @dataclass(frozen=True)
@@ -36,13 +46,16 @@ class MlpSpec:
     """Fully-connected network: per-layer weights W[k] of shape
     (sizes[k+1], sizes[k]), biases b[k], and an activation per layer.
     Specs compare and hash by their sizes, their weights and biases as
-    float tuples, and their activations."""
+    float tuples, and their activations. The layer plan, per layer
+    (w.dot, b, activation function or None), is bound from them at
+    construction."""
 
     layer_sizes: tuple[int, ...]
     weights: tuple[np.ndarray, ...] = field(compare=False)
     biases: tuple[np.ndarray, ...] = field(compare=False)
     activations: tuple[str, ...]
     _values: tuple = field(init=False, repr=False)
+    _plan: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -80,6 +93,8 @@ class MlpSpec:
         values = tuple((tuple(map(tuple, w.tolist())), tuple(b.tolist())) for w, b in zip(weights, biases))
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "activations", tuple(self.activations))
+        plan = tuple((w.dot, b, _ACTIVATION_FUNCTIONS[act]) for w, b, act in zip(weights, biases, self.activations))
+        object.__setattr__(self, "_plan", plan)
 
 
 @dataclass(frozen=True)
@@ -128,19 +143,17 @@ ControllerKind = NnController | PdController | AdversarialController
 
 
 def mlp_forward(spec: MlpSpec, x: np.ndarray) -> np.ndarray:
-    """Sequential affine-then-activation evaluation. Each layer's product is
-    w.dot(v), which for a matrix and a vector rounds as w @ v does (both
-    reach the same BLAS matrix-vector product) without the operator's
-    dispatch."""
+    """Sequential affine-then-activation evaluation over the spec's layer
+    plan. Each layer's product is w.dot(v), which for a matrix and a vector
+    rounds as w @ v does (both reach the same BLAS matrix-vector product)
+    without the operator's dispatch."""
     v = np.asarray(x, dtype=float)
     if v.shape != (spec.layer_sizes[0],):
         raise InvalidModel(f"input length {v.shape} != {spec.layer_sizes[0]}")
-    for w, b, act in zip(spec.weights, spec.biases, spec.activations):
-        v = w.dot(v) + b
-        if act == "tanh":
-            v = np.tanh(v)
-        elif act == "relu":
-            v = np.maximum(v, 0.0)
+    for dot, b, activation in spec._plan:
+        v = dot(v) + b
+        if activation is not None:
+            v = activation(v)
     return v
 
 

@@ -290,6 +290,26 @@ def test_evidence_report_on_a_cyclic_argument():
     assert report.missing == ({"item_id": "E_SR_x", "etype": "sim_results", "path": "G_root > A > E_SR_x"},)
 
 
+def goal_chain(n, leaf="solution"):
+    """An argument of n goals in one chain, G0 -> G1 -> ..., the last
+    supported by one leaf E of the given kind: deeper than Python's default
+    recursion limit for n = 1,200."""
+    lines = [f'goal G{i}: "g"' for i in range(n)] + [f'{leaf} E: "e"']
+    lines += [f"G{i} -> G{i + 1}" for i in range(n - 1)] + [f"G{n - 1} -> E"]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_deep_chain_is_walked_without_recursion():
+    """validate_argument and path_to keep their own stacks: on a chain of
+    1,200 goals they give the findings and the path, not RecursionError."""
+    nodes, root = parse_argument(goal_chain(1200))
+    assert validate_argument(nodes, root) == []
+    assert path_to(nodes, root, "E") == [f"G{i}" for i in range(1200)] + ["E"]
+    nodes, root = parse_argument(goal_chain(1200, leaf="context"))
+    findings = validate_argument(nodes, root)
+    assert [(f.code, f.node_id) for f in findings] == [("undeveloped_goal", nid) for nid in sorted(f"G{i}" for i in range(1200))]
+
+
 _RANK = {"unsupported": 0, "partially-supported": 1, "supported": 2}
 
 

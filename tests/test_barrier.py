@@ -1,4 +1,6 @@
 import math
+import sys
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from asifkit import (
     GEOFENCE_1D,
     GEOFENCE_2D_CIRCLE,
     SPEED_LIMIT,
+    AsifKitError,
     BarrierConstraint,
     ControlInput,
     InvalidConfig,
@@ -22,8 +25,10 @@ from asifkit import (
     sampled_row,
     step_rk4,
 )
+from asifkit import asif, barrier
 from asifkit.barrier import check_bounds_consistency, constraint_from_config
 from tests import oracles
+from tests.test_least_max_violation import multirow_cases
 
 
 def test_eval_h_fence_examples(fence):
@@ -416,3 +421,109 @@ def test_entry_points_match_the_reference_composition():
             dt = float(rng.choice([0.0, -0.01, math.nan, math.inf, 1e300, 1e-170, 2e154]))
         expected = barrier_outcomes(constraint, model, state, dt, references)
         assert barrier_outcomes(constraint, model, state, dt) == expected, (constraint, state.xs, dt)
+
+
+# ---- the filter's kernel: both rows of a constraint from one call ----
+
+# the period check's message, as sampled_row has always given it
+PERIOD_ERROR = "dt must be > 0 with 0.5*dt*dt finite and nonzero, got {}"
+BAD_PERIODS = (0.0, -0.01, math.nan, math.inf, 1e300, 1e-170)
+
+
+def _error(exc):
+    return type(exc).__name__, str(exc)
+
+
+def _kernel_outcome(constraint, model, state, dt):
+    """barrier.filter_rows's rows by repr, or its error by type and message.
+    The kernel is read as a module attribute, so that tools/differential.py
+    can import this module against a tree without it."""
+    try:
+        return repr(barrier.filter_rows(constraint, model, state, dt))
+    except AsifKitError as exc:
+        return _error(exc)
+
+
+def _expected_kernel_outcome(constraint, model, state, dt):
+    """cbf_row's error, else the period's error, else cbf_row's row and the
+    reference sampled row, both as solver rows (a..., b)."""
+    try:
+        a, b = cbf_row(constraint, model, state)
+    except AsifKitError as exc:
+        return _error(exc)
+    try:
+        sampled = oracles.barrier_sampled_row(constraint, model, state, dt)
+    except InvalidConfig:
+        return "InvalidConfig", PERIOD_ERROR.format(dt)
+    return repr((a + (b,), None if sampled is None else sampled[0] + (sampled[1],)))
+
+
+def _expected_sampled_outcome(constraint, model, state, dt):
+    """The reference sampled row by repr; its period error with sampled_row's
+    message, and its dimension error with cbf_row's, which is the same."""
+    try:
+        return repr(oracles.barrier_sampled_row(constraint, model, state, dt))
+    except InvalidConfig:
+        return "InvalidConfig", PERIOD_ERROR.format(dt)
+    except InvalidState:
+        with pytest.raises(InvalidState) as err:
+            cbf_row(constraint, model, state)
+        return _error(err.value)
+
+
+@pytest.mark.parametrize("dt", PERIODS + BAD_PERIODS)
+def test_filter_rows_are_cbf_row_and_the_reference_sampled_row(dt):
+    """filter_rows gives cbf_row's row and the reference sampled row bit for
+    bit, or the error that cbf_row and then sampled_row raised before it, by
+    type and message: a wrong state size, a circle's center, then a bad
+    period, also for a speed limit. sampled_row, now read from the kernel,
+    keeps its own outcomes, a row at a circle's center among them."""
+    rng = np.random.default_rng(43)
+    seen = set()
+    for constraint, model, state, _ in barrier_cases(rng, 150):
+        expected = _expected_kernel_outcome(constraint, model, state, dt)
+        assert _kernel_outcome(constraint, model, state, dt) == expected, (constraint, state.xs, dt)
+        try:
+            sampled = repr(sampled_row(constraint, model, state, dt))
+        except AsifKitError as exc:
+            sampled = _error(exc)
+        assert sampled == _expected_sampled_outcome(constraint, model, state, dt), (constraint, state.xs, dt)
+        seen.add(expected[0] if isinstance(expected, tuple) else ("nan" if "nan" in expected else "row"))
+    if dt in PERIODS:
+        assert seen == {"InvalidState", "SingularGradient", "nan", "row"}
+    else:
+        assert seen == {"InvalidState", "SingularGradient", "InvalidConfig"}
+
+
+def _barrier_calls(call, *args):
+    """The calls into functions of the barrier module that call makes, and
+    its result."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == barrier.__file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        out = call(*args)
+    finally:
+        sys.setprofile(None)
+    return calls, out
+
+
+@pytest.mark.parametrize("dt", [None, 0.01])
+def test_assemble_qp_makes_one_barrier_call_per_constraint(dt):
+    """Given dt, assemble_qp makes one call into the barrier module per
+    constraint, filter_rows, and without it one, cbf_row: on 1-D fence
+    states and on the multirow 2-D problems of three circles and a speed
+    limit."""
+    model_1d = PlantModel(DOUBLE_INTEGRATOR_1D, [[-1.0, 1.0]])
+    fence = BarrierConstraint("fence", GEOFENCE_1D, {"p_limit": 1.0, "u_max": 1.0})
+    rng = np.random.default_rng(61)
+    cases = [([fence], model_1d, PlantState(x), ControlInput([0.0], model_1d.control_bounds)) for x in rng.uniform(-0.9, 0.9, (50, 2))]
+    cases += list(islice(multirow_cases(np.random.default_rng(31)), 50))
+    name = "cbf_row" if dt is None else "filter_rows"
+    for constraints, model, state, u_des in cases:
+        calls, qp = _barrier_calls(asif.assemble_qp, constraints, model, state, u_des, dt)
+        assert calls == [name] * len(constraints) and qp.rows

@@ -7,6 +7,7 @@ import pytest
 from asifkit import ScenarioConfig, cli, compute_metrics, run_episode, write_trace
 from asifkit.assurance import template_text
 from asifkit.cli import dispatch
+from tests.test_assurance import goal_chain
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -63,6 +64,15 @@ def test_check_case_cycle_exits_1(tmp_path, capsys):
     path = tmp_path / "cycle.gsn"
     path.write_text(doc)
     assert dispatch(["check-case", "--argument", str(path)]) == 1
+
+
+def test_check_case_on_a_deep_chain(tmp_path, capsys):
+    """check-case on a chain of 1,200 goals prints its verdict and exits 0,
+    with no RecursionError from the developed-goal walk."""
+    path = tmp_path / "chain.gsn"
+    path.write_text(goal_chain(1200), encoding="utf-8")
+    assert dispatch(["check-case", "--argument", str(path)]) == 0
+    assert capsys.readouterr().out == "ok: 1201 nodes, root G0\n"
 
 
 def test_unknown_flag_usage_error():

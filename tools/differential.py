@@ -53,8 +53,10 @@ Sets:
                      on one axis and then on two, with one row entry, drawn
                      by the same generator, replaced by NONFINITE[s % 6]
   barrier            eval_h, eval_grad_h, cbf_row and sampled_row by repr
-                     (an error by its type) on
-                     tests.test_barrier.barrier_cases(default_rng(0), N):
+                     (an error by its type), and assemble_qp of the one
+                     constraint at the case's period dt with a zero
+                     command by repr (an error by its type and message),
+                     on tests.test_barrier.barrier_cases(default_rng(0), N):
                      N cases for each of a 1-D fence, a circle and a speed
                      limit on each state size, with signed zeros, tiny,
                      huge and non-finite state entries
@@ -479,9 +481,19 @@ def _nonfinite(workdir, size, random_count):
 def _barrier(workdir, size, random_count):
     import numpy as np
 
+    from asifkit import ControlInput, assemble_qp
     from tests.test_barrier import barrier_cases, barrier_outcomes
 
-    return [(_digest(*barrier_outcomes(*case)), [], 0) for case in barrier_cases(np.random.default_rng(0), random_count)]
+    def assembled(constraint, model, state, dt):
+        try:
+            return repr(assemble_qp([constraint], model, state, ControlInput._trusted((0.0,) * model.control_dim), dt))
+        except Exception as exc:
+            return type(exc).__name__, str(exc)
+
+    return [
+        (_digest(*barrier_outcomes(*case), assembled(*case)), [], 0)
+        for case in barrier_cases(np.random.default_rng(0), random_count)
+    ]
 
 
 def _plant(workdir, size, random_count):
