@@ -22,7 +22,6 @@ from .barrier import (
     eval_grad_h,
     eval_h,
     filter_rows,
-    sampled_row,
 )
 from .controllers import (
     AdversarialController,

@@ -17,6 +17,7 @@ Sharing a child between parents is allowed (context markers typically are).
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass, field
 
 from ..errors import ParseError
@@ -133,9 +134,13 @@ def validate_argument(nodes: dict[str, ArgumentNode], root: str) -> list[Finding
     """
     findings: list[Finding] = []
 
-    # cycle detection, three-color DFS over every node
+    # cycle detection, three-color DFS over every node; a node finishing
+    # records whether it is developed (some strategy or solution in its
+    # descendant set), since in an acyclic graph its children have finished
+    # (a cyclic argument returns before the record is read)
     color: dict[str, int] = {nid: 0 for nid in nodes}
     cycle_nodes: set[str] = set()
+    developed: dict[str, bool] = {}
 
     def dfs_cycle(start: str) -> None:
         stack: list[tuple[str, int]] = [(start, 0)]
@@ -153,6 +158,7 @@ def validate_argument(nodes: dict[str, ArgumentNode], root: str) -> list[Finding
                     cycle_nodes.add(child)
             else:
                 color[nid] = 2
+                developed[nid] = any(nodes[c].kind in ("strategy", "solution") or developed.get(c) for c in children)
                 stack.pop()
 
     for nid in nodes:
@@ -179,36 +185,10 @@ def validate_argument(nodes: dict[str, ArgumentNode], root: str) -> list[Finding
             Finding("warning", "unreachable", nid, f"node '{nid}' unreachable from root '{root}'")
         )
 
-    # developed-goal check: some strategy or solution in the descendant set
-    developed_cache: dict[str, bool] = {}
-
-    def developed(start: str) -> bool:
-        # depth-first with an explicit stack of (node, next child index), so
-        # a deep argument needs no Python frame per level; the graph is
-        # acyclic here, so a node is never on the stack twice
-        if start in developed_cache:
-            return developed_cache[start]
-        stack: list[tuple[str, int]] = [(start, 0)]
-        while stack:
-            nid, idx = stack[-1]
-            children = nodes[nid].children
-            if idx == len(children):
-                developed_cache[nid] = False
-                stack.pop()
-                continue
-            child = children[idx]
-            if nodes[child].kind in ("strategy", "solution") or developed_cache.get(child):
-                developed_cache[nid] = True
-                stack.pop()
-            elif child in developed_cache:
-                stack[-1] = (nid, idx + 1)
-            else:
-                stack.append((child, 0))  # this frame reads the child's result once it is decided
-        return developed_cache[start]
-
+    # undeveloped goals and strategies without goal children
     for nid in sorted(nodes):
         node = nodes[nid]
-        if node.kind == "goal" and not developed(nid):
+        if node.kind == "goal" and not developed[nid]:
             findings.append(
                 Finding("warning", "undeveloped_goal", nid, f"undeveloped goal '{nid}'")
             )
@@ -226,16 +206,16 @@ def solutions_under(nodes: dict[str, ArgumentNode], goal_id: str) -> list[str]:
     first reach (deterministic)."""
     seen: set[str] = set()
     out: list[str] = []
-    stack = [goal_id]
-    while stack:
-        nid = stack.pop(0)
+    queue = deque([goal_id])
+    while queue:
+        nid = queue.popleft()
         if nid in seen:
             continue
         seen.add(nid)
         node = nodes[nid]
         if node.kind == "solution":
             out.append(nid)
-        stack.extend(node.children)
+        queue.extend(node.children)
     return out
 
 

@@ -20,8 +20,8 @@ returns:
                 without its b: the filter's row without a period
   filter_rows   the continuous row and the sampled row (or None) as solver
                 rows (a..., b), from one dimension test and one kind
-                dispatch: the filter's one call per constraint given dt
-  sampled_row   the sampled row alone as (a, b), read from filter_rows
+                dispatch: the filter's one call per constraint given dt,
+                and the only code that builds a sampled row
 
 cbf_row and filter_rows each write the continuous row out, in the same
 operations, so that the filter without a period keeps its straight-line
@@ -31,12 +31,14 @@ f = (velocities, 0), so a = grad_h . g is the gradient's velocity block and
 grad_h . f pairs its position block with the velocities.
 
 A command held over a control period dt (zero-order hold) obeys a different
-condition, h(x_{k+1}) >= (1 - gamma dt) h(x_k). The sampled row enforces it
-for the geofences: exact for geofence_1d, and on a stopping-point barrier,
-linearised at the braking command, for geofence_2d_circle. A sampled row
-always has authority (a != 0); it is enforced alongside the continuous row,
-never instead of it. docs/discretization_margin.md has the derivations.
-The held-command step comes from the dynamics module (hold_map).
+condition, h(x_{k+1}) >= (1 - gamma dt) h(x_k). filter_rows' sampled row
+enforces it for the geofences: exact for geofence_1d, and on a
+stopping-point barrier, linearised at the braking command, for
+geofence_2d_circle. There is none (None) for a speed limit, or where a
+circle's braked stopping point is its center. A sampled row always has
+authority (a != 0); it is enforced alongside the continuous row, never
+instead of it. docs/discretization_margin.md has the derivations. The
+held-command step comes from the dynamics module (hold_map).
 
 Constraint kinds:
 
@@ -260,18 +262,39 @@ def cbf_row(constraint: BarrierConstraint, model: PlantModel, state: PlantState)
 
 
 def filter_rows(
-    constraint: BarrierConstraint, model: PlantModel, state: PlantState, dt: float, *, continuous: bool = True
-) -> tuple[tuple[float, ...] | None, tuple[float, ...] | None]:
+    constraint: BarrierConstraint, model: PlantModel, state: PlantState, dt: float
+) -> tuple[tuple[float, ...], tuple[float, ...] | None]:
     """The constraint's continuous row and its sampled-data row for a command
     held over one period dt, both as solver rows (a..., b), from one
     dimension test and one kind dispatch: the rows assemble_qp takes given
-    dt. The continuous row is cbf_row's, bit for bit; the sampled row is the
-    one sampled_row documents, or None where there is none.
+    dt. The continuous row is cbf_row's, bit for bit.
 
-    Errors come in the order of cbf_row and then sampled_row: the state's
-    dimension, a circle's center (SingularGradient), then the period.
-    continuous=False leaves out a circle's continuous row (None), so a
-    state on its center is no error there: the form sampled_row reads.
+    The sampled row a . u >= b enforces h(x_{k+1}(u)) >= (1 - gamma*dt) h(x_k),
+    where x_{k+1}(u) is the undisturbed zero-order-hold step
+    (dynamics.hold_map), which is the condition the sampled plant obeys
+    (Agrawal & Sreenath, "Discrete Control Barrier Functions", RSS 2017).
+    It complements the continuous row and never replaces it.
+
+    geofence_1d: h(x_{k+1}(u)) strictly decreases in u, so the row is exactly
+        u <= u*, where u* puts h(x_{k+1}) on (1 - gamma*dt) h_k. Full braking
+        satisfies it whenever h_k >= 0.
+    geofence_2d_circle: the row is on the stopping-point barrier
+        h_s = radius - ||p + v||v|| / (2 u_max) - center||, linearised at the
+        braking command u_b = -u_max v/||v|| (or -v/dt once ||v|| < u_max dt,
+        which stops the plant within the period). Braking along -v keeps the
+        stopping point fixed, so it does not bear the turning deficit of the
+        radial form. The demand is capped at h_s(x_{k+1}(u_b)), so u_b
+        always satisfies the row, also from h_s < 0. The row is a first-order
+        expansion: its remainder is not bounded, so its effect is measured
+        (docs/discretization_margin.md), not proven. Where the braked
+        stopping point is the center the normal is undefined and h_s is at
+        its maximum, so there is no row (None).
+    speed_limit: None; the continuous row stands alone.
+
+    A sampled row returned has authority (a != 0). Errors come in the order
+    of cbf_row and then the period: the state's dimension, a circle's
+    center (SingularGradient), then a period with no held-command step
+    (InvalidConfig), also for a speed limit.
     """
     x = state.xs
     kind = constraint.kind
@@ -300,25 +323,22 @@ def filter_rows(
     if kind == GEOFENCE_2D_CIRCLE:
         cx, cy, radius, u_max, two_u = constraint._bound
         p0, p1, v0, v1 = x
-        if continuous:
-            r0 = p0 - cx
-            r1 = p1 - cy
-            d = math.hypot(r0, r1)
-            if d == 0.0:
-                raise SingularGradient(constraint.id)
-            v_r = (r0 * v0 + r1 * v1) / d
-            h = radius - d - v_r * v_r / two_u if v_r > 0.0 else radius - d
-            rh0, rh1 = r0 / d, r1 / d
-            v_r = rh0 * v0 + rh1 * v1
-            if v_r > 0.0:
-                c = v_r / u_max
-                g0 = -rh0 - c * (v0 - v_r * rh0) / d
-                g1 = -rh1 - c * (v1 - v_r * rh1) / d
-                row = (-c * rh0 + 0.0, -c * rh1 + 0.0, -(0.0 + g0 * v0 + g1 * v1) - gamma * h)
-            else:
-                row = (0.0, 0.0, -(0.0 + -rh0 * v0 + -rh1 * v1) - gamma * h)
+        r0 = p0 - cx
+        r1 = p1 - cy
+        d = math.hypot(r0, r1)
+        if d == 0.0:
+            raise SingularGradient(constraint.id)
+        v_r = (r0 * v0 + r1 * v1) / d
+        h = radius - d - v_r * v_r / two_u if v_r > 0.0 else radius - d
+        rh0, rh1 = r0 / d, r1 / d
+        v_r = rh0 * v0 + rh1 * v1
+        if v_r > 0.0:
+            c = v_r / u_max
+            g0 = -rh0 - c * (v0 - v_r * rh0) / d
+            g1 = -rh1 - c * (v1 - v_r * rh1) / d
+            row = (-c * rh0 + 0.0, -c * rh1 + 0.0, -(0.0 + g0 * v0 + g1 * v1) - gamma * h)
         else:
-            row = None
+            row = (0.0, 0.0, -(0.0 + -rh0 * v0 + -rh1 * v1) - gamma * h)
         if not (dt > 0.0 and 0.0 < 0.5 * dt * dt < math.inf):
             raise _period_error(dt)
         free, k_p, k_v = hold_map(model, x, dt)
@@ -377,47 +397,6 @@ def _period_error(dt) -> InvalidConfig:
     dt > 0.0 and 0.0 < 0.5 * dt * dt < math.inf, and call this only to
     raise."""
     return InvalidConfig(f"dt must be > 0 with 0.5*dt*dt finite and nonzero, got {dt}")
-
-
-def sampled_row(
-    constraint: BarrierConstraint, model: PlantModel, state: PlantState, dt: float
-) -> tuple[tuple[float, ...], float] | None:
-    """The sampled-data row a . u >= b for a command held over one period dt,
-    as cbf_row's (a, b) pair; filter_rows computes it.
-
-    It enforces h(x_{k+1}(u)) >= (1 - gamma*dt) * h(x_k), where x_{k+1}(u) is
-    the undisturbed zero-order-hold step (dynamics.hold_map), which is the
-    condition the sampled plant obeys (Agrawal & Sreenath, "Discrete Control
-    Barrier Functions", RSS 2017). It complements cbf_row's row and never
-    replaces it.
-
-    geofence_1d: h(x_{k+1}(u)) strictly decreases in u, so the row is exactly
-        u <= u*, where u* puts h(x_{k+1}) on (1 - gamma*dt) h_k. Full braking
-        satisfies it whenever h_k >= 0.
-    geofence_2d_circle: the row is on the stopping-point barrier
-        h_s = radius - ||p + v||v|| / (2 u_max) - center||, linearised at the
-        braking command u_b = -u_max v/||v|| (or -v/dt once ||v|| < u_max dt,
-        which stops the plant within the period). Braking along -v keeps the
-        stopping point fixed, so it does not bear the turning deficit of the
-        radial form. The demand is capped at h_s(x_{k+1}(u_b)), so u_b
-        always satisfies the row, also from h_s < 0. The row is a first-order
-        expansion: its remainder is not bounded, so its effect is measured
-        (docs/discretization_margin.md), not proven. Where the braked
-        stopping point is the center the normal is undefined and h_s is at
-        its maximum, so there is no row (None).
-    speed_limit: None; the continuous row stands alone.
-
-    A row returned has authority (a != 0). The period is checked first, and
-    a speed limit returns None whatever its state; the state's dimension
-    is checked next. A state on a circle's center, where cbf_row raises, is
-    no error here.
-    """
-    if not (dt > 0.0 and 0.0 < 0.5 * dt * dt < math.inf):
-        raise _period_error(dt)
-    if constraint.kind == SPEED_LIMIT:
-        return None
-    row = filter_rows(constraint, model, state, dt, continuous=False)[1]
-    return None if row is None else (row[:-1], row[-1])
 
 
 def constraint_from_config(cfg: dict) -> BarrierConstraint:

@@ -123,20 +123,19 @@ class PdController:
 @dataclass(frozen=True)
 class AdversarialController:
     """Drives toward violation of one constraint. The target is referenced by
-    id in configs and resolved against the scenario's constraint list (and
-    plant model) before use."""
+    id in configs and resolved against the scenario's constraint list before
+    use; the plant model comes with each command (desired_control)."""
 
     target_constraint_id: str
     constraint: BarrierConstraint | None = None
-    model: PlantModel | None = None
 
-    def bind(self, constraint: BarrierConstraint, model: PlantModel) -> "AdversarialController":
+    def bind(self, constraint: BarrierConstraint) -> "AdversarialController":
         if constraint.id != self.target_constraint_id:
             raise InvalidConfig(
                 f"adversarial target '{self.target_constraint_id}' bound to "
                 f"constraint '{constraint.id}'"
             )
-        return AdversarialController(self.target_constraint_id, constraint, model)
+        return AdversarialController(self.target_constraint_id, constraint)
 
 
 ControllerKind = NnController | PdController | AdversarialController
@@ -194,7 +193,7 @@ def _adversarial_command(
     position gradient mapped to the paired control axis, which decreases h
     over the following steps on these double-integrator plants.
     """
-    if controller.constraint is None or controller.model is None:
+    if controller.constraint is None:
         raise InvalidConfig("adversarial controller used before binding to a constraint")
     if len(state.xs) != model.state_dim:
         raise InvalidState(f"state dim {len(state.xs)} does not match model {model.kind}")

@@ -168,7 +168,7 @@ class ScenarioConfig:
                     f"adversarial target '{controller.target_constraint_id}' not among "
                     f"constraint ids {sorted(by_id)}"
                 )
-            controller = controller.bind(by_id[controller.target_constraint_id], model)
+            controller = controller.bind(by_id[controller.target_constraint_id])
         if isinstance(controller, NnController):
             sizes = controller.spec.layer_sizes
             if sizes[0] != model.state_dim or sizes[-1] != model.control_dim:

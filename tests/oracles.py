@@ -418,8 +418,8 @@ def barrier_cbf_row(constraint, model, state):
 
 
 def barrier_sampled_row(constraint, model, state, dt):
-    """The sampled-data row as barrier.sampled_row derives it, on the
-    constraint's params mapping."""
+    """The sampled-data row as barrier.filter_rows derives it, as (a, b), on
+    the constraint's params mapping."""
     if not (dt > 0.0 and 0.0 < 0.5 * dt * dt < math.inf):
         raise InvalidConfig(f"bad period {dt}")
     if constraint.kind == SPEED_LIMIT:
@@ -441,7 +441,7 @@ def barrier_sampled_row(constraint, model, state, dt):
     speed = math.hypot(v0, v1)
     reach = speed / (2.0 * u_max)
     hs_k = p["radius"] - math.hypot(p0 + v0 * reach - cx, p1 + v1 * reach - cy)
-    if speed >= u_max * dt:
+    if speed >= u_max * dt and speed > 0.0:  # at rest, u_max * dt may underflow to 0
         ub0, ub1 = -u_max * v0 / speed, -u_max * v1 / speed
     else:
         ub0, ub1 = -v0 / dt, -v1 / dt

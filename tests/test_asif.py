@@ -446,10 +446,10 @@ def test_filter_calls_each_entry_point_through_the_module(monkeypatch, circle, s
     """filter_control reaches cbf_row without dt, and filter_rows given dt,
     once per constraint, and assemble_qp and solve_qp once per call, each
     through asif's module attribute, the binding a tracer wraps. Given dt,
-    neither cbf_row nor sampled_row is called by any binding. Its result
+    cbf_row is not called by any binding. Its result
     and the problem are exact instances of their classes, as the usual
     constructors build them."""
-    calls = dict.fromkeys(ENTRY_POINTS + ("barrier.cbf_row", "barrier.sampled_row"), 0)
+    calls = dict.fromkeys(ENTRY_POINTS + ("barrier.cbf_row",), 0)
     problems = []
 
     def counting(name, fn):
@@ -464,13 +464,12 @@ def test_filter_calls_each_entry_point_through_the_module(monkeypatch, circle, s
 
     for name in ENTRY_POINTS:
         monkeypatch.setattr(asif, name, counting(name, getattr(asif, name)))
-    for name in ("cbf_row", "sampled_row"):
-        monkeypatch.setattr(barrier, name, counting(f"barrier.{name}", getattr(barrier, name)))
+    monkeypatch.setattr(barrier, "cbf_row", counting("barrier.cbf_row", barrier.cbf_row))
     constraints = [circle, speed]
     state = PlantState([0.5, 0.2, 0.3, -0.2])
     result = filter_control(constraints, model_2d, state, ControlInput(list(u_des), model_2d.control_bounds), dt)
     per_constraint = {"cbf_row": 2, "filter_rows": 0} if dt is None else {"cbf_row": 0, "filter_rows": 2}
-    assert calls == {**per_constraint, "assemble_qp": 1, "solve_qp": 1, "barrier.cbf_row": 0, "barrier.sampled_row": 0}
+    assert calls == {**per_constraint, "assemble_qp": 1, "solve_qp": 1, "barrier.cbf_row": 0}
 
     assert type(result) is FilterResult and result == FilterResult(*result)
     assert result._replace(solve_time=0.0) == FilterResult(*result)._replace(solve_time=0.0)

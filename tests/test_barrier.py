@@ -22,7 +22,7 @@ from asifkit import (
     cbf_row,
     eval_grad_h,
     eval_h,
-    sampled_row,
+    filter_rows,
     step_rk4,
 )
 from asifkit import asif, barrier
@@ -242,6 +242,14 @@ def test_constraints_compare_and_hash():
 DT = 0.01
 
 
+def _sampled(constraint, model, state, dt):
+    """filter_rows' sampled row, checked against the reference's by repr."""
+    row = filter_rows(constraint, model, state, dt)[1]
+    reference = oracles.barrier_sampled_row(constraint, model, state, dt)
+    assert repr(row) == repr(None if reference is None else (*reference[0], reference[1]))
+    return row
+
+
 def _safe_fence_states(rng, n):
     states = []
     while len(states) < n:
@@ -258,7 +266,7 @@ def test_sampled_fence_row_lands_on_decayed_h(gamma):
     wide = PlantModel(DOUBLE_INTEGRATOR_1D, [[-1e4, 1e4]])  # any u*, not only the box's
     rng = np.random.default_rng(12)
     for state in _safe_fence_states(rng, 200) + [PlantState([0.3, -0.4]), PlantState([1.0, 0.0])]:
-        a, b = sampled_row(fence, wide, state, DT)
+        *a, b = _sampled(fence, wide, state, DT)
         assert np.array_equal(a, [-1.0])
         h_k = eval_h(fence, state)
         nxt = step_rk4(wide, state, ControlInput([-b], wide.control_bounds), np.zeros(2), DT)
@@ -270,7 +278,7 @@ def test_sampled_fence_row_admits_full_braking(gamma, model_1d):
     fence = BarrierConstraint("fence", GEOFENCE_1D, {"p_limit": 1.0, "u_max": 1.0}, gamma=gamma)
     rng = np.random.default_rng(13)
     for state in _safe_fence_states(rng, 300) + [PlantState([1.0, 0.0]), PlantState([0.995, 0.1])]:
-        a, b = sampled_row(fence, model_1d, state, DT)
+        *a, b = _sampled(fence, model_1d, state, DT)
         assert float(np.asarray(a) @ [-1.0]) >= b - 1e-12
         braked = step_rk4(model_1d, state, ControlInput([-1.0], model_1d.control_bounds), np.zeros(2), DT)
         assert eval_h(fence, braked) >= (1.0 - gamma * DT) * eval_h(fence, state) - 1e-12
@@ -296,22 +304,25 @@ def test_sampled_circle_row_admits_braking(gamma, model_2d):
     ]
     states += [PlantState([0.9, 0.3, 0.004, -0.003]), PlantState([0.5, 0.5, 0.0, 0.0])]
     for state in states:
-        a, b = sampled_row(circle, model_2d, state, DT)
+        *a, b = _sampled(circle, model_2d, state, DT)
         assert any(a)
         u_b = _braking(state)
         assert np.all(np.abs(u_b) <= 1.0)
-        assert float(a @ u_b) >= b - 1e-12
+        assert float(np.asarray(a) @ u_b) >= b - 1e-12
 
 
 def test_sampled_circle_row_absent_at_centered_stopping_point(circle, model_2d):
-    # braking from rest at the center leaves the stopping point there
-    assert sampled_row(circle, model_2d, PlantState([0.0, 0.0, 0.0, 0.0]), DT) is None
+    """Braking over the period stops the plant on the center, so there is
+    no sampled row; the continuous row stands."""
+    state = PlantState([-0.0625, 0.0, 0.25, 0.0])
+    assert _sampled(circle, model_2d, state, 0.5) is None
+    assert filter_rows(circle, model_2d, state, 0.5) == ((0.0, 0.0, -1.1875), None)
 
 
 def test_sampled_circle_row_where_the_braked_speed_squared_underflows(circle, model_2d):
     """Over a period of 2 s the braked speed is about 5e-324, whose square is
     0: the row leaves out the term divided by that square and has authority."""
-    a, b = sampled_row(circle, model_2d, PlantState([0.0, -1.0, 0.0, 5e-324]), 2.0)
+    *a, b = _sampled(circle, model_2d, PlantState([0.0, -1.0, 0.0, 5e-324]), 2.0)
     assert any(a) and all(map(math.isfinite, (*a, b)))
 
 
@@ -319,12 +330,12 @@ def test_sampled_circle_row_at_rest_where_the_braking_step_underflows(model_2d):
     """At rest, with u_max * dt underflowing to 0, the row is built on the
     command that stops the plant (zero), not on a division by the speed."""
     circle = BarrierConstraint("circle", GEOFENCE_2D_CIRCLE, {"center": (0.0, 0.0), "radius": 1.0, "u_max": 1e-300})
-    a, b = sampled_row(circle, model_2d, PlantState([0.0, 0.5, 0.0, 0.0]), 1e-30)
+    *a, b = _sampled(circle, model_2d, PlantState([0.0, 0.5, 0.0, 0.0]), 1e-30)
     assert any(a) and all(map(math.isfinite, (*a, b)))
 
 
 def test_sampled_row_none_for_speed_limit(speed, model_2d):
-    assert sampled_row(speed, model_2d, PlantState([0.0, 0.0, 0.1, 0.2]), DT) is None
+    assert _sampled(speed, model_2d, PlantState([0.0, 0.0, 0.1, 0.2]), DT) is None
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.01, float("nan"), float("inf"), 1e300, 1e-170])
@@ -338,7 +349,7 @@ def test_sampled_row_rejects_bad_period(fence, circle, speed, model_1d, model_2d
         (speed, model_2d, PlantState([0.0, 0.0, 0.1, 0.2])),
     ):
         with pytest.raises(InvalidConfig):
-            sampled_row(constraint, model, state, dt)
+            filter_rows(constraint, model, state, dt)
 
 
 # ---- the entry points against the reference composition ----
@@ -397,24 +408,51 @@ def _outcome(call, *args):
         return type(exc).__name__
 
 
-def barrier_outcomes(constraint, model, state, dt, entry_points=(eval_h, eval_grad_h, cbf_row, sampled_row)):
-    """The outcomes of eval_h, eval_grad_h, cbf_row and sampled_row, or of
-    the given functions in their place, on one case."""
-    h, grad_h, row, sampled = entry_points
+def _rows_outcome(call, *args):
+    """The call's result by repr, or its error by type and message."""
+    try:
+        return repr(call(*args))
+    except AsifKitError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def barrier_outcomes(constraint, model, state, dt, entry_points=(eval_h, eval_grad_h, cbf_row, filter_rows)):
+    """The outcomes of eval_h, eval_grad_h, cbf_row and filter_rows, or of
+    the given functions in their place, on one case: filter_rows' error by
+    its type and message, the others' by type."""
+    h, grad_h, row, rows = entry_points
     return (
         _outcome(h, constraint, state),
         _outcome(grad_h, constraint, state),
         _outcome(row, constraint, model, state),
-        _outcome(sampled, constraint, model, state, dt),
+        _rows_outcome(rows, constraint, model, state, dt),
     )
+
+
+# the period check's message, as filter_rows gives it
+PERIOD_ERROR = "dt must be > 0 with 0.5*dt*dt finite and nonzero, got {}"
+BAD_PERIODS = (0.0, -0.01, math.nan, math.inf, 1e300, 1e-170)
+
+
+def _reference_filter_rows(constraint, model, state, dt):
+    """cbf_row's row and the reference sampled row, both as solver rows
+    (a..., b); cbf_row's error first, then the period's with filter_rows'
+    message."""
+    a, b = cbf_row(constraint, model, state)
+    try:
+        sampled = oracles.barrier_sampled_row(constraint, model, state, dt)
+    except InvalidConfig:
+        raise InvalidConfig(PERIOD_ERROR.format(dt)) from None
+    return a + (b,), None if sampled is None else (*sampled[0], sampled[1])
 
 
 def test_entry_points_match_the_reference_composition():
     """Each entry point gives the reference's result by repr, or raises an
     error of the same type: h, the gradient, the row composed from the
-    whole gradient with an exactly rounded drift term, and the sampled row
-    on the params mapping, also for periods the check rejects."""
-    references = (oracles.barrier_eval_h, oracles.barrier_eval_grad_h, oracles.barrier_cbf_row, oracles.barrier_sampled_row)
+    whole gradient with an exactly rounded drift term, and filter_rows'
+    rows, whose sampled row the reference builds on the params mapping,
+    also for periods the check rejects."""
+    references = (oracles.barrier_eval_h, oracles.barrier_eval_grad_h, oracles.barrier_cbf_row, _reference_filter_rows)
     rng = np.random.default_rng(41)
     for constraint, model, state, dt in barrier_cases(rng, 500):
         if rng.random() < 0.1:
@@ -425,69 +463,18 @@ def test_entry_points_match_the_reference_composition():
 
 # ---- the filter's kernel: both rows of a constraint from one call ----
 
-# the period check's message, as sampled_row has always given it
-PERIOD_ERROR = "dt must be > 0 with 0.5*dt*dt finite and nonzero, got {}"
-BAD_PERIODS = (0.0, -0.01, math.nan, math.inf, 1e300, 1e-170)
-
-
-def _error(exc):
-    return type(exc).__name__, str(exc)
-
-
-def _kernel_outcome(constraint, model, state, dt):
-    """barrier.filter_rows's rows by repr, or its error by type and message.
-    The kernel is read as a module attribute, so that tools/differential.py
-    can import this module against a tree without it."""
-    try:
-        return repr(barrier.filter_rows(constraint, model, state, dt))
-    except AsifKitError as exc:
-        return _error(exc)
-
-
-def _expected_kernel_outcome(constraint, model, state, dt):
-    """cbf_row's error, else the period's error, else cbf_row's row and the
-    reference sampled row, both as solver rows (a..., b)."""
-    try:
-        a, b = cbf_row(constraint, model, state)
-    except AsifKitError as exc:
-        return _error(exc)
-    try:
-        sampled = oracles.barrier_sampled_row(constraint, model, state, dt)
-    except InvalidConfig:
-        return "InvalidConfig", PERIOD_ERROR.format(dt)
-    return repr((a + (b,), None if sampled is None else sampled[0] + (sampled[1],)))
-
-
-def _expected_sampled_outcome(constraint, model, state, dt):
-    """The reference sampled row by repr; its period error with sampled_row's
-    message, and its dimension error with cbf_row's, which is the same."""
-    try:
-        return repr(oracles.barrier_sampled_row(constraint, model, state, dt))
-    except InvalidConfig:
-        return "InvalidConfig", PERIOD_ERROR.format(dt)
-    except InvalidState:
-        with pytest.raises(InvalidState) as err:
-            cbf_row(constraint, model, state)
-        return _error(err.value)
-
 
 @pytest.mark.parametrize("dt", PERIODS + BAD_PERIODS)
 def test_filter_rows_are_cbf_row_and_the_reference_sampled_row(dt):
     """filter_rows gives cbf_row's row and the reference sampled row bit for
-    bit, or the error that cbf_row and then sampled_row raised before it, by
-    type and message: a wrong state size, a circle's center, then a bad
-    period, also for a speed limit. sampled_row, now read from the kernel,
-    keeps its own outcomes, a row at a circle's center among them."""
+    bit, or cbf_row's error and then the period's, by type and message: a
+    wrong state size, a circle's center, then a bad period, also for a
+    speed limit."""
     rng = np.random.default_rng(43)
     seen = set()
     for constraint, model, state, _ in barrier_cases(rng, 150):
-        expected = _expected_kernel_outcome(constraint, model, state, dt)
-        assert _kernel_outcome(constraint, model, state, dt) == expected, (constraint, state.xs, dt)
-        try:
-            sampled = repr(sampled_row(constraint, model, state, dt))
-        except AsifKitError as exc:
-            sampled = _error(exc)
-        assert sampled == _expected_sampled_outcome(constraint, model, state, dt), (constraint, state.xs, dt)
+        expected = _rows_outcome(_reference_filter_rows, constraint, model, state, dt)
+        assert _rows_outcome(filter_rows, constraint, model, state, dt) == expected, (constraint, state.xs, dt)
         seen.add(expected[0] if isinstance(expected, tuple) else ("nan" if "nan" in expected else "row"))
     if dt in PERIODS:
         assert seen == {"InvalidState", "SingularGradient", "nan", "row"}

@@ -14,6 +14,7 @@ from asifkit import (
     SPEED_LIMIT,
     AdversarialController,
     BarrierConstraint,
+    InvalidConfig,
     InvalidModel,
     InvalidState,
     MlpSpec,
@@ -99,14 +100,19 @@ def test_pd_hand_value():
 
 
 def test_adversarial_sign_example(model_1d, fence):
-    adv = AdversarialController("fence").bind(fence, model_1d)
+    adv = AdversarialController("fence").bind(fence)
     out = desired_control(adv, PlantState([0.0, 1.0]), model_1d)
     assert out.u[0] == 1.0
 
 
+def test_adversarial_unbound_is_a_config_error(model_1d):
+    with pytest.raises(InvalidConfig, match="before binding"):
+        desired_control(AdversarialController("fence"), PlantState([0.0, 1.0]), model_1d)
+
+
 def test_adversarial_position_fallback_at_zero_velocity(model_1d, fence):
     # row gain vanishes at v = 0; the push should still head for the fence
-    adv = AdversarialController("fence").bind(fence, model_1d)
+    adv = AdversarialController("fence").bind(fence)
     out = desired_control(adv, PlantState([0.0, 0.0]), model_1d)
     assert out.u[0] == 1.0
 
@@ -236,7 +242,7 @@ def test_adversarial_command_matches_the_comprehension():
             constraint = BarrierConstraint("c", SPEED_LIMIT, {"v_max": 1.5})
         xs = [entries[rng.integers(len(entries))] if rng.random() < 0.4 else float(rng.uniform(-1.0, 1.0)) for _ in range(2 * d)]
         state = PlantState(xs)
-        controller = AdversarialController("c").bind(constraint, model)
+        controller = AdversarialController("c").bind(constraint)
         try:
             want = oracles.adversarial_command(constraint, model, state)
         except SingularGradient:

@@ -41,7 +41,7 @@ from asifkit import (
     dynamics,
     eval_grad_h,
     eval_h,
-    sampled_row,
+    filter_rows,
     solve_qp,
 )
 from tests import oracles
@@ -284,7 +284,7 @@ def test_solve_computes_without_numpy(monkeypatch):
 
 
 def test_rows_assemble_without_numpy(monkeypatch):
-    """cbf_row, sampled_row and eval_grad_h return tuples of Python floats,
+    """cbf_row, filter_rows and eval_grad_h return tuples of Python floats,
     and assemble_qp builds the problem with the period from them with numpy
     out of reach in asif, barrier and dynamics: on 1-D fence states, the
     vacuous and the unmeetable zero row among them, and on the multirow 2-D
@@ -307,8 +307,8 @@ def test_rows_assemble_without_numpy(monkeypatch):
             assert {type(leaf) for leaf in _leaves(qp)} <= {str, float}, qp
             unmet += len(qp.unmet_ids)
             for constraint in constraints:
-                sampled = sampled_row(constraint, model, state, 0.01)
-                outputs = [cbf_row(constraint, model, state), eval_grad_h(constraint, state)]
+                row, sampled = filter_rows(constraint, model, state, 0.01)
+                outputs = [cbf_row(constraint, model, state), eval_grad_h(constraint, state), row]
                 for out in outputs + ([] if sampled is None else [sampled]):
                     assert type(out) is tuple and {type(leaf) for leaf in _leaves(out)} == {float}, out
     assert unmet == 1

@@ -52,11 +52,12 @@ Sets:
   nonfinite          solve_qp on random_problem(default_rng(s), d), s < N,
                      on one axis and then on two, with one row entry, drawn
                      by the same generator, replaced by NONFINITE[s % 6]
-  barrier            eval_h, eval_grad_h, cbf_row and sampled_row by repr
-                     (an error by its type), and assemble_qp of the one
-                     constraint at the case's period dt with a zero
-                     command by repr (an error by its type and message),
-                     on tests.test_barrier.barrier_cases(default_rng(0), N):
+  barrier            eval_h, eval_grad_h and cbf_row by repr (an error by
+                     its type), and filter_rows at the case's period dt
+                     and assemble_qp of the one constraint at dt with a
+                     zero command by repr (an error by its type and
+                     message), on
+                     tests.test_barrier.barrier_cases(default_rng(0), N):
                      N cases for each of a 1-D fence, a circle and a speed
                      limit on each state size, with signed zeros, tiny,
                      huge and non-finite state entries
