@@ -34,11 +34,10 @@ A command held over a control period dt (zero-order hold) obeys a different
 condition, h(x_{k+1}) >= (1 - gamma dt) h(x_k). filter_rows' sampled row
 enforces it for the geofences: exact for geofence_1d, and on a
 stopping-point barrier, linearised at the braking command, for
-geofence_2d_circle. There is none (None) for a speed limit, or where a
-circle's braked stopping point is its center. A sampled row always has
-authority (a != 0); it is enforced alongside the continuous row, never
-instead of it. docs/discretization_margin.md has the derivations. The
-held-command step comes from the dynamics module (hold_map).
+geofence_2d_circle. A sampled row always has authority (a != 0); it is
+enforced alongside the continuous row, never instead of it.
+docs/discretization_margin.md has the derivations. The held-command step
+comes from the dynamics module (hold_map).
 
 Constraint kinds:
 

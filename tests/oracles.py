@@ -330,10 +330,11 @@ _BARRIER_STATE_DIMS = {GEOFENCE_1D: (2,), GEOFENCE_2D_CIRCLE: (4,), SPEED_LIMIT:
 
 def _barrier_coords(constraint, state, model=None):
     """The state's float tuple, after the barrier entry points' dimension
-    checks."""
+    checks, with their messages."""
     xs = state.xs
-    if len(xs) not in _BARRIER_STATE_DIMS[constraint.kind]:
-        raise InvalidState(f"constraint '{constraint.id}' got a {len(xs)}-dim state")
+    dims = _BARRIER_STATE_DIMS[constraint.kind]
+    if len(xs) not in dims:
+        raise InvalidState(f"constraint '{constraint.id}' expects a {'- or '.join(map(str, dims))}-dim state, got {len(xs)}")
     if model is not None and len(xs) != model.state_dim:
         raise InvalidState(f"state dim {len(xs)} does not match model {model.kind}")
     return xs

@@ -434,11 +434,11 @@ PERIOD_ERROR = "dt must be > 0 with 0.5*dt*dt finite and nonzero, got {}"
 BAD_PERIODS = (0.0, -0.01, math.nan, math.inf, 1e300, 1e-170)
 
 
-def _reference_filter_rows(constraint, model, state, dt):
-    """cbf_row's row and the reference sampled row, both as solver rows
-    (a..., b); cbf_row's error first, then the period's with filter_rows'
-    message."""
-    a, b = cbf_row(constraint, model, state)
+def _reference_filter_rows(constraint, model, state, dt, row=oracles.barrier_cbf_row):
+    """The continuous row from row (the reference's by default) and the
+    reference sampled row, both as solver rows (a..., b); row's error
+    first, then the period's with filter_rows' message."""
+    a, b = row(constraint, model, state)
     try:
         sampled = oracles.barrier_sampled_row(constraint, model, state, dt)
     except InvalidConfig:
@@ -473,7 +473,7 @@ def test_filter_rows_are_cbf_row_and_the_reference_sampled_row(dt):
     rng = np.random.default_rng(43)
     seen = set()
     for constraint, model, state, _ in barrier_cases(rng, 150):
-        expected = _rows_outcome(_reference_filter_rows, constraint, model, state, dt)
+        expected = _rows_outcome(_reference_filter_rows, constraint, model, state, dt, cbf_row)
         assert _rows_outcome(filter_rows, constraint, model, state, dt) == expected, (constraint, state.xs, dt)
         seen.add(expected[0] if isinstance(expected, tuple) else ("nan" if "nan" in expected else "row"))
     if dt in PERIODS:

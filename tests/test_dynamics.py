@@ -444,17 +444,6 @@ def _plant_disturbance(rng, model):
     return w if pick == 5 else tuple(w.tolist())
 
 
-def _bound_adversary(constraint, model):
-    """An adversarial controller bound to constraint. A revision whose bind
-    also takes the plant model gets it, so that tools/differential.py can
-    draw plant_cases against that revision's asifkit."""
-    controller = AdversarialController(constraint.id)
-    try:
-        return controller.bind(constraint)
-    except TypeError:
-        return controller.bind(constraint, model)
-
-
 def plant_cases(rng, count):
     """count seeded (function, args) cases for each of step_rk4,
     sample_disturbance and desired_control, on both state sizes.
@@ -498,7 +487,7 @@ def plant_cases(rng, count):
         xs = _step_entries(rng, 2 * d)
         pick = rng.integers(3)
         if pick == 0:
-            controller = _bound_adversary(fence if d == 1 else circle, model)
+            controller = AdversarialController("c").bind(fence if d == 1 else circle)
             xs = [v if abs(v) < 1e6 else 0.0 for v in xs]
             if d == 2 and rng.random() < 0.2:
                 xs[:2] = [0.2, -0.1]  # the circle's center, where its gradient vanishes
