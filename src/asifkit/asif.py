@@ -15,9 +15,8 @@ are minimally modified. If the rows and box admit no feasible point the
 filter falls back to the box point nearest u_des among those that minimize
 the maximum row violation, and says so loudly in the result status. The
 common cases are decided on scalars, with no per-call table: the clamp
-test that passes a safe command, and on two axes the projection onto one
-constraint (stage 1 of _solve_plane); the constraint tables of the vertex
-search (stage 2) are built only once stage 1 has failed.
+test that passes a safe command, and on two axes stage 1 and the pair step
+of _solve_plane; the tables of stage 2 are built only once both fail.
 
 A row with no control authority (a = 0) that demands b > 0 cannot be met by
 any command. Without a sampled row for its constraint, that is structural
@@ -37,12 +36,9 @@ row is met at a point iff b - a.u <= feas_tol there. A solved point meets
 every row so; it is passthrough iff it equals u_des, else modified. A
 problem with no such point is an infeasible_fallback, and so, on two axes,
 is one whose constraints violated at u_des all have a squared distance that
-underflows to zero, which leaves no projection to rank. On two axes a solved point
-lies within feas_tol of the box, so a row whose b exceeds its largest a.u
-over the box by more than 2 * feas_tol * (1 + |a0| + |a1|) certifies that
-there is none (Boyd & Vandenberghe, Convex Optimization, 2004, section
-5.8); the solve checks for one before its vertex search (see _solve_plane)
-and so ends most fallbacks early. Its
+underflows to zero, which leaves no projection to rank. On two axes one
+row that no point near the box meets ends most fallbacks early (the box
+check of _solve_plane; Boyd & Vandenberghe, 2004, section 5.8). Its
 command comes from the same contract: phase I finds the least maximum
 violation t over the box by enumerating candidate points, pricing each only
 until a row shows its maximum above the least so far plus feas_tol, which
@@ -274,22 +270,19 @@ def _feas_tol(qp: QpProblem) -> float:
 
 def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tuple[int, ...], str] | None:
     """Two control axes: the minimizer is the projection of u_des onto one
-    constraint or the vertex of two, found in two closed-form stages, or
-    None. Reached when the clamped u_des violates some row, and for the
-    fallback's phase II, so qp has a row. A point feasible within feas_tol
-    may leave the box by as much, so it is returned clipped.
+    constraint or the vertex of two, found by stage 1, the box check, the
+    pair step and stage 2, in that order, or None. Reached when the clamped
+    u_des violates some row, and for the fallback's phase II, so qp has a
+    row. A solved point, feasible within feas_tol, is returned clipped.
 
     The constraints are the rows, then the box faces u0 >= lo0, -u0 >=
     -hi0, u1 >= lo1, -u1 >= -hi1, in that order (their indices after the
     rows). Stage 1 runs on scalars: one pass over the rows and the four
-    faces, written out, picks the violated constraint farthest from u_des,
-    then the projection onto it is checked against every constraint. A
-    violated row whose squared distance underflows to zero cannot be
-    ranked; when no violated constraint can be, stage 1 has no projection
-    to try and no point is returned. The tables stage 2 needs (the
-    constraint list, the squared norms, the violations at u_des and at the
-    projection) are built only once stage 1 has failed and the box check
-    has passed, from the pass's result, without repeating it.
+    faces, written out, picks the violated constraint k farthest from
+    u_des, and checks the projection s onto it against every constraint;
+    j is the first that rejects s. A violated row whose squared distance
+    underflows to zero cannot be ranked; when no violated constraint can
+    be, there is no projection to try and no point is returned.
 
     Between the stages a box check ends the solve with None when one row
     alone cannot be met: b - top > 2 * feas_tol * (1 + |a0| + |a1|), top
@@ -301,12 +294,25 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
     largest |box bound|). The check is exact: stage 2 would find no point
     either, so every result keeps its bits. A product that overflows leaves
     the comparison false (inf or NaN) or certifies a row that the solve's
-    own evaluations could not meet. The check runs only once stage 1 has
-    failed, so a problem stage 1 solves pays nothing for it.
+    own evaluations could not meet.
 
     Stage 2 returns the feasible vertex of least (dist^2, v0, v1, q, p),
     dist^2 its squared distance from u_des and q, p the indices of its two
     constraints; the rows among them are its active rows.
+
+    The pair step (skipped when a row is scaled or emptied) returns the
+    vertex v of j and k, computed as stage 2 computes it with p = j and q =
+    k, when v passes stage 2's tests (both mu = multiplier * cross^2 above
+    tol, v in the box and on rows j and k within feas_tol) and every other
+    constraint i clears it: b_i - a_i.v < -(feas_tol + rho * (|a_i0| +
+    |a_i1|)), rho^2 = 2 * feas_tol * (mu_j + mu_k) / cross^2. With l = mu
+    / cross^2, v - u_des = l_j a_j + l_k a_k, so any w has |w - u_des|^2 =
+    |v - u_des|^2 + |w - v|^2 - 2 l_j viol_j(w) - 2 l_k viol_k(w), viol = b
+    - a.w (KKT sufficiency; Boyd & Vandenberghe, 2004, section 5.5.3). A
+    vertex w that stage 2 accepts has viol_j, viol_k <= feas_tol, so it is
+    as near u_des as v only if |w - v| <= rho, and then the constraint i
+    other than j and k that it lies on clears it by more than feas_tol,
+    more than a vertex's rounding but for nearly parallel normals.
 
     Each constraint's squared norm is computed once per stage. A row whose
     squared norm overflows (entries above about 1.3e154) takes part in the
@@ -382,18 +388,21 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
     s1 = ud1 + lam * ka1
     # s is accepted when none of its violations exceeds feas_tol. s lies on
     # constraint k, whose violation is taken as 0.0 unless a row is scaled
-    # (a scaled row k is checked as it is).
+    # (a scaled row k is checked as it is). j is the first that rejects s.
     on_k = -1 if scaled else k
-    for i, (a0, a1, b) in enumerate(rows):
-        if i != on_k and b - a0 * s0 - a1 * s1 > feas_tol:
+    for j, (p0, p1, pb) in enumerate(rows):
+        if j != on_k and pb - p0 * s0 - p1 * s1 > feas_tol:
             break
     else:
-        if not (
-            (lo0 - s0 > feas_tol and on_k != m)
-            or (-hi0 + s0 > feas_tol and on_k != m + 1)
-            or (lo1 - s1 > feas_tol and on_k != m + 2)
-            or (-hi1 + s1 > feas_tol and on_k != m + 3)
-        ):
+        if lo0 - s0 > feas_tol and on_k != m:
+            j, p0, p1, pb = m, 1.0, 0.0, lo0
+        elif -hi0 + s0 > feas_tol and on_k != m + 1:
+            j, p0, p1, pb = m + 1, -1.0, -0.0, -hi0
+        elif lo1 - s1 > feas_tol and on_k != m + 2:
+            j, p0, p1, pb = m + 2, 0.0, 1.0, lo1
+        elif -hi1 + s1 > feas_tol and on_k != m + 3:
+            j, p0, p1, pb = m + 3, -0.0, -1.0, -hi1
+        else:
             return _solved(qp, (s0, s1), (k,) if k < m else ())
 
     # Box check: one row that no point near the box meets ends the solve
@@ -403,6 +412,44 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
         top = a0 * (hi0 if a0 > 0.0 else lo0) + a1 * (hi1 if a1 > 0.0 else lo1)
         if b - top > tol2 * (1.0 + abs(a0) + abs(a1)):
             return None
+
+    if not scaled and rows is qp.rows:  # the pair step (see the docstring)
+        q0, q1, qb = rows[k] if k < m else (ka0, ka1, (lo0, -hi0, lo1, -hi1)[k - m])
+        g_pp = p0 * p0 + p1 * p1
+        g_qq = q0 * q0 + q1 * q1
+        big_p = g_pp if g_pp > 1.0 else 1.0
+        cross = q0 * p1 - q1 * p0
+        if cross * cross > dep2 * big_p * g_qq:
+            v0 = (qb * p1 - pb * q1) / cross
+            v1 = (q0 * pb - p0 * qb) / cross
+            if lo0 - v0 <= feas_tol and v0 - hi0 <= feas_tol and lo1 - v1 <= feas_tol and v1 - hi1 <= feas_tol:
+                reach = _INF  # the largest rho that the other rows allow
+                for i, (a0, a1, b) in enumerate(rows):
+                    w = b - a0 * v0 - a1 * v1
+                    if not w <= feas_tol:
+                        break
+                    if i != j and i != k:
+                        room = (-feas_tol - w) / (abs(a0) + abs(a1))
+                        if room < reach:
+                            reach = room
+                else:
+                    g_pq = p0 * q0 + p1 * q1
+                    r_p = pb - p0 * ud0 - p1 * ud1
+                    r_q = qb - q0 * ud0 - q1 * ud1
+                    tol = feas_tol * (g_pp + g_qq + abs(g_pq)) * (g_qq if g_qq > big_p else big_p)
+                    mu_p = g_qq * r_p - g_pq * r_q
+                    mu_q = g_pp * r_q - g_pq * r_p
+                    if mu_p > tol and mu_q > tol:
+                        rho = math.sqrt(2.0 * feas_tol * (mu_p + mu_q) / (cross * cross))
+                        if (
+                            rho < reach
+                            and (lo0 - v0 < -feas_tol - rho or j == m or k == m)
+                            and (v0 - hi0 < -feas_tol - rho or j == m + 1 or k == m + 1)
+                            and (lo1 - v1 < -feas_tol - rho or j == m + 2 or k == m + 2)
+                            and (v1 - hi1 < -feas_tol - rho or j == m + 3 or k == m + 3)
+                        ):
+                            i, i2 = (j, k) if j < k else (k, j)
+                            return _solved(qp, (v0, v1), (i, i2) if i2 < m else ((i,) if i < m else ()))
 
     # The tables of stage 2: the general constraint list, rows first, so row
     # indices stay stable for reporting; each constraint's squared norm;
@@ -433,7 +480,7 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
     # (For nearly parallel normals the multiplier test below passes almost
     # any pair; the order by distance still finds the optimum.)
     violated_at_des = [i for i, r in enumerate(r_geo) if r > 0.0]
-    vertices = []
+    best = None  # the least key of a feasible vertex so far
     for p, r in enumerate(r_s):
         if r <= 0.0:
             continue
@@ -459,22 +506,23 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
                 continue
             v0 = (qb * p1 - pb * q1) / cross
             v1 = (q0 * pb - p0 * qb) / cross
+            # A vertex outside the box is dropped, one in it checked against
+            # every row, its own too: the closer to parallel they are, the less
+            # exactly it lies on them. The keys' (q, p) are distinct, so the
+            # order is total.
             if lo0 - v0 <= feas_tol and v0 - hi0 <= feas_tol and lo1 - v1 <= feas_tol and v1 - hi1 <= feas_tol:
-                vertices.append(((v0 - ud0) * (v0 - ud0) + (v1 - ud1) * (v1 - ud1), v0, v1, q, p))
-    # Vertices outside the box were dropped above. A vertex is checked
-    # against its own rows too: the closer to parallel they are, the less
-    # exactly it lies on them. The keys' (q, p) are distinct, so the order
-    # is total.
-    if len(vertices) > 1:
-        vertices.sort()
-    for _, v0, v1, q, p in vertices:
-        for a0, a1, b in rows:
-            if not b - a0 * v0 - a1 * v1 <= feas_tol:
-                break  # violated
-        else:
-            i, j = (p, q) if p < q else (q, p)
-            return _solved(qp, (v0, v1), (i, j) if j < m else ((i,) if i < m else ()))
-    return None
+                key = ((v0 - ud0) * (v0 - ud0) + (v1 - ud1) * (v1 - ud1), v0, v1, q, p)
+                if best is None or key < best:
+                    for a0, a1, b in rows:
+                        if not b - a0 * v0 - a1 * v1 <= feas_tol:
+                            break  # violated
+                    else:
+                        best = key
+    if best is None:
+        return None
+    _, v0, v1, q, p = best
+    i, j = (p, q) if p < q else (q, p)
+    return _solved(qp, (v0, v1), (i, j) if j < m else ((i,) if i < m else ()))
 
 
 def _rescaled(cons, norms, u_des):

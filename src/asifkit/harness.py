@@ -126,6 +126,8 @@ class ScenarioConfig:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfig(f"bad scenario config: {exc}") from exc
 
+        if not constraints:  # compute_metrics reports the least h over them
+            raise InvalidConfig("a scenario needs at least one constraint")
         ids = [c.id for c in constraints]
         for cid in ids:
             # a trace row is one line of comma-separated cells, headed h_<id>

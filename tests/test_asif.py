@@ -1,5 +1,6 @@
 import math
 import struct
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -183,6 +184,61 @@ def test_duplicated_row_at_the_optimal_vertex(rows_a, rows_b, expected):
     """A duplicated row makes two vertices with equal (dist^2, v0, v1); the
     least (q, p) names the active rows."""
     assert repr(solve_qp(make_qp([0.0, 0.0], rows_a, rows_b, [[-1.0, 1.0], [-1.0, 1.0]]))) == expected
+
+
+# At u_des = (0.9, 0.9) stage 1 projects onto row 1, the farther violated
+# row, and row 0 rejects the projection; their vertex, with both multipliers
+# positive, is the optimum. Each result below is the parent revision's (its
+# stage 2 alone), bit for bit.
+PAIR_ROWS = ((-1.0, -0.2, -0.6), (-0.3, -1.0, -0.5))
+PAIR_VERTEX = (0.5319148936170213, 0.34042553191489366)
+
+
+def _solve_with_path(monkeypatch, rows):
+    """solve_qp's result on rows at u_des (0.9, 0.9) in the box [-1, 1]^2,
+    and the step of _solve_plane that returned it: 'stage 1', 'pair step'
+    or 'stage 2', told apart by the locals each has set by then."""
+    paths = []
+    solved = asif._solved
+
+    def recording(*args):
+        names = sys._getframe(1).f_locals
+        paths.append("stage 2" if "best" in names else ("pair step" if "rho" in names else "stage 1"))
+        return solved(*args)
+
+    monkeypatch.setattr(asif, "_solved", recording)
+    qp = QpProblem((0.9, 0.9), rows, tuple(f"r{i}" for i in range(len(rows))), ((-1.0, 1.0), (-1.0, 1.0)))
+    result = solve_qp(qp)
+    assert len(paths) == 1
+    return result, paths[0]
+
+
+def test_the_pair_step_answers_the_vertex_of_the_blocking_pair(monkeypatch):
+    """Every box face clears the vertex of rows 0 and 1, so the pair step
+    returns it, with both rows active."""
+    assert _solve_with_path(monkeypatch, PAIR_ROWS) == ((PAIR_VERTEX, (0, 1), MODIFIED), "pair step")
+
+
+@pytest.mark.parametrize("offset, path", [(0.0, "stage 2"), (1e-9, "stage 2"), (1e-3, "pair step")])
+def test_a_row_within_the_clearance_of_the_pair_vertex_leaves_it_to_stage_2(monkeypatch, offset, path):
+    """A third row with normal (-0.8, 0.6) met at the vertex with offset to
+    spare. Through the vertex (0) or 1e-9 inside it, more than feas_tol
+    (3.8e-11) but less than the multipliers' term (about 1e-5), the pair
+    step cannot rule out a nearer vertex on it, and stage 2 decides; 1e-3
+    inside, the pair step answers. The result is the same vertex each
+    time."""
+    b = -0.8 * PAIR_VERTEX[0] + 0.6 * PAIR_VERTEX[1]
+    rows = (*PAIR_ROWS, (-0.8, 0.6, b - offset))
+    assert _solve_with_path(monkeypatch, rows) == ((PAIR_VERTEX, (0, 1), MODIFIED), path)
+
+
+def test_a_row_that_cuts_off_the_pair_vertex_sends_stage_2_to_another(monkeypatch):
+    """A third row violated by 0.05 at the vertex of rows 0 and 1: stage 2
+    finds the optimum at the vertex of rows 1 and 2."""
+    b = -0.8 * PAIR_VERTEX[0] + 0.6 * PAIR_VERTEX[1] + 0.05
+    rows = (*PAIR_ROWS, (-0.8, 0.6, b))
+    expected = ((0.48089448545375596, 0.3557316543638732), (1, 2), MODIFIED)
+    assert _solve_with_path(monkeypatch, rows) == (expected, "stage 2")
 
 
 def test_solve_infeasible_box_corner():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -163,6 +164,28 @@ def test_configs_no_episode_can_run_exit_3(tmp_path):
     trace = tmp_path / "t.csv"
     assert dispatch(["simulate", "--config", str(path), "--trace", str(trace)]) == 3
     assert not trace.exists()
+
+
+def test_a_scenario_without_constraints_exits_3(tmp_path, capsys):
+    """A scenario with "constraints": [] is InvalidConfig (exit 3) for
+    simulate and batch before any episode runs, and for metrics on a trace
+    of such a scenario written before the check existed. Without the check
+    compute_metrics raised ValueError on the trace's empty h block, which
+    dispatch does not catch."""
+    cfg = json.loads((SCENARIOS / "pd_1d.json").read_text())
+    cfg["constraints"] = []
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(cfg))
+    trace = tmp_path / "t.csv"
+    out = tmp_path / "agg.json"
+    assert dispatch(["simulate", "--config", str(path), "--trace", str(trace)]) == 3
+    assert dispatch(["batch", "--config", str(path), "--episodes", "2", "--seed-base", "0", "--out", str(out)]) == 3
+    assert not trace.exists() and not out.exists()
+    config = ScenarioConfig.from_dict(json.loads((SCENARIOS / "pd_1d.json").read_text()))
+    write_trace(run_episode(dataclasses.replace(config, constraints=(), raw=cfg)), trace)
+    assert dispatch(["metrics", "--trace", str(trace), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.count("error: a scenario needs at least one constraint") == 3
 
 
 def test_counts_below_their_minimum_exit_non_zero(tmp_path, capsys):

@@ -110,8 +110,8 @@ def test_trace_edits_give_the_outcomes_they_name(tmp_path):
 @pytest.mark.skipif(_git("rev-parse", "--verify", "HEAD").returncode != 0, reason="needs a git checkout")
 def test_runs_against_head_on_tiny_sets():
     """One JSON line per set, counting every item and each side's
-    fallbacks, which the random, margin, degenerate and nonfinite sets and
-    filter_multirow have. Where this tree's sources are HEAD's, every item
+    fallbacks, which the random, margin, degenerate, near-vertex and
+    nonfinite sets and filter_multirow have. Where this tree's sources are HEAD's, every item
     and count is equal."""
     sets = {
         "scenarios": 4,
@@ -122,6 +122,7 @@ def test_runs_against_head_on_tiny_sets():
         "random_2d": 30,
         "margin_2d": 30,
         "degenerate_2d": 30,
+        "near_vertex_2d": 30,
         "nonfinite": 60,  # 30 problems on each axis count
         "barrier": 120,  # 30 cases of each of four constraint kinds
         "plant": 90,  # 30 cases of each of three functions
@@ -133,7 +134,7 @@ def test_runs_against_head_on_tiny_sets():
     for line in lines:
         assert line["equal"] + line["different"] == sets[line["set"]], line
         assert len(line["fallbacks"]) == 2 and all(count >= 0 for count in line["fallbacks"]), line
-        if line["set"] in ("filter_multirow", "random_1d", "random_2d", "margin_2d", "degenerate_2d", "nonfinite"):
+        if line["set"] in ("filter_multirow", "random_1d", "random_2d", "margin_2d", "degenerate_2d", "near_vertex_2d", "nonfinite"):
             assert all(0 < count <= sets[line["set"]] for count in line["fallbacks"]), line
     if not _git("status", "--porcelain", "--", "src", "scenarios").stdout:
         assert all(line["different"] == 0 and line["max_u_diff"] == 0.0 and line["shape_mismatches"] == 0 for line in lines), lines

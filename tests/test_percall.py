@@ -20,7 +20,8 @@ def _tool():
 
 
 def test_summary_groups_the_per_call_times_by_status():
-    line = _tool().summary("x", [1000, 3000, 2000, 10000], ["modified", "passthrough", "modified", "modified"], ["b", "a", "a", "b"])
+    statuses = ["modified", "passthrough", "modified", "modified"]
+    line = _tool().summary("x", [1000, 3000, 2000, 10000], statuses, ["b", "a", "a", "b"], [2, 0, 1, 2])
     assert line == {
         "side": "x",
         "calls": 4,
@@ -29,6 +30,7 @@ def test_summary_groups_the_per_call_times_by_status():
         "sum_us": 16.0,
         "status": {"modified": {"calls": 3, "p50_us": 2.0}, "passthrough": {"calls": 1, "p50_us": 3.0}},
         "plant": {"a": {"calls": 2, "p50_us": 2.5}, "b": {"calls": 2, "p50_us": 5.5}},
+        "active_rows": {"0": {"calls": 1, "p50_us": 3.0}, "1": {"calls": 1, "p50_us": 2.0}, "2": {"calls": 2, "p50_us": 5.5}},
     }
 
 
@@ -63,7 +65,8 @@ def test_episode_summary_gives_steps_per_second_and_per_plant_step_times():
 @pytest.mark.parametrize("workload, size, calls", [("filter_multirow", 8, 8), ("corpus_adversarial", 1, 6000)])
 def test_runs_against_head_on_a_tiny_workload(workload, size, calls):
     """One JSON line per side, this tree's first, each counting every call
-    once under the status that side returned."""
+    once under the status that side returned and once under its number of
+    active rows."""
     argv = [sys.executable, str(TOOL), "--against", "HEAD", "--workload", workload, "--size", str(size), "--rounds", "1"]
     out = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=600)
     lines = [json.loads(line) for line in out.stdout.splitlines()]
@@ -74,6 +77,8 @@ def test_runs_against_head_on_a_tiny_workload(workload, size, calls):
         assert sum(status["calls"] for status in line["status"].values()) == calls
         assert sorted(line["plant"]) == kinds[workload]
         assert sum(plant["calls"] for plant in line["plant"].values()) == calls
+        assert all(key.isdigit() for key in line["active_rows"])
+        assert sum(group["calls"] for group in line["active_rows"].values()) == calls
         assert 0.0 < line["p50_us"] <= line["p99_us"] and line["sum_us"] > 0.0
 
 

@@ -49,6 +49,14 @@ Sets:
                      normal through the float vertex of two drawn rows (a
                      copy where there is one row or they are parallel), so
                      that stage 2's vertices tie on (dist^2, v0, v1)
+  near_vertex_2d     solve_qp on random_problem(default_rng(s), 2), s < N,
+                     with one more row inserted at a drawn place: a drawn
+                     normal (a0, a1) whose row is violated by
+                     k * feas_tol * (1 + |a0| + |a1|) at the float vertex
+                     of two drawn rows (of two drawn rows or box faces
+                     where no two rows cross), k cycling through NEAR, so
+                     that the row falls on both sides of the pair step's
+                     clearance
   nonfinite          solve_qp on random_problem(default_rng(s), d), s < N,
                      on one axis and then on two, with one row entry, drawn
                      by the same generator, replaced by NONFINITE[s % 6]
@@ -112,11 +120,13 @@ SETS = (
     "random_2d",
     "margin_2d",
     "degenerate_2d",
+    "near_vertex_2d",
     "nonfinite",
     "barrier",
     "plant",
 )
 MARGINS = (0.5, 1.0, 1.5, 2.0, 2.5, 4.0)
+NEAR = (0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 4.0, -4.0)
 NONFINITE = (float("nan"), float("inf"), float("-inf"), 1e200, -1e200, 1e300)
 
 
@@ -455,6 +465,51 @@ def _degenerate_2d(workdir, size, random_count):
     return _solve_items(problems)
 
 
+def _near_vertex_problem(qp, rng, k):
+    """qp with one more row, drawn by rng and inserted at a drawn place: a
+    drawn normal (a0, a1) and b set so that the row's violation at the
+    vertex of two drawn rows, as Cramer's rule gives it in floats, is
+    k * feas_tol * (1 + |a0| + |a1|). Where there is one row or the two do
+    not cross, two constraints are drawn among the rows and the box faces
+    until they do; feas_tol is refined three times, as in _margin_problem."""
+    rows = list(qp.rows)
+    (lo0, hi0), (lo1, hi1) = qp.box
+    cons = rows + [(1.0, 0.0, lo0), (-1.0, -0.0, -hi0), (0.0, 1.0, lo1), (-0.0, -1.0, -hi1)]
+    cross = 0.0
+    if len(rows) > 1:
+        i, j = rng.choice(len(rows), size=2, replace=False).tolist()
+        (p0, p1, pb), (q0, q1, qb) = rows[i], rows[j]
+        cross = q0 * p1 - q1 * p0
+    while cross == 0.0:
+        i, j = rng.choice(len(cons), size=2, replace=False).tolist()
+        (p0, p1, pb), (q0, q1, qb) = cons[i], cons[j]
+        cross = q0 * p1 - q1 * p0
+    v0 = (qb * p1 - pb * q1) / cross
+    v1 = (q0 * pb - p0 * qb) / cross
+    a0, a1 = rng.normal(size=2).tolist()
+    top = a0 * v0 + a1 * v1
+    others = [abs(row[-1]) for row in rows] + [abs(v) for pair in qp.box for v in pair]
+    u_sum = sum(abs(v) for v in qp.u_des)
+    b = top
+    for _ in range(3):
+        feas_tol = 1e-11 * (1.0 + max(others + [abs(b)]) + u_sum)
+        b = top + k * feas_tol * (1.0 + abs(a0) + abs(a1))
+    rows.insert(int(rng.integers(len(rows) + 1)), (a0, a1, b))
+    return qp._replace(rows=tuple(rows), row_ids=tuple(f"r{n}" for n in range(len(rows))))
+
+
+def _near_vertex_2d(workdir, size, random_count):
+    import numpy as np
+
+    from tests.test_least_max_violation import random_problem
+
+    problems = []
+    for seed in range(random_count):
+        rng = np.random.default_rng(seed)
+        problems.append(_near_vertex_problem(random_problem(rng, 2), rng, NEAR[seed % len(NEAR)]))
+    return _solve_items(problems)
+
+
 def _nonfinite_problem(qp, rng, value):
     """qp with one row entry, drawn by rng, replaced by value."""
     rows = list(qp.rows)
@@ -516,6 +571,7 @@ DIGESTS = {
     "random_2d": _random(2),
     "margin_2d": _margin_2d,
     "degenerate_2d": _degenerate_2d,
+    "near_vertex_2d": _near_vertex_2d,
     "nonfinite": _nonfinite,
     "barrier": _barrier,
     "plant": _plant,

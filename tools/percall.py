@@ -34,8 +34,12 @@ call's time is its least over the rounds (21 rounds by default for filter
 calls, 9 for episodes and traces). One JSON line is printed per side, this
 tree's first. For filter calls: the number of calls, p50, p99 and the sum
 of those per-call times in microseconds, and the call count and median per
-status and per plant kind, each side's calls grouped by the status that
-side returned. For episodes: the number of episodes and steps, steps per
+status, per plant kind and per number of active rows, each side's calls
+grouped by the status that side returned and by the number of active row
+indices that side's solve_qp returns on the assembled problem (computed
+once, untimed; a call's active_row_ids names a constraint with two rows in
+the problem once, so it cannot tell a vertex of two rows from a
+projection). For episodes: the number of episodes and steps, steps per
 second over the sum of the per-episode times, and microseconds per step
 for each plant kind and for the disturbed and the undisturbed episodes.
 For traces: the number of traces and rows, microseconds per row of
@@ -175,10 +179,10 @@ def _groups(us, keys) -> dict:
     return groups
 
 
-def summary(label: str, times_ns, statuses, kinds) -> dict:
+def summary(label: str, times_ns, statuses, kinds, active) -> dict:
     """p50, p99 and sum of the per-call times, and the counts and medians
-    per status and per plant kind (kinds names each call's), in
-    microseconds."""
+    per status, per plant kind (kinds names each call's) and per number of
+    active rows (active gives each call's), in microseconds."""
     us = np.array(times_ns, dtype=float) / 1e3
     return {
         "side": label,
@@ -188,6 +192,7 @@ def summary(label: str, times_ns, statuses, kinds) -> dict:
         "sum_us": round(float(us.sum()), 1),
         "status": _groups(us, statuses),
         "plant": _groups(us, kinds),
+        "active_rows": _groups(us, [str(n) for n in active]),
     }
 
 
@@ -289,9 +294,16 @@ def run(ref: str, workload: str, seed: int, size, rounds: int, op: str = "filter
         calls = workload_calls(workload, seed, size, tmp)
         sides = [(package.filter_control, rebuild(package, calls)) for package in packages]
         statuses = [[filter_control(*args).status for args in side_calls] for filter_control, side_calls in sides]
+        active = [
+            [len(package.solve_qp(package.assemble_qp(*args))[1]) for args in side_calls]
+            for package, (_, side_calls) in zip(packages, sides)
+        ]
         best = time_calls(sides, rounds)
     kinds = [model.kind for _constraints, model, *_ in calls]
-    return [summary(label, times, status, kinds) for label, times, status in zip(labels, best, statuses)]
+    return [
+        summary(label, times, status, kinds, counts)
+        for label, times, status, counts in zip(labels, best, statuses, active)
+    ]
 
 
 def main(argv=None) -> int:
