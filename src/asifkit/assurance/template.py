@@ -6,7 +6,7 @@ from importlib import resources
 def template_text() -> str:
     """The shipped GSN-lite functional-safety argument, as text."""
     return (
-        resources.files("asifkit.assurance")
+        resources.files(__package__)
         .joinpath("data/functional_safety.gsn")
         .read_text(encoding="utf-8")
     )

@@ -291,7 +291,7 @@ def _mode_at(schedule, t: float) -> bool:
     return enabled
 
 
-def run_episode(config: ScenarioConfig, record: bool = True) -> EpisodeTrace:
+def run_episode(config: ScenarioConfig) -> EpisodeTrace:
     """Run one closed-loop episode.
 
     Deterministic given the config (including seed): the disturbances come
@@ -338,13 +338,12 @@ def run_episode(config: ScenarioConfig, record: bool = True) -> EpisodeTrace:
             abort = exc
             break
 
-        if record:
-            numeric += (t_k, *state.xs, *u_des.us, *u_out.us)
-            for constraint in constraints:
-                numeric.append(eval_h(constraint, state))
-            status_rec.append(step_status)
-            solve_rec.append(step_solve)
-            deviation_rec.append(step_dev)
+        numeric += (t_k, *state.xs, *u_des.us, *u_out.us)
+        for constraint in constraints:
+            numeric.append(eval_h(constraint, state))
+        status_rec.append(step_status)
+        solve_rec.append(step_solve)
+        deviation_rec.append(step_dev)
 
         w = sample_disturbance(model, disturbances)
         try:

@@ -1,3 +1,8 @@
+import importlib
+import importlib.util
+import shutil
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,6 +139,25 @@ def test_validate_unreachable_warning():
 def test_template_parses_clean(template):
     nodes, root = template
     assert validate_argument(nodes, root) == []
+
+
+def test_template_of_a_copy_loaded_under_another_name(tmp_path):
+    """template_text reads its own package's template: a copy of the
+    sources with an edited template, loaded under another package name by
+    the tools' loader, gives the edited text, and this tree's is unchanged.
+    The copy replaces this tree's sources loaded under that name first."""
+    root = Path(__file__).resolve().parent.parent
+    shutil.copytree(root / "src" / "asifkit", tmp_path / "asifkit", ignore=shutil.ignore_patterns("__pycache__"))
+    data = tmp_path / "asifkit" / "assurance" / "data" / "functional_safety.gsn"
+    edited = data.read_text(encoding="utf-8").replace("Functional Safety", "Edited Safety")
+    data.write_text(edited, encoding="utf-8")
+    spec = importlib.util.spec_from_file_location("differential", root / "tools" / "differential.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    first = tool.load_tree(root / "src", "asifkit_template_copy")
+    copy = tool.load_tree(tmp_path, "asifkit_template_copy")
+    assert copy.harness is not first.harness
+    assert importlib.import_module("asifkit_template_copy.assurance").template_text() == edited != template_text()
 
 
 def test_template_root_text(template):

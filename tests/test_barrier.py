@@ -408,24 +408,26 @@ def _outcome(call, *args):
         return type(exc).__name__
 
 
-def _rows_outcome(call, *args):
-    """The call's result by repr, or its error by type and message."""
+def _rows_outcome(call, *args, errors=AsifKitError):
+    """The call's result by repr, or its error, one of errors, by type and
+    message."""
     try:
         return repr(call(*args))
-    except AsifKitError as exc:
+    except errors as exc:
         return type(exc).__name__, str(exc)
 
 
-def barrier_outcomes(constraint, model, state, dt, entry_points=(eval_h, eval_grad_h, cbf_row, filter_rows)):
+def barrier_outcomes(constraint, model, state, dt, entry_points=(eval_h, eval_grad_h, cbf_row, filter_rows), errors=AsifKitError):
     """The outcomes of eval_h, eval_grad_h, cbf_row and filter_rows, or of
-    the given functions in their place, on one case: filter_rows' error by
-    its type and message, the others' by type."""
+    the given functions in their place, on one case: filter_rows' error, one
+    of errors (a package's AsifKitError), by its type and message, the
+    others' by type."""
     h, grad_h, row, rows = entry_points
     return (
         _outcome(h, constraint, state),
         _outcome(grad_h, constraint, state),
         _outcome(row, constraint, model, state),
-        _rows_outcome(rows, constraint, model, state, dt),
+        _rows_outcome(rows, constraint, model, state, dt, errors=errors),
     )
 
 

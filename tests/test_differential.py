@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import asifkit
 from asifkit import ParseError, QpProblem, ScenarioConfig, read_trace, run_episode, solve_qp, write_trace
 from tests.conftest import scenario_1d
 
@@ -58,7 +59,7 @@ def test_a_solve_set_digests_an_error_raised_on_one_side():
     box = ((-1.0, 1.0), (-1.0, 1.0))
     solved = QpProblem((0.0, 0.0), ((1.0, 0.0, 0.5),), ("r0",), box)
     raising = QpProblem((0.0, 0.0), ((float("nan"), 0.0, 0.0), (1.0, 0.0, 0.5)), ("r0", "r1"), box)
-    ours = tool._solve_items([solved, raising])
+    ours = tool._solve_items(asifkit, [solved, raising])
     message = "row 0 (nan, 0.0, 0.0) of constraint 'r0' is not finite"
     assert ours[1] == (tool._digest("NonFiniteRow", message), [], 0)
     u, active, status = solve_qp(solved)
@@ -139,3 +140,47 @@ def test_runs_against_head_on_tiny_sets():
     if not _git("status", "--porcelain", "--", "src", "scenarios").stdout:
         assert all(line["different"] == 0 and line["max_u_diff"] == 0.0 and line["shape_mismatches"] == 0 for line in lines), lines
         assert all(line["fallbacks"][0] == line["fallbacks"][1] for line in lines), lines
+
+
+def test_a_second_load_of_this_tree_digests_every_set_as_this_tree_does(tmp_path, monkeypatch):
+    """This tree's sources, loaded a second time under another package name
+    by the tools' loader, give every item of a slice of each set as this
+    tree does, with equal fallback counts. The second package raises its
+    own NonFiniteRow on a nonfinite problem, and the digest catches it by
+    that package's classes."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tool = _tool()
+    twin = tool.load_tree(ROOT / "src", "asifkit_twin")
+    assert twin.NonFiniteRow is not asifkit.NonFiniteRow and twin.harness.__name__ == "asifkit_twin.harness"
+    nonfinite = tool.DIGESTS["nonfinite"][0](tmp_path, None, 12)
+    assert any(u == [] for _, u, _ in tool._solve_items(twin, nonfinite))
+    lines = tool.digest_sets((asifkit, twin), tool.SETS, 1, 12, tmp_path / "work")
+    counts = {line.pop("set"): line for line in lines}
+    sizes = {
+        "scenarios": 4,
+        "corpus_adversarial": 36,  # 12 cells on each of 3 seeds
+        "filter_multirow": 3,
+        "nn_nominal_batch": 1,
+        "trace_roundtrip": 1,
+        "trace_errors": 26,
+        "random_1d": 12,
+        "random_2d": 12,
+        "margin_2d": 12,
+        "degenerate_2d": 12,
+        "near_vertex_2d": 12,
+        "nonfinite": 24,
+        "barrier": 48,
+        "plant": 36,
+    }
+    assert list(counts) == list(sizes)
+    for name, line in counts.items():
+        assert line["equal"] == sizes[name] and line["different"] == line["shape_mismatches"] == 0, (name, line)
+        assert line["fallbacks"][0] == line["fallbacks"][1], (name, line)
+    assert counts["random_1d"]["fallbacks"][0] > 0 and counts["corpus_adversarial"]["fallbacks"][0] > 0
+
+
+@pytest.mark.parametrize("argv", [["--random", "-3"], ["--random", "0"], ["--size", "0"]])
+def test_rejects_a_count_below_1(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        _tool().main(["--against", "HEAD", *argv])
+    assert stop.value.code == 2 and "must be at least 1" in capsys.readouterr().err

@@ -28,10 +28,6 @@ from asifkit import (
     step_rk4,
 )
 
-
-# tools/differential.py imports plant_cases from here against a revision's
-# asifkit, so this module reads the stream as dynamics.disturbance_stream,
-# which every revision since the stream came has
 from asifkit.dynamics import actuation_row, drift_actuation_row, hold_map
 from tests import oracles
 from tests.oracles import closed_form_step, eval_dynamics
@@ -412,10 +408,10 @@ def test_sample_disturbance_matches_the_generic_loop(kind):
 # ---- seeded cases of the plant side of a step, for tools/differential.py ----
 
 
-def _draws(model, seed):
-    """Three draws from one disturbance_stream seeded with seed."""
-    stream = dynamics.disturbance_stream(model, seed, 3)
-    return tuple(sample_disturbance(model, stream) for _ in range(3))
+def _draws(model, seed, n):
+    """n draws from one disturbance_stream seeded with seed."""
+    stream = dynamics.disturbance_stream(model, seed, n)
+    return tuple(sample_disturbance(model, stream) for _ in range(n))
 
 
 def _plant_disturbance(rng, model):
@@ -445,15 +441,15 @@ def _plant_disturbance(rng, model):
 
 
 def plant_cases(rng, count):
-    """count seeded (function, args) cases for each of step_rk4,
-    sample_disturbance and desired_control, on both state sizes.
+    """count seeded (function, args) cases for each of step_rk4, _draws
+    and desired_control, on both state sizes.
 
     step_rk4 gets states with special entries (states built without the
     public checks, some of the wrong size or whose step overflows), commands
     in and outside the box, the disturbances of _plant_disturbance, and
-    periods that are not positive, huge or NaN. sample_disturbance reads a
-    seeded disturbance_stream (one draw or three) under bounds from 0 to a
-    huge bound over a tiny norm. desired_control gets adversarial, PD and NN
+    periods that are not positive, huge or NaN. _draws takes one draw or
+    three from a seeded disturbance_stream under bounds from 0 to a huge
+    bound over a tiny norm. desired_control gets adversarial, PD and NN
     controllers, some of them wrong for the model or giving a non-finite
     output."""
     models = {}
@@ -475,10 +471,7 @@ def plant_cases(rng, count):
     for _ in range(count):
         model = models[int(rng.integers(1, 3))][rng.integers(5)]
         seed = int(rng.integers(2**32))
-        if rng.random() < 0.5:
-            cases.append((sample_disturbance, (model, dynamics.disturbance_stream(model, seed, 1))))
-        else:
-            cases.append((_draws, (model, seed)))
+        cases.append((_draws, (model, seed, 1 if rng.random() < 0.5 else 3)))
     fence = BarrierConstraint("c", GEOFENCE_1D, {"p_limit": 1.0, "u_max": 1.0})
     circle = BarrierConstraint("c", GEOFENCE_2D_CIRCLE, {"center": [0.2, -0.1], "radius": 1.5, "u_max": 1.0})
     for _ in range(count):
@@ -536,6 +529,6 @@ def test_plant_cases_reach_every_check():
                  "does not match control dim", "pd gains"):
         assert text in messages, text
     draws = [(args[0].disturbance_bound, outcome) for (function, args), outcome in zip(cases, outcomes)
-             if function in (sample_disturbance, _draws)]
+             if function is _draws]
     assert {bound for bound, _ in draws} == {0.0, 5e-324, 0.05, 1.5, 1.7e308}
     assert all(outcome.startswith("(") for _, outcome in draws)

@@ -181,9 +181,16 @@ def test_metrics_arithmetic_fixture(model_1d):
     assert m.fallback_count == 0
 
 
+def _empty_config():
+    """An adversarial 2-D start on the circle's center, where the circle's
+    gradient is singular, so the episode aborts at its first step and
+    records none."""
+    return scenario_2d(duration=0.5, initial_state=(0.0, 0.0, 0.0, 0.0))
+
+
 def test_metrics_empty_trace():
-    config = ScenarioConfig.from_dict(scenario_1d(duration=0.05))
-    trace = run_episode(config, record=False)
+    trace = run_episode(ScenarioConfig.from_dict(_empty_config()))
+    assert trace.n_steps == 0
     with pytest.raises(EmptyTrace):
         compute_metrics(trace)
 
@@ -256,7 +263,7 @@ def test_write_trace_bytes_match_the_per_cell_reference(tmp_path):
             ScenarioConfig.from_dict(scenario_2d(duration=1.0, seed=4, disturbance_bound=0.05))
         ),
         "aborted": run_episode(ScenarioConfig.from_dict(_aborted_config())),
-        "empty": run_episode(ScenarioConfig.from_dict(scenario_2d(duration=0.5)), record=False),
+        "empty": run_episode(ScenarioConfig.from_dict(_empty_config())),
     }
     assert traces["aborted"].aborted and traces["empty"].n_steps == 0
     for name, trace in traces.items():
@@ -464,7 +471,7 @@ def test_read_trace_warns_of_nothing(tmp_path):
     does; neither does a trace with no steps warn."""
     path = _special_commands_trace(tmp_path, scenario_2d(duration=0.05), 500, np.random.default_rng(1))
     empty = tmp_path / "empty.csv"
-    write_trace(run_episode(ScenarioConfig.from_dict(scenario_2d(duration=0.5)), record=False), empty)
+    write_trace(run_episode(ScenarioConfig.from_dict(_empty_config())), empty)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert not np.isfinite(read_trace(path).deviation).all()
@@ -606,11 +613,21 @@ def test_mode_schedule_toggle():
 
 
 def test_recorder_noninterference():
-    cfg = scenario_1d(duration=1.5, disturbance_bound=0.05, seed=9)
-    with_rec = run_episode(ScenarioConfig.from_dict(cfg), record=True)
-    without = run_episode(ScenarioConfig.from_dict(cfg), record=False)
-    assert with_rec.final_state.tobytes() == without.final_state.tobytes()
-    assert with_rec.final_t == without.final_t
+    """run_episode ends, bit for bit, where a bare loop of the public calls
+    of a step ends: desired_control, filter_control at the period, a draw
+    from the episode's disturbance stream and step_rk4."""
+    config = ScenarioConfig.from_dict(scenario_1d(duration=1.5, disturbance_bound=0.05, seed=9))
+    trace = run_episode(config)
+    model, dt = config.model, config.dt
+    stream = disturbance_stream(model, config.seed, config.n_steps)
+    state = PlantState(config.initial_state, 0.0)
+    for _ in range(config.n_steps):
+        u_des = desired_control(config.controller, state, model)
+        u_out = filter_control(list(config.constraints), model, state, u_des, dt).u_out
+        state = step_rk4(model, state, u_out, sample_disturbance(model, stream), dt)
+    assert not trace.aborted and trace.n_steps == config.n_steps
+    assert trace.final_state.tobytes() == state.x.tobytes()
+    assert trace.final_t == state.t
 
 
 def test_reading_a_trace_sets_off_no_collection(tmp_path):

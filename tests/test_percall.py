@@ -130,3 +130,10 @@ def test_rejects_a_workload_the_op_does_not_run():
     argv = [sys.executable, str(TOOL), "--against", "HEAD", "--op", "episode", "--workload", "filter_multirow"]
     out = subprocess.run(argv, capture_output=True, text=True, timeout=600)
     assert out.returncode == 2 and "--op episode runs on" in out.stderr
+
+
+@pytest.mark.parametrize("argv", [["--size", "0"], ["--size", "-2"], ["--rounds", "0"]])
+def test_rejects_a_count_below_1(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        _tool().main(["--against", "HEAD", *argv])
+    assert stop.value.code == 2 and "must be at least 1" in capsys.readouterr().err

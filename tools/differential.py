@@ -3,17 +3,20 @@
     python tools/differential.py --against REF [--sets NAME,...]
                                  [--size K] [--random N]
 
-Extracts ``git archive REF`` into a temporary directory, then digests the
-same inputs with this tree's asifkit and with REF's, each in its own
-subprocess, and prints one JSON line per set: how many items are equal, how
-many differ, the largest difference of a command entry between the two
-over the items whose commands have the same shape (null when none has), how
-many items' commands differ in shape (an episode that aborted at another
-step, a solve that raised on one side), and on each side, this tree's
-first, how many solves ended in infeasible_fallback (a solve per item, or
-an episode's steps), which shows whether an identity claim covers the
-fallback. The inputs are built by this tree's benchmark workloads and
-tests, so both sides see the same ones.
+Imports the asifkit of ``git archive REF`` as asifkit_ref beside this
+tree's, in one process (load_revision). Each set's inputs are built once, by
+this tree's benchmark workloads and tests. Each side builds its own objects
+from their plain fields with its own constructors (the builders, where a
+public signature that differs between the trees is adapted), digests them,
+catches their errors by its own package's classes and writes its files in
+its own directory. One JSON line is printed per set: how many items are
+equal, how many differ, the largest difference of a command entry between
+the two over the items whose commands have the same shape (null when none
+has), how many items' commands differ in shape (an episode that aborted at
+another step, a solve that raised on one side), and on each side, this
+tree's first, how many solves ended in infeasible_fallback (a solve per
+item, or an episode's steps), which shows whether an identity claim covers
+the fallback.
 
 Sets:
   scenarios          the shipped scenarios/*.json traces as written by
@@ -69,14 +72,14 @@ Sets:
                      N cases for each of a 1-D fence, a circle and a speed
                      limit on each state size, with signed zeros, tiny,
                      huge and non-finite state entries
-  plant              step_rk4, sample_disturbance and desired_control by
-                     repr (an error by its type and message) on
+  plant              step_rk4, one or three draws of a seeded
+                     disturbance_stream and desired_control by repr (an
+                     error by its type and message) on
                      tests.test_dynamics.plant_cases(default_rng(0), N):
-                     N cases for each function on both state sizes, with
+                     N cases for each on both state sizes, with
                      disturbances as lists, arrays or ints, wrong lengths,
                      NaN and inf entries, norms just above the bound,
-                     commands outside the box, states that overflow, one
-                     or three draws of a seeded disturbance_stream, and
+                     commands outside the box, states that overflow, and
                      adversarial, PD and NN controllers
 
 The solve sets, random_1d to nonfinite, digest an error that solve_qp
@@ -84,22 +87,25 @@ raises by its type and message, with no command.
 
 --size K shrinks each workload to K items per seed (its benchmark size
 argument); --random N sets the number of random problems per axis count,
-of barrier cases per constraint kind and of plant cases per function. The exit status is 0 whether or
-not the trees differ.
+of barrier cases per constraint kind and of plant cases per function. Both
+must be at least 1. The exit status is 0 whether or not the trees differ.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
+import importlib.util
 import io
 import json
-import os
 import subprocess
 import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = {
@@ -109,25 +115,32 @@ SEEDS = {
     "trace_roundtrip": (1,),
 }
 FALLBACK = "infeasible_fallback"
-SETS = (
-    "scenarios",
-    "corpus_adversarial",
-    "filter_multirow",
-    "nn_nominal_batch",
-    "trace_roundtrip",
-    "trace_errors",
-    "random_1d",
-    "random_2d",
-    "margin_2d",
-    "degenerate_2d",
-    "near_vertex_2d",
-    "nonfinite",
-    "barrier",
-    "plant",
-)
 MARGINS = (0.5, 1.0, 1.5, 2.0, 2.5, 4.0)
 NEAR = (0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 4.0, -4.0)
 NONFINITE = (float("nan"), float("inf"), float("-inf"), 1e200, -1e200, 1e300)
+
+
+def load_tree(src: Path, name: str):
+    """Import the asifkit package under src as the top-level package name,
+    in place of any package loaded under that name before."""
+    for key in [key for key in sys.modules if key.split(".")[0] == name]:
+        del sys.modules[key]
+    spec = importlib.util.spec_from_file_location(
+        name, src / "asifkit" / "__init__.py", submodule_search_locations=[str(src / "asifkit")]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def load_revision(ref: str, dest: Path):
+    """The asifkit of the git revision ref, its tree written into dest,
+    imported as asifkit_ref."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref], check=True, capture_output=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return load_tree(Path(dest) / "src", "asifkit_ref")
 
 
 def _digest(*parts) -> str:
@@ -137,81 +150,195 @@ def _digest(*parts) -> str:
     return h.hexdigest()
 
 
-# ------------------------------------------------------------------ worker
+# ---------------------------------------------------------------- builders
+# Each builds one input's objects in package from the plain fields of this
+# tree's objects. shared maps an object's id to what it was built into, so
+# that objects shared between inputs stay shared.
 
 
-# Each digest function returns one (digest, command entries, fallback
-# count) item per input.
+def _once(shared: dict, obj, build):
+    if id(obj) not in shared:
+        shared[id(obj)] = build()
+    return shared[id(obj)]
+
+
+def scenario(package, cfg: dict):
+    return package.ScenarioConfig.from_dict(cfg)
+
+
+def qp_problem(package, qp):
+    return package.QpProblem(**qp._asdict())
+
+
+def _constraint(package, c):
+    return package.BarrierConstraint(c.id, c.kind, dict(c.params), c.gamma, c.hazard_id)
+
+
+def _model(package, model, shared: dict):
+    return _once(
+        shared, model, lambda: package.PlantModel(model.kind, np.array(model.control_bounds), model.disturbance_bound)
+    )
+
+
+def rebuild(package, calls) -> list[tuple]:
+    """Filter calls (constraints, model, state, u_des, dt) with every
+    argument rebuilt by package's public constructors; constraint lists and
+    models shared between calls stay shared."""
+    shared = {}
+    return [
+        (
+            _once(shared, constraints, lambda: [_constraint(package, c) for c in constraints]),
+            _model(package, model, shared),
+            package.PlantState(np.array(state.xs), state.t),
+            package.ControlInput(np.array(u_des.us), model.control_bounds),
+            dt,
+        )
+        for constraints, model, state, u_des, dt in calls
+    ]
+
+
+def barrier_case(package, case, shared: dict) -> tuple:
+    """A barrier case (constraint, model, state, dt) in package; the state,
+    whose entries may be special, is built without the public checks."""
+    constraint, model, state, dt = case
+    state = package.PlantState._trusted(state.xs, state.t)
+    return _constraint(package, constraint), _model(package, model, shared), state, dt
+
+
+def plant_case(package, case, shared: dict) -> tuple:
+    """A plant case (function, args) as package's call: step_rk4 and
+    desired_control by name, with states and commands built without the
+    public checks, and a draw case (model, seed, n) as n draws from
+    package's disturbance_stream(model, seed, n)."""
+    function, args = case
+    if function.__name__ == "step_rk4":
+        model, state, u, w, dt = args
+        state = package.PlantState._trusted(state.xs, state.t)
+        return package.step_rk4, (_model(package, model, shared), state, package.ControlInput._trusted(u.us), w, dt)
+    if function.__name__ == "desired_control":
+        controller, state, model = args
+        model = _model(package, model, shared)
+        kind = type(controller).__name__
+        if kind == "AdversarialController":
+            target = _constraint(package, controller.constraint)
+            controller = package.AdversarialController(target.id).bind(target)
+        elif kind == "PdController":
+            controller = package.PdController(controller.kp, controller.kd)
+        else:
+            spec = controller.spec
+            controller = package.NnController(package.MlpSpec(spec.layer_sizes, spec.weights, spec.biases, spec.activations))
+        return package.desired_control, (controller, package.PlantState._trusted(state.xs, state.t), model)
+    model, seed, n = args
+    model = _model(package, model, shared)
+    stream = package.disturbance_stream(model, seed, n)
+    return (lambda: tuple(package.sample_disturbance(model, stream) for _ in range(n))), ()
+
+
+# ------------------------------------------------------------------- sets
+# Each set is (inputs, digest): inputs(workdir, size, random_count) builds
+# the inputs with this tree's code, and digest(package, inputs, workdir)
+# returns one (digest, command entries, fallback count) item per input,
+# writing its files in workdir.
 
 
 def _trace_item(trace, digest):
     return digest, trace.u_out.ravel().tolist(), trace.status_names().count(FALLBACK)
 
 
-def _scenarios(workdir, size, random_count):
-    from asifkit import harness
+def _scenario_configs(workdir, size, random_count):
+    paths = sorted((ROOT / "scenarios").glob("*.json"))
+    return [(path.stem, json.loads(path.read_text(encoding="utf-8"))) for path in paths]
 
+
+def _scenarios(package, inputs, workdir):
+    harness = package.harness
     items = []
-    for path in sorted((ROOT / "scenarios").glob("*.json")):
-        trace = harness.run_episode(harness.load_scenario(path))
-        out = os.path.join(workdir, path.stem + ".csv")
+    for stem, cfg in inputs:
+        trace = harness.run_episode(scenario(package, cfg))
+        out = workdir / (stem + ".csv")
         harness.write_trace(trace, out)
-        with open(out, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        lines = out.read_text(encoding="utf-8").splitlines()
         text = "\n".join(line if line.startswith("#") else line.rsplit(",", 1)[0] for line in lines)
         items.append(_trace_item(trace, _digest(text)))
     return items
 
 
-def _corpus_adversarial(workdir, size, random_count):
+def _corpus_configs(workdir, size, random_count):
     import bench_workloads
-    from asifkit import harness
 
-    items = []
-    for seed in SEEDS["corpus_adversarial"]:
-        for cfg in bench_workloads.CorpusAdversarial(seed, workdir, size).configs:
-            trace = harness.run_episode(harness.ScenarioConfig.from_dict(cfg))
-            items.append(_trace_item(trace, bench_workloads._trace_digest(trace)))
-    return items
+    seeds = SEEDS["corpus_adversarial"]
+    return [cfg for seed in seeds for cfg in bench_workloads.CorpusAdversarial(seed, workdir, size).configs]
 
 
-def _filter_multirow(workdir, size, random_count):
+def _episodes(package, configs, workdir):
     import bench_workloads
-    from asifkit import asif
 
-    items = []
+    traces = (package.harness.run_episode(scenario(package, cfg)) for cfg in configs)
+    return [_trace_item(trace, bench_workloads._trace_digest(trace)) for trace in traces]
+
+
+def _filter_calls(workdir, size, random_count):
+    import bench_workloads
+
+    calls = []
     for seed in SEEDS["filter_multirow"]:
         workload = bench_workloads.FilterMultirow(seed, workdir, size)
-        for constraints, state, u_des in workload.inputs:
-            result = asif.filter_control(constraints, workload.model, state, u_des)
-            u = result.u_out.u
-            digest = _digest(result.status, u.tobytes(), result.active_row_ids, result.deviation)
-            items.append((digest, u.tolist(), int(result.status == FALLBACK)))
-    return items
+        calls += [(constraints, workload.model, state, u_des, None) for constraints, state, u_des in workload.inputs]
+    return calls
 
 
-def _nn_nominal_batch(workdir, size, random_count):
-    import bench_workloads
-    from asifkit import cli, harness
-
+def _filtered(package, calls, workdir):
     items = []
-    for seed in SEEDS["nn_nominal_batch"]:
-        workload = bench_workloads.NnNominalBatch(seed, workdir, size)
-        for argv, out_path, cfg, seed_base in workload.jobs:
-            cli.dispatch(argv)
-            with open(out_path, "r", encoding="utf-8") as fh:
-                episodes = json.load(fh)["per_episode"]
-            for episode in episodes:
-                if episode["metrics"]:
-                    episode["metrics"].pop("max_solve_time")
-            traces = [
-                harness.run_episode(harness.ScenarioConfig.from_dict(dict(cfg, seed=seed_base + i)))
-                for i in range(workload.episodes)
-            ]
-            digest = _digest(episodes, *map(bench_workloads._trace_digest, traces))
-            u = [v for trace in traces for v in trace.u_out.ravel().tolist()]
-            items.append((digest, u, sum(trace.status_names().count(FALLBACK) for trace in traces)))
+    for args in rebuild(package, calls):
+        result = package.filter_control(*args)
+        u = result.u_out.u
+        digest = _digest(result.status, u.tobytes(), result.active_row_ids, result.deviation)
+        items.append((digest, u.tolist(), int(result.status == FALLBACK)))
     return items
+
+
+def _batch_jobs(workdir, size, random_count):
+    import bench_workloads
+
+    return [job for seed in SEEDS["nn_nominal_batch"] for job in bench_workloads.NnNominalBatch(seed, workdir, size).jobs]
+
+
+def _batches(package, jobs, workdir):
+    import bench_workloads
+
+    dispatch = importlib.import_module(package.__name__ + ".cli").dispatch
+    items = []
+    for argv, out_path, cfg, seed_base in jobs:
+        out = str(workdir / Path(out_path).name)
+        dispatch([out if arg == out_path else arg for arg in argv])
+        with open(out, "r", encoding="utf-8") as fh:
+            episodes = json.load(fh)["per_episode"]
+        for episode in episodes:
+            if episode["metrics"]:
+                episode["metrics"].pop("max_solve_time")
+        configs = [dict(cfg, seed=seed_base + i) for i in range(bench_workloads.NnNominalBatch.episodes)]
+        traces = [package.harness.run_episode(scenario(package, c)) for c in configs]
+        digest = _digest(episodes, *map(bench_workloads._trace_digest, traces))
+        u = [v for trace in traces for v in trace.u_out.ravel().tolist()]
+        items.append((digest, u, sum(trace.status_names().count(FALLBACK) for trace in traces)))
+    return items
+
+
+def _trace_configs(workdir, size, random_count):
+    import bench_workloads
+
+    items = [item for seed in SEEDS["trace_roundtrip"] for item in bench_workloads.TraceRoundtrip(seed, workdir, size).items]
+    return [trace.config.raw for trace, _csv, _metrics in items]
+
+
+def _written(package, configs, workdir):
+    """Each config's episode run and written by package, as its csv path."""
+    harness = package.harness
+    paths = []
+    for i, cfg in enumerate(configs):
+        paths.append(str(workdir / f"trace_{i}.csv"))
+        harness.write_trace(harness.run_episode(scenario(package, cfg)), paths[-1])
+    return paths
 
 
 READ_BACK_FIELDS = ("t", "states", "u_des", "u_out", "h", "intervened", "status", "deviation", "final_state")
@@ -227,21 +354,18 @@ def _read_back_parts(back, fields=READ_BACK_FIELDS) -> list:
     return parts
 
 
-def _trace_roundtrip(workdir, size, random_count):
-    import bench_workloads
-    from asifkit import cli, harness
-
+def _round_trips(package, configs, workdir):
+    dispatch = importlib.import_module(package.__name__ + ".cli").dispatch
     items = []
-    for seed in SEEDS["trace_roundtrip"]:
-        for trace, csv_path, metrics_path in bench_workloads.TraceRoundtrip(seed, workdir, size).items:
-            harness.write_trace(trace, csv_path)
-            back = harness.read_trace(csv_path)
-            if cli.dispatch(["metrics", "--trace", csv_path, "--out", metrics_path]) != 0:
-                raise SystemExit(f"differential: asifkit metrics failed on {csv_path}")
-            with open(metrics_path, "r", encoding="utf-8") as fh:
-                metrics = json.load(fh)
-            metrics.pop("max_solve_time")
-            items.append(_trace_item(back, _digest(metrics, *_read_back_parts(back))))
+    for csv_path in _written(package, configs, workdir):
+        back = package.harness.read_trace(csv_path)
+        metrics_path = csv_path + ".metrics.json"
+        if dispatch(["metrics", "--trace", csv_path, "--out", metrics_path]) != 0:
+            raise SystemExit(f"differential: asifkit metrics failed on {csv_path}")
+        with open(metrics_path, "r", encoding="utf-8") as fh:
+            metrics = json.load(fh)
+        metrics.pop("max_solve_time")
+        items.append(_trace_item(back, _digest(metrics, *_read_back_parts(back))))
     return items
 
 
@@ -346,55 +470,51 @@ def edited_traces(lines: list[str]) -> dict[str, str]:
     return texts
 
 
-def _trace_errors(workdir, size, random_count):
-    import bench_workloads
-    from asifkit import harness
-
+def _edited_reads(package, configs, workdir):
     items = []
-    for seed in SEEDS["trace_roundtrip"]:
-        for trace, csv_path, _metrics_path in bench_workloads.TraceRoundtrip(seed, workdir, size).items:
-            harness.write_trace(trace, csv_path)
-            with open(csv_path, "r", encoding="utf-8") as fh:
-                texts = edited_traces(fh.read().splitlines())
-            for name, text in texts.items():
-                with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(text)
-                try:
-                    back = harness.read_trace(csv_path)
-                except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
-                    items.append((_digest(name, type(exc).__name__, str(exc), getattr(exc, "line", None)), [], 0))
-                else:
-                    items.append(_trace_item(back, _digest(name, *_read_back_parts(back, (*READ_BACK_FIELDS, "solve_time")))))
+    for csv_path in _written(package, configs, workdir):
+        with open(csv_path, "r", encoding="utf-8") as fh:
+            texts = edited_traces(fh.read().splitlines())
+        for name, text in texts.items():
+            with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            try:
+                back = package.harness.read_trace(csv_path)
+            except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+                items.append((_digest(name, type(exc).__name__, str(exc), getattr(exc, "line", None)), [], 0))
+            else:
+                items.append(_trace_item(back, _digest(name, *_read_back_parts(back, (*READ_BACK_FIELDS, "solve_time")))))
     return items
 
 
-def _solve_items(problems):
+def _solve_items(package, problems, workdir=None):
     """solve_qp's status, command bits and active rows for each problem, or
     the error it raised by type and message."""
-    import numpy as np
-
-    from asifkit import AsifKitError, solve_qp
-
     items = []
     for qp in problems:
         try:
-            u, active, status = solve_qp(qp)
-        except AsifKitError as exc:
+            u, active, status = package.solve_qp(qp_problem(package, qp))
+        except package.AsifKitError as exc:
             items.append((_digest(type(exc).__name__, str(exc)), [], 0))
         else:
             items.append((_digest(status, np.array(u, dtype=float).tobytes(), active), list(u), int(status == FALLBACK)))
     return items
 
 
-def _random(d):
-    def digest_set(workdir, size, random_count):
-        import numpy as np
-
+def _problems(d, change=None):
+    """The inputs of a solve set: random_problem(default_rng(s), d) for
+    s < N, each changed by change(qp, rng, s) where given."""
+    def problems(workdir, size, random_count):
         from tests.test_least_max_violation import random_problem
 
-        return _solve_items(random_problem(np.random.default_rng(seed), d) for seed in range(random_count))
+        out = []
+        for seed in range(random_count):
+            rng = np.random.default_rng(seed)
+            qp = random_problem(rng, d)
+            out.append(qp if change is None else change(qp, rng, seed))
+        return out
 
-    return digest_set
+    return problems
 
 
 def _margin_problem(qp, k):
@@ -421,17 +541,6 @@ def _margin_problem(qp, k):
     return qp._replace(rows=tuple(rows))
 
 
-def _margin_2d(workdir, size, random_count):
-    import numpy as np
-
-    from tests.test_least_max_violation import random_problem
-
-    return _solve_items(
-        _margin_problem(random_problem(np.random.default_rng(seed), 2), MARGINS[seed % len(MARGINS)])
-        for seed in range(random_count)
-    )
-
-
 def _degenerate_problem(qp, rng, through_vertex):
     """qp with one more row, drawn by rng and inserted at a drawn place: a
     copy of a row, or, when through_vertex, a row with a drawn normal through
@@ -451,18 +560,6 @@ def _degenerate_problem(qp, rng, through_vertex):
             extra = (a0, a1, a0 * v0 + a1 * v1)
     rows.insert(int(rng.integers(len(rows) + 1)), extra)
     return qp._replace(rows=tuple(rows), row_ids=tuple(f"r{k}" for k in range(len(rows))))
-
-
-def _degenerate_2d(workdir, size, random_count):
-    import numpy as np
-
-    from tests.test_least_max_violation import random_problem
-
-    problems = []
-    for seed in range(random_count):
-        rng = np.random.default_rng(seed)
-        problems.append(_degenerate_problem(random_problem(rng, 2), rng, seed % 2 == 1))
-    return _solve_items(problems)
 
 
 def _near_vertex_problem(qp, rng, k):
@@ -498,18 +595,6 @@ def _near_vertex_problem(qp, rng, k):
     return qp._replace(rows=tuple(rows), row_ids=tuple(f"r{n}" for n in range(len(rows))))
 
 
-def _near_vertex_2d(workdir, size, random_count):
-    import numpy as np
-
-    from tests.test_least_max_violation import random_problem
-
-    problems = []
-    for seed in range(random_count):
-        rng = np.random.default_rng(seed)
-        problems.append(_near_vertex_problem(random_problem(rng, 2), rng, NEAR[seed % len(NEAR)]))
-    return _solve_items(problems)
-
-
 def _nonfinite_problem(qp, rng, value):
     """qp with one row entry, drawn by rng, replaced by value."""
     rows = list(qp.rows)
@@ -521,83 +606,66 @@ def _nonfinite_problem(qp, rng, value):
 
 
 def _nonfinite(workdir, size, random_count):
-    import numpy as np
+    def change(qp, rng, seed):
+        return _nonfinite_problem(qp, rng, NONFINITE[seed % len(NONFINITE)])
 
-    from tests.test_least_max_violation import random_problem
-
-    problems = []
-    for d in (1, 2):
-        for seed in range(random_count):
-            rng = np.random.default_rng(seed)
-            qp = random_problem(rng, d)
-            problems.append(_nonfinite_problem(qp, rng, NONFINITE[seed % len(NONFINITE)]))
-    return _solve_items(problems)
+    return [qp for d in (1, 2) for qp in _problems(d, change)(workdir, size, random_count)]
 
 
-def _barrier(workdir, size, random_count):
-    import numpy as np
+def _barrier_cases(workdir, size, random_count):
+    from tests.test_barrier import barrier_cases
 
-    from asifkit import ControlInput, assemble_qp
-    from tests.test_barrier import barrier_cases, barrier_outcomes
+    return barrier_cases(np.random.default_rng(0), random_count)
 
-    def assembled(constraint, model, state, dt):
+
+def _barrier(package, cases, workdir):
+    from tests.test_barrier import barrier_outcomes
+
+    entry_points = (package.eval_h, package.eval_grad_h, package.cbf_row, package.filter_rows)
+    shared = {}
+    items = []
+    for case in cases:
+        constraint, model, state, dt = barrier_case(package, case, shared)
         try:
-            return repr(assemble_qp([constraint], model, state, ControlInput._trusted((0.0,) * model.control_dim), dt))
+            zero = package.ControlInput._trusted((0.0,) * model.control_dim)
+            assembled = repr(package.assemble_qp([constraint], model, state, zero, dt))
         except Exception as exc:
-            return type(exc).__name__, str(exc)
-
-    return [
-        (_digest(*barrier_outcomes(*case), assembled(*case)), [], 0)
-        for case in barrier_cases(np.random.default_rng(0), random_count)
-    ]
+            assembled = type(exc).__name__, str(exc)
+        outcomes = barrier_outcomes(constraint, model, state, dt, entry_points, package.AsifKitError)
+        items.append((_digest(*outcomes, assembled), [], 0))
+    return items
 
 
-def _plant(workdir, size, random_count):
-    import numpy as np
+def _plant_cases(workdir, size, random_count):
+    from tests.test_dynamics import plant_cases
 
-    from tests.test_dynamics import plant_cases, plant_outcome
+    return plant_cases(np.random.default_rng(0), random_count)
 
-    return [(_digest(plant_outcome(*case)), [], 0) for case in plant_cases(np.random.default_rng(0), random_count)]
+
+def _plant(package, cases, workdir):
+    from tests.test_dynamics import plant_outcome
+
+    shared = {}
+    return [(_digest(plant_outcome(*plant_case(package, case, shared))), [], 0) for case in cases]
 
 
 DIGESTS = {
-    "scenarios": _scenarios,
-    "corpus_adversarial": _corpus_adversarial,
-    "filter_multirow": _filter_multirow,
-    "nn_nominal_batch": _nn_nominal_batch,
-    "trace_roundtrip": _trace_roundtrip,
-    "trace_errors": _trace_errors,
-    "random_1d": _random(1),
-    "random_2d": _random(2),
-    "margin_2d": _margin_2d,
-    "degenerate_2d": _degenerate_2d,
-    "near_vertex_2d": _near_vertex_2d,
-    "nonfinite": _nonfinite,
-    "barrier": _barrier,
-    "plant": _plant,
+    "scenarios": (_scenario_configs, _scenarios),
+    "corpus_adversarial": (_corpus_configs, _episodes),
+    "filter_multirow": (_filter_calls, _filtered),
+    "nn_nominal_batch": (_batch_jobs, _batches),
+    "trace_roundtrip": (_trace_configs, _round_trips),
+    "trace_errors": (_trace_configs, _edited_reads),
+    "random_1d": (_problems(1), _solve_items),
+    "random_2d": (_problems(2), _solve_items),
+    "margin_2d": (_problems(2, lambda qp, rng, seed: _margin_problem(qp, MARGINS[seed % len(MARGINS)])), _solve_items),
+    "degenerate_2d": (_problems(2, lambda qp, rng, seed: _degenerate_problem(qp, rng, seed % 2 == 1)), _solve_items),
+    "near_vertex_2d": (_problems(2, lambda qp, rng, seed: _near_vertex_problem(qp, rng, NEAR[seed % len(NEAR)])), _solve_items),
+    "nonfinite": (_nonfinite, _solve_items),
+    "barrier": (_barrier_cases, _barrier),
+    "plant": (_plant_cases, _plant),
 }
-
-
-def work(tree: Path, sets, size, random_count) -> None:
-    """Digest the sets with the asifkit under tree; print them as JSON."""
-    sys.path[:0] = [str(tree / "src"), str(ROOT), str(ROOT / "bench")]
-    import asifkit
-
-    if Path(asifkit.__file__).resolve().parent != (tree / "src" / "asifkit").resolve():
-        raise SystemExit(f"differential: asifkit imported from {asifkit.__file__}, not from {tree}")
-    with tempfile.TemporaryDirectory(prefix="differential-") as workdir:
-        out = {name: DIGESTS[name](workdir, size, random_count) for name in sets}
-    json.dump(out, sys.stdout)
-
-
-# ------------------------------------------------------------------ driver
-
-
-def extract(ref: str, dest: Path) -> None:
-    """Write the tree of the git revision ref into dest."""
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref], check=True, capture_output=True)
-    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-        tar.extractall(dest, filter="data")
+SETS = tuple(DIGESTS)
 
 
 def compare(ours, theirs) -> dict:
@@ -618,47 +686,44 @@ def compare(ours, theirs) -> dict:
     }
 
 
+def digest_sets(packages, sets, size, random_count, workdir) -> list[dict]:
+    """Each set's comparison line: its inputs built once in workdir, then
+    digested by each of the two packages in a directory of its own."""
+    workdir = Path(workdir)
+    dirs = [workdir / "inputs", workdir / "side0", workdir / "side1"]
+    for path in dirs:
+        path.mkdir(parents=True)
+    lines = []
+    for name in sets:
+        inputs, digest = DIGESTS[name]
+        built = inputs(dirs[0], size, random_count)
+        sides = [digest(package, built, path) for package, path in zip(packages, dirs[1:])]
+        lines.append({"set": name, **compare(*sides)})
+    return lines
+
+
 def run(ref: str, sets, size, random_count) -> list[dict]:
-    args = ["--sets", ",".join(sets), "--random", str(random_count)] + ([] if size is None else ["--size", str(size)])
-    with tempfile.TemporaryDirectory(prefix="differential-ref-") as tmp:
-        ref_tree = Path(tmp)
-        extract(ref, ref_tree)
-        env = dict(os.environ)
-        env.pop("PYTHONPATH", None)  # each worker puts its own tree first
-        procs = [
-            subprocess.Popen(
-                [sys.executable, str(Path(__file__).resolve()), "--worker", str(tree), *args],
-                stdout=subprocess.PIPE,
-                env=env,
-                cwd=tmp,
-            )
-            for tree in (ROOT, ref_tree)
-        ]
-        outputs = [proc.communicate()[0] for proc in procs]
-    for proc in procs:
-        if proc.returncode:
-            raise SystemExit(f"differential: a digest process exited with {proc.returncode}")
-    ours, theirs = (json.loads(out) for out in outputs)
-    return [{"set": name, **compare(ours[name], theirs[name])} for name in sets]
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "bench")]
+    import asifkit
+
+    with tempfile.TemporaryDirectory(prefix="differential-") as tmp:
+        packages = (asifkit, load_revision(ref, Path(tmp) / "ref"))
+        return digest_sets(packages, sets, size, random_count, Path(tmp) / "work")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--against", metavar="REF", help="git revision to compare this tree with")
+    parser.add_argument("--against", metavar="REF", required=True, help="git revision to compare this tree with")
     parser.add_argument("--sets", default=",".join(SETS), help="comma-separated sets (default: all)")
     parser.add_argument("--size", type=int, default=None, help="items per seed of each workload set")
     parser.add_argument("--random", type=int, default=20000, help="random problems per axis count, barrier cases per kind and plant cases per function")
-    parser.add_argument("--worker", metavar="TREE", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     sets = [name for name in args.sets.split(",") if name]
     unknown = sorted(set(sets) - set(SETS))
     if unknown:
         parser.error(f"unknown sets {unknown}; choose from {list(SETS)}")
-    if args.worker:
-        work(Path(args.worker), sets, args.size, args.random)
-        return 0
-    if not args.against:
-        parser.error("--against REF is required")
+    if args.random < 1 or (args.size is not None and args.size < 1):
+        parser.error("--random and --size must be at least 1")
     for line in run(args.against, sets, args.size, args.random):
         print(json.dumps(line))
     return 0

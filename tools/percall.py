@@ -5,12 +5,13 @@ against a git revision.
                             [--workload NAME] [--seed N] [--size K]
                             [--rounds R]
 
-Extracts ``git archive REF`` into a temporary directory, as
-tools/differential.py does, and imports its asifkit under the package name
-asifkit_ref beside this tree's asifkit, in one process. The calls of a
-benchmark workload are built once by this tree's workload code and then
-rebuilt on each side with that side's public constructors, so both trees
-see the same inputs in their own types.
+Loads REF's asifkit with tools/differential.py's load_revision, which
+extracts ``git archive REF`` into a temporary directory and imports it under
+the package name asifkit_ref beside this tree's asifkit, in one process.
+The calls of a benchmark workload are built once by this tree's workload
+code and then rebuilt on each side by differential.py's builders, with that
+side's public constructors, so both trees see the same inputs in their own
+types. --size and --rounds must be at least 1.
 
 --op filter (the default) times filter_control calls. Workloads:
   filter_multirow     the benchmark's direct filter_control calls (no dt)
@@ -18,7 +19,7 @@ see the same inputs in their own types.
                       recorded from a run of this tree (with the period dt)
 
 --op episode times whole run_episode calls, each on a ScenarioConfig that
-side built once with from_dict. Workloads:
+side built once with its from_dict (differential.scenario). Workloads:
   corpus_adversarial  the benchmark's episode configs
   nn_nominal_batch    the configs of every batch call's episodes (seeds
                       seed_base + i), their networks written by the workload
@@ -53,7 +54,6 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib
-import importlib.util
 import json
 import sys
 import tempfile
@@ -69,17 +69,6 @@ WORKLOADS = {
     "trace": ("trace_roundtrip",),
 }
 ROUNDS = {"filter": 21, "episode": 9, "trace": 9}
-
-
-def load_tree(src: Path, name: str):
-    """Import the asifkit package under src as the top-level package name."""
-    spec = importlib.util.spec_from_file_location(
-        name, src / "asifkit" / "__init__.py", submodule_search_locations=[str(src / "asifkit")]
-    )
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    return package
 
 
 def workload_calls(workload: str, seed: int, size, workdir) -> list[tuple]:
@@ -105,31 +94,6 @@ def workload_calls(workload: str, seed: int, size, workdir) -> list[tuple]:
     finally:
         harness.filter_control = filter_control
     return calls
-
-
-def rebuild(package, calls) -> list[tuple]:
-    """The calls with every argument rebuilt by package's public
-    constructors; constraint lists and models shared between calls stay
-    shared."""
-    lists, models = {}, {}
-    out = []
-    for constraints, model, state, u_des, dt in calls:
-        if id(model) not in models:
-            models[id(model)] = package.PlantModel(model.kind, np.array(model.control_bounds), model.disturbance_bound)
-        if id(constraints) not in lists:
-            lists[id(constraints)] = [
-                package.BarrierConstraint(c.id, c.kind, dict(c.params), c.gamma, c.hazard_id) for c in constraints
-            ]
-        out.append(
-            (
-                lists[id(constraints)],
-                models[id(model)],
-                package.PlantState(np.array(state.xs), state.t),
-                package.ControlInput(np.array(u_des.us), model.control_bounds),
-                dt,
-            )
-        )
-    return out
 
 
 def episode_configs(workload: str, seed: int, size, workdir) -> list[dict]:
@@ -240,13 +204,14 @@ def time_traces(packages, labels, seed: int, size, rounds: int, workdir) -> list
     """Time write_trace, read_trace and the metrics dispatch of each side
     on the trace_roundtrip workload's episodes."""
     import bench_workloads
+    from differential import scenario
 
     configs = [trace.config.raw for trace, _csv, _metrics in bench_workloads.TraceRoundtrip(seed, workdir, size).items]
     ops = {"write_trace": [], "read_trace": [], "metrics": []}
     rows = []
     for s, package in enumerate(packages):
         harness = package.harness
-        traces = [harness.run_episode(harness.ScenarioConfig.from_dict(cfg)) for cfg in configs]
+        traces = [harness.run_episode(scenario(package, cfg)) for cfg in configs]
         paths = [str(Path(workdir) / f"side{s}_trace_{i}.csv") for i in range(len(traces))]
         ops["write_trace"].append((harness.write_trace, list(zip(traces, paths))))
         ops["read_trace"].append((harness.read_trace, [(path,) for path in paths]))
@@ -263,20 +228,17 @@ def time_traces(packages, labels, seed: int, size, rounds: int, workdir) -> list
 def run(ref: str, workload: str, seed: int, size, rounds: int, op: str = "filter") -> list[dict]:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tools")]
     import asifkit
-    from differential import extract
+    from differential import load_revision, rebuild, scenario
 
     with tempfile.TemporaryDirectory(prefix="percall-") as tmp:
-        ref_tree = Path(tmp) / "ref"
-        extract(ref, ref_tree)
-        ref_package = load_tree(ref_tree / "src", "asifkit_ref")
-        packages = (asifkit, ref_package)
+        packages = (asifkit, load_revision(ref, Path(tmp) / "ref"))
         labels = ("this tree", ref)
         if op == "trace":
             return time_traces(packages, labels, seed, size, rounds, tmp)
         if op == "episode":
             configs = episode_configs(workload, seed, size, tmp)
             sides = [
-                (package.harness.run_episode, [(package.harness.ScenarioConfig.from_dict(cfg),) for cfg in configs])
+                (package.harness.run_episode, [(scenario(package, cfg),) for cfg in configs])
                 for package in packages
             ]
             traces = [[run_episode(*args) for args in calls] for run_episode, calls in sides]
@@ -319,8 +281,8 @@ def main(argv=None) -> int:
     if workload not in WORKLOADS[args.op]:
         parser.error(f"--op {args.op} runs on {list(WORKLOADS[args.op])}, not {workload!r}")
     rounds = ROUNDS[args.op] if args.rounds is None else args.rounds
-    if rounds < 1:
-        parser.error("--rounds must be at least 1")
+    if rounds < 1 or (args.size is not None and args.size < 1):
+        parser.error("--rounds and --size must be at least 1")
     for line in run(args.against, workload, args.seed, args.size, rounds, args.op):
         print(json.dumps(line))
     return 0
