@@ -79,6 +79,7 @@ INFEASIBLE_FALLBACK = "infeasible_fallback"
 
 _DEP_TOL = 1e-12  # rank test for a constraint's normal and for a pair of normals
 _FEAS_TOL = 1e-11  # violation counted as zero, before scaling by the problem size
+_KKT_ACTIVE_SLACK = 1e-7  # check_kkt fits multipliers on constraints with no more slack
 _INF, _NEG_INF = math.inf, -math.inf
 
 # QpProblem and FilterResult are built on every call. tuple.__new__ makes the
@@ -277,10 +278,10 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
 
     The constraints are the rows, then the box faces u0 >= lo0, -u0 >=
     -hi0, u1 >= lo1, -u1 >= -hi1, in that order (their indices after the
-    rows). Stage 1 runs on scalars: one pass over the rows and the four
-    faces, written out, picks the violated constraint k farthest from
-    u_des, and checks the projection s onto it against every constraint;
-    j is the first that rejects s. A violated row whose squared distance
+    rows). Stage 1 runs on scalars: one pass over the rows, and over the
+    four faces when u_des lies outside the box, picks the violated
+    constraint k farthest from u_des, and checks the projection s onto it
+    against every constraint; j is the first that rejects s. A violated row whose squared distance
     underflows to zero cannot be ranked; when no violated constraint can
     be, there is no projection to try and no point is returned.
 
@@ -356,30 +357,16 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
             dist2 = r * r / norm
             if dist2 > far:
                 k, far, ka0, ka1, lam = i, dist2, a0, a1, r / norm
-    # The faces' violations are the rows (1, 0, lo0), (-1, -0, -hi0), (0, 1,
-    # lo1) and (-0, -1, -hi1) evaluated as rows are, with each product by 1
-    # or -1 folded and each product by 0 dropped, which leaves a violation
-    # above feas_tol as it is. A face's squared norm is 1.
-    r = lo0 - ud0
-    if r > feas_tol:
-        meets = False
-        if r * r > far:
-            k, far, ka0, ka1, lam = m, r * r, 1.0, 0.0, r
-    r = -hi0 + ud0
-    if r > feas_tol:
-        meets = False
-        if r * r > far:
-            k, far, ka0, ka1, lam = m + 1, r * r, -1.0, -0.0, r
-    r = lo1 - ud1
-    if r > feas_tol:
-        meets = False
-        if r * r > far:
-            k, far, ka0, ka1, lam = m + 2, r * r, 0.0, 1.0, r
-    r = -hi1 + ud1
-    if r > feas_tol:
-        meets = False
-        if r * r > far:
-            k, far, ka0, ka1, lam = m + 3, r * r, -0.0, -1.0, r
+    # A face can be violated only by a u_des outside the box (never one that
+    # filter_control passes). A face's squared norm is 1.
+    if not (lo0 <= ud0 <= hi0 and lo1 <= ud1 <= hi1):
+        faces = ((1.0, 0.0, lo0), (-1.0, -0.0, -hi0), (0.0, 1.0, lo1), (-0.0, -1.0, -hi1))
+        for i, (a0, a1, b) in enumerate(faces, m):
+            r = b - a0 * ud0 - a1 * ud1
+            if r > feas_tol:
+                meets = False
+                if r * r > far:
+                    k, far, ka0, ka1, lam = i, r * r, a0, a1, r
     if meets:
         return _solved(qp, (ud0, ud1), ())
     if k < 0:
@@ -786,7 +773,7 @@ def filter_control(
     return _new(FilterResult, (u_out, True, deviation, active_row_ids, status, elapsed))
 
 
-def check_kkt(qp: QpProblem, u_star, tol: float = 1e-8) -> dict:
+def check_kkt(qp: QpProblem, u_star) -> dict:
     """Residuals of the KKT system at u_star, any float sequence, for the
     full problem (rows plus box). Multipliers are recovered by nonnegative
     least squares on the active constraints; used by tests and the solver's
@@ -813,7 +800,7 @@ def check_kkt(qp: QpProblem, u_star, tol: float = 1e-8) -> dict:
         cons_b[m + 2 * j + 1] = -hi
     slack = cons_a @ u_star - cons_b
     primal = float(max(0.0, -np.min(slack))) if slack.size else 0.0
-    active = np.nonzero(slack <= tol * 10)[0]
+    active = np.nonzero(slack <= _KKT_ACTIVE_SLACK)[0]
     grad = u_star - np.array(qp.u_des)
     scales = np.max(np.abs(cons_a), axis=1)
     scales[scales == 0.0] = 1.0

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 validation findings of error severity (or failed
-check), 2 usage error, 3 IO or parse error.
+check, or aborted episode), 2 usage error, 3 IO or parse error.
 """
 
 from __future__ import annotations
@@ -80,12 +80,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one episode; write trace and metrics")
     p.add_argument("--config", required=True)
     p.add_argument("--trace", required=True)
-    p.add_argument("--metrics", default=None, help="metrics path (default: <trace>.metrics.json)")
+    p.add_argument(
+        "--metrics", default=None,
+        help="metrics path (default: <trace>.metrics.json); not written for a trace with no steps",
+    )
 
     p = sub.add_parser("batch", help="run seeded episodes; write aggregate metrics")
     p.add_argument("--config", required=True)
-    p.add_argument("--episodes", type=int, required=True)
-    p.add_argument("--seed-base", type=int, required=True)
+    p.add_argument("--episodes", type=_non_negative_int, required=True)
+    p.add_argument("--seed-base", type=_non_negative_int, required=True)
     p.add_argument("--out", default=None, help="aggregate metrics path (default: stdout)")
 
     p = sub.add_parser("metrics", help="compute metrics from a trace file")
@@ -119,10 +122,8 @@ def _cmd_simulate(args) -> int:
     _check_out_dirs(args.trace, metrics_path)
     trace = run_episode(config)
     write_trace(trace, args.trace)
-    metrics = compute_metrics(trace)
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        json.dump(metrics.to_dict(), fh, indent=2)
-        fh.write("\n")
+    if trace.n_steps:
+        _write_out(json.dumps(compute_metrics(trace).to_dict(), indent=2) + "\n", metrics_path)
     if trace.aborted:
         print(f"episode aborted: {trace.abort_reason}", file=sys.stderr)
         return FINDINGS_ERROR

@@ -6,8 +6,10 @@ Three kinds:
                  filtered. Inputs are the raw state vector, unnormalized.
   * pd:          per-axis proportional-derivative law u = -kp*p - kd*v.
   * adversarial: full-magnitude command in the direction that decreases a
-                 target constraint's barrier value; exists to exercise the
-                 filter under worst-case commands, not to fly well.
+                 target constraint's barrier value, read from the signs of
+                 its gradient's velocity block (its position block where
+                 that is zero); exists to exercise the filter under
+                 worst-case commands, not to fly well.
 
 Every controller's output is saturated into the plant's box, so downstream
 code always sees an in-bounds desired command. An output with a NaN or
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barrier import BarrierConstraint, eval_grad_h
-from .dynamics import ControlInput, PlantModel, PlantState, actuation_row, drift_actuation_row
+from .dynamics import ControlInput, PlantModel, PlantState
 from .errors import InvalidConfig, InvalidModel, InvalidState, NonFiniteCommand, ParseError
 
 
@@ -188,21 +190,24 @@ def _adversarial_command(
     controller: AdversarialController, state: PlantState, model: PlantModel
 ) -> tuple[float, ...]:
     """Full-magnitude command minimizing the target constraint's hdot
-    contribution a . u (a = grad_h . g), saturated into the box. Where that
-    row has no control sensitivity, fall back to a = grad_h . (df/dx) g, the
-    position gradient mapped to the paired control axis, which decreases h
-    over the following steps on these double-integrator plants.
+    contribution a . u (a = grad_h . g), saturated into the box. Both plants
+    are double integrators with g = (0; I), so a is the gradient's velocity
+    block. Where that row has no control sensitivity, fall back to
+    a = grad_h . (df/dx) g, the gradient's position block, each position
+    paired with the control on its velocity, which decreases h over the
+    following steps. Only the sign of each entry of a is read.
     """
     if controller.constraint is None:
         raise InvalidConfig("adversarial controller used before binding to a constraint")
     if len(state.xs) != model.state_dim:
         raise InvalidState(f"state dim {len(state.xs)} does not match model {model.kind}")
     grad = eval_grad_h(controller.constraint, state)
-    a = actuation_row(model, grad)
+    d = model.control_dim
+    a = grad[d:]
     if not any(a):
-        a = drift_actuation_row(model, grad)  # push along the position gradient instead
+        a = grad[:d]  # push along the position gradient instead
     # full magnitude against a's sign, zero (clamped into the box) where a is zero
-    if model.control_dim == 1:
+    if d == 1:
         lo, hi = model._box[0]
         a0 = a[0]
         return (hi if a0 < 0.0 else (lo if a0 > 0.0 else min(max(0.0, lo), hi)),)

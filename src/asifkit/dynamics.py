@@ -171,25 +171,6 @@ class PlantModel:
         object.__setattr__(self, "_box", tuple(map(tuple, bounds.tolist())))
 
 
-def actuation_row(model: PlantModel, grad: tuple[float, ...]) -> tuple[float, ...]:
-    """grad . g(x) for a row vector grad over the state, without building g.
-
-    Both model kinds are double integrators, state (positions, velocities)
-    with one control per velocity: g = (0; I), so grad . g is the velocity
-    block of grad (+ 0.0 gives the positive zeros numpy's grad @ g gives).
-    """
-    if model.control_dim == 1:
-        return (grad[1] + 0.0,)
-    return (grad[2] + 0.0, grad[3] + 0.0)
-
-
-def drift_actuation_row(model: PlantModel, grad: tuple[float, ...]) -> tuple[float, ...]:
-    """grad . (df/dx) g: how each control moves grad . f one integration
-    later. f is linear with df/dx = (0 I; 0 0), so this is the position
-    block of grad, each position paired with the control on its velocity."""
-    return grad[: model.control_dim]
-
-
 def hold_map(model: PlantModel, x: tuple[float, ...], dt: float) -> tuple[list[float], float, float]:
     """The undisturbed step under a control u held over dt (zero-order hold),
     exact for these linear models: per axis j the next state is

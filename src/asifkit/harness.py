@@ -13,7 +13,9 @@ so a step builds no array beyond an MLP controller's. Each episode reads its
 disturbances from one dynamics.disturbance_stream seeded with the config's
 seed, which draws them in blocks. The recorder keeps each step's floats in
 one flat list, which the trace builder slices into arrays once the episode
-ends.
+ends. The trace builder is shared with read_trace, and it derives each
+step's deviation from the step's two commands for both, so a trace read
+back holds the deviations of the trace written.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import hashlib
 import json
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import chain, repeat
 from typing import NoReturn
 
@@ -228,7 +230,8 @@ class EpisodeTrace:
 
     Arrays hold the pre-step sample at each control instant: time, state, the
     desired and applied commands, each constraint's barrier value, whether the
-    filter intervened, the step status, and the filter wall-clock time.
+    filter intervened, the step status, the filter wall-clock time, and the
+    deviation, the distance between the two commands.
     final_state and final_t are the state and time after the last step as
     run_episode ends; a trace read back by read_trace holds the last
     recorded sample there instead.
@@ -270,15 +273,7 @@ class SafetyMetrics:
     fallback_count: int
 
     def to_dict(self) -> dict:
-        return {
-            "min_h": self.min_h,
-            "violation_steps": self.violation_steps,
-            "intervention_rate": self.intervention_rate,
-            "mean_deviation": self.mean_deviation,
-            "max_deviation": self.max_deviation,
-            "max_solve_time": self.max_solve_time,
-            "fallback_count": self.fallback_count,
-        }
+        return asdict(self)
 
 
 def _mode_at(schedule, t: float) -> bool:
@@ -313,7 +308,7 @@ def run_episode(config: ScenarioConfig) -> EpisodeTrace:
     unfiltered_code = _STATUS_CODES[UNFILTERED]
 
     # per-step records, numeric holding the float cells in _trace_layout's order
-    numeric, status_rec, solve_rec, deviation_rec = [], [], [], []
+    numeric, status_rec, solve_rec = [], [], []
 
     disturbances = disturbance_stream(model, config.seed, n)
     state = PlantState(config.initial_state, 0.0)
@@ -328,12 +323,10 @@ def run_episode(config: ScenarioConfig) -> EpisodeTrace:
                 u_out = result.u_out
                 step_status = _STATUS_CODES[result.status]
                 step_solve = result.solve_time
-                step_dev = result.deviation
             else:
                 u_out = u_des
                 step_status = unfiltered_code
                 step_solve = 0.0
-                step_dev = 0.0
         except (NonFiniteCommand, SingularGradient, StructurallyInfeasible, NonFiniteRow) as exc:
             abort = exc
             break
@@ -343,7 +336,6 @@ def run_episode(config: ScenarioConfig) -> EpisodeTrace:
             numeric.append(eval_h(constraint, state))
         status_rec.append(step_status)
         solve_rec.append(step_solve)
-        deviation_rec.append(step_dev)
 
         w = sample_disturbance(model, disturbances)
         try:
@@ -355,9 +347,7 @@ def run_episode(config: ScenarioConfig) -> EpisodeTrace:
     reason = "" if abort is None else f"{type(abort).__name__}: {abort}"
     cells = _trace_layout(model, [c.id for c in constraints])["h"][0].stop
     table = np.array(numeric, dtype=float).reshape(len(status_rec), cells)
-    return _episode_trace(
-        config, table, status_rec, solve_rec, deviation_rec, state.x, state.t, abort is not None, reason
-    )
+    return _episode_trace(config, table, status_rec, solve_rec, state.x, state.t, abort is not None, reason)
 
 
 def _trace_layout(model: PlantModel, constraint_ids) -> dict[str, tuple[slice, list[str]]]:
@@ -379,13 +369,14 @@ def _trace_layout(model: PlantModel, constraint_ids) -> dict[str, tuple[slice, l
 
 
 def _episode_trace(
-    config: ScenarioConfig, table: np.ndarray, status: list[int], solve_time, deviation,
+    config: ScenarioConfig, table: np.ndarray, status: list[int], solve_time,
     final_state: np.ndarray, final_t: float, aborted: bool, abort_reason: str,
 ) -> EpisodeTrace:
     """The trace of recorded steps: table is their (n, cells) float array,
     a row per step in _trace_layout's order, in any memory order, and status
-    their int8 codes, from which intervened is derived. Each block is a
-    C-contiguous array of its own."""
+    their int8 codes, from which intervened is derived, as each step's
+    deviation is from its commands. Each block is a C-contiguous array of
+    its own."""
     constraint_ids = tuple(c.id for c in config.constraints)
     layout = _trace_layout(config.model, constraint_ids)
     n = len(status)
@@ -400,7 +391,7 @@ def _episode_trace(
         intervened=_INTERVENES_ARRAY[codes],
         status=codes,
         solve_time=np.array(solve_time, dtype=float),
-        deviation=np.array(deviation, dtype=float),
+        deviation=_deviations(blocks["u_out"].T, blocks["u_des"].T),
         final_state=final_state,
         final_t=final_t,
         aborted=aborted,
@@ -588,16 +579,13 @@ def read_trace(path) -> EpisodeTrace:
         if parsed is None:
             _raise_bad_row(zip(linenos, lines), width)
         columns, status, solve_time = parsed
-        deviation = _deviations(columns[layout["u_out"][0]], columns[layout["u_des"][0]])
         final_state, final_t = columns[layout["states"][0], -1].copy(), float(columns[0, -1])
         table = columns.T
     else:
-        status, solve_time, deviation = [], [], []
+        status, solve_time = [], []
         final_state, final_t = config.initial_state, 0.0
         table = np.empty((0, width - len(_TEXT_COLUMNS)))
-    trace = _episode_trace(
-        config, table, status, solve_time, deviation, final_state, final_t, aborted, abort_reason
-    )
+    trace = _episode_trace(config, table, status, solve_time, final_state, final_t, aborted, abort_reason)
     if stated_hash is not None and stated_hash != trace.config_hash:
         raise ParseError(
             f"config_hash {stated_hash} disagrees with the embedded config's {trace.config_hash}",

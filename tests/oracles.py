@@ -15,8 +15,9 @@ have the generic per-axis loops they had before they were written out for
 one axis and for two, and the MLP reference takes each layer's product as
 w @ v. The barrier reference
 composes each row from h and the whole gradient, evaluated together, with
-the drift term as an exactly rounded sum, as the barrier module did before
-its entry points became per-kind kernels.
+a = grad . g on the plant reference's g and the drift term as an exactly
+rounded sum, as the barrier module did before its entry points became
+per-kind kernels.
 """
 
 import json
@@ -28,7 +29,7 @@ import numpy as np
 
 from asifkit.asif import _FEAS_TOL
 from asifkit.barrier import GEOFENCE_1D, GEOFENCE_2D_CIRCLE, SPEED_LIMIT, eval_grad_h
-from asifkit.dynamics import actuation_row, drift_actuation_row, hold_map
+from asifkit.dynamics import hold_map
 from asifkit.errors import InvalidConfig, InvalidState, SingularGradient
 from asifkit.harness import _STATUS_NAMES, trace_header
 
@@ -115,6 +116,18 @@ def eval_dynamics(model, state):
     return np.concatenate([x[d:], np.zeros(d)]), np.vstack([np.zeros((d, d)), np.eye(d)])
 
 
+def grad_times_g(model, state, grad):
+    """a = grad . g on eval_dynamics' g, as a tuple of floats: per control,
+    numpy's sum over the state of grad times g's column, in which an entry
+    where g is zero adds 0.0 (a NaN or infinite gradient entry times that
+    zero would give NaN, which g's zeros do not carry into a). The state's
+    entries may be NaN or infinite: it is read without the public
+    PlantState checks."""
+    g = eval_dynamics(model, state)[1]
+    terms = np.where(g != 0.0, np.array(grad, dtype=float)[:, None], 0.0) * g
+    return tuple(terms.sum(axis=0).tolist())
+
+
 def closed_form_step(x, u, w, dt):
     """Exact transition of the disturbed double integrator (any dimension)."""
     x = np.asarray(x, float)
@@ -177,9 +190,9 @@ def adversarial_command(constraint, model, state):
     gradient), zero clamped into the box where an entry of a is zero,
     saturated axis by axis in one comprehension."""
     grad = eval_grad_h(constraint, state)
-    a = actuation_row(model, grad)
+    a = grad_times_g(model, state, grad)
     if not any(a):
-        a = drift_actuation_row(model, grad)
+        a = grad[: model.control_dim]  # grad . (df/dx) g, df/dx = (0 I; 0 0)
     return tuple([
         hi if aj < 0.0 else (lo if aj > 0.0 else min(max(0.0, lo), hi))
         for aj, (lo, hi) in zip(a, model._box)
@@ -415,7 +428,7 @@ def barrier_cbf_row(constraint, model, state):
     if grad is None:
         raise SingularGradient(constraint.id)
     gamma_h = constraint.gamma * h
-    return actuation_row(model, grad), -exact_drift(grad, x, model.control_dim) - gamma_h
+    return grad_times_g(model, state, grad), -exact_drift(grad, x, model.control_dim) - gamma_h
 
 
 def barrier_sampled_row(constraint, model, state, dt):

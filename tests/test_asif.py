@@ -241,6 +241,34 @@ def test_a_row_that_cuts_off_the_pair_vertex_sends_stage_2_to_another(monkeypatc
     assert _solve_with_path(monkeypatch, rows) == (expected, "stage 2")
 
 
+@pytest.mark.parametrize(
+    "u_des, rows, face, expected",
+    [
+        # u0 <= 1 is violated by 2, the row u0 + u1 <= 1.2 by 2.3 / sqrt(2)
+        ((3.0, 0.5), ((-1.0, -1.0, -1.2),), 1, ((1.0, 0.19999999999999996), (0,), MODIFIED)),
+        # u1 >= -1 is violated by 3, the row u0 >= 0.8 by 0.3
+        ((0.5, -4.0), ((-1.0, -1.0, -1.2), (1.0, 0.0, 0.8)), 2, ((0.8, -1.0), (1,), MODIFIED)),
+    ],
+)
+def test_a_box_face_is_the_farthest_violated_constraint(monkeypatch, u_des, rows, face, expected):
+    """A u_des outside the box [-1, 1]^2 (which filter_control never
+    passes) violates a face, here farther from it than any row: stage 1
+    projects onto that face, a row rejects the projection, and the pair
+    step answers the vertex of the two, naming the row alone active."""
+    seen = []
+    solved = asif._solved
+
+    def recording(*args):
+        names = sys._getframe(1).f_locals
+        seen.append((names["k"] - names["m"], "rho" in names))
+        return solved(*args)
+
+    monkeypatch.setattr(asif, "_solved", recording)
+    qp = QpProblem(u_des, rows, tuple(f"r{i}" for i in range(len(rows))), ((-1.0, 1.0), (-1.0, 1.0)))
+    assert solve_qp(qp) == expected
+    assert seen == [(face, True)]  # k is the face (m + face), answered by the pair step
+
+
 def test_solve_infeasible_box_corner():
     qp = make_qp([0.0], [[-1.0]], [2.0], [[-1.0, 1.0]])  # u <= -2 impossible in box
     u_star, active, status = solve_qp(qp)

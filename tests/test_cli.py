@@ -5,7 +5,17 @@ from pathlib import Path
 
 import pytest
 
-from asifkit import ScenarioConfig, cli, compute_metrics, run_episode, write_trace
+from asifkit import (
+    InvalidConfig,
+    ScenarioConfig,
+    cli,
+    compute_metrics,
+    load_scenario,
+    read_trace,
+    run_batch,
+    run_episode,
+    write_trace,
+)
 from asifkit.assurance import template_text
 from asifkit.cli import dispatch
 from tests.test_assurance import goal_chain
@@ -96,6 +106,9 @@ def test_malformed_config_parse_error(tmp_path):
 
 
 def test_simulate_metrics_round_trip(tmp_path, capsys):
+    """simulate's metrics file holds the bytes `asifkit metrics` writes for
+    its trace: the fields in SafetyMetrics' order, as JSON indented by 2,
+    with a final newline."""
     config = SCENARIOS / "geofence_1d_adversarial.json"
     before = sha(config)
     trace = tmp_path / "trace.csv"
@@ -104,15 +117,31 @@ def test_simulate_metrics_round_trip(tmp_path, capsys):
         "simulate", "--config", str(config), "--trace", str(trace), "--metrics", str(metrics)
     ]) == 0
     assert sha(config) == before  # inputs never mutated
-    m = json.loads(metrics.read_text())
-    assert set(m) == {
+    text = metrics.read_text()
+    assert list(json.loads(text)) == [
         "min_h", "violation_steps", "intervention_rate", "mean_deviation",
         "max_deviation", "max_solve_time", "fallback_count",
-    }
+    ]
+    assert text.startswith('{\n  "min_h": ') and text.endswith("\n}\n")
     assert dispatch(["metrics", "--trace", str(trace), "--out", str(tmp_path / "m2.json")]) == 0
-    m2 = json.loads((tmp_path / "m2.json").read_text())
-    assert m2["min_h"] == m["min_h"]
-    assert m2["intervention_rate"] == m["intervention_rate"]
+    assert (tmp_path / "m2.json").read_bytes() == metrics.read_bytes()
+
+
+def test_simulate_aborted_at_the_first_step_exits_1(tmp_path, capsys):
+    """An episode that aborts at its first step (the adversary's circle
+    starts on its center, where the gradient is singular) is reported as an
+    abort and exits 1, like any other; its trace is written with no steps
+    and no metrics file is."""
+    cfg = json.loads((SCENARIOS / "circle_2d_adversarial.json").read_text())
+    cfg["initial_state"] = [0.0, 0.0, 0.1, 0.1]
+    path = tmp_path / "center.json"
+    path.write_text(json.dumps(cfg))
+    trace = tmp_path / "t.csv"
+    assert dispatch(["simulate", "--config", str(path), "--trace", str(trace)]) == 1
+    assert capsys.readouterr().err == "episode aborted: SingularGradient: gradient of constraint 'circle' is singular here\n"
+    back = read_trace(trace)
+    assert back.aborted and back.n_steps == 0
+    assert not (tmp_path / "t.csv.metrics.json").exists()
 
 
 def test_parser_reused_after_usage_errors(tmp_path, capsys):
@@ -153,9 +182,8 @@ def test_batch_seed_order(tmp_path):
 
 
 def test_configs_no_episode_can_run_exit_3(tmp_path):
-    """A negative seed base, and a constraint kind that does not fit the
-    plant, end as InvalidConfig (exit 3) before any episode runs."""
-    assert dispatch(["batch", "--config", str(SCENARIOS / "pd_1d.json"), "--episodes", "2", "--seed-base", "-3"]) == 3
+    """A constraint kind that does not fit the plant ends as InvalidConfig
+    (exit 3) before any episode runs."""
     cfg = json.loads((SCENARIOS / "circle_2d_adversarial.json").read_text())
     cfg["model"] = json.loads((SCENARIOS / "pd_1d.json").read_text())["model"]
     cfg["initial_state"] = [0.0, 0.0]
@@ -189,15 +217,23 @@ def test_a_scenario_without_constraints_exits_3(tmp_path, capsys):
 
 
 def test_counts_below_their_minimum_exit_non_zero(tmp_path, capsys):
-    """A negative episode count is InvalidConfig (exit 3) before any episode
-    runs, and a gradient check over fewer than one state or from a negative
-    seed a usage error (exit 2); none writes a result."""
+    """A negative episode count or seed base, a gradient check over fewer
+    than one state and one from a negative seed are usage errors (exit 2);
+    none writes a result. run_batch, called as a library, refuses a
+    negative count or seed base with InvalidConfig before any episode
+    runs."""
     out = tmp_path / "agg.json"
-    argv = ["batch", "--config", str(SCENARIOS / "pd_1d.json"), "--seed-base", "0", "--out", str(out)]
-    assert dispatch([*argv, "--episodes", "-2"]) == 3
+    argv = ["batch", "--config", str(SCENARIOS / "pd_1d.json"), "--out", str(out)]
+    for flags in (["--episodes", "-2", "--seed-base", "0"], ["--episodes", "2", "--seed-base", "-1"]):
+        assert dispatch([*argv, *flags]) == 2
     assert not out.exists()
+    assert capsys.readouterr().err.count("must be at least 0, got -") == 2
     for flags in (["--states", "0"], ["--states", "-5"], ["--seed", "-1"]):
         assert dispatch(["check-gradients", *flags]) == 2
+    config = load_scenario(SCENARIOS / "pd_1d.json")
+    for episodes, seed_base in ((-2, 0), (2, -1)):
+        with pytest.raises(InvalidConfig, match="must be a non-negative integer"):
+            run_batch(config, episodes, seed_base)
     assert "max gradient relative error" not in capsys.readouterr().out
 
 

@@ -223,9 +223,10 @@ def _bits(values):
 
 
 def test_adversarial_command_matches_the_comprehension():
-    """The saturation written out per axis gives the comprehension's command
-    bit for bit, on boxes on either side of zero and at states where the
-    row's entries are zero or signed zeros."""
+    """The saturation written out per axis, on the gradient's velocity or
+    position block, gives the command of the comprehension on numpy's
+    grad . g bit for bit, on boxes on either side of zero and at states
+    where the row's entries are zero or signed zeros."""
     rng = np.random.default_rng(23)
     boxes = ([-1.0, 1.0], [0.25, 2.0], [-3.0, -0.5], [-0.0, 1.0], [-2.0, 0.0])
     entries = (0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5)

@@ -28,34 +28,9 @@ from asifkit import (
     step_rk4,
 )
 
-from asifkit.dynamics import actuation_row, drift_actuation_row, hold_map
+from asifkit.dynamics import hold_map
 from tests import oracles
 from tests.oracles import closed_form_step, eval_dynamics
-
-
-@pytest.mark.parametrize("kind", [DOUBLE_INTEGRATOR_1D, DOUBLE_INTEGRATOR_2D])
-def test_structure_helpers_match_eval_dynamics(kind):
-    """actuation_row and drift_actuation_row give numpy's grad @ g and
-    grad @ (df/dx) @ g bit for bit, zeros included."""
-    d = 1 if kind == DOUBLE_INTEGRATOR_1D else 2
-    model = PlantModel(kind, [[-1.0, 1.0]] * d)
-    rng = np.random.default_rng(31)
-    # f is linear, so its Jacobian's columns are f at the unit vectors
-    jac_f = np.column_stack([eval_dynamics(model, PlantState(e))[0] for e in np.eye(2 * d)])
-    for k in range(300):
-        x = rng.uniform(-2.0, 2.0, 2 * d)
-        grad = rng.uniform(-2.0, 2.0, 2 * d)
-        if k % 3 == 0:
-            grad[rng.integers(0, 2 * d)] = -0.0
-        if k % 5 == 0:
-            grad[:d] = 0.0
-        if k % 7 == 0:
-            x[d:] = 0.0 if k % 2 else -0.0
-        state = PlantState(x)
-        f, g = eval_dynamics(model, state)
-        row = actuation_row(model, grad.tolist())
-        assert np.array(row).tobytes() == (grad @ g).tobytes()
-        assert np.array_equal(drift_actuation_row(model, grad.tolist()), grad @ jac_f @ g)
 
 
 @pytest.mark.parametrize("kind", [DOUBLE_INTEGRATOR_1D, DOUBLE_INTEGRATOR_2D])

@@ -17,6 +17,7 @@ from asifkit import (
     INFEASIBLE_FALLBACK,
     MODIFIED,
     PASSTHROUGH,
+    ControlInput,
     EmptyTrace,
     InvalidConfig,
     ParseError,
@@ -222,19 +223,30 @@ def test_trace_round_trip(tmp_path):
 
 
 def test_trace_deviation_matches_the_filter_on_two_axes(tmp_path):
-    """read_trace recomputes each step's deviation from the stored commands
-    with the filter's own formula, so `asifkit metrics` on a written 2-D
-    trace equals compute_metrics of the episode exactly."""
+    """run_episode's deviations are the filter's FilterResult.deviation of
+    each step by bits, and read_trace recomputes them from the stored
+    commands, so `asifkit metrics` on a written 2-D trace equals
+    compute_metrics of the episode exactly. An unfiltered step's deviation
+    is 0.0."""
     for seed, gamma in ((3, 2.0), (4, 1.0)):
         cfg = scenario_2d(duration=3.0, gamma=gamma, seed=seed, disturbance_bound=0.05, initial_state=(0.6, 0.1, 0.3, 0.2))
-        trace = run_episode(ScenarioConfig.from_dict(cfg))
+        config = ScenarioConfig.from_dict(cfg)
+        trace = run_episode(config)
         assert np.count_nonzero(trace.intervened) > 100
+        constraints, model = list(config.constraints), config.model
+        filtered = [
+            filter_control(constraints, model, PlantState(x), ControlInput(u, model.control_bounds), config.dt).deviation
+            for x, u in zip(trace.states.tolist(), trace.u_des.tolist())
+        ]
+        assert trace.deviation.tobytes() == np.array(filtered).tobytes()
         path = tmp_path / f"trace_{seed}.csv"
         write_trace(trace, path)
         assert read_trace(path).deviation.tobytes() == trace.deviation.tobytes()
         out = tmp_path / f"metrics_{seed}.json"
         assert dispatch(["metrics", "--trace", str(path), "--out", str(out)]) == 0
         assert json.loads(out.read_text()) == compute_metrics(trace).to_dict()
+    unfiltered = run_episode(ScenarioConfig.from_dict(scenario_2d(rta_enabled=False, duration=0.5)))
+    assert unfiltered.deviation.tobytes() == np.zeros(50).tobytes()
 
 
 def _aborted_config():
