@@ -726,7 +726,8 @@ def command_deviation(u, u_des) -> float:
     """Euclidean distance between two commands given as float sequences of
     one or two entries, summed in axis order: the one formula for a step's
     deviation, used by the filter; read_trace applies the same operations
-    to whole columns (harness._deviations)."""
+    to whole columns (harness._deviations), which give the same bits except
+    the sign and payload of a NaN, which IEEE 754 leaves unspecified."""
     if len(u) == 1:
         (u0,), (d0,) = u, u_des
         return math.sqrt((u0 - d0) * (u0 - d0))

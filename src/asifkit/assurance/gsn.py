@@ -17,7 +17,6 @@ Sharing a child between parents is allowed (context markers typically are).
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
 
 from ..errors import ParseError
@@ -171,16 +170,7 @@ def validate_argument(nodes: dict[str, ArgumentNode], root: str) -> list[Finding
     if cycle_nodes:
         return findings  # descendant analysis below assumes acyclicity
 
-    # reachability from root
-    reachable: set[str] = set()
-    frontier = [root]
-    while frontier:
-        nid = frontier.pop()
-        if nid in reachable:
-            continue
-        reachable.add(nid)
-        frontier.extend(nodes[nid].children)
-    for nid in sorted(set(nodes) - reachable):
+    for nid in sorted(set(nodes).difference(_reach(nodes, root))):
         findings.append(
             Finding("warning", "unreachable", nid, f"node '{nid}' unreachable from root '{root}'")
         )
@@ -201,22 +191,23 @@ def validate_argument(nodes: dict[str, ArgumentNode], root: str) -> list[Finding
     return findings
 
 
+def _reach(nodes: dict[str, ArgumentNode], start: str) -> list[str]:
+    """The ids reachable from start, start included, breadth-first in order
+    of first reach, children in their order (deterministic)."""
+    order = [start]
+    seen = {start}
+    for nid in order:  # order grows as the walk reaches new ids
+        for child in nodes[nid].children:
+            if child not in seen:
+                seen.add(child)
+                order.append(child)
+    return order
+
+
 def solutions_under(nodes: dict[str, ArgumentNode], goal_id: str) -> list[str]:
     """Solution ids in the transitive support of a goal, in document order of
     first reach (deterministic)."""
-    seen: set[str] = set()
-    out: list[str] = []
-    queue = deque([goal_id])
-    while queue:
-        nid = queue.popleft()
-        if nid in seen:
-            continue
-        seen.add(nid)
-        node = nodes[nid]
-        if node.kind == "solution":
-            out.append(nid)
-        queue.extend(node.children)
-    return out
+    return [nid for nid in _reach(nodes, goal_id) if nodes[nid].kind == "solution"]
 
 
 def path_to(nodes: dict[str, ArgumentNode], root: str, target: str) -> list[str]:

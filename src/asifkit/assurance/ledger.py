@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, replace
 
-from ..errors import InvalidLedger, ParseError
+from ..errors import InvalidLedger, ParseError, read_json
 from .gsn import parse_argument
 from .template import template_text
 
@@ -117,12 +117,7 @@ def save_ledger(items: list[EvidenceItem], path) -> None:
 
 
 def load_ledger(path) -> list[EvidenceItem]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc.msg}", line=exc.lineno) from exc
+    doc = read_json(path)
     if not isinstance(doc, list):
         raise ParseError(f"{path}: expected a JSON array of evidence items", line=1)
     items = []

@@ -32,11 +32,9 @@ _STATUS_RENDER = {
 
 @dataclass(frozen=True)
 class ComplianceSchema:
-    """Criteria, claim groups (controller / RTA / vehicle property sets), and
-    the goals whose evidence each criterion rides on."""
+    """Criteria and the goals whose evidence each criterion rides on."""
 
     criteria: tuple[tuple[str, str], ...]
-    claim_groups: dict[str, tuple[str, ...]]
     criterion_map: dict[str, tuple[str, ...]]
 
     def validate(self, nodes: dict[str, ArgumentNode]) -> None:
@@ -47,10 +45,6 @@ class ComplianceSchema:
             for gid in goals:
                 if gid not in nodes:
                     raise InvalidConfig(f"criterion {cid} maps to unknown goal '{gid}'")
-        for group, goals in self.claim_groups.items():
-            for gid in goals:
-                if gid not in nodes:
-                    raise InvalidConfig(f"claim group '{group}' names unknown goal '{gid}'")
 
 
 def default_schema() -> ComplianceSchema:
@@ -59,11 +53,6 @@ def default_schema() -> ComplianceSchema:
     argument."""
     return ComplianceSchema(
         criteria=CRITERIA,
-        claim_groups={
-            "controller_properties": ("G_filtered",),
-            "rta_properties": ("G_rta_safe",),
-            "vehicle_properties": ("G_direct",),
-        },
         criterion_map={
             "14.3.3": ("G_hazard",),
             "15.2.3": ("G_root",),
@@ -94,23 +83,14 @@ def evidence_report(
     unknown = unknown_solution_items(nodes, ledger)
     if unknown:
         raise InvalidLedger(f"ledger item '{unknown[0].id}' references unknown solution '{unknown[0].solution_id}'")
-    by_solution: dict[str, list[EvidenceItem]] = {}
-    for item in ledger:
-        by_solution.setdefault(item.solution_id, []).append(item)
 
     def settled(item: EvidenceItem) -> bool:
         return item.status in ("provided", "waived")
 
     criteria_rows = []
     for cid, title in schema.criteria:
-        solution_ids: list[str] = []
-        seen = set()
-        for gid in schema.criterion_map[cid]:
-            for sid in solutions_under(nodes, gid):
-                if sid not in seen:
-                    seen.add(sid)
-                    solution_ids.append(sid)
-        items = [item for sid in solution_ids for item in by_solution.get(sid, [])]
+        solution_ids = set().union(*(solutions_under(nodes, gid) for gid in schema.criterion_map[cid]))
+        items = [item for item in ledger if item.solution_id in solution_ids]
         total = len(items)
         provided = sum(1 for item in items if settled(item))
         if total and provided == total:

@@ -413,11 +413,15 @@ def constraint_from_config(cfg: dict) -> BarrierConstraint:
         raise InvalidConfig(f"constraint config missing field {exc}") from exc
 
 
-def check_bounds_consistency(constraint: BarrierConstraint, model: PlantModel) -> None:
-    """Verify that a u_max baked into h equals the plant's per-axis bound
-    magnitude. A mismatch means the braking-distance derivation does not
-    describe the actual actuation authority, so it is a configuration error.
+def check_applies(constraint: BarrierConstraint, model: PlantModel) -> None:
+    """Verify that the constraint fits the plant: its kind is defined on the
+    plant's state, and a u_max baked into h equals the plant's per-axis
+    bound magnitude. A mismatch means the braking-distance derivation does
+    not describe the actual actuation authority. Either misfit raises
+    InvalidConfig.
     """
+    if model.state_dim not in _STATE_DIMS[constraint.kind]:
+        raise InvalidConfig(f"constraint '{constraint.id}' of kind {constraint.kind} does not apply to {model.kind}")
     if constraint.kind == SPEED_LIMIT:
         return
     u_max = constraint.params["u_max"]

@@ -23,7 +23,6 @@ that a forward pass does no lookup by name.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from .barrier import BarrierConstraint, eval_grad_h
 from .dynamics import ControlInput, PlantModel, PlantState
-from .errors import InvalidConfig, InvalidModel, InvalidState, NonFiniteCommand, ParseError
+from .errors import InvalidConfig, InvalidModel, InvalidState, NonFiniteCommand, ParseError, read_json
 
 
 def _relu(v: np.ndarray) -> np.ndarray:
@@ -244,12 +243,7 @@ def load_controller(path) -> ControllerKind:
     (weights as row-major matrices); pd files carry kp / kd arrays.
     Dimension invariants are checked at load time.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc.msg}", line=exc.lineno) from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object", line=1)
     if "layer_sizes" in doc:

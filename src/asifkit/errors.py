@@ -1,8 +1,11 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one JSON file reader
+every loader uses to report a malformed file the same way.
 
 IO failures are reported with the builtin OSError family; everything
 domain-specific derives from AsifKitError so callers can catch one root.
 """
+
+import json
 
 
 class AsifKitError(Exception):
@@ -73,3 +76,14 @@ class EmptyTrace(AsifKitError):
 
 class InvalidLedger(AsifKitError):
     """Evidence ledger references an unknown solution node."""
+
+
+def read_json(path):
+    """The JSON document in the file at path. A file that is no JSON raises
+    ParseError naming the path and the parser's message, at its line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc.msg}", line=exc.lineno) from exc

@@ -31,13 +31,7 @@ from typing import NoReturn
 import numpy as np
 
 from .asif import INFEASIBLE_FALLBACK, MODIFIED, PASSTHROUGH, filter_control
-from .barrier import (
-    _STATE_DIMS,
-    BarrierConstraint,
-    check_bounds_consistency,
-    constraint_from_config,
-    eval_h,
-)
+from .barrier import BarrierConstraint, check_applies, constraint_from_config, eval_h
 from .controllers import (
     AdversarialController,
     ControllerKind,
@@ -56,6 +50,7 @@ from .errors import (
     ParseError,
     SingularGradient,
     StructurallyInfeasible,
+    read_json,
 )
 
 UNFILTERED = "unfiltered"
@@ -160,11 +155,7 @@ class ScenarioConfig:
         if not np.all(np.isfinite(initial_state)):
             raise InvalidConfig(f"initial_state must be finite, got {initial_state.tolist()}")
         for constraint in constraints:
-            if model.state_dim not in _STATE_DIMS[constraint.kind]:
-                raise InvalidConfig(
-                    f"constraint '{constraint.id}' of kind {constraint.kind} does not apply to {model.kind}"
-                )
-            check_bounds_consistency(constraint, model)
+            check_applies(constraint, model)
         if isinstance(controller, AdversarialController):
             by_id = {c.id: c for c in constraints}
             if controller.target_constraint_id not in by_id:
@@ -201,6 +192,9 @@ class ScenarioConfig:
 
     @property
     def config_hash(self) -> str:
+        """sha256 of raw in canonical JSON. An nn controller names its
+        weights file by path, so the hash covers that path, not the file's
+        contents."""
         return hashlib.sha256(
             json.dumps(self.raw, sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest()
@@ -215,13 +209,7 @@ def _canonical_raw(cfg: dict) -> dict:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc.msg}", line=exc.lineno) from exc
-    return ScenarioConfig.from_dict(doc)
+    return ScenarioConfig.from_dict(read_json(path))
 
 
 @dataclass
@@ -444,8 +432,9 @@ def write_trace(trace: EpisodeTrace, path) -> None:
 def _deviations(u_out: np.ndarray, u_des: np.ndarray) -> np.ndarray:
     """asif.command_deviation of every step, on the commands' (1, n) or
     (2, n) column arrays: the same IEEE operations in the same order, elementwise,
-    so the bits are equal. Squares that overflow give inf, and inf - inf
-    NaN, silently, as in command_deviation."""
+    so the bits are equal, except the sign and payload of a NaN, which IEEE
+    754 leaves unspecified (+NaN + -NaN gives either sign). Squares that
+    overflow give inf, and inf - inf NaN, silently, as in command_deviation."""
     with np.errstate(over="ignore", invalid="ignore"):
         d = u_out[0] - u_des[0]
         total = d * d
@@ -512,7 +501,10 @@ def read_trace(path) -> EpisodeTrace:
     unknown status, or an intervened cell that disagrees with the status
     (1 exactly on modified and infeasible_fallback), raises ParseError with
     the first such row's line, and so does a '# config_hash:' line that
-    disagrees with the embedded config's hash.
+    disagrees with the embedded config's hash. The embedded config is
+    rebuilt with ScenarioConfig.from_dict, which loads an nn controller's
+    weights file again from its path: where that file is gone the read
+    raises FileNotFoundError.
 
     The data rows are parsed by column: their lines are joined and split
     once, each float column is parsed in one pass of float(), and the

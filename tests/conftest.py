@@ -20,6 +20,16 @@ class Unreachable:
         raise AssertionError(f"np.{name} reached on a path that must not use numpy")
 
 
+def same_floats(got, want) -> bool:
+    """Whether two float sequences hold NaN at the same entries and every
+    other entry bit for bit. IEEE 754 leaves the sign and payload of a NaN
+    result unspecified, and CPython's float add does give a NaN of either
+    sign for +NaN + -NaN, depending on whether a tracer runs."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(got)
+    return got.shape == want.shape and np.array_equal(nan, np.isnan(want)) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
 @pytest.fixture
 def model_1d():
     return PlantModel(DOUBLE_INTEGRATOR_1D, [[-1.0, 1.0]])

@@ -17,7 +17,8 @@ w @ v. The barrier reference
 composes each row from h and the whole gradient, evaluated together, with
 a = grad . g on the plant reference's g and the drift term as an exactly
 rounded sum, as the barrier module did before its entry points became
-per-kind kernels.
+per-kind kernels; its sampled-data row writes out the held-command step
+itself, and the adversarial command reads the reference's gradient.
 """
 
 import json
@@ -28,8 +29,7 @@ from itertools import combinations
 import numpy as np
 
 from asifkit.asif import _FEAS_TOL
-from asifkit.barrier import GEOFENCE_1D, GEOFENCE_2D_CIRCLE, SPEED_LIMIT, eval_grad_h
-from asifkit.dynamics import hold_map
+from asifkit.barrier import GEOFENCE_1D, GEOFENCE_2D_CIRCLE, SPEED_LIMIT
 from asifkit.errors import InvalidConfig, InvalidState, SingularGradient
 from asifkit.harness import _STATUS_NAMES, trace_header
 
@@ -189,7 +189,7 @@ def adversarial_command(constraint, model, state):
     against the sign of a = grad_h . g (or, where a is zero, of the position
     gradient), zero clamped into the box where an entry of a is zero,
     saturated axis by axis in one comprehension."""
-    grad = eval_grad_h(constraint, state)
+    grad = barrier_eval_grad_h(constraint, state)
     a = grad_times_g(model, state, grad)
     if not any(a):
         a = grad[: model.control_dim]  # grad . (df/dx) g, df/dx = (0 I; 0 0)
@@ -439,7 +439,11 @@ def barrier_sampled_row(constraint, model, state, dt):
     if constraint.kind == SPEED_LIMIT:
         return None
     x = _barrier_coords(constraint, state, model)
-    free, k_p, k_v = hold_map(model, x, dt)
+    d = model.control_dim
+    # the zero-order-hold step: per axis, position p + v dt + k_p u and
+    # velocity v + k_v u under a command u held over dt
+    free = [p + v * dt for p, v in zip(x[:d], x[d:])] + list(x[d:])
+    k_p, k_v = 0.5 * dt * dt, dt
     p = constraint.params
     u_max = p["u_max"]
     decay = 1.0 - constraint.gamma * dt

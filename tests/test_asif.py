@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asifkit import (
+    GEOFENCE_2D_CIRCLE,
     INFEASIBLE_FALLBACK,
     MODIFIED,
     PASSTHROUGH,
+    BarrierConstraint,
     ControlInput,
     FilterResult,
     InvalidConfig,
@@ -27,12 +29,14 @@ from asifkit import (
     cbf_row,
     check_kkt,
     filter_control,
+    filter_rows,
     harness,
     solve_qp,
 )
 
 
 from tests import oracles
+from tests.conftest import same_floats
 from tests.oracles import grid_oracle, least_max_violation, qp_arrays, row_violations
 from tests.test_least_max_violation import random_problem
 
@@ -84,6 +88,18 @@ def test_assemble_raises_structural(fence, model_1d):
     with pytest.raises(StructurallyInfeasible) as err:
         assemble_qp([fence], model_1d, PlantState([2.0, 0.0]), u)
     assert err.value.constraint_id == "fence"
+
+
+def test_assemble_with_a_period_raises_structural_without_a_sampled_row(model_2d):
+    """Given dt, a row with no authority that demands b > 0 is still
+    structurally infeasible where the constraint has no sampled row: here
+    outside a circle, heading straight in at a speed whose braked stop is
+    the centre exactly, where the sampled row is undefined."""
+    circle = BarrierConstraint("circle", GEOFENCE_2D_CIRCLE, {"center": (0.0, 0.0), "radius": 1.0, "u_max": 1.0}, gamma=3.0)
+    state = PlantState([2.0, 0.0, -2.0, 0.0])
+    assert filter_rows(circle, model_2d, state, 0.5) == ((0.0, 0.0, 1.0), None)
+    with pytest.raises(StructurallyInfeasible, match="^constraint 'circle' is structurally infeasible at this state$"):
+        assemble_qp([circle], model_2d, state, ControlInput([0.0, 0.0], model_2d.control_bounds), 0.5)
 
 
 def _stacked_cbf_rows(constraints, model, state):
@@ -608,18 +624,19 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.5, 1e308, -1e308, math.
 
 
 def test_command_deviation_matches_the_generic_loop():
+    """Equal bits, but for the sign and payload of a NaN."""
     pairs = [((u,), (v,)) for u in SPECIAL for v in SPECIAL]
     pairs += [((u0, u1), (v0, v1)) for u0 in SPECIAL for u1 in SPECIAL[::3] for v0 in SPECIAL[::2] for v1 in SPECIAL]
     rng = np.random.default_rng(3)
     pairs += [(tuple(rng.normal(size=d).tolist()), tuple(rng.normal(size=d).tolist())) for d in (1, 2) for _ in range(200)]
     for u, u_des in pairs:
-        assert _bits(asif.command_deviation(u, u_des)) == _bits(oracles.command_deviation(u, u_des)), (u, u_des)
+        assert same_floats([asif.command_deviation(u, u_des)], [oracles.command_deviation(u, u_des)]), (u, u_des)
     # lists sliced out of a row of floats
     row = [0.25, -0.0, 5e-324, 1.0, -1e308, 1e308, math.inf, 0.5, -0.5]
     for start in range(len(row) - 3):
         for d in (1, 2):
             u, u_des = row[start : start + d], row[start + d : start + 2 * d]
-            assert _bits(asif.command_deviation(u, u_des)) == _bits(oracles.command_deviation(u, u_des)), (u, u_des)
+            assert same_floats([asif.command_deviation(u, u_des)], [oracles.command_deviation(u, u_des)]), (u, u_des)
 
 
 # ---- randomized oracle equivalence ----

@@ -1,5 +1,7 @@
 import importlib
 import importlib.util
+import json
+import re
 import shutil
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asifkit import InvalidLedger, ParseError
+from asifkit import InvalidConfig, InvalidLedger, ParseError
 from asifkit.assurance import (
     EVIDENCE_TYPES,
     LEDGER_DISCREPANCY_NOTE,
@@ -24,7 +26,7 @@ from asifkit.assurance import (
     validate_argument,
 )
 from asifkit.assurance.gsn import path_to, solutions_under
-from asifkit.assurance.ledger import EXPECTED_TYPE_COUNTS, EvidenceItem, type_counts
+from asifkit.assurance.ledger import EXPECTED_TYPE_COUNTS, EvidenceItem, etype_for_solution, type_counts
 from asifkit.assurance.report import ComplianceSchema
 
 
@@ -56,6 +58,11 @@ def test_parse_rejects_unknown_reference():
     text = 'goal G1: "a"\nG1 -> E9\n'
     with pytest.raises(ParseError, match="E9"):
         parse_argument(text)
+
+
+def test_parse_rejects_an_edge_from_an_undeclared_id():
+    with pytest.raises(ParseError, match="^line 2: edge references undeclared id 'S9'$"):
+        parse_argument('goal G1: "a"\nS9 -> G1\n')
 
 
 def test_parse_rejects_kind_violating_edge():
@@ -218,6 +225,35 @@ def test_ledger_waived_requires_notes():
     assert ok.status == "waived"
 
 
+@pytest.mark.parametrize(
+    "etype, status, message",
+    [("hearsay", "missing", "item 'E1': unknown evidence type 'hearsay'"), ("sim_results", "done", "item 'E1': unknown status 'done'")],
+)
+def test_ledger_item_errors_name_their_cause(etype, status, message):
+    with pytest.raises(InvalidLedger, match=f"^{message}$"):
+        EvidenceItem("E1", "E_SR_x", etype, status)
+
+
+def test_a_solution_id_without_a_type_prefix_is_refused():
+    with pytest.raises(InvalidLedger, match="^solution id 'E_XX_1' has no evidence-type prefix$"):
+        etype_for_solution("E_XX_1")
+
+
+@pytest.mark.parametrize(
+    "doc, error, message",
+    [
+        ({"id": "E1"}, ParseError, "line 1: {path}: expected a JSON array of evidence items"),
+        ([{"id": "E1", "etype": "sim_results"}], InvalidLedger, "item 0: missing field 'solution_id'"),
+    ],
+    ids=["not-an-array", "missing-field"],
+)
+def test_ledger_file_errors_name_their_cause(doc, error, message, tmp_path):
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error, match=f"^{re.escape(message.format(path=path))}$"):
+        load_ledger(path)
+
+
 def test_ledger_save_load_round_trip(tmp_path):
     items = build_ledger_template()
     path = tmp_path / "ledger.json"
@@ -297,6 +333,21 @@ CYCLIC = (
 )
 
 
+def test_path_to_the_root_is_the_root(template):
+    nodes, root = template
+    assert path_to(nodes, root, root) == [root]
+
+
+@pytest.mark.parametrize(
+    "criterion_map, message",
+    [({"c": ()}, "criterion c maps to no goals"), ({"c": ("G_root", "G_ghost")}, "criterion c maps to unknown goal 'G_ghost'")],
+)
+def test_a_schema_mapping_a_criterion_to_no_or_unknown_goals_is_refused(criterion_map, message, template):
+    nodes, _root = template
+    with pytest.raises(InvalidConfig, match=f"^{message}$"):
+        ComplianceSchema(criteria=(("c", "t"),), criterion_map=criterion_map).validate(nodes)
+
+
 def test_path_to_walks_a_cycle_once():
     nodes, root = parse_argument(CYCLIC)
     assert path_to(nodes, root, "E_SR_x") == ["G_root", "A", "E_SR_x"]
@@ -307,7 +358,7 @@ def test_evidence_report_on_a_cyclic_argument():
     """evidence_report does not check the argument for cycles; on one with
     a missing slot it still returns, the slot's path walked once round."""
     nodes, root = parse_argument(CYCLIC)
-    schema = ComplianceSchema(criteria=(("c", "t"),), claim_groups={}, criterion_map={"c": ("G_root",)})
+    schema = ComplianceSchema(criteria=(("c", "t"),), criterion_map={"c": ("G_root",)})
     ledger = [EvidenceItem("E_SR_x", "E_SR_x", "sim_results"), EvidenceItem("E_SR_y", "E_SR_y", "sim_results", "provided")]
     report = evidence_report(nodes, root, schema, ledger)
     assert report.criteria == ({"id": "c", "title": "t", "status": "unsupported", "provided": 0, "total": 1},)

@@ -26,7 +26,7 @@ from asifkit import (
     step_rk4,
 )
 from asifkit import asif, barrier
-from asifkit.barrier import check_bounds_consistency, constraint_from_config
+from asifkit.barrier import check_applies, constraint_from_config
 from tests import oracles
 from tests.test_least_max_violation import multirow_cases
 
@@ -179,11 +179,13 @@ def test_dimension_mismatch(fence, circle):
 
 
 def test_bounds_consistency(fence, model_1d, model_2d, circle):
-    check_bounds_consistency(fence, model_1d)
-    check_bounds_consistency(circle, model_2d)
+    check_applies(fence, model_1d)
+    check_applies(circle, model_2d)
     wrong = BarrierConstraint("fence", GEOFENCE_1D, {"p_limit": 1.0, "u_max": 0.5})
-    with pytest.raises(InvalidConfig):
-        check_bounds_consistency(wrong, model_1d)
+    with pytest.raises(InvalidConfig, match=r"^constraint 'fence' uses u_max=0.5 but model bounds on axis 0 are \[-1.0, 1.0\]$"):
+        check_applies(wrong, model_1d)
+    with pytest.raises(InvalidConfig, match=r"^constraint 'circle' of kind geofence_2d_circle does not apply to double_integrator_1d$"):
+        check_applies(circle, model_1d)
 
 
 def test_constraint_validation():
@@ -215,6 +217,14 @@ def test_constraint_validation():
     # a numeric gamma is stored as a float
     assert type(BarrierConstraint("x", SPEED_LIMIT, {"v_max": 1.0}, gamma=np.float64(2)).gamma) is float
     assert constraint_from_config({"id": "x", "kind": SPEED_LIMIT, "params": {"v_max": 1.0}, "gamma": 2}).gamma == 2.0
+
+
+@pytest.mark.parametrize("missing", ["id", "kind"])
+def test_a_constraint_config_without_an_id_or_a_kind_is_refused(missing):
+    cfg = {"id": "x", "kind": SPEED_LIMIT, "params": {"v_max": 1.0}}
+    del cfg[missing]
+    with pytest.raises(InvalidConfig, match=f"^constraint config missing field '{missing}'$"):
+        constraint_from_config(cfg)
 
 
 def test_constraints_compare_and_hash():

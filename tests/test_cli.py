@@ -18,6 +18,7 @@ from asifkit import (
 )
 from asifkit.assurance import template_text
 from asifkit.cli import dispatch
+from tests.conftest import scenario_1d
 from tests.test_assurance import goal_chain
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -86,6 +87,15 @@ def test_check_case_on_a_deep_chain(tmp_path, capsys):
     assert capsys.readouterr().out == "ok: 1201 nodes, root G0\n"
 
 
+def test_report_on_an_argument_with_a_cycle_exits_1(tmp_path, capsys):
+    """report refuses an argument with error findings before it reads the
+    ledger, naming each on stderr."""
+    path = tmp_path / "cycle.gsn"
+    path.write_text('goal G0: "r"\ngoal G1: "a"\ngoal G2: "b"\nG0 -> G1\nG1 -> G2\nG2 -> G1\n')
+    assert dispatch(["report", "--argument", str(path), "--ledger", str(tmp_path / "absent.json")]) == 1
+    assert capsys.readouterr() == ("", "error: cycle: cycle through node 'G1'\n")
+
+
 def test_unknown_flag_usage_error():
     assert dispatch(["simulate", "--bogus", "x"]) == 2
 
@@ -125,6 +135,23 @@ def test_simulate_metrics_round_trip(tmp_path, capsys):
     assert text.startswith('{\n  "min_h": ') and text.endswith("\n}\n")
     assert dispatch(["metrics", "--trace", str(trace), "--out", str(tmp_path / "m2.json")]) == 0
     assert (tmp_path / "m2.json").read_bytes() == metrics.read_bytes()
+
+
+def test_metrics_on_an_nn_trace_needs_its_weights_file(tmp_path, capsys):
+    """Reading a trace rebuilds its config, which loads an nn controller's
+    weights file again: once that file is gone, `asifkit metrics` on the
+    trace exits 3 with an io error naming it."""
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({
+        "layer_sizes": [2, 1], "weights": [[[-0.5, -1.0]]], "biases": [[0.0]], "activations": ["tanh"],
+    }))
+    trace = tmp_path / "trace.csv"
+    write_trace(run_episode(ScenarioConfig.from_dict(scenario_1d(controller={"kind": "nn", "path": str(net)}, duration=0.1))), trace)
+    assert dispatch(["metrics", "--trace", str(trace), "--out", str(tmp_path / "m.json")]) == 0
+    net.unlink()
+    capsys.readouterr()
+    assert dispatch(["metrics", "--trace", str(trace)]) == 3
+    assert capsys.readouterr() == ("", f"io error: [Errno 2] No such file or directory: '{net}'\n")
 
 
 def test_simulate_aborted_at_the_first_step_exits_1(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -31,6 +32,7 @@ from asifkit import (
     mlp_forward,
     run_episode,
 )
+from asifkit.controllers import controller_from_config
 from tests import oracles
 from tests.conftest import scenario_1d
 
@@ -190,6 +192,79 @@ def test_load_malformed_json_reports_line(tmp_path):
     with pytest.raises(ParseError) as err:
         load_controller(path)
     assert err.value.line == 3
+
+
+def _spec_fields(**changes):
+    """MlpSpec keyword arguments of a valid 2 -> 1 network, with changes."""
+    fields = {"layer_sizes": (2, 1), "weights": (np.ones((1, 2)),), "biases": (np.zeros(1),), "activations": ("tanh",)}
+    return {**fields, **changes}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"layer_sizes": (2,), "weights": (), "biases": (), "activations": ()}, "network needs at least one layer"),
+        ({"activations": ("tanh", "tanh")}, "expected 1 weight/bias/activation entries, got 1/1/2"),
+        ({"weights": (np.ones((2, 2)),)}, "layer 0: weight shape (2, 2) does not chain 2 -> 1"),
+        ({"biases": (np.zeros(2),)}, "layer 0: bias shape (2,) != (1,)"),
+        ({"biases": (np.array([np.nan]),)}, "layer 0: non-finite weights or biases"),
+        ({"activations": ("sigmoid",)}, "layer 0: unknown activation 'sigmoid'"),
+    ],
+    ids=["no-layer", "entry-counts", "weight-shape", "bias-shape", "non-finite", "activation"],
+)
+def test_mlp_spec_errors_name_their_cause(changes, message):
+    with pytest.raises(InvalidModel, match=f"^{re.escape(message)}$"):
+        MlpSpec(**_spec_fields(**changes))
+
+
+@pytest.mark.parametrize(
+    "kp, kd, message",
+    [((1.0, 2.0), (1.0,), "kp and kd must have the same length"), ((1.0,), (np.inf,), "pd gains must be finite")],
+)
+def test_pd_gain_errors_name_their_cause(kp, kd, message):
+    with pytest.raises(InvalidConfig, match=f"^{message}$"):
+        PdController(kp=kp, kd=kd)
+
+
+def test_adversary_bound_to_another_constraint_is_refused(circle):
+    with pytest.raises(InvalidConfig, match="^adversarial target 'fence' bound to constraint 'circle'$"):
+        AdversarialController("fence").bind(circle)
+
+
+def test_desired_control_refuses_an_unknown_controller_or_a_state_of_another_plant(model_1d, circle):
+    with pytest.raises(InvalidConfig, match="^unknown controller 'pd'$"):
+        desired_control("pd", PlantState([0.0, 0.0]), model_1d)
+    adversary = AdversarialController("circle").bind(circle)
+    with pytest.raises(InvalidState, match="^state dim 4 does not match model double_integrator_1d$"):
+        desired_control(adversary, PlantState([2.0, 0.0, 0.0, 0.0]), model_1d)
+
+
+def test_controller_config_errors_name_their_cause(tmp_path):
+    pd = tmp_path / "pd.json"
+    pd.write_text(json.dumps({"kp": [1.0], "kd": [2.0]}))
+    for cfg, message in [
+        ({"kind": "nn"}, "nn controller config needs a 'path' to a weights file"),
+        ({"kind": "nn", "path": str(pd)}, f"file {pd} does not contain network weights"),
+        ({"kind": "lqr"}, "unknown controller kind 'lqr'"),
+    ]:
+        with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
+            controller_from_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1.0], "expected a JSON object"),
+        ({"layer_sizes": [2, 1], "weights": [[[1.0, 1.0]]], "activations": ["tanh"]}, "missing field 'biases'"),
+        ({"kp": [1.0]}, "neither network weights nor pd gains found"),
+    ],
+    ids=["not-an-object", "missing-field", "neither"],
+)
+def test_load_controller_errors_name_the_file(doc, message, tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=f"^{re.escape(f'line 1: {path}: {message}')}$"):
+        load_controller(path)
 
 
 def test_adversarial_violates_without_rta():

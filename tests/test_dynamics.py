@@ -277,6 +277,12 @@ def test_model_validation():
         PlantModel(DOUBLE_INTEGRATOR_1D, [[-1, 1]], disturbance_bound=-0.1)
 
 
+@pytest.mark.parametrize("bounds", [[[-1.0, np.inf]], [[1.0, 1.0]], [[1.0, -1.0]], [[np.nan, 1.0]]])
+def test_control_bounds_must_be_finite_and_increasing(bounds):
+    with pytest.raises(InvalidConfig, match="^control bounds must be finite with u_min < u_max$"):
+        PlantModel(DOUBLE_INTEGRATOR_1D, bounds)
+
+
 # ---- the written-out step against the per-axis loops ----
 
 

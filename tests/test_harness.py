@@ -42,7 +42,7 @@ from asifkit import (
 )
 from asifkit.cli import dispatch
 from asifkit.harness import _STATUS_CODES, MAX_EPISODE_STEPS, trace_header
-from tests.conftest import Unreachable, sample_safe_state_2d, scenario_1d, scenario_2d
+from tests.conftest import Unreachable, same_floats, sample_safe_state_2d, scenario_1d, scenario_2d
 from tests.oracles import write_trace_per_cell
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -124,6 +124,19 @@ def test_config_validation_errors():
     for bad in (fence_on_2d, circle_on_1d, huge_speed_limit):
         with pytest.raises(InvalidConfig, match="does not apply|v_max squared"):
             ScenarioConfig.from_dict(bad)
+
+
+def test_config_errors_name_their_cause(tmp_path):
+    """Two constraints of one id, and a network whose ends do not match the
+    plant, are refused with messages naming what is wrong."""
+    twice = scenario_1d()
+    twice["constraints"].append(dict(twice["constraints"][0]))
+    with pytest.raises(InvalidConfig, match="^" + re.escape("duplicate constraint ids in ['fence', 'fence']") + "$"):
+        ScenarioConfig.from_dict(twice)
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"layer_sizes": [2, 2], "weights": [[[1.0, 0.0], [0.0, 1.0]]], "biases": [[0.0, 0.0]], "activations": ["linear"]}))
+    with pytest.raises(InvalidConfig, match="^network maps 2 -> 2 but model needs 2 -> 1$"):
+        ScenarioConfig.from_dict(scenario_1d(controller={"kind": "nn", "path": str(net)}))
 
 
 def test_single_step_episode():
@@ -348,6 +361,25 @@ def test_trace_config_hash_line_must_match_the_config(tmp_path):
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: [lines[0], "# config: {oops", *lines[2:]], "line 2: bad embedded config: Expecting property name enclosed in double quotes"),
+        (lambda lines: [lines[0], *lines[2:]], "line 1: missing '# config:' preamble"),
+        (lambda lines: lines[:2], "line 2: missing header row"),
+    ],
+    ids=["bad-config-json", "no-config", "no-header"],
+)
+def test_trace_without_a_config_or_a_header_is_refused(edit, message, tmp_path):
+    path = tmp_path / "t.csv"
+    write_trace(run_episode(ScenarioConfig.from_dict(scenario_1d(duration=0.05))), path)
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# config_hash: ") and lines[1].startswith("# config: ")
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        read_trace(path)
+
+
 def test_trace_missing_column_named(tmp_path):
     config = ScenarioConfig.from_dict(scenario_1d(duration=0.05))
     trace = run_episode(config)
@@ -453,15 +485,16 @@ def _special_commands_trace(tmp_path, cfg, rows, rng):
 
 def test_column_deviations_match_command_deviation_bit_for_bit(tmp_path, monkeypatch):
     """read_trace's deviations equal asif.command_deviation of each row's
-    commands by bits: on every row of the benchmark's trace_roundtrip
-    traces (seed 1), and on rows whose commands hold signed zeros,
-    subnormals, squares that overflow, NaN of either sign and inf."""
+    commands by bits, but for the sign and payload of a NaN: on every row
+    of the benchmark's trace_roundtrip traces (seed 1), and on rows whose
+    commands hold signed zeros, subnormals, squares that overflow, NaN of
+    either sign and inf."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     import bench_workloads
 
     def check(back):
         want = [asif.command_deviation(uo, ud) for uo, ud in zip(back.u_out.tolist(), back.u_des.tolist())]
-        assert back.deviation.tobytes() == np.array(want, dtype=float).tobytes()
+        assert same_floats(back.deviation, want)
 
     rows = 0
     for trace, csv_path, _metrics in bench_workloads.TraceRoundtrip(1, str(tmp_path)).items:
