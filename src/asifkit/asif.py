@@ -313,7 +313,10 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
     vertex w that stage 2 accepts has viol_j, viol_k <= feas_tol, so it is
     as near u_des as v only if |w - v| <= rho, and then the constraint i
     other than j and k that it lies on clears it by more than feas_tol,
-    more than a vertex's rounding but for nearly parallel normals.
+    more than a vertex's rounding but for nearly parallel normals. When v
+    lies outside the box or across a row, the pair step marks it (dropped
+    = j), and stage 2 skips the pair (p, q) = (j, k): it would compute v
+    from the same operands in the same roles and drop it at the same test.
 
     Each constraint's squared norm is computed once per stage. A row whose
     squared norm overflows (entries above about 1.3e154) takes part in the
@@ -400,6 +403,7 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
         if b - top > tol2 * (1.0 + abs(a0) + abs(a1)):
             return None
 
+    dropped = -1  # j once the pair step's vertex is dropped (see the docstring)
     if not scaled and rows is qp.rows:  # the pair step (see the docstring)
         q0, q1, qb = rows[k] if k < m else (ka0, ka1, (lo0, -hi0, lo1, -hi1)[k - m])
         g_pp = p0 * p0 + p1 * p1
@@ -414,6 +418,7 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
                 for i, (a0, a1, b) in enumerate(rows):
                     w = b - a0 * v0 - a1 * v1
                     if not w <= feas_tol:
+                        dropped = j
                         break
                     if i != j and i != k:
                         room = (-feas_tol - w) / (abs(a0) + abs(a1))
@@ -437,25 +442,31 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
                         ):
                             i, i2 = (j, k) if j < k else (k, j)
                             return _solved(qp, (v0, v1), (i, i2) if i2 < m else ((i,) if i < m else ()))
+            else:
+                dropped = j
 
     # The tables of stage 2: the general constraint list, rows first, so row
-    # indices stay stable for reporting; each constraint's squared norm;
-    # geo, the constraints the geometry is computed on (cons, but for the
-    # rows scaled as in stage 1, which keeps their lines and the signs of
-    # their violations), with the violations of u_des; the violations of s.
-    # Points are accepted against cons and rows alone.
+    # indices stay stable for reporting; the violations of s; geo, the
+    # constraints the geometry is computed on (cons, but for the rows scaled
+    # as in stage 1, which keeps their lines and the signs of their
+    # violations), with each one's squared norm and the violations of
+    # u_des. Points are accepted against cons and rows alone.
     cons = [*rows, (1.0, 0.0, lo0), (-1.0, -0.0, -hi0), (0.0, 1.0, lo1), (-0.0, -1.0, -hi1)]
+    geo = cons
     norms = []
     r_s = []
     r_geo = []
-    for a0, a1, b in cons:
-        norms.append(a0 * a0 + a1 * a1)
+    for i, (a0, a1, b) in enumerate(cons):
+        norm = a0 * a0 + a1 * a1
         r_s.append(b - a0 * s0 - a1 * s1)
+        if norm == _INF:
+            if geo is cons:
+                geo = list(cons)
+            a0, a1, b, norm = _scaled_down(a0, a1, b)
+            geo[i] = (a0, a1, b)
+        norms.append(norm)
         r_geo.append(b - a0 * ud0 - a1 * ud1)
-    if scaled:
-        geo, r_geo = _rescaled(cons, norms, qp.u_des)
-    else:
-        geo = cons
+    if not scaled:
         r_s[k] = 0.0
 
     # Stage 2. The optimum is the vertex of two independent constraints with
@@ -477,8 +488,8 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
         dep_p = dep2 * big_p
         r_p = r_geo[p]
         for q in range(len(cons)) if r_p > 0.0 else violated_at_des:
-            if q == p or (q < p and r_s[q] > 0.0):
-                continue  # not a pair, or a pair already taken
+            if q == p or (q < p and r_s[q] > 0.0) or (q == k and p == dropped):
+                continue  # not a pair, a pair already taken, or the pair step's dropped one
             q0, q1, qb = geo[q]
             g_qq = norms[q]
             cross = q0 * p1 - q1 * p0
@@ -510,18 +521,6 @@ def _solve_plane(qp: QpProblem, feas_tol: float) -> tuple[tuple[float, ...], tup
     _, v0, v1, q, p = best
     i, j = (p, q) if p < q else (q, p)
     return _solved(qp, (v0, v1), (i, j) if j < m else ((i,) if i < m else ()))
-
-
-def _rescaled(cons, norms, u_des):
-    """cons and the violations of u_des with every row whose squared norm
-    overflowed scaled down (_scaled_down), norms updated to match."""
-    ud0, ud1 = u_des
-    geo = list(cons)
-    for i, (a0, a1, b) in enumerate(cons):
-        if norms[i] == _INF:
-            a0, a1, b, norms[i] = _scaled_down(a0, a1, b)
-            geo[i] = (a0, a1, b)
-    return geo, [b - a0 * ud0 - a1 * ud1 for a0, a1, b in geo]
 
 
 def _scaled_down(a0, a1, b):

@@ -191,17 +191,18 @@ def validate_argument(nodes: dict[str, ArgumentNode], root: str) -> list[Finding
     return findings
 
 
-def _reach(nodes: dict[str, ArgumentNode], start: str) -> list[str]:
+def _reach(nodes: dict[str, ArgumentNode], start: str) -> dict[str, str | None]:
     """The ids reachable from start, start included, breadth-first in order
-    of first reach, children in their order (deterministic)."""
+    of first reach, children in their order (deterministic), each mapped to
+    the id it was first reached from (start to None)."""
+    parent: dict[str, str | None] = {start: None}
     order = [start]
-    seen = {start}
     for nid in order:  # order grows as the walk reaches new ids
         for child in nodes[nid].children:
-            if child not in seen:
-                seen.add(child)
+            if child not in parent:
+                parent[child] = nid
                 order.append(child)
-    return order
+    return parent
 
 
 def solutions_under(nodes: dict[str, ArgumentNode], goal_id: str) -> list[str]:
@@ -211,26 +212,15 @@ def solutions_under(nodes: dict[str, ArgumentNode], goal_id: str) -> list[str]:
 
 
 def path_to(nodes: dict[str, ArgumentNode], root: str, target: str) -> list[str]:
-    """One id path from root to target (first found, deterministic: children
-    in their order). Each node is entered once, so a cycle does not send the
-    walk round it, and the walk keeps its own stack, so a deep argument
-    needs no Python frame per level."""
-    if root == target:
-        return [root]
-    seen = {root}
-    stack: list[tuple[str, int]] = [(root, 0)]  # the path, with each node's next child
-    while stack:
-        nid, idx = stack[-1]
-        children = nodes[nid].children
-        if idx == len(children):
-            stack.pop()
-            continue
-        stack[-1] = (nid, idx + 1)
-        child = children[idx]
-        if child in seen:
-            continue
-        seen.add(child)
-        if child == target:
-            return [node for node, _ in stack] + [child]
-        stack.append((child, 0))
-    return [target]
+    """The id path from root to target along which the breadth-first walk
+    from root first reaches target: each id on it is reached from the one
+    before it, children in their order, so the path is one of the shortest
+    and deterministic. A cycle does not send the walk round it. An
+    unreachable target gives [target]."""
+    parent = _reach(nodes, root)
+    if target not in parent:
+        return [target]
+    path = [target]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]

@@ -36,8 +36,9 @@ enforces it for the geofences: exact for geofence_1d, and on a
 stopping-point barrier, linearised at the braking command, for
 geofence_2d_circle. A sampled row always has authority (a != 0); it is
 enforced alongside the continuous row, never instead of it.
-docs/discretization_margin.md has the derivations. The held-command step
-comes from the dynamics module (hold_map).
+docs/discretization_margin.md has the derivations. filter_rows writes the
+held-command step out, p + v dt + dt^2/2 u and v + dt u per axis, from the
+same g and f.
 
 Constraint kinds:
 
@@ -63,7 +64,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .dynamics import PlantModel, PlantState, hold_map
+from .dynamics import PlantModel, PlantState
 from .errors import InvalidConfig, InvalidState, SingularGradient
 
 GEOFENCE_1D = "geofence_1d"
@@ -269,9 +270,11 @@ def filter_rows(
     dt. The continuous row is cbf_row's, bit for bit.
 
     The sampled row a . u >= b enforces h(x_{k+1}(u)) >= (1 - gamma*dt) h(x_k),
-    where x_{k+1}(u) is the undisturbed zero-order-hold step
-    (dynamics.hold_map), which is the condition the sampled plant obeys
-    (Agrawal & Sreenath, "Discrete Control Barrier Functions", RSS 2017).
+    where x_{k+1}(u) is the undisturbed zero-order-hold step, written out
+    here: per axis, position p + v*dt + k_p u and velocity v + k_v u, with
+    k_p = 0.5*dt*dt and k_v = dt (exact for the double integrators). This
+    is the condition the sampled plant obeys (Agrawal & Sreenath, "Discrete
+    Control Barrier Functions", RSS 2017).
     It complements the continuous row and never replaces it.
 
     geofence_1d: h(x_{k+1}(u)) strictly decreases in u, so the row is exactly
@@ -309,16 +312,16 @@ def filter_rows(
         row = (-speed / u_max + 0.0, -(0.0 + -1.0 * vel) - gamma * h)
         if not (dt > 0.0 and 0.0 < 0.5 * dt * dt < math.inf):
             raise _period_error(dt)
-        free, k_p, k_v = hold_map(model, x, dt)
-        # With s = v_{k+1} = v_free + k_v u, p_{k+1} = p_free + rho (s - v_free)
-        # and h(x_{k+1}) = p_limit - p_free + rho v_free - rho s - s|s|/(2 u_max),
+        # The held step is p_{k+1} = p_free + k_p u, v_{k+1} = vel + k_v u,
+        # p_free = pos + vel dt. With s = v_{k+1}, p_{k+1} = p_free + rho (s - vel)
+        # and h(x_{k+1}) = p_limit - p_free + rho vel - rho s - s|s|/(2 u_max),
         # which falls on (1 - gamma dt) h at the root s of
         # rho s + s|s|/(2 u_max) = k.
-        p_free, v_free = free
+        p_free, k_p, k_v = pos + vel * dt, 0.5 * dt * dt, dt
         rho = k_p / k_v
-        k = p_limit - p_free + rho * v_free - (1.0 - gamma * dt) * h
+        k = p_limit - p_free + rho * vel - (1.0 - gamma * dt) * h
         s = 2.0 * k / (rho + math.sqrt(rho * rho + 2.0 * abs(k) / u_max))
-        return row, (-1.0, -(s - v_free) / k_v)
+        return row, (-1.0, -(s - vel) / k_v)
     if kind == GEOFENCE_2D_CIRCLE:
         cx, cy, radius, u_max, two_u = constraint._bound
         p0, p1, v0, v1 = x
@@ -340,7 +343,7 @@ def filter_rows(
             row = (0.0, 0.0, -(0.0 + -rh0 * v0 + -rh1 * v1) - gamma * h)
         if not (dt > 0.0 and 0.0 < 0.5 * dt * dt < math.inf):
             raise _period_error(dt)
-        free, k_p, k_v = hold_map(model, x, dt)
+        k_p, k_v = 0.5 * dt * dt, dt  # the held step's gains (see the docstring)
         speed = math.hypot(v0, v1)
         reach = speed / two_u
         hs_k = radius - math.hypot(p0 + v0 * reach - cx, p1 + v1 * reach - cy)
@@ -352,8 +355,8 @@ def filter_rows(
             # also where u_max * dt underflows to 0)
             ub0, ub1 = -v0 / dt, -v1 / dt
         # the braked step, and its stopping point relative to the center
-        bp0, bp1 = free[0] + k_p * ub0, free[1] + k_p * ub1
-        bv0, bv1 = free[2] + k_v * ub0, free[3] + k_v * ub1
+        bp0, bp1 = p0 + v0 * dt + k_p * ub0, p1 + v1 * dt + k_p * ub1
+        bv0, bv1 = v0 + k_v * ub0, v1 + k_v * ub1
         b_speed = math.hypot(bv0, bv1)
         reach = b_speed / two_u
         q0, q1 = bp0 + bv0 * reach - cx, bp1 + bv1 * reach - cy

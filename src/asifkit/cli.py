@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .assurance import (
+    Finding,
     build_ledger_template,
     default_schema,
     evidence_report,
@@ -178,47 +179,48 @@ def _cmd_check_gradients(args) -> int:
     return 0 if worst <= 1e-6 else FINDINGS_ERROR
 
 
-def _cmd_check_case(args) -> int:
-    with open(args.argument, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    nodes, root = parse_argument(text)
+def _check_case(argument_path: str, ledger_path):
+    """The one case check of check-case and report. It parses and validates
+    the argument; when no finding is an error and a ledger path is given,
+    it loads the ledger and adds an error finding for each item whose
+    solution is unknown. Every finding is printed on stderr. Returns the
+    nodes, the root, the ledger (None when not loaded), the findings and
+    the exit code, FINDINGS_ERROR when a finding is an error."""
+    with open(argument_path, "r", encoding="utf-8") as fh:
+        nodes, root = parse_argument(fh.read())
     findings = validate_argument(nodes, root)
+    ledger = None
+    if ledger_path and all(f.severity != "error" for f in findings):
+        ledger = load_ledger(ledger_path)
+        findings += [
+            Finding("error", "ledger", item.solution_id, f"item '{item.id}' references an unknown solution")
+            for item in unknown_solution_items(nodes, ledger)
+        ]
     for finding in findings:
-        print(f"{finding.severity}: {finding.code}: {finding.message}")
-    if args.ledger:
-        ledger = load_ledger(args.ledger)
-        unknown = unknown_solution_items(nodes, ledger)
-        for item in unknown:
-            print(f"error: ledger: item '{item.id}' references an unknown solution")
-        if unknown:
-            return FINDINGS_ERROR
+        print(f"{finding.severity}: {finding.code}: {finding.message}", file=sys.stderr)
+    code = FINDINGS_ERROR if any(f.severity == "error" for f in findings) else 0
+    return nodes, root, ledger, findings, code
+
+
+def _cmd_check_case(args) -> int:
+    nodes, root, _ledger, findings, code = _check_case(args.argument, args.ledger)
     if not findings:
         print(f"ok: {len(nodes)} nodes, root {root}")
-    return FINDINGS_ERROR if any(f.severity == "error" for f in findings) else 0
+    return code
 
 
 def _cmd_ledger(args) -> int:
-    if args.ledger_command == "init":
-        items = build_ledger_template()
-        save_ledger(items, args.out)
-        print(f"wrote {len(items)} evidence slots to {args.out}")
-        return 0
-    raise AssertionError("unreachable")
+    items = build_ledger_template()  # init is the only ledger subcommand
+    save_ledger(items, args.out)
+    print(f"wrote {len(items)} evidence slots to {args.out}")
+    return 0
 
 
 def _cmd_report(args) -> int:
-    with open(args.argument, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    nodes, root = parse_argument(text)
-    errors = [f for f in validate_argument(nodes, root) if f.severity == "error"]
-    if errors:
-        for finding in errors:
-            print(f"error: {finding.code}: {finding.message}", file=sys.stderr)
-        return FINDINGS_ERROR
-    ledger = load_ledger(args.ledger)
-    report = evidence_report(nodes, root, default_schema(), ledger)
-    _write_out(render_report(report), args.out)
-    return 0
+    nodes, root, ledger, _findings, code = _check_case(args.argument, args.ledger)
+    if not code:
+        _write_out(render_report(evidence_report(nodes, root, default_schema(), ledger)), args.out)
+    return code
 
 
 _HANDLERS = {

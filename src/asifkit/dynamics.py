@@ -171,18 +171,6 @@ class PlantModel:
         object.__setattr__(self, "_box", tuple(map(tuple, bounds.tolist())))
 
 
-def hold_map(model: PlantModel, x: tuple[float, ...], dt: float) -> tuple[list[float], float, float]:
-    """The undisturbed step under a control u held over dt (zero-order hold),
-    exact for these linear models: per axis j the next state is
-    free[j] + k_p u_j for the position and free[d + j] + k_v u_j for the
-    velocity. Returns (free, k_p, k_v) with free the step under u = 0."""
-    if model.control_dim == 1:
-        p, v = x
-        return [p + v * dt, v], 0.5 * dt * dt, dt
-    p0, p1, v0, v1 = x
-    return [p0 + v0 * dt, p1 + v1 * dt, v0, v1], 0.5 * dt * dt, dt
-
-
 def step_rk4(model: PlantModel, state: PlantState, u: ControlInput, w, dt: float) -> PlantState:
     """Advance the plant one step of classical 4th-order Runge-Kutta.
 

@@ -210,16 +210,20 @@ PAIR_ROWS = ((-1.0, -0.2, -0.6), (-0.3, -1.0, -0.5))
 PAIR_VERTEX = (0.5319148936170213, 0.34042553191489366)
 
 
-def _solve_with_path(monkeypatch, rows):
+def _solve_with_path(monkeypatch, rows, marks=None):
     """solve_qp's result on rows at u_des (0.9, 0.9) in the box [-1, 1]^2,
     and the step of _solve_plane that returned it: 'stage 1', 'pair step'
-    or 'stage 2', told apart by the locals each has set by then."""
+    or 'stage 2', told apart by the locals each has set by then. Where
+    marks is a list, the pair step's skip mark (dropped) and stage 1's k
+    are appended to it."""
     paths = []
     solved = asif._solved
 
     def recording(*args):
         names = sys._getframe(1).f_locals
         paths.append("stage 2" if "best" in names else ("pair step" if "rho" in names else "stage 1"))
+        if marks is not None:
+            marks.append((names["dropped"], names["k"]))
         return solved(*args)
 
     monkeypatch.setattr(asif, "_solved", recording)
@@ -242,19 +246,25 @@ def test_a_row_within_the_clearance_of_the_pair_vertex_leaves_it_to_stage_2(monk
     (3.8e-11) but less than the multipliers' term (about 1e-5), the pair
     step cannot rule out a nearer vertex on it, and stage 2 decides; 1e-3
     inside, the pair step answers. The result is the same vertex each
-    time."""
+    time. The pair step does not drop the vertex (the mark stays -1), so
+    stage 2, where it decides, computes it again."""
     b = -0.8 * PAIR_VERTEX[0] + 0.6 * PAIR_VERTEX[1]
     rows = (*PAIR_ROWS, (-0.8, 0.6, b - offset))
-    assert _solve_with_path(monkeypatch, rows) == ((PAIR_VERTEX, (0, 1), MODIFIED), path)
+    marks = []
+    assert _solve_with_path(monkeypatch, rows, marks) == ((PAIR_VERTEX, (0, 1), MODIFIED), path)
+    assert marks == [(-1, 1)]
 
 
 def test_a_row_that_cuts_off_the_pair_vertex_sends_stage_2_to_another(monkeypatch):
-    """A third row violated by 0.05 at the vertex of rows 0 and 1: stage 2
-    finds the optimum at the vertex of rows 1 and 2."""
+    """A third row violated by 0.05 at the vertex of rows 0 and 1: the pair
+    step drops that vertex and marks its pair (dropped = j = 0, k = 1), so
+    stage 2 skips it, and finds the optimum at the vertex of rows 1 and 2."""
     b = -0.8 * PAIR_VERTEX[0] + 0.6 * PAIR_VERTEX[1] + 0.05
     rows = (*PAIR_ROWS, (-0.8, 0.6, b))
     expected = ((0.48089448545375596, 0.3557316543638732), (1, 2), MODIFIED)
-    assert _solve_with_path(monkeypatch, rows) == (expected, "stage 2")
+    marks = []
+    assert _solve_with_path(monkeypatch, rows, marks) == (expected, "stage 2")
+    assert marks == [(0, 1)]
 
 
 @pytest.mark.parametrize(

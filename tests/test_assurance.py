@@ -354,6 +354,18 @@ def test_path_to_walks_a_cycle_once():
     assert path_to(nodes, root, "E_SR_y") == ["E_SR_y"]
 
 
+def test_path_to_is_the_first_reach_path():
+    """On a DAG where E_SR_x lies under A -> B and under C, path_to gives
+    the path along which the breadth-first walk first reaches it, through
+    C, not the longer one a depth-first walk would find first."""
+    nodes, root = parse_argument(
+        'goal G_root: "r"\ngoal A: "a"\ngoal B: "b"\ngoal C: "c"\nsolution E_SR_x: "x"\n'
+        "G_root -> A\nG_root -> C\nA -> B\nB -> E_SR_x\nC -> E_SR_x\n"
+    )
+    assert validate_argument(nodes, root) == []
+    assert path_to(nodes, root, "E_SR_x") == ["G_root", "C", "E_SR_x"]
+
+
 def test_evidence_report_on_a_cyclic_argument():
     """evidence_report does not check the argument for cycles; on one with
     a missing slot it still returns, the slot's path walked once round."""
@@ -375,7 +387,7 @@ def goal_chain(n, leaf="solution"):
 
 
 def test_a_deep_chain_is_walked_without_recursion():
-    """validate_argument and path_to keep their own stacks: on a chain of
+    """validate_argument and path_to walk without recursion: on a chain of
     1,200 goals they give the findings and the path, not RecursionError."""
     nodes, root = parse_argument(goal_chain(1200))
     assert validate_argument(nodes, root) == []

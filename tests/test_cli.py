@@ -96,6 +96,58 @@ def test_report_on_an_argument_with_a_cycle_exits_1(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: cycle: cycle through node 'G1'\n")
 
 
+def _unknown_solution_ledger(ledger):
+    """Edit the ledger file so that its first item, E_SR_campaign, names an
+    unknown solution."""
+    items = json.loads(ledger.read_text())
+    items[0]["solution_id"] = "E_ghost"
+    ledger.write_text(json.dumps(items))
+
+
+@pytest.mark.parametrize("command", ["check-case", "report"])
+@pytest.mark.parametrize(
+    "case, finding",
+    [
+        ("cycle", "error: cycle: cycle through node 'G1'"),
+        ("unknown_solution", "error: ledger: item 'E_SR_campaign' references an unknown solution"),
+    ],
+    ids=["cycle", "unknown_solution"],
+)
+def test_check_case_and_report_check_a_case_one_way(command, case, finding, template_file, tmp_path, capsys):
+    """check-case and report share one case check: on a cyclic argument
+    (whose ledger is not read) and on the shipped template with a ledger
+    item naming an unknown solution, each exits 1, prints nothing on
+    stdout and prints the same finding line on stderr."""
+    ledger = tmp_path / "ledger.json"
+    assert dispatch(["ledger", "init", "--out", str(ledger)]) == 0
+    argument = template_file
+    if case == "cycle":
+        argument = tmp_path / "cycle.gsn"
+        argument.write_text('goal G0: "r"\ngoal G1: "a"\ngoal G2: "b"\nG0 -> G1\nG1 -> G2\nG2 -> G1\n')
+    else:
+        _unknown_solution_ledger(ledger)
+    capsys.readouterr()
+    assert dispatch([command, "--argument", str(argument), "--ledger", str(ledger)]) == 1
+    assert capsys.readouterr() == ("", finding + "\n")
+
+
+def test_warnings_go_to_stderr_and_leave_the_report(template_file, tmp_path, capsys):
+    """A context node the root does not reach is a warning: check-case
+    prints it on stderr, with no verdict on stdout, and exits 0; report
+    prints it on stderr and still renders."""
+    argument = tmp_path / "extra.gsn"
+    argument.write_text(template_file.read_text() + 'context C_extra: "x"\n')
+    ledger = tmp_path / "ledger.json"
+    assert dispatch(["ledger", "init", "--out", str(ledger)]) == 0
+    capsys.readouterr()
+    warnings = "warning: unreachable: node 'C_extra' unreachable from root 'G_root'\n"
+    assert dispatch(["check-case", "--argument", str(argument), "--ledger", str(ledger)]) == 0
+    assert capsys.readouterr() == ("", warnings)
+    assert dispatch(["report", "--argument", str(argument), "--ledger", str(ledger)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("# Compliance Report\n") and err == warnings
+
+
 def test_unknown_flag_usage_error():
     assert dispatch(["simulate", "--bogus", "x"]) == 2
 
@@ -316,16 +368,18 @@ def test_report_flow(template_file, tmp_path, capsys):
     assert "15.2.3: SUPPORTED (to argument strength)" in text
 
 
-def test_report_ledger_with_unknown_solution(template_file, tmp_path):
+def test_report_ledger_with_unknown_solution(template_file, tmp_path, capsys):
+    """A ledger item naming an unknown solution is an error finding, as in
+    check-case: exit 1, the finding on stderr, no report."""
     ledger = tmp_path / "ledger.json"
     dispatch(["ledger", "init", "--out", str(ledger)])
-    items = json.loads(ledger.read_text())
-    items[0]["solution_id"] = "E_ghost"
-    ledger.write_text(json.dumps(items))
+    _unknown_solution_ledger(ledger)
+    capsys.readouterr()
     code = dispatch([
         "report", "--argument", str(template_file), "--ledger", str(ledger)
     ])
-    assert code == 3
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: ledger: item 'E_SR_campaign' references an unknown solution\n")
 
 
 def test_check_case_with_ledger(template_file, tmp_path, capsys):

@@ -112,8 +112,8 @@ def test_trace_edits_give_the_outcomes_they_name(tmp_path):
 def test_runs_against_head_on_tiny_sets():
     """One JSON line per set, counting every item and each side's
     fallbacks, which the random, margin, degenerate, near-vertex and
-    nonfinite sets and filter_multirow have. Where this tree's sources are HEAD's, every item
-    and count is equal."""
+    nonfinite sets and filter_multirow have. Where this tree's sources are
+    HEAD's, every item and count is equal."""
     sets = {
         "scenarios": 4,
         "filter_multirow": 12,
@@ -127,6 +127,7 @@ def test_runs_against_head_on_tiny_sets():
         "nonfinite": 60,  # 30 problems on each axis count
         "barrier": 120,  # 30 cases of each of four constraint kinds
         "plant": 90,  # 30 cases of each of three functions
+        "cli": 14,  # ledger init, 10 commands on the template, 3 on a cyclic argument
     }
     argv = [sys.executable, str(TOOL), "--against", "HEAD", "--sets", ",".join(sets), "--size", "4", "--random", "30"]
     out = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=600)
@@ -171,6 +172,7 @@ def test_a_second_load_of_this_tree_digests_every_set_as_this_tree_does(tmp_path
         "nonfinite": 24,
         "barrier": 48,
         "plant": 36,
+        "cli": 14,
     }
     assert list(counts) == list(sizes)
     for name, line in counts.items():

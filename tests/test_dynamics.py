@@ -28,13 +28,15 @@ from asifkit import (
     step_rk4,
 )
 
-from asifkit.dynamics import hold_map
 from tests import oracles
 from tests.oracles import closed_form_step, eval_dynamics
 
 
 @pytest.mark.parametrize("kind", [DOUBLE_INTEGRATOR_1D, DOUBLE_INTEGRATOR_2D])
 def test_hold_map_is_the_undisturbed_step(kind):
+    """The held step that barrier.filter_rows writes out, per axis position
+    p + v dt + k_p u and velocity v + k_v u with k_p = dt^2/2 and k_v = dt,
+    is step_rk4's step without disturbance."""
     d = 1 if kind == DOUBLE_INTEGRATOR_1D else 2
     model = PlantModel(kind, [[-1.0, 1.0]] * d)
     rng = np.random.default_rng(32)
@@ -42,8 +44,8 @@ def test_hold_map_is_the_undisturbed_step(kind):
         for _ in range(50):
             x = rng.uniform(-2.0, 2.0, 2 * d)
             u = rng.uniform(-1.0, 1.0, d)
-            free, k_p, k_v = hold_map(model, x.tolist(), dt)
-            held = np.array(free) + np.concatenate([k_p * u, k_v * u])
+            p, v = x[:d], x[d:]
+            held = np.concatenate([p + v * dt + 0.5 * dt * dt * u, v + dt * u])
             stepped = step_rk4(model, PlantState(x), ControlInput(u, model.control_bounds), np.zeros(2 * d), dt)
             assert np.allclose(held, stepped.x, rtol=0.0, atol=1e-14)
 

@@ -5,7 +5,7 @@
 
 Imports the asifkit of ``git archive REF`` as asifkit_ref beside this
 tree's, in one process (load_revision). Each set's inputs are built once, by
-this tree's benchmark workloads and tests. Each side builds its own objects
+this tree's benchmark workloads, tests and assurance template. Each side builds its own objects
 from their plain fields with its own constructors (the builders, where a
 public signature that differs between the trees is adapted), digests them,
 catches their errors by its own package's classes and writes its files in
@@ -81,6 +81,15 @@ Sets:
                      NaN and inf entries, norms just above the bound,
                      commands outside the box, states that overflow, and
                      adversarial, PD and NN controllers
+  cli                the assurance commands, each run by the side's
+                     cli.dispatch in its own directory with the same
+                     relative paths: `ledger init`; `check-case` without a
+                     ledger; `check-case`, `report` to stdout and `report
+                     --out` on the shipped template with a fresh, an edited
+                     and an unknown-solution ledger; and `check-case`
+                     without and with a ledger and `report` on a cyclic
+                     argument; the exit code, stdout, stderr and the file
+                     --out names (or its absence)
 
 The solve sets, random_1d to nonfinite, digest an error that solve_qp
 raises by its type and message, with no command.
@@ -94,11 +103,13 @@ must be at least 1. The exit status is 0 whether or not the trees differ.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib
 import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 import tarfile
@@ -649,6 +660,65 @@ def _plant(package, cases, workdir):
     return [(_digest(plant_outcome(*plant_case(package, case, shared))), [], 0) for case in cases]
 
 
+CYCLIC_ARGUMENT = 'goal G0: "r"\ngoal G1: "a"\ngoal G2: "b"\nG0 -> G1\nG1 -> G2\nG2 -> G1\n'
+
+
+def _cli_commands(workdir, size, random_count):
+    """The cli set's input files, by relative path and text, and its
+    commands: the ledgers are this tree's template, one with every item's
+    status cycling through provided, waived and missing, and one whose
+    first item names an unknown solution."""
+    from asifkit.assurance import build_ledger_template, save_ledger, template_text
+
+    save_ledger(build_ledger_template(), workdir / "fresh.json")
+    fresh = (workdir / "fresh.json").read_text(encoding="utf-8")
+    edited = json.loads(fresh)
+    for i, item in enumerate(edited):
+        item.update(status=("provided", "waived", "missing")[i % 3], notes="edited")
+    unknown = json.loads(fresh)
+    unknown[0]["solution_id"] = "E_ghost"
+    files = {
+        "case.gsn": template_text(),
+        "cycle.gsn": CYCLIC_ARGUMENT,
+        "fresh.json": fresh,
+        "edited.json": json.dumps(edited, indent=2),
+        "unknown.json": json.dumps(unknown, indent=2),
+    }
+    commands = [["ledger", "init", "--out", "init.json"], ["check-case", "--argument", "case.gsn"]]
+    for ledger in ("fresh.json", "edited.json", "unknown.json"):
+        case = ["--argument", "case.gsn", "--ledger", ledger]
+        commands += [["check-case", *case], ["report", *case], ["report", *case, "--out", "report.md"]]
+    commands += [
+        ["check-case", "--argument", "cycle.gsn"],
+        ["check-case", "--argument", "cycle.gsn", "--ledger", "fresh.json"],
+        ["report", "--argument", "cycle.gsn", "--ledger", "fresh.json"],
+    ]
+    return files, commands
+
+
+def _cli_runs(package, inputs, workdir):
+    files, commands = inputs
+    dispatch = importlib.import_module(package.__name__ + ".cli").dispatch
+    for name, text in files.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    items = []
+    here = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for argv in commands:
+            out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+            if out is not None:
+                out.unlink(missing_ok=True)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = dispatch(argv)
+            written = out.read_bytes() if out is not None and out.exists() else None
+            items.append((_digest(argv, code, stdout.getvalue(), stderr.getvalue(), written), [], 0))
+    finally:
+        os.chdir(here)
+    return items
+
+
 DIGESTS = {
     "scenarios": (_scenario_configs, _scenarios),
     "corpus_adversarial": (_corpus_configs, _episodes),
@@ -664,6 +734,7 @@ DIGESTS = {
     "nonfinite": (_nonfinite, _solve_items),
     "barrier": (_barrier_cases, _barrier),
     "plant": (_plant_cases, _plant),
+    "cli": (_cli_commands, _cli_runs),
 }
 SETS = tuple(DIGESTS)
 
